@@ -32,12 +32,10 @@ from .kernels import (
     GaussianKernel,
     PolynomialKernel,
     TaylorKernel,
-    eval_kernel,
     gram_matrix,
     kernel_from_spec,
     kernel_to_spec,
     kernel_vector,
-    local_derivatives,
 )
 from .lssvm import TrainedModel, classify, load_model, normalize_labels, save_model, train
 from .mixture import (

@@ -182,6 +182,10 @@ CSV_COLUMNS = [
 ]
 
 
+def _nan_to_none(x):
+    return None if isinstance(x, float) and np.isnan(x) else x
+
+
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple
@@ -196,10 +200,14 @@ class SweepResult:
                 writer.writerow([getattr(r, c) for c in CSV_COLUMNS])
 
     def to_json(self, path=None, full=False):
-        obj = {"rows": [{c: getattr(r, c) for c in CSV_COLUMNS} for r in self.rows]}
+        """The rows (and with ``full`` the trials and failures) as a JSON
+        object.  JSON has no NaN, so a statistic that could not be computed
+        (``emp_se`` from one trial, ``emp_err`` from none) and the ``value``
+        of a sweep without an axis are written as ``null``."""
+        obj = {"rows": [{c: _nan_to_none(getattr(r, c)) for c in CSV_COLUMNS} for r in self.rows]}
         if full:
             obj["trials"] = {str(k): v for k, v in self.per_trial.items()}
-            obj["failures"] = list(self.failures)
+            obj["failures"] = [dict(f, value=_nan_to_none(f["value"])) for f in self.failures]
         if path is None:
             return obj
         Path(path).write_text(json.dumps(obj, indent=2))

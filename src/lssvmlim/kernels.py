@@ -15,8 +15,15 @@ from typing import Union
 import numpy as np
 
 
+class _Profile:
+    """``value`` works on a copy; ``_apply`` overwrites a float array."""
+
+    def value(self, u):
+        return self._apply(np.array(u, dtype=float))[()]
+
+
 @dataclass(frozen=True)
-class GaussianKernel:
+class GaussianKernel(_Profile):
     """Radial basis profile ``f(u) = exp(-u / (2 sigma2))``."""
 
     sigma2: float
@@ -25,8 +32,9 @@ class GaussianKernel:
         if not self.sigma2 > 0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
 
-    def value(self, u):
-        return np.exp(np.asarray(u, dtype=float) / (-2.0 * self.sigma2))
+    def _apply(self, u):
+        u /= -2.0 * self.sigma2
+        return np.exp(u, out=u)
 
     def derivatives(self, u):
         f = float(np.exp(-float(u) / (2.0 * self.sigma2)))
@@ -34,7 +42,7 @@ class GaussianKernel:
 
 
 @dataclass(frozen=True)
-class PolynomialKernel:
+class PolynomialKernel(_Profile):
     """Polynomial profile ``f(u) = sum_i coeffs[i] * u**i`` of the squared
     distance, low order first."""
 
@@ -46,11 +54,11 @@ class PolynomialKernel:
             raise ValueError("polynomial kernel needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
 
-    def value(self, u):
-        u = np.asarray(u, dtype=float)
+    def _apply(self, u):
         out = np.zeros_like(u)
         for c in reversed(self.coeffs):
-            out = out * u + c
+            out *= u
+            out += c
         return out
 
     def derivatives(self, u):
@@ -64,7 +72,7 @@ class PolynomialKernel:
 
 
 @dataclass(frozen=True)
-class TaylorKernel:
+class TaylorKernel(_Profile):
     """Locally specified profile: the exact quadratic
 
         ``f(u) = f0 + f1 (u - anchor) + f2 (u - anchor)^2 / 2``
@@ -80,9 +88,13 @@ class TaylorKernel:
     f1: float
     f2: float
 
-    def value(self, u):
-        d = np.asarray(u, dtype=float) - self.anchor
-        return self.f0 + self.f1 * d + 0.5 * self.f2 * d * d
+    def _apply(self, u):
+        u -= self.anchor
+        sq = (0.5 * self.f2) * u * u
+        u *= self.f1
+        u += self.f0
+        u += sq
+        return u
 
     def derivatives(self, u):
         d = float(u) - self.anchor
@@ -96,35 +108,32 @@ class TaylorKernel:
 KernelProfile = Union[GaussianKernel, PolynomialKernel, TaylorKernel]
 
 
-def eval_kernel(profile: KernelProfile, u):
-    """Evaluate ``f(u)``; accepts scalars or arrays, ``u >= 0``."""
-    return profile.value(u)
+def pairwise_sq_dists(X: np.ndarray, Q: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances between the columns of ``X`` and those of ``Q``
+    (default ``X``) by the inner-product expansion, clamped at zero.
 
-
-def local_derivatives(profile: KernelProfile, tau: float):
-    """Exact ``(f(tau), f'(tau), f''(tau))``, always analytic (never a
-    finite-difference approximation)."""
-    return profile.derivatives(tau)
-
-
-def _sq_norms(X):
-    return np.einsum("ij,ij->j", X, X)
-
-
-def pairwise_sq_dists(X: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances of the columns of ``X``, computed via the
-    inner-product expansion with round-off clamped at zero.
-
-    The result is exactly symmetric with an exactly zero diagonal.
-    """
+    Without ``Q`` the result is exactly symmetric with an exactly zero
+    diagonal: NumPy evaluates ``X.T @ X`` on one buffer as a symmetric
+    rank-k update, which fills one triangle and mirrors it."""
     X = np.asarray(X, dtype=float)
-    g = X.T @ X
-    d = np.einsum("ii->i", g).copy()
-    D = d[:, None] + d[None, :] - 2.0 * g
-    D = 0.5 * (D + D.T)  # exact symmetry: IEEE addition is commutative
+    if Q is None and not X.flags.forc:
+        X = X.copy()  # one contiguous buffer, so that X.T @ X is a syrk
+    G = X.T @ (X if Q is None else Q)
+    a = np.diagonal(G).copy() if Q is None else np.einsum("ij,ij->j", X, X)
+    D = np.add.outer(a, a if Q is None else np.einsum("ij,ij->j", Q, Q))
+    G *= -2.0
+    D += G
     np.maximum(D, 0.0, out=D)
-    np.fill_diagonal(D, 0.0)
+    if Q is None:
+        np.fill_diagonal(D, 0.0)
     return D
+
+
+def _kernel(X, Q, profile):
+    """``f(D / p)`` evaluated in the buffer of ``D = pairwise_sq_dists(X, Q)``."""
+    D = pairwise_sq_dists(X, Q)
+    D /= np.shape(X)[0]
+    return profile._apply(D)
 
 
 def gram_matrix(data: np.ndarray, profile: KernelProfile) -> np.ndarray:
@@ -133,9 +142,7 @@ def gram_matrix(data: np.ndarray, profile: KernelProfile) -> np.ndarray:
 
     ``K`` is symmetric by construction with diagonal exactly ``f(0)``.
     """
-    X = np.asarray(data, dtype=float)
-    p = X.shape[0]
-    return profile.value(pairwise_sq_dists(X) / p)
+    return _kernel(data, None, profile)
 
 
 def kernel_vector(data: np.ndarray, x: np.ndarray, profile: KernelProfile) -> np.ndarray:
@@ -145,16 +152,9 @@ def kernel_vector(data: np.ndarray, x: np.ndarray, profile: KernelProfile) -> np
     ``x`` may be a single ``p``-vector (returns an ``n``-vector) or a
     ``p x m`` matrix of query points (returns ``n x m``).
     """
-    X = np.asarray(data, dtype=float)
-    p = X.shape[0]
     q = np.asarray(x, dtype=float)
-    single = q.ndim == 1
-    if single:
-        q = q[:, None]
-    U = _sq_norms(X)[:, None] + _sq_norms(q)[None, :] - 2.0 * (X.T @ q)
-    np.maximum(U, 0.0, out=U)
-    out = profile.value(U / p)
-    return out[:, 0] if single else out
+    out = _kernel(data, q.reshape(q.shape[0], -1), profile)
+    return out[:, 0] if q.ndim == 1 else out
 
 
 def kernel_from_spec(spec: dict) -> KernelProfile:

@@ -7,8 +7,9 @@ Training solves the regularized kernel system
 
 from a single factorization with two right-hand sides.  ``S`` is symmetric
 but not guaranteed positive definite (locally specified kernels may produce
-indefinite Gram matrices), so a partially pivoted LU is used, with a
-rank-revealing pivoted-QR fallback if an LU pivot collapses.
+indefinite Gram matrices), so Cholesky is tried first, then a partially
+pivoted LU if Cholesky fails or a pivot collapses, then a rank-revealing
+column-pivoted QR if an LU pivot collapses too.
 """
 
 from __future__ import annotations
@@ -27,22 +28,48 @@ from .kernels import KernelProfile, gram_matrix, kernel_from_spec, kernel_to_spe
 _PIVOT_RTOL = 1e-12
 
 
-def _solve_two_rhs(S, rhs):
-    """Solve S X = rhs, guarding against pivot collapse."""
-    norm = np.abs(S).sum(axis=1).max()  # infinity norm
-    lu, piv = scipy.linalg.lu_factor(S, check_finite=False)
-    if np.abs(np.diagonal(lu)).min() >= _PIVOT_RTOL * norm:
-        return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+def _shifted(S, K, shift):
+    """Write ``K + shift I`` into ``S`` and return it."""
+    np.copyto(S, K)
+    S.flat[:: len(S) + 1] += shift
+    return S
+
+
+def _factor(K, shift):
+    """Factor ``S = K + shift I`` once and return ``solve(B)`` for ``S X = B``.
+
+    ``S`` lives in one C-ordered buffer and is factored in place through
+    its Fortran-ordered transpose, so LAPACK makes no copy; a failed attempt
+    rebuilds ``S`` from ``K`` in the same buffer.  A factorization is kept
+    only if its pivots stay above ``_PIVOT_RTOL * ||S||_inf``.
+    """
+    S = _shifted(np.empty_like(K, order="C"), K, shift)
+    floor = _PIVOT_RTOL * scipy.linalg.lapack.dlange("1", S.T)  # ||S||_inf
+    try:
+        c, lower = scipy.linalg.cho_factor(S.T, overwrite_a=True, check_finite=False)
+        if np.diagonal(c).min() ** 2 >= floor:
+            return lambda B: scipy.linalg.cho_solve((c, lower), B, check_finite=False)
+    except np.linalg.LinAlgError:  # not positive definite
+        pass
+    lu, piv = scipy.linalg.lu_factor(
+        _shifted(S, K, shift).T, overwrite_a=True, check_finite=False
+    )
+    if np.abs(np.diagonal(lu)).min() >= floor:
+        # lu factors S.T, so solve with the transpose of the factorization
+        return lambda B: scipy.linalg.lu_solve((lu, piv), B, trans=1, check_finite=False)
     # Partial pivoting failed; retry with column-pivoted QR before giving up.
-    q, r, perm = scipy.linalg.qr(S, pivoting=True, mode="economic")
-    if np.abs(np.diagonal(r)).min() < _PIVOT_RTOL * norm:
+    q, r, perm = scipy.linalg.qr(_shifted(S, K, shift), pivoting=True, mode="economic")
+    if np.abs(np.diagonal(r)).min() < floor:
         raise SingularSystem(
-            f"regularized kernel system is numerically singular (n={S.shape[0]})"
+            f"regularized kernel system is numerically singular (n={len(S)})"
         )
-    x = scipy.linalg.solve_triangular(r, q.T @ rhs)
-    out = np.empty_like(x)
-    out[perm] = x
-    return out
+
+    def solve(B):
+        out = np.empty_like(B)
+        out[perm] = scipy.linalg.solve_triangular(r, q.T @ B)
+        return out
+
+    return solve
 
 
 def train(gram: np.ndarray, labels: np.ndarray, gamma: float):
@@ -50,7 +77,7 @@ def train(gram: np.ndarray, labels: np.ndarray, gamma: float):
 
     Parameters
     ----------
-    gram : (n, n) symmetric kernel matrix.
+    gram : (n, n) symmetric kernel matrix; left unchanged.
     labels : n-vector with both classes present (+-1 or normalized values).
     gamma : positive regularization factor.
 
@@ -71,21 +98,21 @@ def train(gram: np.ndarray, labels: np.ndarray, gamma: float):
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
 
-    S = K + (n / gamma) * np.eye(n)
-    rhs = np.column_stack([y, np.ones(n)])
-    sol = _solve_two_rhs(S, rhs)
+    shift = n / gamma
+    solve = _factor(K, shift)
+    sol = solve(np.column_stack([y, np.ones(n)]))
     sy, s1 = sol[:, 0], sol[:, 1]
     bias = sy.sum() / s1.sum()
     alpha = sy - bias * s1
 
-    # Residual guard: one iterative-refinement pass before declaring the
-    # factorization unusable.
+    # Residual guard: one iterative-refinement pass, reusing the
+    # factorization, before declaring it unusable.
     target = y - bias
-    resid = S @ alpha - target
+    resid = K @ alpha + shift * alpha - target
     tol = 1e-8 * (np.linalg.norm(y) + abs(bias) * np.sqrt(n))
     if np.linalg.norm(resid) > tol:
-        alpha = alpha - _solve_two_rhs(S, resid[:, None])[:, 0]
-        resid = S @ alpha - target
+        alpha = alpha - solve(resid[:, None])[:, 0]
+        resid = K @ alpha + shift * alpha - target
         if np.linalg.norm(resid) > tol:
             raise SingularSystem(
                 f"training residual {np.linalg.norm(resid):.3e} exceeds {tol:.3e}"

@@ -103,6 +103,26 @@ def test_sweep_json_full_includes_trials(tmp_path):
     assert obj["failures"] == []
 
 
+def test_one_trial_sweep_prints_valid_json(tmp_path, capsys):
+    # one trial leaves the standard error undefined: it must print as null,
+    # not as the NaN token that JSON does not have
+    doc = json.loads(open(f"{CONFIG_DIR}/sweep_width.json").read())
+    doc["model"]["p"] = 32
+    doc["n"] = 64
+    doc["n_test"] = 16
+    doc["sweep"]["grid"] = [0.5, 1.0]
+    config = write_config(tmp_path, doc)
+    assert main(["sweep", "--config", config, "--trials", "1", "--full"]) == 0
+
+    def reject(token):
+        raise ValueError(f"invalid JSON constant {token}")
+
+    obj = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert [row["trials"] for row in obj["rows"]] == [1, 1]
+    assert all(row["emp_se"] is None for row in obj["rows"])
+    assert all(0.0 <= row["emp_err"] <= 1.0 for row in obj["rows"])
+
+
 def test_histogram_command(tmp_path, capsys):
     doc = {
         "model": {

@@ -7,12 +7,10 @@ from lssvmlim.kernels import (
     GaussianKernel,
     PolynomialKernel,
     TaylorKernel,
-    eval_kernel,
     gram_matrix,
     kernel_from_spec,
     kernel_to_spec,
     kernel_vector,
-    local_derivatives,
     pairwise_sq_dists,
 )
 
@@ -27,11 +25,11 @@ FD_PROFILES = [
 
 
 def test_gaussian_at_zero():
-    assert eval_kernel(GaussianKernel(1.0), 0.0) == 1.0
+    assert GaussianKernel(1.0).value(0.0) == 1.0
 
 
 def test_gaussian_closed_form():
-    assert eval_kernel(GaussianKernel(1.0), 2.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert GaussianKernel(1.0).value(2.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 def test_gaussian_requires_positive_width():
@@ -41,11 +39,11 @@ def test_gaussian_requires_positive_width():
 
 def test_taylor_value_at_anchor_is_exact():
     k = TaylorKernel(anchor=2.0, f0=4.0, f1=0.0, f2=2.0)
-    assert eval_kernel(k, 2.0) == 4.0
+    assert k.value(2.0) == 4.0
 
 
 def test_gaussian_derivatives():
-    f, fp, fpp = local_derivatives(GaussianKernel(1.0), 2.0)
+    f, fp, fpp = GaussianKernel(1.0).derivatives(2.0)
     e = math.exp(-1.0)
     assert f == pytest.approx(e, rel=1e-15)
     assert fp == pytest.approx(-e / 2, rel=1e-15)
@@ -53,18 +51,18 @@ def test_gaussian_derivatives():
 
 
 def test_taylor_derivatives_are_the_given_numbers():
-    assert local_derivatives(TaylorKernel(2.0, 4.0, -1.0, 2.0), 2.0) == (4.0, -1.0, 2.0)
+    assert TaylorKernel(2.0, 4.0, -1.0, 2.0).derivatives(2.0) == (4.0, -1.0, 2.0)
 
 
 def test_polynomial_derivatives():
     # 1 + 2u + 3u^2 at u=1: f=6, f'=2+6u=8, f''=6
-    assert local_derivatives(PolynomialKernel((1.0, 2.0, 3.0)), 1.0) == (6.0, 8.0, 6.0)
+    assert PolynomialKernel((1.0, 2.0, 3.0)).derivatives(1.0) == (6.0, 8.0, 6.0)
 
 
 def test_taylor_second_derivative_constant_everywhere():
     k = TaylorKernel(anchor=1.0, f0=0.3, f1=-0.7, f2=1.9)
     for u in (0.0, 0.5, 1.0, 3.0, 10.0):
-        assert local_derivatives(k, u)[2] == 1.9
+        assert k.derivatives(u)[2] == 1.9
 
 
 @pytest.mark.parametrize("profile", FD_PROFILES, ids=lambda k: type(k).__name__)
@@ -72,11 +70,11 @@ def test_taylor_second_derivative_constant_everywhere():
 def test_derivatives_match_central_differences(profile, tau):
     h = 1e-5
     up, u0, um = (
-        float(eval_kernel(profile, tau + h)),
-        float(eval_kernel(profile, tau)),
-        float(eval_kernel(profile, tau - h)),
+        float(profile.value(tau + h)),
+        float(profile.value(tau)),
+        float(profile.value(tau - h)),
     )
-    f, fp, fpp = local_derivatives(profile, tau)
+    f, fp, fpp = profile.derivatives(tau)
     assert f == pytest.approx(u0, rel=1e-12)
     assert fp == pytest.approx((up - um) / (2 * h), rel=1e-5)
     assert fpp == pytest.approx((up - 2 * u0 + um) / h**2, rel=1e-5)
@@ -87,7 +85,7 @@ def test_gram_diagonal_is_f_zero():
     X = rng.standard_normal((3, 6))
     for profile in FD_PROFILES:
         K = gram_matrix(X, profile)
-        f0 = float(eval_kernel(profile, 0.0))
+        f0 = float(profile.value(0.0))
         assert np.all(np.diag(K) == f0)
 
 
@@ -107,7 +105,7 @@ def test_gram_matches_entrywise_double_loop():
     for i in range(5):
         for j in range(5):
             u = np.sum((X[:, i] - X[:, j]) ** 2) / p
-            assert K[i, j] == pytest.approx(float(eval_kernel(profile, u)), abs=1e-12)
+            assert K[i, j] == pytest.approx(float(profile.value(u)), abs=1e-12)
 
 
 def test_gram_exactly_symmetric():
@@ -118,12 +116,69 @@ def test_gram_exactly_symmetric():
         assert np.array_equal(K, K.T)
 
 
+def _reference_value(profile, u):
+    # the profile formulas as written before evaluation moved in place
+    if isinstance(profile, GaussianKernel):
+        return np.exp(u / (-2.0 * profile.sigma2))
+    if isinstance(profile, PolynomialKernel):
+        out = np.zeros_like(u)
+        for c in reversed(profile.coeffs):
+            out = out * u + c
+        return out
+    d = u - profile.anchor
+    return profile.f0 + profile.f1 * d + 0.5 * profile.f2 * d * d
+
+
+def _sq_norms(X):
+    return np.einsum("ij,ij->j", X, X)
+
+
+@pytest.mark.parametrize("profile", FD_PROFILES, ids=lambda k: type(k).__name__)
+@pytest.mark.parametrize("n", [9, 300])  # 300 crosses NumPy's temporary-elision size
+def test_gram_and_kernel_vector_bit_identical_to_reference_expansion(profile, n):
+    rng = np.random.default_rng(23)
+    p = 40
+    X = rng.standard_normal((p, n))
+    g = X.T @ X
+    d = np.einsum("ii->i", g).copy()
+    D = d[:, None] + d[None, :] - 2.0 * g
+    D = 0.5 * (D + D.T)
+    np.maximum(D, 0.0, out=D)
+    np.fill_diagonal(D, 0.0)
+    assert np.array_equal(gram_matrix(X, profile), _reference_value(profile, D / p))
+
+    Q = rng.standard_normal((p, 7))
+    for q, queries in ((Q, Q), (Q[:, 2], Q[:, 2][:, None])):
+        U = _sq_norms(X)[:, None] + _sq_norms(queries)[None, :] - 2.0 * (X.T @ queries)
+        np.maximum(U, 0.0, out=U)
+        expected = _reference_value(profile, U / p)
+        assert np.array_equal(kernel_vector(X, q, profile), expected[:, 0] if q.ndim == 1 else expected)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "column_slice"])
+def test_gram_exactly_symmetric_for_any_memory_layout(layout):
+    # symmetry rests on X.T @ X being one symmetric rank-k update; a strided
+    # view used to reach a general product, asymmetric in the last bits
+    rng = np.random.default_rng(29)
+    big = rng.standard_normal((80, 600))
+    X = {
+        "C": np.ascontiguousarray(big[:40, :300]),
+        "F": np.asfortranarray(big[:40, :300]),
+        "strided": big[::2, ::2],
+        "column_slice": big[:40, :300],
+    }[layout]
+    for profile in FD_PROFILES:
+        K = gram_matrix(X, profile)
+        assert np.array_equal(K, K.T)
+        assert np.all(np.diag(K) == profile.value(0.0))
+
+
 def test_gram_duplicate_columns_hit_f_zero():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((6, 4))
     X[:, 2] = X[:, 0]
     K = gram_matrix(X, GaussianKernel(2.0))
-    assert K[0, 2] == K[2, 0] == float(eval_kernel(GaussianKernel(2.0), 0.0))
+    assert K[0, 2] == K[2, 0] == float(GaussianKernel(2.0).value(0.0))
 
 
 def test_pairwise_sq_dists_clamps_and_zeroes_diagonal():
@@ -137,7 +192,7 @@ def test_kernel_vector_at_training_point():
     X = rng.standard_normal((5, 7))
     profile = GaussianKernel(1.0)
     v = kernel_vector(X, X[:, 3], profile)
-    assert v[3] == float(eval_kernel(profile, 0.0))
+    assert v[3] == float(profile.value(0.0))
 
 
 def test_kernel_vector_two_point_hand_value():

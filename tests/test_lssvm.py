@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lssvmlim.errors import DimensionMismatch, OneClassOnly
+from lssvmlim.errors import DimensionMismatch, OneClassOnly, SingularSystem
 from lssvmlim.kernels import GaussianKernel, TaylorKernel, gram_matrix, kernel_vector
 from lssvmlim.lssvm import (
     TrainedModel,
@@ -88,6 +89,112 @@ def test_indefinite_gram_is_handled():
     n = 24
     resid = (K + n * np.eye(n)) @ alpha - (labels - bias)
     assert np.linalg.norm(resid) < 1e-8 * (np.linalg.norm(labels) + abs(bias) * np.sqrt(n))
+
+
+FACTORIZATIONS = ("cho_factor", "lu_factor", "qr")
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Count the factorizations ``train`` makes, by solver path."""
+    calls = dict.fromkeys(FACTORIZATIONS, 0)
+    for name in FACTORIZATIONS:
+        real = getattr(scipy.linalg, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, spy)
+    return calls
+
+
+def assert_solves(K, labels, gamma, alpha, bias):
+    n = len(labels)
+    resid = (K + (n / gamma) * np.eye(n)) @ alpha - (labels - bias)
+    assert np.linalg.norm(resid) < 1e-8 * (np.linalg.norm(labels) + abs(bias) * np.sqrt(n))
+    assert abs(alpha.sum()) < 1e-8
+
+
+def test_positive_definite_system_takes_one_cholesky(factor_calls):
+    rng = np.random.default_rng(31)
+    X, labels = random_instance(rng, 40, 10)
+    K = gram_matrix(X, GaussianKernel(1.0))
+    alpha, bias = train(K, labels, 1.0)
+    assert factor_calls == {"cho_factor": 1, "lu_factor": 0, "qr": 0}
+    assert_solves(K, labels, 1.0, alpha, bias)
+
+
+def test_negative_definite_system_falls_back_to_lu(factor_calls):
+    n, gamma = 10, 2.0
+    K = -3.0 * (n / gamma) * np.eye(n)  # S = K + (n/gamma) I = -2 (n/gamma) I
+    labels = np.array([-1.0, 1.0] * (n // 2))
+    alpha, bias = train(K, labels, gamma)
+    assert factor_calls == {"cho_factor": 1, "lu_factor": 1, "qr": 0}
+    assert_solves(K, labels, gamma, alpha, bias)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize(
+    "S",
+    [
+        np.ones((6, 6)),  # rank one: Cholesky breaks down
+        np.diag([1.0] * 5 + [1e-14]),  # positive definite, pivot below 1e-12 ||S||
+    ],
+    ids=["rank_one", "tiny_pivot"],
+)
+def test_collapsed_pivots_reach_qr_then_raise(factor_calls, S):
+    n, gamma = len(S), 1.0
+    K = S - (n / gamma) * np.eye(n)
+    before = K.copy()
+    labels = np.array([-1.0, 1.0] * (n // 2))
+    with pytest.raises(SingularSystem):
+        train(K, labels, gamma)
+    assert factor_calls == {"cho_factor": 1, "lu_factor": 1, "qr": 1}
+    assert np.array_equal(K, before)  # every attempt worked on a copy
+
+
+def test_refinement_pass_reuses_the_factorization(monkeypatch, factor_calls):
+    rng = np.random.default_rng(37)
+    X, labels = random_instance(rng, 30, 8)
+    K = gram_matrix(X, GaussianKernel(1.0))
+    exact = train(K, labels, 1.0)
+    factor_calls.update(dict.fromkeys(FACTORIZATIONS, 0))
+
+    real_solve = scipy.linalg.cho_solve
+    solves = []
+
+    def sloppy_first_solve(*args, **kwargs):
+        # scaling both columns keeps the bias and moves alpha by 1e-6
+        # relative, which trips the residual guard
+        x = real_solve(*args, **kwargs)
+        solves.append(x.shape)
+        return x * (1 + 1e-6) if len(solves) == 1 else x
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", sloppy_first_solve)
+    alpha, bias = train(K, labels, 1.0)
+    assert solves == [(30, 2), (30, 1)]
+    assert factor_calls == {"cho_factor": 1, "lu_factor": 0, "qr": 0}
+    assert_solves(K, labels, 1.0, alpha, bias)
+    np.testing.assert_allclose(alpha, exact[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make_gram",
+    [
+        lambda X: gram_matrix(X, GaussianKernel(1.0)),  # Cholesky
+        lambda X: -3.0 * X.shape[1] * np.eye(X.shape[1]),  # LU
+        lambda X: np.asfortranarray(gram_matrix(X, GaussianKernel(1.0))),
+    ],
+    ids=["cholesky", "lu", "fortran_order"],
+)
+def test_train_leaves_gram_unchanged(make_gram):
+    rng = np.random.default_rng(41)
+    X, labels = random_instance(rng, 24, 6)
+    K = make_gram(X)
+    before = K.copy()
+    train(K, labels, 1.0)
+    assert np.array_equal(K, before)
 
 
 def test_one_class_rejected():
