@@ -13,6 +13,7 @@ from lssvmlim.experiments import (
     run_histogram,
     run_sweep,
 )
+from lssvmlim.lssvm import TrainedModel
 from lssvmlim.mixture import MixtureModel, mix64, sample, toeplitz_cov
 from lssvmlim.theory import error_at_optimal, gaussian_stats
 
@@ -265,3 +266,55 @@ def test_empirical_error_pool_disjoint_split():
     assert w < 0.2
     with pytest.raises(ValueError):
         empirical_error_pool(X, labels, 90, 90, 30, 30, 1.0, RBF_UNIT, 0.0, seed=9)
+
+
+def test_histogram_and_convergence_trials_follow_the_seed_scheme(monkeypatch):
+    # trial k draws its training set at mix64(mix64(base, k), 0) and its test
+    # set at mix64(mix64(base, k), 1); rebuilding a trial by hand from those
+    # seeds reproduces its scores bit for bit
+    from lssvmlim import lssvm
+    from lssvmlim.theory import random_equivalent
+
+    m = skew_model(24)
+    n, n_test, trials, base = 32, 10, 3, 11
+    hist = run_histogram(m, n, 1.0, RBF_UNIT, "fisher", n_test, trials, base)
+    for t in range(trials):
+        s = mix64(base, t)
+        train_set = sample(m, 8, 24, mix64(s, 0))
+        test_set = sample(m, n_test, n_test, mix64(s, 1))
+        fitted = TrainedModel.fit(train_set.X, train_set.labels, 1.0, RBF_UNIT, "fisher")
+        scores = fitted.decide_many(test_set.X)
+        block = slice(t * n_test, (t + 1) * n_test)
+        assert np.array_equal(hist.scores1[block], scores[:n_test])
+        assert np.array_equal(hist.scores2[block], scores[n_test:])
+
+    seen = []
+    decide_many = lssvm.TrainedModel.decide_many
+
+    def spy(self, points):
+        seen.append(decide_many(self, points))
+        return seen[-1]
+
+    monkeypatch.setattr(lssvm.TrainedModel, "decide_many", spy)
+    sizes = [(16, 24), (32, 48)]
+    rows = run_convergence(skew_model, 1.0, RBF_UNIT, sizes, trials, base, n_points=12)
+    monkeypatch.undo()
+    assert len(seen) == len(sizes) * trials
+    for si, (n, p) in enumerate(sizes):
+        model = skew_model(p)
+        n1 = round(n * model.c1)
+        m1 = round(12 * model.c1)
+        gaps = []
+        for t in range(trials):
+            s = mix64(base, si * trials + t)
+            train_set = sample(model, n1, n - n1, mix64(s, 0))
+            test_set = sample(model, m1, 12 - m1, mix64(s, 1))
+            fitted = TrainedModel.fit(train_set.X, train_set.labels, 1.0, RBF_UNIT)
+            g = fitted.decide_many(test_set.X)
+            assert np.array_equal(seen[si * trials + t], g)
+            for cls, sl in ((1, slice(0, m1)), (2, slice(m1, 12))):
+                g_hat = random_equivalent(
+                    train_set, model, test_set.omega[:, sl], test_set.psi[sl], cls, 1.0, RBF_UNIT
+                )
+                gaps.append(n * np.abs(g[sl] - g_hat))
+        assert rows[si].median_scaled_gap == float(np.median(np.concatenate(gaps)))
