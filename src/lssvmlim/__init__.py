@@ -46,7 +46,6 @@ from .mixture import (
     mix64,
     model_from_spec,
     sample,
-    theoretical_tau,
     toeplitz_cov,
 )
 from .mnist import (

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -60,43 +61,42 @@ def _emit(obj, args):
         print(out)
 
 
-def _resolve_profile(doc, model):
-    return experiments.resolve_kernel(doc.get("kernel", {"kind": "gaussian", "sigma2": 1.0}), model)
-
-
-def cmd_predict(args):
+def _config(args):
+    """The parsed config file, with the command-line overrides applied."""
     doc = _load_config(args.config)
-    model = model_from_spec(doc["model"])
-    profile = _resolve_profile(doc, model)
-    n = int(doc.get("n", 256))
-    gamma = float(doc.get("gamma", 1.0))
-    convention = doc.get("convention", "standard")
-    rule = args.threshold or doc.get("threshold", "optimal")
-    stats = theory.gaussian_stats(model, n, gamma, profile, convention)
-    threshold = experiments.resolve_threshold(rule, stats, model.c1, model.c2)
-    eps1, eps2, weighted = theory.error_rates(stats, threshold, model.c1, model.c2)
-    out = stats.as_dict()
-    out.update(
-        {"threshold_rule": rule, "threshold": threshold, "eps1": eps1, "eps2": eps2, "weighted": weighted}
-    )
-    _emit(out, args)
-    return 0
-
-
-def _config_overrides(args, doc):
     if args.seed is not None:
         doc["base_seed"] = args.seed
     if args.trials is not None:
         doc["trials"] = args.trials
     if args.threshold is not None:
         doc["threshold"] = args.threshold
-    return doc
+    return experiments.config_from_dict(doc)
+
+
+def _profile(config, model):
+    return experiments.resolve_kernel(config.kernel_spec, model)
+
+
+def _at_threshold(stats, rule, model):
+    """The threshold of ``rule`` and the predicted error rates there."""
+    threshold = experiments.resolve_threshold(rule, stats, model.c1, model.c2)
+    eps1, eps2, weighted = theory.error_rates(stats, threshold, model.c1, model.c2)
+    return {"threshold": threshold, "eps1": eps1, "eps2": eps2, "weighted": weighted}
+
+
+def cmd_predict(args):
+    config = _config(args)
+    model = model_from_spec(config.model_spec)
+    stats = theory.gaussian_stats(
+        model, config.n, config.gamma, _profile(config, model), config.convention
+    )
+    rule = config.threshold_rule
+    _emit(dict(stats.as_dict(), threshold_rule=rule, **_at_threshold(stats, rule, model)), args)
+    return 0
 
 
 def cmd_sweep(args):
-    doc = _config_overrides(args, _load_config(args.config))
-    config = experiments.config_from_dict(doc)
-    result = experiments.run_sweep(config)
+    result = experiments.run_sweep(_config(args))
     # CSV is the default file output; --full implies the JSON mirror
     fmt = args.format or ("json" if args.full or not args.out else "csv")
     if fmt == "csv":
@@ -111,18 +111,11 @@ def cmd_sweep(args):
 
 
 def cmd_histogram(args):
-    doc = _config_overrides(args, _load_config(args.config))
-    model = model_from_spec(doc["model"])
-    profile = _resolve_profile(doc, model)
+    config = _config(args)
+    model = model_from_spec(config.model_spec)
     result = experiments.run_histogram(
-        model,
-        int(doc.get("n", 256)),
-        float(doc.get("gamma", 1.0)),
-        profile,
-        doc.get("convention", "standard"),
-        int(doc.get("n_test", 100)),
-        int(doc.get("trials", 50)),
-        int(doc.get("base_seed", 0)),
+        model, config.n, config.gamma, _profile(config, model), config.convention,
+        config.n_test, config.trials, config.base_seed,
     )
     out = result.summary()
     if args.full:
@@ -133,27 +126,21 @@ def cmd_histogram(args):
 
 
 def cmd_convergence(args):
-    doc = _config_overrides(args, _load_config(args.config))
-    sizes = [tuple(map(int, pair)) for pair in doc["sizes"]]
-    model_spec = doc["model"]
+    config = _config(args)
+    if config.convention != "standard":
+        raise ValueError("convergence needs convention 'standard': its equivalent is for +-1 labels")
+    if not config.sizes:
+        raise ValueError("convergence needs sizes: [[n, p], ...]")
     rows = experiments.run_convergence(
-        lambda p: model_from_spec(model_spec, p=p),
-        float(doc.get("gamma", 1.0)),
-        lambda model: experiments.resolve_kernel(
-            doc.get("kernel", {"kind": "gaussian", "sigma2": 1.0}), model
-        ),
-        sizes,
-        int(doc.get("trials", 20)),
-        int(doc.get("base_seed", 0)),
-        n_points=int(doc.get("n_points", 100)),
+        lambda p: model_from_spec(config.model_spec, p=p),
+        config.gamma,
+        lambda model: _profile(config, model),
+        config.sizes,
+        config.trials,
+        config.base_seed,
+        n_points=config.n_points,
     )
-    _emit(
-        [
-            {"n": r.n, "p": r.p, "median_scaled_gap": r.median_scaled_gap, "samples": r.samples}
-            for r in rows
-        ],
-        args,
-    )
+    _emit([asdict(r) for r in rows], args)
     return 0
 
 
@@ -173,9 +160,7 @@ def cmd_mnist_stats(args):
     model = mnist.class_stats(data, args.digit_a, args.digit_b)
     profile = kernel_from_spec({"kind": "gaussian", "sigma2": args.sigma2})
     stats = theory.gaussian_stats(model, args.n, args.gamma, profile)
-    rule = args.threshold or "optimal"
-    threshold = experiments.resolve_threshold(rule, stats, model.c1, model.c2)
-    eps1, eps2, weighted = theory.error_rates(stats, threshold, model.c1, model.c2)
+    predicted = _at_threshold(stats, args.threshold or "optimal", model)
 
     mask = (data.labels == args.digit_a) | (data.labels == args.digit_b)
     pool_x = data.images[:, mask]
@@ -186,7 +171,7 @@ def cmd_mnist_stats(args):
     errs = [
         experiments.empirical_error_pool(
             pool_x, pool_y, n1, args.n - n1, m1, args.n_test - m1,
-            args.gamma, profile, threshold, mix64(args.seed or 0, t),
+            args.gamma, profile, predicted["threshold"], mix64(args.seed or 0, t),
         )[2]
         for t in range(trials)
     ]
@@ -200,7 +185,7 @@ def cmd_mnist_stats(args):
         "digits": [args.digit_a, args.digit_b],
         "counts": [int((data.labels == args.digit_a).sum()), int((data.labels == args.digit_b).sum())],
         "discrepancy_by_scaling": {k: list(v) for k, v in triples.items()},
-        "theory": dict(stats.as_dict(), threshold=threshold, eps1=eps1, eps2=eps2, weighted=weighted),
+        "theory": dict(stats.as_dict(), **predicted),
         "empirical_weighted_error": float(np.mean(errs)),
         "empirical_se": float(np.std(errs, ddof=1) / np.sqrt(len(errs))) if len(errs) > 1 else None,
         "trials": trials,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +19,8 @@ import scipy.stats
 
 from .kernels import TaylorKernel, kernel_from_spec
 from .lssvm import TrainedModel, classify
-from .mixture import MixtureModel, mix64, model_from_spec, sample
-from .theory import error_at_optimal, error_rates, gaussian_stats, random_equivalent
+from .mixture import mix64, model_from_spec, sample
+from .theory import error_rates, gaussian_stats, optimal_threshold, random_equivalent
 
 THRESHOLD_RULES = ("optimal", "zero", "bias")
 
@@ -28,7 +28,7 @@ THRESHOLD_RULES = ("optimal", "zero", "bias")
 def resolve_threshold(rule, stats, c1, c2):
     """Map a threshold rule name to a numeric threshold."""
     if rule == "optimal":
-        return error_at_optimal(stats, c1, c2)[0]
+        return optimal_threshold(stats, c1, c2)
     if rule == "zero":
         return 0.0
     if rule == "bias":
@@ -36,32 +36,46 @@ def resolve_threshold(rule, stats, c1, c2):
     raise ValueError(f"unknown threshold rule: {rule!r}")
 
 
-def _test_split(n_test, c1):
-    """Per-class test counts at proportions c1 : c2, at least one each."""
-    if n_test < 2:
-        raise ValueError("n_test must be at least 2 to cover both classes")
-    m1 = min(max(1, round(n_test * c1)), n_test - 1)
-    return m1, n_test - m1
+def _class_split(n, c1):
+    """Per-class counts of ``n`` points at proportions c1 : c2, at least one
+    each."""
+    if n < 2:
+        raise ValueError(f"{n} points cannot cover both classes")
+    n1 = min(max(1, round(n * c1)), n - 1)
+    return n1, n - n1
 
 
-def empirical_error(model, n1, n2, n_test, gamma, profile, threshold, seed):
+def _trial(model, n1, n2, m1, m2, gamma, profile, convention, seed):
+    """One Monte Carlo trial: fit on ``n1 + n2`` points drawn at
+    ``mix64(seed, 0)``, score ``m1 + m2`` test points drawn at
+    ``mix64(seed, 1)``.  Returns ``(train_set, test_set, scores)``."""
+    train_set = sample(model, n1, n2, mix64(seed, 0))
+    test_set = sample(model, m1, m2, mix64(seed, 1))
+    fitted = TrainedModel.fit(train_set.X, train_set.labels, gamma, profile, convention)
+    return train_set, test_set, fitted.decide_many(test_set.X)
+
+
+def _class_errors(scores, labels, threshold, n1, n2):
+    """Per-class misclassification rates of test points labeled -1/+1 and
+    their weighting ``c1 eps1 + c2 eps2`` at the training proportions."""
+    assigned = classify(scores, threshold)
+    class1 = np.asarray(labels) < 0
+    eps1 = float(np.mean(assigned[class1] != 1))
+    eps2 = float(np.mean(assigned[~class1] != 2))
+    n = n1 + n2
+    return eps1, eps2, n1 / n * eps1 + n2 / n * eps2
+
+
+def empirical_error(model, n1, n2, n_test, gamma, profile, threshold, seed, convention="standard"):
     """Train on a fresh sample, misclassification rates on a fresh test
     sample of ``n_test`` points split by the class proportions.
 
     Returns ``(eps1_hat, eps2_hat, weighted_hat)`` with the weighted rate
     ``c1 eps1 + c2 eps2``.
     """
-    n = n1 + n2
-    c1 = n1 / n
-    c2 = n2 / n
-    train_set = sample(model, n1, n2, mix64(seed, 0))
-    test_set = sample(model, *_test_split(n_test, c1), mix64(seed, 1))
-    fitted = TrainedModel.fit(train_set.X, train_set.labels, gamma, profile)
-    assigned = classify(fitted.decide_many(test_set.X), threshold)
-    truth = np.where(test_set.labels < 0, 1, 2)
-    eps1 = float(np.mean(assigned[truth == 1] != 1))
-    eps2 = float(np.mean(assigned[truth == 2] != 2))
-    return eps1, eps2, c1 * eps1 + c2 * eps2
+    m1, m2 = _class_split(n_test, n1 / (n1 + n2))
+    _, test_set, scores = _trial(model, n1, n2, m1, m2, gamma, profile, convention, seed)
+    return _class_errors(scores, test_set.labels, threshold, n1, n2)
 
 
 def empirical_error_pool(X, labels, n1, n2, m1, m2, gamma, profile, threshold, seed):
@@ -79,39 +93,51 @@ def empirical_error_pool(X, labels, n1, n2, m1, m2, gamma, profile, threshold, s
     tr = np.concatenate([pick1[:n1], pick2[:n2]])
     te = np.concatenate([pick1[n1:], pick2[n2:]])
     fitted = TrainedModel.fit(X[:, tr], labels[tr].astype(float), gamma, profile)
-    assigned = classify(fitted.decide_many(X[:, te]), threshold)
-    truth = np.where(labels[te] < 0, 1, 2)
-    eps1 = float(np.mean(assigned[truth == 1] != 1))
-    eps2 = float(np.mean(assigned[truth == 2] != 2))
-    c1 = n1 / (n1 + n2)
-    return eps1, eps2, c1 * eps1 + (1 - c1) * eps2
+    return _class_errors(fitted.decide_many(X[:, te]), labels[te], threshold, n1, n2)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: a base model/kernel plus a named axis and its grid."""
+    """One parsed config file; each field's default is its key's default.
+
+    The README's config reference lists which subcommands read each key.
+    """
 
     model_spec: dict
-    kernel_spec: dict
-    n: int
-    n_test: int
-    gamma: float
-    trials: int
-    base_seed: int
+    kernel_spec: dict = field(default_factory=lambda: {"kind": "gaussian", "sigma2": 1.0})
+    n: int = 256
+    n_test: int = 256
+    gamma: float = 1.0
+    trials: int = 20
+    base_seed: int = 0
     threshold_rule: str = "optimal"
     axis: str = None
     grid: tuple = ()
+    convention: str = "standard"
+    sizes: tuple = ()  # (n, p) pairs
+    n_points: int = 100
 
     def __post_init__(self):
+        try:
+            for name, kind in (("n", int), ("n_test", int), ("gamma", float), ("trials", int),
+                               ("base_seed", int), ("n_points", int)):
+                object.__setattr__(self, name, kind(getattr(self, name)))
+            object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
+            object.__setattr__(self, "sizes", tuple(tuple(map(int, pair)) for pair in self.sizes))
+        except TypeError as exc:  # e.g. a null in the config file
+            raise ValueError(f"config value of the wrong type: {exc}") from exc
+        if not (np.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
+        if self.n < 2 or self.n_test < 2:
+            raise ValueError("n and n_test must be at least 2 to cover both classes")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.n_test < 1:
-            raise ValueError("n_test must be at least 1")
+        if self.convention not in ("standard", "fisher"):
+            raise ValueError(f"unknown label convention: {self.convention!r}")
         if self.axis is not None and len(self.grid) == 0:
             raise ValueError("sweep grid must be nonempty")
         if self.threshold_rule not in THRESHOLD_RULES:
             raise ValueError(f"unknown threshold rule: {self.threshold_rule!r}")
-        object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
 
 
 def resolve_kernel(spec, model):
@@ -150,15 +176,10 @@ def _instantiate(config, value):
         f0 = float(base.get("f", 1.0))
         fp = value if axis == "fprime" else float(base.get("fp", 0.0))
         fpp = value if axis == "fsecond" else float(base.get("fpp", 0.0))
-        return model, TaylorKernel(anchor, f0, fp, fpp), n, *_class_counts(n, model.c1)
+        return model, TaylorKernel(anchor, f0, fp, fpp), n, *_class_split(n, model.c1)
     elif axis not in (None, "c0", "c1", "mu_offset"):
         raise ValueError(f"unknown sweep axis: {axis!r}")
-    return model, resolve_kernel(kernel_spec, model), n, *_class_counts(n, model.c1)
-
-
-def _class_counts(n, c1):
-    n1 = min(max(1, round(n * c1)), n - 1)
-    return n1, n - n1
+    return model, resolve_kernel(kernel_spec, model), n, *_class_split(n, model.c1)
 
 
 @dataclass(frozen=True)
@@ -176,10 +197,7 @@ class SweepRow:
     threshold: float
 
 
-CSV_COLUMNS = [
-    "axis", "value", "n", "p", "trials", "emp_err", "emp_se",
-    "th_eps1", "th_eps2", "th_weighted", "threshold",
-]
+CSV_COLUMNS = [f.name for f in fields(SweepRow)]
 
 
 def _nan_to_none(x):
@@ -225,7 +243,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     rows, per_trial, failures = [], {}, []
     for gi, value in enumerate(grid):
         model, profile, n, n1, n2 = _instantiate(config, value)
-        stats = gaussian_stats(model, n, config.gamma, profile)
+        stats = gaussian_stats(model, n, config.gamma, profile, config.convention)
         threshold = resolve_threshold(config.threshold_rule, stats, model.c1, model.c2)
         th_eps1, th_eps2, th_w = error_rates(stats, threshold, model.c1, model.c2)
         records = []
@@ -233,7 +251,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             seed = mix64(config.base_seed, gi * config.trials + t)
             try:
                 e1, e2, w = empirical_error(
-                    model, n1, n2, config.n_test, config.gamma, profile, threshold, seed
+                    model, n1, n2, config.n_test, config.gamma, profile, threshold, seed,
+                    config.convention,
                 )
             except Exception as exc:  # noqa: BLE001 - recorded, not averaged
                 failures.append(
@@ -306,18 +325,13 @@ def run_histogram(model, n, gamma, profile, convention, n_test, trials, seed) ->
     """Pool decision scores of fresh test points (n_test per class per trial)
     over independently trained models, with the per-class Gaussian prediction
     and a one-sample Kolmogorov-Smirnov distance against it."""
-    n1, n2 = _class_counts(n, model.c1)
-    scores1, scores2 = [], []
-    for t in range(trials):
-        s = mix64(seed, t)
-        train_set = sample(model, n1, n2, mix64(s, 0))
-        test_set = sample(model, n_test, n_test, mix64(s, 1))
-        fitted = TrainedModel.fit(train_set.X, train_set.labels, gamma, profile, convention)
-        scores = fitted.decide_many(test_set.X)
-        scores1.append(scores[: n_test])
-        scores2.append(scores[n_test:])
-    scores1 = np.concatenate(scores1)
-    scores2 = np.concatenate(scores2)
+    n1, n2 = _class_split(n, model.c1)
+    blocks = [
+        _trial(model, n1, n2, n_test, n_test, gamma, profile, convention, mix64(seed, t))[2]
+        for t in range(trials)
+    ]
+    scores1 = np.concatenate([b[:n_test] for b in blocks])
+    scores2 = np.concatenate([b[n_test:] for b in blocks])
     stats = gaussian_stats(model, n1 + n2, gamma, profile, convention)
     ks1 = scipy.stats.kstest(scores1, "norm", args=(stats.E1, np.sqrt(stats.Var1))).statistic
     ks2 = scipy.stats.kstest(scores2, "norm", args=(stats.E2, np.sqrt(stats.Var2))).statistic
@@ -347,24 +361,16 @@ def run_convergence(model_factory, gamma, profile, sizes, trials, base_seed, n_p
     for si, (n, p) in enumerate(sizes):
         model = model_factory(p)
         prof = profile(model) if callable(profile) else profile
-        n1, n2 = _class_counts(n, model.c1)
-        m1, m2 = _test_split(n_points, model.c1)
+        n1, n2 = _class_split(n, model.c1)
+        m1, m2 = _class_split(n_points, model.c1)
         gaps = []
         for t in range(trials):
-            s = mix64(base_seed, si * trials + t)
-            train_set = sample(model, n1, n2, mix64(s, 0))
-            test_set = sample(model, m1, m2, mix64(s, 1))
-            fitted = TrainedModel.fit(train_set.X, train_set.labels, gamma, prof)
-            g = fitted.decide_many(test_set.X)
+            train_set, test_set, g = _trial(
+                model, n1, n2, m1, m2, gamma, prof, "standard", mix64(base_seed, si * trials + t)
+            )
             for cls, sl in ((1, slice(0, m1)), (2, slice(m1, m1 + m2))):
                 g_hat = random_equivalent(
-                    train_set,
-                    model,
-                    test_set.omega[:, sl],
-                    test_set.psi[sl],
-                    cls,
-                    gamma,
-                    prof,
+                    train_set, model, test_set.omega[:, sl], test_set.psi[sl], cls, gamma, prof
                 )
                 gaps.append(n * np.abs(g[sl] - g_hat))
         gaps = np.concatenate(gaps)
@@ -374,18 +380,19 @@ def run_convergence(model_factory, gamma, profile, sizes, trials, base_seed, n_p
     return rows
 
 
+# config key -> ExperimentConfig field, for the keys given outside "sweep"
+_CONFIG_FIELDS = {
+    "kernel": "kernel_spec", "n": "n", "n_test": "n_test", "gamma": "gamma",
+    "trials": "trials", "base_seed": "base_seed", "threshold": "threshold_rule",
+    "convention": "convention", "sizes": "sizes", "n_points": "n_points",
+}
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build an :class:`ExperimentConfig` from a parsed config file."""
+    """Build an :class:`ExperimentConfig` from a parsed config file; absent
+    keys take the field defaults."""
     sweep = doc.get("sweep") or {}
+    given = {f: doc[key] for key, f in _CONFIG_FIELDS.items() if key in doc}
     return ExperimentConfig(
-        model_spec=doc["model"],
-        kernel_spec=doc.get("kernel", {"kind": "gaussian", "sigma2": 1.0}),
-        n=int(doc.get("n", 256)),
-        n_test=int(doc.get("n_test", 256)),
-        gamma=float(doc.get("gamma", 1.0)),
-        trials=int(doc.get("trials", 20)),
-        base_seed=int(doc.get("base_seed", 0)),
-        threshold_rule=doc.get("threshold", "optimal"),
-        axis=sweep.get("axis"),
-        grid=tuple(sweep.get("grid", ())),
+        model_spec=doc["model"], axis=sweep.get("axis"), grid=tuple(sweep.get("grid", ())), **given
     )

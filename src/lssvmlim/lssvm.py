@@ -58,8 +58,10 @@ def _factor(K, shift):
         # lu factors S.T, so solve with the transpose of the factorization
         return lambda B: scipy.linalg.lu_solve((lu, piv), B, trans=1, check_finite=False)
     # Partial pivoting failed; retry with column-pivoted QR before giving up.
-    q, r, perm = scipy.linalg.qr(_shifted(S, K, shift), pivoting=True, mode="economic")
-    if np.abs(np.diagonal(r)).min() < floor:
+    q, r, perm = scipy.linalg.qr(
+        _shifted(S, K, shift), pivoting=True, mode="economic", check_finite=False
+    )
+    if not np.abs(np.diagonal(r)).min() >= floor:  # also when S holds a NaN
         raise SingularSystem(
             f"regularized kernel system is numerically singular (n={len(S)})"
         )
@@ -93,6 +95,8 @@ def train(gram: np.ndarray, labels: np.ndarray, gamma: float):
         raise DimensionMismatch(f"gram matrix must be square, got {K.shape}")
     if y.shape != (n,):
         raise DimensionMismatch(f"labels must have length {n}, got {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("training labels must be finite")
     if np.unique(y).size < 2:
         raise OneClassOnly("training labels contain a single class")
     if not gamma > 0:
@@ -106,14 +110,15 @@ def train(gram: np.ndarray, labels: np.ndarray, gamma: float):
     alpha = sy - bias * s1
 
     # Residual guard: one iterative-refinement pass, reusing the
-    # factorization, before declaring it unusable.
+    # factorization, before declaring it unusable.  Written as "not <=" so
+    # that a NaN residual fails it too.
     target = y - bias
     resid = K @ alpha + shift * alpha - target
     tol = 1e-8 * (np.linalg.norm(y) + abs(bias) * np.sqrt(n))
-    if np.linalg.norm(resid) > tol:
+    if not np.linalg.norm(resid) <= tol:
         alpha = alpha - solve(resid[:, None])[:, 0]
         resid = K @ alpha + shift * alpha - target
-        if np.linalg.norm(resid) > tol:
+        if not np.linalg.norm(resid) <= tol:
             raise SingularSystem(
                 f"training residual {np.linalg.norm(resid):.3e} exceeds {tol:.3e}"
             )

@@ -9,7 +9,7 @@ score predictions built from them can be validated directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -171,20 +171,10 @@ class MixtureModel:
         return 2.0 / self.p * (self.c1 * self.trace1 + self.c2 * self.trace2)
 
     @cached_property
-    def cov_mixture(self):
-        """c1 C1 + c2 C2"""
-        return self.c1 * self.cov1 + self.c2 * self.cov2
-
-    @cached_property
     def spectral_norms(self):
         w1, _ = self._eig1
         w2, _ = self._eig2
         return float(np.abs(w1).max()), float(np.abs(w2).max())
-
-
-def theoretical_tau(model: MixtureModel) -> float:
-    """(2/p) tr(c1 C1 + c2 C2), the limit of ||x_i - x_j||^2 / p."""
-    return model.tau
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,17 +271,7 @@ class GrowthDiagnostics:
     likely_impossible: bool
 
     def as_dict(self):
-        return {
-            "mean_gap": self.mean_gap,
-            "trace_gap_rate": self.trace_gap_rate,
-            "sq_trace_gap_rate": self.sq_trace_gap_rate,
-            "cov_norm1": self.cov_norm1,
-            "cov_norm2": self.cov_norm2,
-            "tau": self.tau,
-            "dim_ratio": self.dim_ratio,
-            "likely_trivial": self.likely_trivial,
-            "likely_impossible": self.likely_impossible,
-        }
+        return asdict(self)
 
 
 def growth_diagnostics(model: MixtureModel, n: int) -> GrowthDiagnostics:

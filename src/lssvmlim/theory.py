@@ -128,10 +128,10 @@ def random_equivalent(
 class TheoryStats:
     """Per-class asymptotic score statistics.
 
-    ``E1, E2, Var1, Var2`` are the user-facing Gaussian parameters.  The
-    reduced fields factor out the regularizer exactly:
-    ``E_a = bias + gamma * e_a`` and ``Var_a = (gamma * s_a)^2``, where
-    ``bias``, ``e_a`` and ``s_a`` do not depend on gamma.  Threshold
+    Only gamma-free quantities are stored besides ``gamma`` itself: the bias,
+    the reduced means ``e_a`` and the reduced variances ``r_a``.  The
+    user-facing Gaussian parameters are derived as ``E_a = bias + gamma e_a``
+    and ``Var_a = gamma^2 r_a``, with ``s_a = sqrt(r_a)``.  Threshold
     selection and error rates computed in the reduced domain are therefore
     exactly invariant under rescaling gamma.
     """
@@ -143,15 +143,35 @@ class TheoryStats:
     bias: float
     e1: float
     e2: float
-    s1: float
-    s2: float
-    E1: float
-    E2: float
-    Var1: float
-    Var2: float
+    r1: float
+    r2: float
     v1: tuple  # (class 1, class 2) mean-free variance pieces
     v2: tuple
     v3: tuple
+
+    @property
+    def s1(self):
+        return float(np.sqrt(self.r1))
+
+    @property
+    def s2(self):
+        return float(np.sqrt(self.r2))
+
+    @property
+    def E1(self):
+        return self.bias + self.gamma * self.e1
+
+    @property
+    def E2(self):
+        return self.bias + self.gamma * self.e2
+
+    @property
+    def Var1(self):
+        return self.gamma**2 * self.r1
+
+    @property
+    def Var2(self):
+        return self.gamma**2 * self.r2
 
     def as_dict(self):
         return {
@@ -227,7 +247,6 @@ def gaussian_stats(
         e1 = -c2 * D
         e2 = c1 * D
         var_scale = 2.0
-    var_red = (var_scale * (v1[0] + v2[0] + v3[0]), var_scale * (v1[1] + v2[1] + v3[1]))
     return TheoryStats(
         tau=tau,
         D=D,
@@ -236,12 +255,8 @@ def gaussian_stats(
         bias=bias,
         e1=e1,
         e2=e2,
-        s1=float(np.sqrt(var_red[0])),
-        s2=float(np.sqrt(var_red[1])),
-        E1=bias + gamma * e1,
-        E2=bias + gamma * e2,
-        Var1=gamma**2 * var_red[0],
-        Var2=gamma**2 * var_red[1],
+        r1=var_scale * (v1[0] + v2[0] + v3[0]),
+        r2=var_scale * (v1[1] + v2[1] + v3[1]),
         v1=tuple(v1),
         v2=tuple(v2),
         v3=tuple(v3),
@@ -321,18 +336,18 @@ def _reduced_optimal(e1, s1, e2, s2, c1, c2):
     return min(pool, key=lambda t: _reduced_weighted(e1, s1, e2, s2, c1, c2, t))
 
 
-def optimal_threshold(stats: TheoryStats, c1: float, c2: float) -> float:
-    """Threshold minimizing the weighted error ``c1 eps1 + c2 eps2``.
-
-    When the class means come out inverted (E1 > E2) the roles are swapped by
-    mirroring, so the returned threshold is the minimizer for the relabeled
-    problem.
-    """
+def _reduced_threshold(stats: TheoryStats, c1: float, c2: float) -> float:
+    """Optimal reduced threshold; when the class means come out inverted
+    (e1 > e2) the roles are swapped by mirroring, so it is the minimizer for
+    the relabeled problem."""
     if stats.e1 <= stats.e2:
-        t = _reduced_optimal(stats.e1, stats.s1, stats.e2, stats.s2, c1, c2)
-    else:
-        t = -_reduced_optimal(-stats.e2, stats.s2, -stats.e1, stats.s1, c2, c1)
-    return float(stats.bias + stats.gamma * t)
+        return _reduced_optimal(stats.e1, stats.s1, stats.e2, stats.s2, c1, c2)
+    return -_reduced_optimal(-stats.e2, stats.s2, -stats.e1, stats.s1, c2, c1)
+
+
+def optimal_threshold(stats: TheoryStats, c1: float, c2: float) -> float:
+    """Threshold minimizing the weighted error ``c1 eps1 + c2 eps2``."""
+    return float(stats.bias + stats.gamma * _reduced_threshold(stats, c1, c2))
 
 
 def error_at_optimal(stats: TheoryStats, c1: float, c2: float):
@@ -341,9 +356,6 @@ def error_at_optimal(stats: TheoryStats, c1: float, c2: float):
 
     Returns ``(threshold, eps1, eps2, weighted)``.
     """
-    if stats.e1 <= stats.e2:
-        t = _reduced_optimal(stats.e1, stats.s1, stats.e2, stats.s2, c1, c2)
-    else:
-        t = -_reduced_optimal(-stats.e2, stats.s2, -stats.e1, stats.s1, c2, c1)
+    t = _reduced_threshold(stats, c1, c2)
     eps1, eps2 = _tail_pair(stats.e1, stats.s1, stats.e2, stats.s2, t)
     return float(stats.bias + stats.gamma * t), eps1, eps2, c1 * eps1 + c2 * eps2

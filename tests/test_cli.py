@@ -217,3 +217,56 @@ def test_mnist_stats_bad_file_is_data_error(tmp_path, capsys):
     junk.write_bytes(b"\x00\x00\x00\x00rest")
     assert main(["mnist-stats", "--images", str(junk), "--labels", str(junk)]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def small_sweep_doc(**changes):
+    doc = json.loads(open(f"{CONFIG_DIR}/sweep_width.json").read())
+    doc["model"]["p"] = 32
+    doc.update(n=64, n_test=16, trials=1, sweep={"axis": "sigma2", "grid": [1.0]})
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("predict", {"gamma": 0}),
+        ("predict", {"n": 0}),
+        ("predict", {"gamma": -1}),
+        ("predict", {"n": 1}),
+        ("predict", {"gamma": float("nan")}),
+        ("predict", {"convention": "plusminus"}),
+        ("sweep", {"gamma": 0}),
+        ("sweep", {"n_test": 1}),
+        ("sweep", {"n": 1}),
+        ("sweep", {"trials": 0}),
+        ("histogram", {"gamma": float("inf")}),
+        ("histogram", {"trials": None}),
+    ],
+    ids=["predict-gamma0", "predict-n0", "predict-gamma-negative", "predict-n1",
+         "predict-gamma-nan", "predict-convention", "sweep-gamma0", "sweep-n_test1",
+         "sweep-n1", "sweep-trials0", "histogram-gamma-inf", "histogram-trials-null"],
+)
+def test_invalid_config_is_a_one_line_data_error(tmp_path, capsys, command, bad):
+    config = write_config(tmp_path, small_sweep_doc(**bad))
+    assert main([command, "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lssvmlim: invalid input:") and captured.err.count("\n") == 1
+
+
+def test_convergence_rejects_fisher_labels(tmp_path, capsys):
+    doc = small_sweep_doc(convention="fisher", sizes=[[16, 16]], n_points=6)
+    assert main(["convergence", "--config", write_config(tmp_path, doc)]) == 2
+    assert "convention" in capsys.readouterr().err
+
+
+def test_fisher_sweep_reports_the_threshold_of_predict(tmp_path, capsys):
+    config = write_config(tmp_path, small_sweep_doc(convention="fisher"))
+    assert main(["predict", "--config", config]) == 0
+    predicted = json.loads(capsys.readouterr().out)
+    assert predicted["label_convention"] == "fisher"
+    assert main(["sweep", "--config", config]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert row["threshold"] == predicted["threshold"]
+    assert row["th_weighted"] == predicted["weighted"]

@@ -180,9 +180,14 @@ def test_sweep_csv_schema(tmp_path):
 
 
 def test_sweep_records_failures_instead_of_averaging():
-    # an impossible test split (n_test=1 cannot cover both classes) must be
-    # recorded as a failure, not silently skipped
-    doc = dict(BASE_SWEEP, n_test=1, sweep={"axis": "sigma2", "grid": [1.0]})
+    # a trial that cannot train must be recorded as a failure, not silently
+    # skipped: identical point masses under a constant kernel f = -1/gamma
+    # make S = K + (n/gamma) I exactly singular
+    p = 48
+    point_mass = dict(BASE_SWEEP["model"], mean1="zeros", mean2="zeros",
+                      cov1=np.zeros((p, p)).tolist(), cov2=np.zeros((p, p)).tolist())
+    doc = dict(BASE_SWEEP, model=point_mass, threshold="zero",
+               kernel={"kind": "local", "tau": 0.0, "f": -1.0, "fp": 0.0, "fpp": 0.0})
     result = run_sweep(config_from_dict(doc))
     assert len(result.failures) == 4
     assert np.isnan(result.rows[0].emp_err)
@@ -195,6 +200,35 @@ def test_config_validation():
         ExperimentConfig({}, {}, 10, 10, 1.0, trials=1, base_seed=0, axis="sigma2", grid=())
     with pytest.raises(ValueError):
         ExperimentConfig({}, {}, 10, 10, 1.0, trials=1, base_seed=0, threshold_rule="best")
+
+
+def test_config_defaults_are_the_documented_ones():
+    config = config_from_dict({"model": BASE_SWEEP["model"]})
+    assert config.kernel_spec == {"kind": "gaussian", "sigma2": 1.0}
+    assert (config.n, config.n_test, config.gamma) == (256, 256, 1.0)
+    assert (config.trials, config.base_seed, config.threshold_rule) == (20, 0, "optimal")
+    assert (config.convention, config.sizes, config.n_points) == ("standard", (), 100)
+    assert config.axis is None and config.grid == ()
+
+
+def test_fisher_sweep_fits_normalized_labels(monkeypatch):
+    from lssvmlim import experiments
+
+    conventions = []
+    fit = experiments.TrainedModel.fit
+
+    def spy(X, labels, gamma, profile, convention="standard"):
+        conventions.append(convention)
+        return fit(X, labels, gamma, profile, convention)
+
+    monkeypatch.setattr(experiments.TrainedModel, "fit", spy)
+    doc = dict(BASE_SWEEP, convention="fisher", trials=2)
+    row = run_sweep(config_from_dict(doc)).rows[0]
+    assert conventions == ["fisher", "fisher"]
+    m = experiments.model_from_spec(doc["model"])
+    st = gaussian_stats(m, 48, 1.0, RBF_UNIT, "fisher")
+    assert row.threshold == resolve_threshold("optimal", st, m.c1, m.c2)
+    assert row.th_weighted == error_at_optimal(st, m.c1, m.c2)[3]
 
 
 def test_histogram_identical_classes_pools_same_distribution():

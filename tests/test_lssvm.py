@@ -340,3 +340,28 @@ def test_serialized_form_is_flat_json(tmp_path):
         "p", "n", "gamma", "label_convention", "kernel", "alpha", "bias", "training_data",
     }
     assert obj["p"] == 3 and obj["n"] == 6
+
+
+def test_non_finite_labels_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        train(0.5 * np.eye(4), [-1.0, 1.0, np.nan, 1.0], 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        train(0.5 * np.eye(4), [-1.0, 1.0, np.inf, 1.0], 1.0)
+
+
+@pytest.mark.parametrize("pos", [(0, 0), (0, 1), (1, 0)], ids=["diagonal", "upper", "lower"])
+def test_nan_gram_is_a_singular_system(factor_calls, pos):
+    K = 0.5 * np.eye(4)
+    K[pos] = np.nan
+    with pytest.raises(SingularSystem):
+        train(K, [-1.0, 1.0, -1.0, 1.0], 1.0)
+    assert factor_calls == {"cho_factor": 1, "lu_factor": 1, "qr": 1}
+
+
+def test_nan_solution_fails_the_residual_guard(monkeypatch):
+    # a factorization that passes its pivot check but solves to NaN must not
+    # come back as NaN coefficients
+    real_solve = scipy.linalg.cho_solve
+    monkeypatch.setattr(scipy.linalg, "cho_solve", lambda *a, **k: real_solve(*a, **k) * np.nan)
+    with pytest.raises(SingularSystem):
+        train(0.5 * np.eye(4), [-1.0, 1.0, -1.0, 1.0], 1.0)

@@ -7,7 +7,6 @@ from lssvmlim.mixture import (
     mix64,
     model_from_spec,
     sample,
-    theoretical_tau,
     toeplitz_cov,
 )
 
@@ -57,7 +56,7 @@ def test_indefinite_covariance_rejected():
 
 def test_tau_identity_covariances():
     m = MixtureModel(16, np.zeros(16), np.zeros(16), np.eye(16), np.eye(16), c1=0.5)
-    assert theoretical_tau(m) == pytest.approx(2.0, rel=1e-14)
+    assert m.tau == pytest.approx(2.0, rel=1e-14)
 
 
 def test_tau_equal_trace_covariances():
@@ -65,7 +64,7 @@ def test_tau_equal_trace_covariances():
     m = MixtureModel(
         p, np.zeros(p), np.zeros(p), np.eye(p), toeplitz_cov(0.4, 1.0, p), c1=0.5
     )
-    assert theoretical_tau(m) == pytest.approx(2.0, rel=1e-14)
+    assert m.tau == pytest.approx(2.0, rel=1e-14)
 
 
 def test_tau_boosted_covariance():
@@ -75,7 +74,7 @@ def test_tau_boosted_covariance():
         p, np.zeros(p), np.zeros(p), np.eye(p), toeplitz_cov(0.4, scale, p), c1=0.5
     )
     # 2 * (1/2 + (1/2) * scale) = 2 + 4 / sqrt(512)
-    assert theoretical_tau(m) == pytest.approx(2.1767766952966369, rel=1e-12)
+    assert m.tau == pytest.approx(2.1767766952966369, rel=1e-12)
 
 
 def test_sample_layout_and_reconstruction():

@@ -270,9 +270,7 @@ def _stats(e1, e2, s1, s2, bias=0.0, gamma=1.0, D=None):
         D = e2 - e1
     return TheoryStats(
         tau=2.0, D=D, gamma=gamma, label_convention="standard", bias=bias,
-        e1=e1, e2=e2, s1=s1, s2=s2,
-        E1=bias + gamma * e1, E2=bias + gamma * e2,
-        Var1=(gamma * s1) ** 2, Var2=(gamma * s2) ** 2,
+        e1=e1, e2=e2, r1=s1**2, r2=s2**2,
         v1=(0, 0), v2=(0, 0), v3=(0, 0),
     )
 
