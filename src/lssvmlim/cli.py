@@ -28,7 +28,6 @@ from .errors import (
     SingularSystem,
     TruncatedFile,
 )
-from .kernels import kernel_from_spec
 from .mixture import mix64, model_from_spec, sample
 
 _DATA_ERRORS = (BadMagic, TruncatedFile, CountMismatch, ClassMissing, FileNotFoundError)
@@ -61,61 +60,44 @@ def _emit(obj, args):
         print(out)
 
 
-def _config(args):
-    """The parsed config file, with the command-line overrides applied."""
-    doc = _load_config(args.config)
-    if args.seed is not None:
-        doc["base_seed"] = args.seed
-    if args.trials is not None:
-        doc["trials"] = args.trials
-    if args.threshold is not None:
-        doc["threshold"] = args.threshold
+def _config(args, doc):
+    """``doc`` with the command-line overrides applied, parsed and checked."""
+    for key, value in (("base_seed", args.seed), ("trials", args.trials),
+                       ("threshold", args.threshold)):
+        if value is not None:
+            doc[key] = value
     return experiments.config_from_dict(doc)
 
 
-def _profile(config, model):
-    return experiments.resolve_kernel(config.kernel_spec, model)
-
-
-def _at_threshold(stats, rule, model):
-    """The threshold of ``rule`` and the predicted error rates there."""
-    threshold = experiments.resolve_threshold(rule, stats, model.c1, model.c2)
-    eps1, eps2, weighted = theory.error_rates(stats, threshold, model.c1, model.c2)
-    return {"threshold": threshold, "eps1": eps1, "eps2": eps2, "weighted": weighted}
-
-
 def cmd_predict(args):
-    config = _config(args)
+    config = _config(args, _load_config(args.config))
     model = model_from_spec(config.model_spec)
-    stats = theory.gaussian_stats(
-        model, config.n, config.gamma, _profile(config, model), config.convention
-    )
+    profile = experiments.resolve_kernel(config.kernel_spec, model)
+    stats = theory.gaussian_stats(model, config.n, config.gamma, profile, config.convention)
     rule = config.threshold_rule
-    _emit(dict(stats.as_dict(), threshold_rule=rule, **_at_threshold(stats, rule, model)), args)
+    _emit(dict(stats.as_dict(), threshold_rule=rule, **experiments.at_threshold(stats, rule)), args)
     return 0
 
 
 def cmd_sweep(args):
-    result = experiments.run_sweep(_config(args))
+    result = experiments.run_sweep(_config(args, _load_config(args.config)))
     # CSV is the default file output; --full implies the JSON mirror
     fmt = args.format or ("json" if args.full or not args.out else "csv")
-    if fmt == "csv":
-        if not args.out:
-            raise ValueError("--format csv requires --out")
-        result.to_csv(args.out)
-    elif args.out:
-        result.to_json(args.out, full=args.full)
+    if fmt == "json":
+        _emit(result.to_json(full=args.full), args)
+    elif not args.out:
+        raise ValueError("--format csv requires --out")
     else:
-        print(json.dumps(result.to_json(full=args.full), indent=2))
+        result.to_csv(args.out)
     return 0
 
 
 def cmd_histogram(args):
-    config = _config(args)
+    config = _config(args, _load_config(args.config))
     model = model_from_spec(config.model_spec)
     result = experiments.run_histogram(
-        model, config.n, config.gamma, _profile(config, model), config.convention,
-        config.n_test, config.trials, config.base_seed,
+        model, config.n, config.gamma, experiments.resolve_kernel(config.kernel_spec, model),
+        config.convention, config.n_test, config.trials, config.base_seed,
     )
     out = result.summary()
     if args.full:
@@ -126,7 +108,7 @@ def cmd_histogram(args):
 
 
 def cmd_convergence(args):
-    config = _config(args)
+    config = _config(args, _load_config(args.config))
     if config.convention != "standard":
         raise ValueError("convergence needs convention 'standard': its equivalent is for +-1 labels")
     if not config.sizes:
@@ -134,7 +116,7 @@ def cmd_convergence(args):
     rows = experiments.run_convergence(
         lambda p: model_from_spec(config.model_spec, p=p),
         config.gamma,
-        lambda model: _profile(config, model),
+        lambda model: experiments.resolve_kernel(config.kernel_spec, model),
         config.sizes,
         config.trials,
         config.base_seed,
@@ -154,26 +136,30 @@ def cmd_estimate_tau(args):
 
 
 def cmd_mnist_stats(args):
+    # the model comes from the images; the flags are checked as config keys
+    config = _config(args, {
+        "model": {}, "kernel": {"kind": "gaussian", "sigma2": args.sigma2},
+        "n": args.n, "n_test": args.n_test, "gamma": args.gamma, "trials": 10,
+    })
     data = mnist.load_idx(args.images, args.labels)
     if args.snr_db is not None:
-        data = mnist.add_white_noise(data, args.snr_db, mix64(args.seed or 0, 99))
+        data = mnist.add_white_noise(data, args.snr_db, mix64(config.base_seed, 99))
     model = mnist.class_stats(data, args.digit_a, args.digit_b)
-    profile = kernel_from_spec({"kind": "gaussian", "sigma2": args.sigma2})
-    stats = theory.gaussian_stats(model, args.n, args.gamma, profile)
-    predicted = _at_threshold(stats, args.threshold or "optimal", model)
+    profile = experiments.resolve_kernel(config.kernel_spec, model)
+    stats = theory.gaussian_stats(model, config.n, config.gamma, profile)
+    predicted = experiments.at_threshold(stats, config.threshold_rule)
 
     mask = (data.labels == args.digit_a) | (data.labels == args.digit_b)
     pool_x = data.images[:, mask]
     pool_y = np.where(data.labels[mask] == args.digit_a, -1.0, 1.0)
-    n1 = args.n // 2
-    m1 = args.n_test // 2
-    trials = args.trials or 10
+    n1 = config.n // 2
+    m1 = config.n_test // 2
     errs = [
         experiments.empirical_error_pool(
-            pool_x, pool_y, n1, args.n - n1, m1, args.n_test - m1,
-            args.gamma, profile, predicted["threshold"], mix64(args.seed or 0, t),
+            pool_x, pool_y, n1, config.n - n1, m1, config.n_test - m1,
+            config.gamma, profile, predicted["threshold"], mix64(config.base_seed, t),
         )[2]
-        for t in range(trials)
+        for t in range(config.trials)
     ]
     triples = {
         name: mnist.discrepancy_stats(
@@ -188,7 +174,7 @@ def cmd_mnist_stats(args):
         "theory": dict(stats.as_dict(), **predicted),
         "empirical_weighted_error": float(np.mean(errs)),
         "empirical_se": float(np.std(errs, ddof=1) / np.sqrt(len(errs))) if len(errs) > 1 else None,
-        "trials": trials,
+        "trials": config.trials,
     }
     _emit(out, args)
     return 0

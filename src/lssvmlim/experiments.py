@@ -10,9 +10,7 @@ per-trial outcomes are stored and reduced at the end.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 import scipy.stats
@@ -25,15 +23,24 @@ from .theory import error_rates, gaussian_stats, optimal_threshold, random_equiv
 THRESHOLD_RULES = ("optimal", "zero", "bias")
 
 
-def resolve_threshold(rule, stats, c1, c2):
-    """Map a threshold rule name to a numeric threshold."""
+def resolve_threshold(rule, stats):
+    """Map a threshold rule name to a numeric threshold; ``"bias"`` is the
+    centre of the scores, ``stats.bias``."""
     if rule == "optimal":
-        return optimal_threshold(stats, c1, c2)
+        return optimal_threshold(stats)
     if rule == "zero":
         return 0.0
     if rule == "bias":
-        return c2 - c1
+        return stats.bias
     raise ValueError(f"unknown threshold rule: {rule!r}")
+
+
+def at_threshold(stats, rule):
+    """The threshold of ``rule`` and the predicted error rates there, as a
+    dict with keys ``threshold``, ``eps1``, ``eps2`` and ``weighted``."""
+    threshold = resolve_threshold(rule, stats)
+    eps1, eps2, weighted = error_rates(stats, threshold)
+    return {"threshold": threshold, "eps1": eps1, "eps2": eps2, "weighted": weighted}
 
 
 def _class_split(n, c1):
@@ -217,7 +224,7 @@ class SweepResult:
             for r in self.rows:
                 writer.writerow([getattr(r, c) for c in CSV_COLUMNS])
 
-    def to_json(self, path=None, full=False):
+    def to_json(self, full=False):
         """The rows (and with ``full`` the trials and failures) as a JSON
         object.  JSON has no NaN, so a statistic that could not be computed
         (``emp_se`` from one trial, ``emp_err`` from none) and the ``value``
@@ -226,9 +233,6 @@ class SweepResult:
         if full:
             obj["trials"] = {str(k): v for k, v in self.per_trial.items()}
             obj["failures"] = [dict(f, value=_nan_to_none(f["value"])) for f in self.failures]
-        if path is None:
-            return obj
-        Path(path).write_text(json.dumps(obj, indent=2))
         return obj
 
 
@@ -244,8 +248,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     for gi, value in enumerate(grid):
         model, profile, n, n1, n2 = _instantiate(config, value)
         stats = gaussian_stats(model, n, config.gamma, profile, config.convention)
-        threshold = resolve_threshold(config.threshold_rule, stats, model.c1, model.c2)
-        th_eps1, th_eps2, th_w = error_rates(stats, threshold, model.c1, model.c2)
+        predicted = at_threshold(stats, config.threshold_rule)
+        threshold = predicted["threshold"]
         records = []
         for t in range(config.trials):
             seed = mix64(config.base_seed, gi * config.trials + t)
@@ -276,9 +280,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 trials=len(records),
                 emp_err=emp,
                 emp_se=se,
-                th_eps1=th_eps1,
-                th_eps2=th_eps2,
-                th_weighted=th_w,
+                th_eps1=predicted["eps1"],
+                th_eps2=predicted["eps2"],
+                th_weighted=predicted["weighted"],
                 threshold=threshold,
             )
         )

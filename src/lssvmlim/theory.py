@@ -128,18 +128,20 @@ def random_equivalent(
 class TheoryStats:
     """Per-class asymptotic score statistics.
 
-    Only gamma-free quantities are stored besides ``gamma`` itself: the bias,
-    the reduced means ``e_a`` and the reduced variances ``r_a``.  The
-    user-facing Gaussian parameters are derived as ``E_a = bias + gamma e_a``
-    and ``Var_a = gamma^2 r_a``, with ``s_a = sqrt(r_a)``.  Threshold
-    selection and error rates computed in the reduced domain are therefore
-    exactly invariant under rescaling gamma.
+    Only gamma-free quantities are stored besides ``gamma`` itself: the class
+    proportions, the bias, the reduced means ``e_a`` and the reduced
+    variances ``r_a``.  The user-facing Gaussian parameters are derived as
+    ``E_a = bias + gamma e_a`` and ``Var_a = gamma^2 r_a``, with
+    ``s_a = sqrt(r_a)``.  Threshold selection and error rates computed in the
+    reduced domain are therefore exactly invariant under rescaling gamma.
     """
 
     tau: float
     D: float
     gamma: float
     label_convention: str
+    c1: float
+    c2: float
     bias: float
     e1: float
     e2: float
@@ -213,9 +215,13 @@ def gaussian_stats(
 
         E*_1 = -c2 gamma D,   E*_2 = c1 gamma D,
         Var*_a = 2 gamma^2 (V1_a + V2_a + V3_a).
+
+    c1, c2 are the model's; ``gamma`` must be finite and positive.
     """
     if convention not in ("standard", "fisher"):
         raise ValueError(f"unknown label convention: {convention!r}")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     p = model.p
     c1, c2 = model.c1, model.c2
     tau = model.tau
@@ -252,6 +258,8 @@ def gaussian_stats(
         D=D,
         gamma=float(gamma),
         label_convention=convention,
+        c1=c1,
+        c2=c2,
         bias=bias,
         e1=e1,
         e2=e2,
@@ -280,11 +288,11 @@ def _tail_pair(e1, s1, e2, s2, t):
     return eps1, eps2
 
 
-def error_rates(stats: TheoryStats, threshold: float, c1: float, c2: float):
+def error_rates(stats: TheoryStats, threshold: float):
     """Asymptotic per-class and weighted error rates at a threshold:
 
         eps1 = Q((xi - E1)/sd1),  eps2 = Q((E2 - xi)/sd2),
-        weighted = c1 eps1 + c2 eps2.
+        weighted = c1 eps1 + c2 eps2  (the proportions of ``stats``).
 
     Degenerate zero variances resolve to 0/1 by mean position (1/2 at
     equality).  The reduced parameterization is used internally, so results
@@ -292,12 +300,7 @@ def error_rates(stats: TheoryStats, threshold: float, c1: float, c2: float):
     """
     t = (threshold - stats.bias) / stats.gamma
     eps1, eps2 = _tail_pair(stats.e1, stats.s1, stats.e2, stats.s2, t)
-    return eps1, eps2, c1 * eps1 + c2 * eps2
-
-
-def _reduced_weighted(e1, s1, e2, s2, c1, c2, t):
-    p1, p2 = _tail_pair(e1, s1, e2, s2, t)
-    return c1 * p1 + c2 * p2
+    return eps1, eps2, stats.c1 * eps1 + stats.c2 * eps2
 
 
 def _stationary_points(e1, s1, e2, s2, c1, c2):
@@ -333,29 +336,35 @@ def _reduced_optimal(e1, s1, e2, s2, c1, c2):
     candidates = _stationary_points(e1, s1, e2, s2, c1, c2)
     inside = [t for t in candidates if e1 <= t <= e2]
     pool = inside if inside else candidates + [e1 - 6.0 * s1, e2 + 6.0 * s2]
-    return min(pool, key=lambda t: _reduced_weighted(e1, s1, e2, s2, c1, c2, t))
+
+    def weighted(t):
+        p1, p2 = _tail_pair(e1, s1, e2, s2, t)
+        return c1 * p1 + c2 * p2
+
+    return min(pool, key=weighted)
 
 
-def _reduced_threshold(stats: TheoryStats, c1: float, c2: float) -> float:
+def _reduced_threshold(stats: TheoryStats) -> float:
     """Optimal reduced threshold; when the class means come out inverted
     (e1 > e2) the roles are swapped by mirroring, so it is the minimizer for
     the relabeled problem."""
+    c1, c2 = stats.c1, stats.c2
     if stats.e1 <= stats.e2:
         return _reduced_optimal(stats.e1, stats.s1, stats.e2, stats.s2, c1, c2)
     return -_reduced_optimal(-stats.e2, stats.s2, -stats.e1, stats.s1, c2, c1)
 
 
-def optimal_threshold(stats: TheoryStats, c1: float, c2: float) -> float:
+def optimal_threshold(stats: TheoryStats) -> float:
     """Threshold minimizing the weighted error ``c1 eps1 + c2 eps2``."""
-    return float(stats.bias + stats.gamma * _reduced_threshold(stats, c1, c2))
+    return float(stats.bias + stats.gamma * _reduced_threshold(stats))
 
 
-def error_at_optimal(stats: TheoryStats, c1: float, c2: float):
+def error_at_optimal(stats: TheoryStats):
     """Threshold and error rates at the optimal threshold, computed entirely
     in the reduced domain (hence exactly invariant under rescaling gamma).
 
     Returns ``(threshold, eps1, eps2, weighted)``.
     """
-    t = _reduced_threshold(stats, c1, c2)
+    t = _reduced_threshold(stats)
     eps1, eps2 = _tail_pair(stats.e1, stats.s1, stats.e2, stats.s2, t)
-    return float(stats.bias + stats.gamma * t), eps1, eps2, c1 * eps1 + c2 * eps2
+    return float(stats.bias + stats.gamma * t), eps1, eps2, stats.c1 * eps1 + stats.c2 * eps2

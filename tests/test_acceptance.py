@@ -41,7 +41,7 @@ def test_c01_shape_only_theory_curve():
     errors = {}
     for fp in SLOPE_GRID:
         st = gaussian_stats(m, n, 1.0, shape_kernel(m, fprime=fp))
-        errors[fp] = error_at_optimal(st, m.c1, m.c2)[3]
+        errors[fp] = error_at_optimal(st)[3]
     elapsed = time.perf_counter() - t0
 
     assert errors[0.0] == 0.0
@@ -59,7 +59,7 @@ def test_c02_shape_only_empirical_point():
     m = shape_only_model(512)
     profile = shape_kernel(m, fprime=0.0)
     st = gaussian_stats(m, 2048, 1.0, profile)
-    threshold = error_at_optimal(st, 0.5, 0.5)[0]
+    threshold = error_at_optimal(st)[0]
     errs = [
         empirical_error(m, 1024, 1024, 512, 1.0, profile, threshold, mix64(12345, t))[2]
         for t in range(10)
@@ -78,7 +78,7 @@ def test_c03_rbf_width_sweep():
         m = balanced_model(p)
         n = p // 2
         errs = {
-            s2: error_at_optimal(gaussian_stats(m, n, 1.0, GaussianKernel(s2)), 0.5, 0.5)[3]
+            s2: error_at_optimal(gaussian_stats(m, n, 1.0, GaussianKernel(s2)))[3]
             for s2 in targets
         }
         matches[p] = all(abs(errs[s2] - targets[s2]) <= 0.01 for s2 in targets)
@@ -87,7 +87,7 @@ def test_c03_rbf_width_sweep():
     m = balanced_model(1024)
     profile = GaussianKernel(0.25)
     st = gaussian_stats(m, 512, 1.0, profile)
-    threshold = error_at_optimal(st, 0.5, 0.5)[0]
+    threshold = error_at_optimal(st)[0]
     errs = [
         empirical_error(m, 256, 256, 512, 1.0, profile, threshold, mix64(777, t))[2]
         for t in range(20)
@@ -108,7 +108,7 @@ def test_c04_sample_ratio_sweep():
     for gi, c0 in enumerate((1, 4, 32)):
         n = round(p / c0)
         st = gaussian_stats(m, n, 1.0, profile)
-        threshold, _, _, w = error_at_optimal(st, 0.5, 0.5)
+        threshold, _, _, w = error_at_optimal(st)
         theory[c0] = w
         assert w == pytest.approx(targets[c0], abs=0.01)
         n1 = n // 2
@@ -242,7 +242,7 @@ def test_c09_regularizer_invariance():
         n = int(rng.integers(32, 512))
         profile = GaussianKernel(float(rng.uniform(0.25, 4.0)))
         outcomes = [
-            error_at_optimal(gaussian_stats(m, n, gamma, profile), m.c1, m.c2)[3]
+            error_at_optimal(gaussian_stats(m, n, gamma, profile))[3]
             for gamma in (0.1, 1.0, 10.0)
         ]
         worst = max(worst, abs(outcomes[0] - outcomes[1]), abs(outcomes[2] - outcomes[1]))
@@ -298,7 +298,7 @@ def test_c11_mnist_pipeline():
     model = class_stats(data, 8, 9)
     profile = GaussianKernel(1.0)
     st = gaussian_stats(model, 256, 1.0, profile)
-    threshold = error_at_optimal(st, model.c1, model.c2)[0]
+    threshold = error_at_optimal(st)[0]
 
     mask = (data.labels == 8) | (data.labels == 9)
     pool_x = data.images[:, mask]

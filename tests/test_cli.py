@@ -270,3 +270,66 @@ def test_fisher_sweep_reports_the_threshold_of_predict(tmp_path, capsys):
     row = json.loads(capsys.readouterr().out)["rows"][0]
     assert row["threshold"] == predicted["threshold"]
     assert row["th_weighted"] == predicted["weighted"]
+
+
+def test_fisher_bias_threshold_is_the_zero_threshold(tmp_path, capsys):
+    # fisher scores centre on 0, so the bias rule is the zero rule even when
+    # c2 - c1 is not 0
+    doc = small_sweep_doc(convention="fisher")
+    doc["model"]["c1"] = 0.25
+    config = write_config(tmp_path, doc)
+    reports = []
+    for rule in ("bias", "zero"):
+        assert main(["predict", "--config", config, "--threshold", rule]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    keys = ("threshold", "eps1", "eps2", "weighted")
+    assert [reports[0][k] for k in keys] == [reports[1][k] for k in keys]
+    assert reports[0]["threshold"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--gamma", "0"], ["--trials", "0"], ["--n-test", "1"]],
+    ids=["gamma0", "trials0", "n_test1"],
+)
+def test_mnist_stats_invalid_flag_is_a_one_line_data_error(tmp_path, capsys, flags):
+    ip, lp = synthetic_idx_pair(tmp_path)
+    # the pool holds these sizes, so only the bad flag can fail the command
+    args = ["--images", ip, "--labels", lp, "--n", "64", "--n-test", "32", *flags]
+    assert main(["mnist-stats", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lssvmlim: invalid input:") and captured.err.count("\n") == 1
+
+
+def test_mnist_stats_runs_ten_trials_by_default(tmp_path, capsys):
+    ip, lp = synthetic_idx_pair(tmp_path)
+    assert main(["mnist-stats", "--images", ip, "--labels", lp, "--n", "32", "--n-test", "16"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 10
+
+
+def test_sweep_json_file_ends_with_a_newline(tmp_path):
+    config = write_config(tmp_path, small_sweep_doc())
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--config", config, "--out", str(out), "--format", "json"]) == 0
+    assert out.read_text().endswith("}\n")
+
+
+def test_toml_config_predicts_as_its_json_twin(tmp_path, capsys):
+    pytest.importorskip("tomllib")
+    doc = small_sweep_doc()
+
+    def toml_lines(table):
+        return [f"{k} = {json.dumps(v)}" for k, v in table.items() if not isinstance(v, dict)]
+
+    lines = toml_lines(doc)
+    for name, table in doc.items():
+        if isinstance(table, dict):
+            lines += [f"[{name}]", *toml_lines(table)]
+    toml_path = tmp_path / "config.toml"
+    toml_path.write_text("\n".join(lines) + "\n")
+    outputs = []
+    for path in (write_config(tmp_path, doc), str(toml_path)):
+        assert main(["predict", "--config", path]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]

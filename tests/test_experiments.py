@@ -41,7 +41,7 @@ def test_empirical_error_identical_classes_is_coin_flip():
 def test_empirical_error_agrees_with_prediction():
     m = balanced_model(128)
     stats = gaussian_stats(m, 256, 1.0, RBF_UNIT)
-    threshold, _, _, w_theory = error_at_optimal(stats, m.c1, m.c2)
+    threshold, _, _, w_theory = error_at_optimal(stats)
     runs = [
         empirical_error(m, 128, 128, 256, 1.0, RBF_UNIT, threshold, seed=s)[2]
         for s in range(10)
@@ -53,12 +53,20 @@ def test_empirical_error_agrees_with_prediction():
 def test_threshold_rules():
     m = skew_model(64)
     st = gaussian_stats(m, 64, 1.0, RBF_UNIT)
-    assert resolve_threshold("zero", st, m.c1, m.c2) == 0.0
-    assert resolve_threshold("bias", st, m.c1, m.c2) == m.c2 - m.c1
-    opt = resolve_threshold("optimal", st, m.c1, m.c2)
+    assert resolve_threshold("zero", st) == 0.0
+    assert resolve_threshold("bias", st) == m.c2 - m.c1
+    opt = resolve_threshold("optimal", st)
     assert st.E1 < opt < st.E2
     with pytest.raises(ValueError):
-        resolve_threshold("median", st, m.c1, m.c2)
+        resolve_threshold("median", st)
+
+
+def test_bias_rule_is_the_centre_of_the_scores():
+    # c2 - c1 under standard labels, 0 under fisher labels, whose scores
+    # centre on zero
+    m = skew_model(64)
+    assert resolve_threshold("bias", gaussian_stats(m, 64, 1.0, RBF_UNIT)) == m.c2 - m.c1
+    assert resolve_threshold("bias", gaussian_stats(m, 64, 1.0, RBF_UNIT, "fisher")) == 0.0
 
 
 BASE_SWEEP = {
@@ -92,13 +100,13 @@ def test_single_point_sweep_reduces_to_empirical_error():
 
     m = model_from_spec(doc["model"])
     st = gaussian_stats(m, 48, 1.0, RBF_UNIT)
-    threshold = resolve_threshold("optimal", st, m.c1, m.c2)
+    threshold = resolve_threshold("optimal", st)
     manual = [
         empirical_error(m, 24, 24, 64, 1.0, RBF_UNIT, threshold, mix64(7, t))[2]
         for t in range(4)
     ]
     assert row.emp_err == pytest.approx(np.mean(manual), abs=1e-12)
-    assert row.th_weighted == pytest.approx(error_at_optimal(st, m.c1, m.c2)[3], abs=1e-15)
+    assert row.th_weighted == pytest.approx(error_at_optimal(st)[3], abs=1e-15)
 
 
 def test_sweep_is_deterministic():
@@ -123,7 +131,7 @@ def test_sweep_seed_isolation():
     m = model_from_spec(doc["model"])
     profile = GaussianKernel(2.0)
     st = gaussian_stats(m, 48, 1.0, profile)
-    threshold = resolve_threshold("optimal", st, m.c1, m.c2)
+    threshold = resolve_threshold("optimal", st)
     again = empirical_error(m, 24, 24, 64, 1.0, profile, threshold, rec["seed"])
     assert again[2] == rec["weighted"]
 
@@ -227,8 +235,8 @@ def test_fisher_sweep_fits_normalized_labels(monkeypatch):
     assert conventions == ["fisher", "fisher"]
     m = experiments.model_from_spec(doc["model"])
     st = gaussian_stats(m, 48, 1.0, RBF_UNIT, "fisher")
-    assert row.threshold == resolve_threshold("optimal", st, m.c1, m.c2)
-    assert row.th_weighted == error_at_optimal(st, m.c1, m.c2)[3]
+    assert row.threshold == resolve_threshold("optimal", st)
+    assert row.th_weighted == error_at_optimal(st)[3]
 
 
 def test_histogram_identical_classes_pools_same_distribution():

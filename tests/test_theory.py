@@ -241,6 +241,12 @@ def test_gaussian_stats_fisher_identities():
     )
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+def test_gaussian_stats_rejects_bad_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        gaussian_stats(skew_model(16), 32, gamma, RBF_UNIT)
+
+
 def test_reduced_fields_do_not_depend_on_gamma():
     m = skew_model(64)
     a = gaussian_stats(m, 128, 0.1, RBF_UNIT)
@@ -261,15 +267,15 @@ def test_v3_halves_when_n_doubles():
 
 def test_error_rates_coin_flip():
     st = _stats(e1=0.0, e2=0.0, s1=1e-3, s2=1e-3)
-    eps1, eps2, w = error_rates(st, 0.0, 0.5, 0.5)
+    eps1, eps2, w = error_rates(st, 0.0)
     assert (eps1, eps2, w) == (0.5, 0.5, 0.5)
 
 
-def _stats(e1, e2, s1, s2, bias=0.0, gamma=1.0, D=None):
+def _stats(e1, e2, s1, s2, bias=0.0, gamma=1.0, D=None, c1=0.5, c2=0.5):
     if D is None:
         D = e2 - e1
     return TheoryStats(
-        tau=2.0, D=D, gamma=gamma, label_convention="standard", bias=bias,
+        tau=2.0, D=D, gamma=gamma, label_convention="standard", c1=c1, c2=c2, bias=bias,
         e1=e1, e2=e2, r1=s1**2, r2=s2**2,
         v1=(0, 0), v2=(0, 0), v3=(0, 0),
     )
@@ -277,9 +283,9 @@ def _stats(e1, e2, s1, s2, bias=0.0, gamma=1.0, D=None):
 
 def test_error_rates_degenerate_zero_variance():
     st = _stats(e1=-1.0, e2=1.0, s1=0.0, s2=0.0)
-    assert error_rates(st, 0.0, 0.5, 0.5) == (0.0, 0.0, 0.0)
-    assert error_rates(st, -2.0, 0.5, 0.5)[0] == 1.0  # mean on the wrong side
-    assert error_rates(st, -1.0, 0.5, 0.5)[0] == 0.5  # exactly at the mass
+    assert error_rates(st, 0.0) == (0.0, 0.0, 0.0)
+    assert error_rates(st, -2.0)[0] == 1.0  # mean on the wrong side
+    assert error_rates(st, -1.0)[0] == 0.5  # exactly at the mass
 
 
 def test_error_rates_shape_only_zero_error_point():
@@ -289,7 +295,7 @@ def test_error_rates_shape_only_zero_error_point():
     profile = shape_kernel(m, fprime=0.0)
     st = gaussian_stats(m, n=2048, gamma=1.0, profile=profile)
     assert st.Var1 == st.Var2 == 0.0 and st.D > 0
-    th, eps1, eps2, w = error_at_optimal(st, m.c1, m.c2)
+    th, eps1, eps2, w = error_at_optimal(st)
     assert w == 0.0 and st.E1 < th < st.E2
 
 
@@ -299,9 +305,9 @@ def test_error_rates_shape_only_reference_value():
     m = shape_only_model(512)
     profile = shape_kernel(m, fprime=-1.0)
     st = gaussian_stats(m, n=2048, gamma=1.0, profile=profile)
-    _, _, _, w_opt = error_at_optimal(st, m.c1, m.c2)
+    _, _, _, w_opt = error_at_optimal(st)
     assert w_opt == pytest.approx(0.3578586, abs=1e-2)
-    _, _, w_zero = error_rates(st, 0.0, m.c1, m.c2)
+    _, _, w_zero = error_rates(st, 0.0)
     assert w_zero == pytest.approx(0.357858640171627, abs=1e-9)
 
 
@@ -310,24 +316,24 @@ def test_error_rates_shape_only_reference_value():
 
 def test_optimal_threshold_symmetric_case():
     st = _stats(e1=-1.0, e2=1.0, s1=0.5, s2=0.5)
-    assert optimal_threshold(st, 0.5, 0.5) == pytest.approx(0.0, abs=1e-12)
+    assert optimal_threshold(st) == pytest.approx(0.0, abs=1e-12)
     st = _stats(e1=0.0, e2=2.0, s1=0.3, s2=0.3, bias=0.25)
-    assert optimal_threshold(st, 0.5, 0.5) == pytest.approx(0.25 + 1.0, rel=1e-12)
+    assert optimal_threshold(st) == pytest.approx(0.25 + 1.0, rel=1e-12)
 
 
 def test_optimal_threshold_degenerate_raises():
     st = _stats(e1=0.5, e2=0.5, s1=0.0, s2=0.0)
     with pytest.raises(DegenerateStats):
-        optimal_threshold(st, 0.5, 0.5)
+        optimal_threshold(st)
 
 
 def test_optimal_threshold_flat_case_attains_grid_min():
     # equal means: no interior optimum; returned point must match the best
     # of a fine grid
-    st = _stats(e1=0.3, e2=0.3, s1=2e-3, s2=3e-3, bias=0.0)
-    th, _, _, w = error_at_optimal(st, 0.3, 0.7)
+    st = _stats(e1=0.3, e2=0.3, s1=2e-3, s2=3e-3, bias=0.0, c1=0.3, c2=0.7)
+    th, _, _, w = error_at_optimal(st)
     grid = np.linspace(st.E1 - 6 * np.sqrt(st.Var1), st.E2 + 6 * np.sqrt(st.Var2), 10_000)
-    grid_w = min(error_rates(st, t, 0.3, 0.7)[2] for t in grid)
+    grid_w = min(error_rates(st, t)[2] for t in grid)
     assert w <= grid_w + 1e-12
 
 
@@ -335,14 +341,14 @@ def test_optimal_threshold_flat_case_attains_grid_min():
 def test_optimal_threshold_beats_grid_search(c1):
     m = skew_model(128, c1=c1)
     st = gaussian_stats(m, n=256, gamma=1.0, profile=RBF_UNIT)
-    th, _, _, w = error_at_optimal(st, c1, 1 - c1)
+    th, _, _, w = error_at_optimal(st)
     lo = st.E1 - 6 * np.sqrt(st.Var1)
     hi = st.E2 + 6 * np.sqrt(st.Var2)
-    grid_w = min(error_rates(st, t, c1, 1 - c1)[2] for t in np.linspace(lo, hi, 10_000))
+    grid_w = min(error_rates(st, t)[2] for t in np.linspace(lo, hi, 10_000))
     assert w <= grid_w + 1e-12
     # and it beats the naive rules on this unbalanced model
-    assert w <= error_rates(st, 0.0, c1, 1 - c1)[2]
-    assert w <= error_rates(st, st.bias, c1, 1 - c1)[2]
+    assert w <= error_rates(st, 0.0)[2]
+    assert w <= error_rates(st, st.bias)[2]
 
 
 # ------------------------------------------------------ structural invariants
@@ -370,7 +376,7 @@ def test_gamma_invariance_of_optimal_error():
         outcomes = []
         for gamma in (0.1, 1.0, 10.0):
             st = gaussian_stats(m, n, gamma, profile)
-            outcomes.append(error_at_optimal(st, m.c1, m.c2)[3])
+            outcomes.append(error_at_optimal(st)[3])
         assert abs(outcomes[0] - outcomes[1]) <= 1e-12
         assert abs(outcomes[2] - outcomes[1]) <= 1e-12
 
@@ -382,8 +388,8 @@ def test_gamma_invariance_of_composed_pipeline():
     vals = []
     for gamma in (0.1, 1.0, 10.0):
         st = gaussian_stats(m, 192, gamma, profile)
-        th = optimal_threshold(st, m.c1, m.c2)
-        vals.append(error_rates(st, th, m.c1, m.c2)[2])
+        th = optimal_threshold(st)
+        vals.append(error_rates(st, th)[2])
     assert abs(vals[0] - vals[1]) <= 1e-12
     assert abs(vals[2] - vals[1]) <= 1e-12
 
@@ -397,9 +403,9 @@ def test_label_convention_consistency():
         profile = GaussianKernel(1.0)
         std = gaussian_stats(m, n, 1.0, profile)
         fis = gaussian_stats(m, n, 1.0, profile, convention="fisher")
-        xi = optimal_threshold(fis, m.c1, m.c2)
-        w_fisher = error_rates(fis, xi, m.c1, m.c2)[2]
-        w_standard = error_rates(std, 2 * m.c1 * m.c2 * xi + (m.c2 - m.c1), m.c1, m.c2)[2]
+        xi = optimal_threshold(fis)
+        w_fisher = error_rates(fis, xi)[2]
+        w_standard = error_rates(std, 2 * m.c1 * m.c2 * xi + (m.c2 - m.c1))[2]
         assert abs(w_fisher - w_standard) <= 1e-12
 
 
@@ -414,8 +420,8 @@ def test_curvature_sign_flip_never_helps():
             down = gaussian_stats(m, 128, 1.0, shape_kernel(m, -1.0, -fsecond))
             assert abs(down.D) <= abs(up.D) + 1e-15
             assert down.Var1 == up.Var1 and down.Var2 == up.Var2
-            w_up = error_at_optimal(up, 0.5, 0.5)[3]
-            w_down = error_at_optimal(down, 0.5, 0.5)[3]
+            w_up = error_at_optimal(up)[3]
+            w_down = error_at_optimal(down)[3]
             assert w_down >= w_up - 1e-12
 
 
@@ -424,7 +430,7 @@ def test_error_monotone_in_separation():
     for c1 in (0.35, 0.5):
         prev = 1.0
         for D in np.linspace(0.0, 5e-3, 12):
-            st = _stats(e1=-0.6 * D, e2=0.4 * D, s1=1.1e-3, s2=1.7e-3, D=D)
-            w = error_at_optimal(st, c1, 1 - c1)[3]
+            st = _stats(e1=-0.6 * D, e2=0.4 * D, s1=1.1e-3, s2=1.7e-3, D=D, c1=c1, c2=1 - c1)
+            w = error_at_optimal(st)[3]
             assert w <= prev + 1e-12
             prev = w
