@@ -39,10 +39,9 @@ from .kernels import (
 )
 from .lssvm import TrainedModel, classify, load_model, normalize_labels, save_model, train
 from .mixture import (
-    GrowthDiagnostics,
     LatentDataset,
     MixtureModel,
-    growth_diagnostics,
+    ToeplitzCov,
     mix64,
     model_from_spec,
     sample,

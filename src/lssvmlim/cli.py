@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -56,8 +57,13 @@ def _emit(obj, args):
     out = json.dumps(obj, indent=2)
     if getattr(args, "out", None):
         Path(args.out).write_text(out + "\n")
-    else:
-        print(out)
+        return
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:
+        # the reader closed early (``... | head``): stop quietly, and point
+        # stdout at devnull so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _config(args, doc):

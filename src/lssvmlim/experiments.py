@@ -13,7 +13,6 @@ import csv
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.stats
 
 from .kernels import TaylorKernel, kernel_from_spec
 from .lssvm import TrainedModel, classify
@@ -329,6 +328,7 @@ def run_histogram(model, n, gamma, profile, convention, n_test, trials, seed) ->
     """Pool decision scores of fresh test points (n_test per class per trial)
     over independently trained models, with the per-class Gaussian prediction
     and a one-sample Kolmogorov-Smirnov distance against it."""
+    import scipy.stats  # most of the package's import time; only this needs it
     n1, n2 = _class_split(n, model.c1)
     blocks = [
         _trial(model, n1, n2, n_test, n_test, gamma, profile, convention, mix64(seed, t))[2]

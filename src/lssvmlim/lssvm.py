@@ -188,6 +188,8 @@ class TrainedModel:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.p,):
             raise DimensionMismatch(f"expected a vector of length {self.p}, got {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("the point to score must be finite")
         return float(self.alpha @ kernel_vector(self.X, x, self.profile) + self.bias)
 
     def decide_many(self, points) -> np.ndarray:
@@ -195,6 +197,8 @@ class TrainedModel:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] != self.p:
             raise DimensionMismatch(f"expected a {self.p} x m matrix, got {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ValueError("the points to score must be finite")
         return self.alpha @ kernel_vector(self.X, pts, self.profile) + self.bias
 
 

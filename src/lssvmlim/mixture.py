@@ -1,5 +1,5 @@
-"""Two-class Gaussian mixtures: model statistics, covariance constructors,
-sampling with latent-variable tracking, and growth-regime diagnostics.
+"""Two-class Gaussian mixtures: model statistics, covariance constructors
+and sampling with latent-variable tracking.
 
 A sample from class ``a`` is ``x = mu_a + sqrt(p) * w`` with
 ``w ~ N(0, C_a / p)``; the latent vectors ``w`` and the centered squared
@@ -9,7 +9,7 @@ score predictions built from them can be validated directly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -33,19 +33,135 @@ def mix64(seed: int, k: int) -> int:
     return z ^ (z >> 31)
 
 
+# Levinson-Durbin certifies a Toeplitz matrix only while every prediction
+# error variance stays above this share of r0; below it the eigenvalue test runs
+_LEVINSON_FLOOR = 1e-8
+
+
+def _levinson_certifies(row) -> bool:
+    """Whether ``toeplitz(row)`` is certified positive definite by one
+    O(p^2) Levinson-Durbin pass: ``r0 > 0`` and every reflection coefficient
+    ``|k_m| < 1``, with the prediction error variances
+    ``E_m = r0 prod_j (1 - k_j^2)`` held above ``_LEVINSON_FLOOR * r0``."""
+    row = np.asarray(row, dtype=float)
+    if not (np.isfinite(row).all() and row[0] > 0):
+        return False
+    r = row / row[0]
+    y = np.empty(r.size - 1)  # order-m predictor in y[:m]
+    err = 1.0
+    for m in range(1, r.size):
+        prev = y[: m - 1]
+        k = -(r[m] + r[m - 1 : 0 : -1] @ prev) / err
+        err *= 1.0 - k * k
+        if not err > _LEVINSON_FLOOR:
+            return False
+        y[: m - 1] = prev + k * prev[::-1]
+        y[m - 1] = k
+    return True
+
+
+class ToeplitzCov:
+    """Symmetric positive definite Toeplitz covariance ``C[i, j] = row[|i - j|]``,
+    held by its first row.
+
+    The identity is the row e1.  The trace statistics have closed forms in
+    O(p), so no p x p array is formed until :func:`sample` needs a square
+    root of a covariance that is not a multiple of the identity;
+    ``np.asarray`` materializes the dense matrix.  Construction from a row
+    requires a Levinson-Durbin certificate of positive definiteness.
+    """
+
+    __slots__ = ("row",)
+
+    def __init__(self, row):
+        row = np.array(row, dtype=float)
+        if row.ndim != 1 or row.size == 0:
+            raise ValueError(f"first row must be a nonempty vector, got shape {row.shape}")
+        if not _levinson_certifies(row):
+            raise ValueError("Toeplitz covariance not certified positive definite")
+        row.flags.writeable = False
+        self.row = row
+
+    @classmethod
+    def _certified(cls, row):
+        """Wrap a row already known to give a positive definite matrix."""
+        out = object.__new__(cls)
+        row.flags.writeable = False
+        out.row = row
+        return out
+
+    @classmethod
+    def ar1(cls, rho: float, scale: float, p: int) -> "ToeplitzCov":
+        """``scale * rho**|i - j|``, an AR(1) covariance: positive definite
+        for ``0 <= rho < 1`` and ``scale > 0`` by construction."""
+        if not 0 <= rho < 1:
+            raise ValueError(f"rho must lie in [0, 1), got {rho}")
+        if not scale > 0:
+            raise ValueError(f"scale must be positive, got {scale}")
+        return cls._certified(scale * rho ** np.arange(p))
+
+    @property
+    def p(self):
+        return self.row.size
+
+    @property
+    def shape(self):
+        return (self.p, self.p)
+
+    def __array__(self, dtype=None, copy=None):
+        dense = scipy.linalg.toeplitz(self.row)
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+    def trace(self) -> float:
+        """``tr C = p r0``"""
+        return float(self.p * self.row[0])
+
+    def tr_prod(self, other: "ToeplitzCov") -> float:
+        """``tr(A B) = p a0 b0 + 2 sum_k (p - k) a_k b_k`` for A = self, B = other."""
+        a, b = self.row, other.row
+        p = a.size
+        return float(p * a[0] * b[0] + 2.0 * ((p - np.arange(1, p)) * a[1:]) @ b[1:])
+
+    def quad(self, x) -> float:
+        """``x' C x``: over the pairs of the support of ``x`` when it has at
+        most sqrt(p) entries, else as ``x' (C x)`` with the product split over
+        the nonzero lags of the row."""
+        x = np.asarray(x, dtype=float)
+        nz = np.flatnonzero(x)
+        if nz.size**2 <= x.size:
+            xs = x[nz]
+            return float(xs @ self.row[np.abs(nz[:, None] - nz)] @ xs)
+        r = self.row
+        lags = np.flatnonzero(r[1:]) + 1
+        return float(r[0] * (x @ x) + 2.0 * sum(r[k] * (x[:-k] @ x[k:]) for k in lags))
+
+
 def toeplitz_cov(rho: float, scale: float, p: int) -> np.ndarray:
-    """Covariance with entries ``scale * rho**|i - j|``."""
-    if not 0 <= rho < 1:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    return scipy.linalg.toeplitz(scale * rho ** np.arange(p))
+    """Dense covariance with entries ``scale * rho**|i - j|``."""
+    return np.asarray(ToeplitzCov.ar1(rho, scale, p))
+
+
+def _tr_prod(A, B) -> float:
+    """tr(A B) for symmetric A, B: ``sum_ij A_ij B_ij``."""
+    if isinstance(A, ToeplitzCov) and isinstance(B, ToeplitzCov):
+        return A.tr_prod(B)
+    return float(np.vdot(np.asarray(A), np.asarray(B)))
 
 
 def _check_cov(C, p, name):
-    C = np.asarray(C, dtype=float)
+    """``C`` as the model stores it: a :class:`ToeplitzCov` when it is one,
+    or when a dense ``C`` equals the Toeplitz matrix of its first row bit for
+    bit and Levinson-Durbin certifies it; otherwise the dense symmetric
+    array, whose eigenvalues :class:`MixtureModel` then tests."""
+    C = C if isinstance(C, ToeplitzCov) else np.asarray(C, dtype=float)
     if C.shape != (p, p):
         raise ValueError(f"{name} must be {p}x{p}, got {C.shape}")
+    if isinstance(C, ToeplitzCov):
+        return C
+    row = C[0]
+    if (np.array_equal(C[:, 0], row) and np.array_equal(C[1:, 1:], C[:-1, :-1])
+            and _levinson_certifies(row)):
+        return ToeplitzCov._certified(row.copy())
     scale = max(1.0, np.abs(C).max())
     if np.abs(C - C.T).max() > 1e-12 * scale:
         raise ValueError(f"{name} is not symmetric")
@@ -57,21 +173,25 @@ class MixtureModel:
     """Two-class Gaussian mixture statistics.
 
     ``c1`` is the class-1 proportion; ``c2`` is always stored as ``1 - c1``
-    so the proportions sum to one exactly.  Covariances must be symmetric
-    nonnegative-definite up to round-off (smallest eigenvalue no lower than
-    ``-1e-10`` times the spectral norm).
+    so the proportions sum to one exactly.  A covariance is kept as a
+    :class:`ToeplitzCov` when it is one (see ``_check_cov``), which is
+    positive definite by construction; any other covariance is a dense array
+    that must be symmetric nonnegative-definite up to round-off (smallest
+    eigenvalue no lower than ``-1e-10`` times the spectral norm).
     """
 
     p: int
     mu1: np.ndarray
     mu2: np.ndarray
-    cov1: np.ndarray
-    cov2: np.ndarray
+    cov1: np.ndarray | ToeplitzCov
+    cov2: np.ndarray | ToeplitzCov
     c1: float
     c2: float = field(default=None)  # derived, always 1 - c1
 
     def __post_init__(self):
         p = int(self.p)
+        if p < 1:
+            raise ValueError(f"p must be positive, got {p}")
         object.__setattr__(self, "p", p)
         for name in ("mu1", "mu2"):
             mu = np.asarray(getattr(self, name), dtype=float)
@@ -85,7 +205,10 @@ class MixtureModel:
         if self.c2 is not None and abs(self.c1 + self.c2 - 1.0) > 1e-12:
             raise ValueError("c1 + c2 must equal 1")
         object.__setattr__(self, "c2", 1.0 - self.c1)
-        for name, (w, _) in (("cov1", self._eig1), ("cov2", self._eig2)):
+        for name, cov, eig in (("cov1", self.cov1, "_eig1"), ("cov2", self.cov2, "_eig2")):
+            if isinstance(cov, ToeplitzCov):
+                continue
+            w, _ = getattr(self, eig)
             norm = np.abs(w).max() if w.size else 0.0
             if w.min() < -1e-10 * norm:
                 raise ValueError(f"{name} has eigenvalue {w.min()} below tolerance")
@@ -97,7 +220,7 @@ class MixtureModel:
 
     def _eig(self, C):
         try:
-            return np.linalg.eigh(C)
+            return np.linalg.eigh(np.asarray(C))
         except np.linalg.LinAlgError as exc:
             raise EigFailure(str(exc)) from exc
 
@@ -109,28 +232,33 @@ class MixtureModel:
     def _eig2(self):
         return self._eig(self.cov2)
 
-    def _sqrt(self, eig):
-        w, v = eig
+    def _sqrt(self, cov, eig):
+        """Symmetric square root of ``cov``: the scalar ``sqrt(r0)`` when
+        ``cov = r0 I`` (its eigendecomposition gives exactly ``sqrt(r0) I``),
+        else from the eigendecomposition in attribute ``eig``."""
+        if isinstance(cov, ToeplitzCov) and not cov.row[1:].any():
+            return np.sqrt(cov.row[0])
+        w, v = getattr(self, eig)
         s = np.sqrt(np.maximum(w, 0.0))  # clamp round-off negatives
         return (v * s) @ v.T
 
     @cached_property
     def sqrt_cov1(self):
-        return self._sqrt(self._eig1)
+        return self._sqrt(self.cov1, "_eig1")
 
     @cached_property
     def sqrt_cov2(self):
-        return self._sqrt(self._eig2)
+        return self._sqrt(self.cov2, "_eig2")
 
-    # Trace statistics reused throughout the asymptotic formulas.  For
-    # symmetric A, B: tr(A B) = sum_ij A_ij B_ij.
+    # Trace statistics reused throughout the asymptotic formulas, in closed
+    # form when both covariances are Toeplitz.
     @cached_property
     def trace1(self):
-        return float(np.trace(self.cov1))
+        return float(self.cov1.trace())
 
     @cached_property
     def trace2(self):
-        return float(np.trace(self.cov2))
+        return float(self.cov2.trace())
 
     @cached_property
     def trace_gap(self):
@@ -139,15 +267,15 @@ class MixtureModel:
 
     @cached_property
     def tr_c1c1(self):
-        return float(np.vdot(self.cov1, self.cov1))
+        return _tr_prod(self.cov1, self.cov1)
 
     @cached_property
     def tr_c2c2(self):
-        return float(np.vdot(self.cov2, self.cov2))
+        return _tr_prod(self.cov2, self.cov2)
 
     @cached_property
     def tr_c1c2(self):
-        return float(np.vdot(self.cov1, self.cov2))
+        return _tr_prod(self.cov1, self.cov2)
 
     @cached_property
     def sq_trace_gap(self):
@@ -165,16 +293,19 @@ class MixtureModel:
         return float(self.mean_gap @ self.mean_gap)
 
     @cached_property
+    def mean_gap_quad(self):
+        """((mu2 - mu1)' C_a (mu2 - mu1) for a = 1, 2)"""
+        dmu = self.mean_gap
+        return tuple(
+            C.quad(dmu) if isinstance(C, ToeplitzCov) else float(dmu @ C @ dmu)
+            for C in (self.cov1, self.cov2)
+        )
+
+    @cached_property
     def tau(self):
         """Concentration point (2/p) tr(c1 C1 + c2 C2) of the pairwise
         normalized squared distances."""
         return 2.0 / self.p * (self.c1 * self.trace1 + self.c2 * self.trace2)
-
-    @cached_property
-    def spectral_norms(self):
-        w1, _ = self._eig1
-        w2, _ = self._eig2
-        return float(np.abs(w1).max()), float(np.abs(w2).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +355,9 @@ def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> LatentDataset:
     Latents are ``omega_i = C_a^{1/2} z_i / sqrt(p)`` with standard normal
     ``z_i``; the square root comes from the symmetric eigendecomposition with
     negative round-off eigenvalues clamped to zero, so rank-deficient
-    covariances are legal.  Deterministic given ``seed``.
+    covariances are legal.  A multiple ``r0 I`` of the identity skips it:
+    ``sqrt(r0) z`` equals the product with that root bit for bit.
+    Deterministic given ``seed``.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("need at least one sample per class")
@@ -237,7 +370,7 @@ def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> LatentDataset:
         (model.mu2, model.sqrt_cov2, model.trace2, n2),
     ):
         z = rng.standard_normal((p, na))
-        omega = (sqrt_cov @ z) / sqrt_p
+        omega = (sqrt_cov * z if np.ndim(sqrt_cov) == 0 else sqrt_cov @ z) / sqrt_p
         parts_om.append(omega)
         parts_x.append(mu[:, None] + sqrt_p * omega)
         parts_psi.append(np.einsum("ij,ij->j", omega, omega) - trace / p)
@@ -247,51 +380,6 @@ def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> LatentDataset:
         labels=labels,
         omega=np.hstack(parts_om),
         psi=np.concatenate(parts_psi),
-    )
-
-
-@dataclass(frozen=True)
-class GrowthDiagnostics:
-    """Advisory scaling report for the nontrivial-classification regime.
-
-    ``likely_trivial`` flags separations so large that asymptotically perfect
-    classification is expected; ``likely_impossible`` flags the regime where
-    every separation statistic vanishes and no classifier can do better than
-    chance.
-    """
-
-    mean_gap: float          # ||mu2 - mu1||
-    trace_gap_rate: float    # tr(C2 - C1) / sqrt(n)
-    sq_trace_gap_rate: float # tr((C2 - C1)^2) / n
-    cov_norm1: float
-    cov_norm2: float
-    tau: float
-    dim_ratio: float         # p / n
-    likely_trivial: bool
-    likely_impossible: bool
-
-    def as_dict(self):
-        return asdict(self)
-
-
-def growth_diagnostics(model: MixtureModel, n: int) -> GrowthDiagnostics:
-    """Scaling diagnostics of a model at sample size ``n`` (advisory only)."""
-    mean_gap = float(np.sqrt(model.mean_gap_sq))
-    trace_rate = float(model.trace_gap / np.sqrt(n))
-    sq_rate = float(model.sq_trace_gap / n)
-    norm1, norm2 = model.spectral_norms
-    return GrowthDiagnostics(
-        mean_gap=mean_gap,
-        trace_gap_rate=trace_rate,
-        sq_trace_gap_rate=sq_rate,
-        cov_norm1=norm1,
-        cov_norm2=norm2,
-        tau=model.tau,
-        dim_ratio=model.p / n,
-        likely_trivial=bool(mean_gap > 10.0 or abs(trace_rate) > 10.0),
-        likely_impossible=bool(
-            mean_gap < 0.1 and abs(trace_rate) < 0.1 and sq_rate < 0.1
-        ),
     )
 
 
@@ -316,14 +404,14 @@ def _parse_cov_spec(spec, p):
     if isinstance(spec, str):
         s = spec.strip()
         if s == "identity":
-            return np.eye(p)
+            return ToeplitzCov.ar1(0.0, 1.0, p)
         if s.startswith("toeplitz(") and s.endswith(")"):
             rho, scale = (float(t) for t in s[len("toeplitz(") : -1].split(","))
-            return toeplitz_cov(rho, scale, p)
+            return ToeplitzCov.ar1(rho, scale, p)
         if s.startswith("boosted_toeplitz(") and s.endswith(")"):
             # scale tied to the dimension: 1 + boost / sqrt(p)
             rho, boost = (float(t) for t in s[len("boosted_toeplitz(") : -1].split(","))
-            return toeplitz_cov(rho, 1.0 + boost / np.sqrt(p), p)
+            return ToeplitzCov.ar1(rho, 1.0 + boost / np.sqrt(p), p)
         raise ValueError(f"unknown covariance spec: {spec!r}")
     if isinstance(spec, dict) and "file" in spec:
         return np.load(spec["file"])
@@ -335,8 +423,10 @@ def model_from_spec(spec: dict, p: int | None = None) -> MixtureModel:
 
     Keys: ``p`` (overridable by the ``p`` argument), ``mean1``/``mean2``
     ("zeros", "unit_spike(k, v)" with 1-based k, or a dense list),
-    ``cov1``/``cov2`` ("identity", "toeplitz(rho, scale)", a dense matrix, or
-    ``{"file": path}``), and ``c1`` or integer counts ``n1``/``n2``.
+    ``cov1``/``cov2`` ("identity", "toeplitz(rho, scale)",
+    "boosted_toeplitz(rho, boost)", each built as a :class:`ToeplitzCov` with
+    no p x p array; a dense matrix, or ``{"file": path}``), and ``c1`` or
+    integer counts ``n1``/``n2``.
     """
     p = int(spec["p"]) if p is None else int(p)
     mu1 = _parse_mean_spec(spec["mean1"], p)

@@ -233,8 +233,7 @@ def gaussian_stats(
         (model.tr_c1c1, model.tr_c1c2),  # tr(C1 C_a), tr(C2 C_a) for a = 1
         (model.tr_c1c2, model.tr_c2c2),  # ... for a = 2
     )
-    dmu = model.mean_gap
-    quad = (float(dmu @ model.cov1 @ dmu), float(dmu @ model.cov2 @ dmu))
+    quad = model.mean_gap_quad
 
     v1, v2, v3 = [], [], []
     for a in (0, 1):

@@ -1,13 +1,27 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lssvmlim
 from lssvmlim.cli import main
 from lssvmlim.mixture import MixtureModel, sample
 from lssvmlim.mnist import write_idx
 
 CONFIG_DIR = "configs"
+
+
+def python_with_package(*args, **kwargs):
+    """Start a fresh interpreter that imports this checkout's package."""
+    src = str(Path(lssvmlim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.Popen([sys.executable, *args], env=env, stderr=subprocess.PIPE,
+                            text=True, **kwargs)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -333,3 +347,20 @@ def test_toml_config_predicts_as_its_json_twin(tmp_path, capsys):
         assert main(["predict", "--config", path]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    proc = python_with_package(
+        "-c", "import sys, lssvmlim; sys.exit('scipy.stats' in sys.modules)")
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    config = identical_classes_config(tmp_path)
+    proc = python_with_package("-m", "lssvmlim.cli", "predict", "--config", config,
+                               stdout=subprocess.PIPE)
+    proc.stdout.close()  # the reader is gone before anything is written
+    _, err = proc.communicate(timeout=120)
+    assert "Traceback" not in err and "Error" not in err, err
+    assert proc.returncode == 0

@@ -235,6 +235,28 @@ def test_decide_dimension_mismatch():
         model.decide(np.zeros(5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decide_rejects_non_finite_point(bad):
+    rng = np.random.default_rng(4)
+    X, labels = random_instance(rng, 6, 4)
+    model = TrainedModel.fit(X, labels, 1.0, GaussianKernel(1.0))
+    x = np.zeros(4)
+    x[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        model.decide(x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decide_many_rejects_non_finite_points(bad):
+    rng = np.random.default_rng(4)
+    X, labels = random_instance(rng, 6, 4)
+    model = TrainedModel.fit(X, labels, 1.0, GaussianKernel(1.0))
+    pts = rng.standard_normal((4, 5))
+    pts[1, 3] = bad  # one column holds the bad entry; the rest are fine
+    with pytest.raises(ValueError, match="finite"):
+        model.decide_many(pts)
+
+
 def test_normalized_labels_values():
     labels = np.array([-1, 1, 1, 1])  # c1 = 1/4, c2 = 3/4
     np.testing.assert_allclose(normalize_labels(labels), [-4.0, 4 / 3, 4 / 3, 4 / 3])
