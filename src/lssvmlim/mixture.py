@@ -33,72 +33,28 @@ def mix64(seed: int, k: int) -> int:
     return z ^ (z >> 31)
 
 
-# Levinson-Durbin certifies a Toeplitz matrix only while every prediction
-# error variance stays above this share of r0; below it the eigenvalue test runs
-_LEVINSON_FLOOR = 1e-8
-
-
-def _levinson_certifies(row) -> bool:
-    """Whether ``toeplitz(row)`` is certified positive definite by one
-    O(p^2) Levinson-Durbin pass: ``r0 > 0`` and every reflection coefficient
-    ``|k_m| < 1``, with the prediction error variances
-    ``E_m = r0 prod_j (1 - k_j^2)`` held above ``_LEVINSON_FLOOR * r0``."""
-    row = np.asarray(row, dtype=float)
-    if not (np.isfinite(row).all() and row[0] > 0):
-        return False
-    r = row / row[0]
-    y = np.empty(r.size - 1)  # order-m predictor in y[:m]
-    err = 1.0
-    for m in range(1, r.size):
-        prev = y[: m - 1]
-        k = -(r[m] + r[m - 1 : 0 : -1] @ prev) / err
-        err *= 1.0 - k * k
-        if not err > _LEVINSON_FLOOR:
-            return False
-        y[: m - 1] = prev + k * prev[::-1]
-        y[m - 1] = k
-    return True
-
-
 class ToeplitzCov:
-    """Symmetric positive definite Toeplitz covariance ``C[i, j] = row[|i - j|]``,
-    held by its first row.
+    """AR(1) covariance ``C[i, j] = scale * rho**|i - j|``, a symmetric
+    Toeplitz matrix held by its first row ``row``.
 
-    The identity is the row e1.  The trace statistics have closed forms in
-    O(p), so no p x p array is formed until :func:`sample` needs a square
-    root of a covariance that is not a multiple of the identity;
-    ``np.asarray`` materializes the dense matrix.  Construction from a row
-    requires a Levinson-Durbin certificate of positive definiteness.
+    Positive definite for ``0 <= rho < 1`` and ``scale > 0`` by construction;
+    ``rho = 0`` is ``scale`` times the identity.  The trace statistics have
+    closed forms, so no p x p array is formed until :func:`sample` needs a
+    square root of a covariance that is not a multiple of the identity;
+    ``np.asarray`` materializes the dense matrix.  It is not an array: read
+    entries through ``row`` or ``np.asarray``.
     """
 
     __slots__ = ("row",)
 
-    def __init__(self, row):
-        row = np.array(row, dtype=float)
-        if row.ndim != 1 or row.size == 0:
-            raise ValueError(f"first row must be a nonempty vector, got shape {row.shape}")
-        if not _levinson_certifies(row):
-            raise ValueError("Toeplitz covariance not certified positive definite")
-        row.flags.writeable = False
-        self.row = row
-
-    @classmethod
-    def _certified(cls, row):
-        """Wrap a row already known to give a positive definite matrix."""
-        out = object.__new__(cls)
-        row.flags.writeable = False
-        out.row = row
-        return out
-
-    @classmethod
-    def ar1(cls, rho: float, scale: float, p: int) -> "ToeplitzCov":
-        """``scale * rho**|i - j|``, an AR(1) covariance: positive definite
-        for ``0 <= rho < 1`` and ``scale > 0`` by construction."""
+    def __init__(self, rho: float, scale: float, p: int):
         if not 0 <= rho < 1:
             raise ValueError(f"rho must lie in [0, 1), got {rho}")
         if not scale > 0:
             raise ValueError(f"scale must be positive, got {scale}")
-        return cls._certified(scale * rho ** np.arange(p))
+        row = scale * rho ** np.arange(p)
+        row.flags.writeable = False
+        self.row = row
 
     @property
     def p(self):
@@ -124,21 +80,27 @@ class ToeplitzCov:
 
     def quad(self, x) -> float:
         """``x' C x``: over the pairs of the support of ``x`` when it has at
-        most sqrt(p) entries, else as ``x' (C x)`` with the product split over
-        the nonzero lags of the row."""
+        most sqrt(p) entries, else as ``x' (C x)`` with ``C x`` from the
+        circulant embedding of ``C`` in O(p log p)."""
         x = np.asarray(x, dtype=float)
         nz = np.flatnonzero(x)
         if nz.size**2 <= x.size:
             xs = x[nz]
             return float(xs @ self.row[np.abs(nz[:, None] - nz)] @ xs)
-        r = self.row
-        lags = np.flatnonzero(r[1:]) + 1
-        return float(r[0] * (x @ x) + 2.0 * sum(r[k] * (x[:-k] @ x[k:]) for k in lags))
+        import scipy.fft  # imported here: only a dense mean gap needs it
+
+        p = self.p
+        n = scipy.fft.next_fast_len(2 * p - 1, real=True)
+        c = np.zeros(n)  # first column of the n x n circulant holding C top-left
+        c[:p] = self.row
+        c[n - p + 1 :] = self.row[:0:-1]
+        cx = scipy.fft.irfft(scipy.fft.rfft(c) * scipy.fft.rfft(x, n), n)[:p]
+        return float(x @ cx)
 
 
 def toeplitz_cov(rho: float, scale: float, p: int) -> np.ndarray:
     """Dense covariance with entries ``scale * rho**|i - j|``."""
-    return np.asarray(ToeplitzCov.ar1(rho, scale, p))
+    return np.asarray(ToeplitzCov(rho, scale, p))
 
 
 def _tr_prod(A, B) -> float:
@@ -149,19 +111,14 @@ def _tr_prod(A, B) -> float:
 
 
 def _check_cov(C, p, name):
-    """``C`` as the model stores it: a :class:`ToeplitzCov` when it is one,
-    or when a dense ``C`` equals the Toeplitz matrix of its first row bit for
-    bit and Levinson-Durbin certifies it; otherwise the dense symmetric
-    array, whose eigenvalues :class:`MixtureModel` then tests."""
+    """``C`` as the model stores it: a :class:`ToeplitzCov` as given, any
+    other input as a dense symmetric array, whose eigenvalues
+    :class:`MixtureModel` then tests."""
     C = C if isinstance(C, ToeplitzCov) else np.asarray(C, dtype=float)
     if C.shape != (p, p):
         raise ValueError(f"{name} must be {p}x{p}, got {C.shape}")
     if isinstance(C, ToeplitzCov):
         return C
-    row = C[0]
-    if (np.array_equal(C[:, 0], row) and np.array_equal(C[1:, 1:], C[:-1, :-1])
-            and _levinson_certifies(row)):
-        return ToeplitzCov._certified(row.copy())
     scale = max(1.0, np.abs(C).max())
     if np.abs(C - C.T).max() > 1e-12 * scale:
         raise ValueError(f"{name} is not symmetric")
@@ -173,11 +130,13 @@ class MixtureModel:
     """Two-class Gaussian mixture statistics.
 
     ``c1`` is the class-1 proportion; ``c2`` is always stored as ``1 - c1``
-    so the proportions sum to one exactly.  A covariance is kept as a
-    :class:`ToeplitzCov` when it is one (see ``_check_cov``), which is
-    positive definite by construction; any other covariance is a dense array
-    that must be symmetric nonnegative-definite up to round-off (smallest
-    eigenvalue no lower than ``-1e-10`` times the spectral norm).
+    so the proportions sum to one exactly.  A :class:`ToeplitzCov`
+    covariance is kept as given (the covariance specs of
+    :func:`model_from_spec` build one) and is positive definite by
+    construction.  Any other covariance is stored as a dense array, even
+    when it is Toeplitz, and must be symmetric nonnegative-definite up to
+    round-off (smallest eigenvalue no lower than ``-1e-10`` times the
+    spectral norm).
     """
 
     p: int
@@ -355,7 +314,7 @@ def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> LatentDataset:
     Latents are ``omega_i = C_a^{1/2} z_i / sqrt(p)`` with standard normal
     ``z_i``; the square root comes from the symmetric eigendecomposition with
     negative round-off eigenvalues clamped to zero, so rank-deficient
-    covariances are legal.  A multiple ``r0 I`` of the identity skips it:
+    covariances are legal.  A :class:`ToeplitzCov` ``r0 I`` skips it:
     ``sqrt(r0) z`` equals the product with that root bit for bit.
     Deterministic given ``seed``.
     """
@@ -404,14 +363,14 @@ def _parse_cov_spec(spec, p):
     if isinstance(spec, str):
         s = spec.strip()
         if s == "identity":
-            return ToeplitzCov.ar1(0.0, 1.0, p)
+            return ToeplitzCov(0.0, 1.0, p)
         if s.startswith("toeplitz(") and s.endswith(")"):
             rho, scale = (float(t) for t in s[len("toeplitz(") : -1].split(","))
-            return ToeplitzCov.ar1(rho, scale, p)
+            return ToeplitzCov(rho, scale, p)
         if s.startswith("boosted_toeplitz(") and s.endswith(")"):
             # scale tied to the dimension: 1 + boost / sqrt(p)
             rho, boost = (float(t) for t in s[len("boosted_toeplitz(") : -1].split(","))
-            return ToeplitzCov.ar1(rho, 1.0 + boost / np.sqrt(p), p)
+            return ToeplitzCov(rho, 1.0 + boost / np.sqrt(p), p)
         raise ValueError(f"unknown covariance spec: {spec!r}")
     if isinstance(spec, dict) and "file" in spec:
         return np.load(spec["file"])

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import shape_kernel, shape_only_model
@@ -192,7 +192,7 @@ def test_model_from_spec_round_trip():
     m = model_from_spec(spec)
     assert m.p == 16
     assert m.mu2[1] == 3.0 and m.mu2.sum() == 3.0  # 1-based spike index
-    assert m.cov2.row[1] == pytest.approx(0.5, rel=1e-12)
+    assert np.asarray(m.cov2)[0, 1] == pytest.approx(0.5, rel=1e-12)
     assert m.c1 == 0.25
     scaled = model_from_spec(spec, p=32)
     assert scaled.p == 32
@@ -227,31 +227,21 @@ def test_spec_covariances_are_toeplitz_rows():
     np.testing.assert_array_equal(np.asarray(m.cov2), toeplitz_cov(0.5, 1.0 + 2.0 / np.sqrt(6), 6))
 
 
-def test_dense_toeplitz_is_recognized_bit_for_bit():
+def test_dense_toeplitz_stays_dense():
     p = 32
     C = toeplitz_cov(0.4, 1.5, p)
     m = MixtureModel(p, np.zeros(p), np.zeros(p), np.eye(p), C, c1=0.5)
-    assert isinstance(m.cov1, ToeplitzCov) and isinstance(m.cov2, ToeplitzCov)
-    np.testing.assert_array_equal(np.asarray(m.cov2), C)
-    # one entry off the Toeplitz pattern keeps the dense path
-    D = C.copy()
-    D[3, 5] = D[5, 3] = D[3, 5] + 1e-3
-    m = MixtureModel(p, np.zeros(p), np.zeros(p), D, D, c1=0.5)
-    assert isinstance(m.cov1, np.ndarray)
-    np.testing.assert_array_equal(m.cov1, D)
+    assert isinstance(m.cov1, np.ndarray) and isinstance(m.cov2, np.ndarray)
+    np.testing.assert_array_equal(m.cov2, C)
+    assert m.cov1[0, 1] == 0.0 and np.array_equal(m.cov2.T, C)
 
 
-def test_uncertified_toeplitz_falls_back_to_the_eigenvalue_test():
+def test_dense_toeplitz_takes_the_eigenvalue_test():
     p = 5
-    ones = np.ones((p, p))  # Toeplitz, singular PSD: Levinson cannot certify it
-    m = MixtureModel(p, np.zeros(p), np.zeros(p), ones, np.eye(p), c1=0.5)
-    assert isinstance(m.cov1, np.ndarray)
     indefinite = scipy.linalg.toeplitz([1.0, 0.9, 0.0, -0.9, 0.0])
     assert np.linalg.eigvalsh(indefinite)[0] < -0.1
     with pytest.raises(ValueError, match="eigenvalue"):
         MixtureModel(p, np.zeros(p), np.zeros(p), indefinite, np.eye(p), c1=0.5)
-    with pytest.raises(ValueError, match="not certified"):
-        ToeplitzCov([1.0, 0.9, 0.0, -0.9, 0.0])
 
 
 AR1 = st.tuples(st.floats(0.0, 0.9), st.floats(0.1, 10.0))  # (rho, scale)
@@ -267,7 +257,7 @@ AR1 = st.tuples(st.floats(0.0, 0.9), st.floats(0.1, 10.0))  # (rho, scale)
     seed=st.integers(0, 2**32 - 1),
 )
 def test_closed_form_traces_match_dense(p, a, b, spikes, dense_mean, seed):
-    A, B = ToeplitzCov.ar1(*a, p), ToeplitzCov.ar1(*b, p)
+    A, B = ToeplitzCov(*a, p), ToeplitzCov(*b, p)
     dA, dB = np.asarray(A), np.asarray(B)
     if dense_mean:
         x = np.random.default_rng(seed).standard_normal(p)
@@ -284,28 +274,6 @@ def test_closed_form_traces_match_dense(p, a, b, spikes, dense_mean, seed):
     # tr((B - A)^2) cancels when A and B are close: held to the size of its terms
     scale = float(np.vdot(dA, dA) + np.vdot(dB, dB))
     assert m.sq_trace_gap == pytest.approx(float(np.vdot(dB - dA, dB - dA)), abs=1e-12 * scale)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    p=st.integers(2, 40),
-    seed=st.integers(0, 2**32 - 1),
-    decay=st.floats(0.2, 1.0),
-    target=st.sampled_from([-1e-3, -1e-6, -1e-8, -1e-9, -2e-10, -1e-10, 0.0, 1e-10, 1e-6]),
-)
-def test_levinson_never_certifies_an_indefinite_toeplitz(p, seed, decay, target):
-    # random first rows, shifted so the smallest eigenvalue sits near
-    # target * ||C||, on either side of the eigenvalue test's -1e-10 tolerance
-    row = np.random.default_rng(seed).standard_normal(p) * decay ** np.arange(p)
-    w = np.linalg.eigvalsh(scipy.linalg.toeplitz(row))
-    row[0] += target * np.abs(w).max() - w[0]
-    w = np.linalg.eigvalsh(scipy.linalg.toeplitz(row))
-    assume(np.isfinite(w).all())
-    try:
-        ToeplitzCov(row)
-    except ValueError:
-        return
-    assert w[0] >= -1e-10 * np.abs(w).max()
 
 
 # Identity-class blocks of each shipped config's base-seed draw, as sampled
