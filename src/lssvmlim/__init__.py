@@ -34,10 +34,9 @@ from .kernels import (
     TaylorKernel,
     gram_matrix,
     kernel_from_spec,
-    kernel_to_spec,
     kernel_vector,
 )
-from .lssvm import TrainedModel, classify, load_model, normalize_labels, save_model, train
+from .lssvm import TrainedModel, classify, normalize_labels, train
 from .mixture import (
     LatentDataset,
     MixtureModel,

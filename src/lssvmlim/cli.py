@@ -29,7 +29,7 @@ from .errors import (
     SingularSystem,
     TruncatedFile,
 )
-from .mixture import mix64, model_from_spec, sample
+from .mixture import mix64, model_from_spec
 
 _DATA_ERRORS = (BadMagic, TruncatedFile, CountMismatch, ClassMissing, FileNotFoundError)
 _NUMERIC_ERRORS = (SingularSystem, EigFailure, DegenerateStats, np.linalg.LinAlgError)
@@ -67,9 +67,10 @@ def _emit(obj, args):
 
 
 def _config(args, doc):
-    """``doc`` with the command-line overrides applied, parsed and checked."""
-    for key, value in (("base_seed", args.seed), ("trials", args.trials),
-                       ("threshold", args.threshold)):
+    """``doc`` with the command-line overrides the subcommand takes applied,
+    parsed and checked."""
+    for key, flag in (("base_seed", "seed"), ("trials", "trials"), ("threshold", "threshold")):
+        value = getattr(args, flag, None)
         if value is not None:
             doc[key] = value
     return experiments.config_from_dict(doc)
@@ -186,42 +187,46 @@ def cmd_mnist_stats(args):
     return 0
 
 
+# every option a subcommand may take; each subcommand adds only those it honours
+_OPTIONS = {
+    "--config": dict(required=True, help="JSON config file"),
+    "--out": dict(help="output path (default: stdout)"),
+    "--format": dict(choices=["csv", "json"], help="output format"),
+    "--seed": dict(type=int, help="override base seed"),
+    "--trials": dict(type=int, help="override trial count"),
+    "--threshold": dict(choices=list(experiments.THRESHOLD_RULES), help="threshold rule"),
+}
+
+
 def build_parser():
     parser = _Parser(prog="lssvmlim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=["csv", "json"], help="output format")
-        p.add_argument("--seed", type=int, help="override base seed")
-        p.add_argument("--trials", type=int, help="override trial count")
-        p.add_argument(
-            "--threshold", choices=list(experiments.THRESHOLD_RULES), help="threshold rule"
-        )
+    def options(p, *names):
+        for name in names:
+            p.add_argument(name, **_OPTIONS[name])
 
     p = sub.add_parser("predict", help="asymptotic prediction from a model config")
-    common(p)
+    options(p, "--config", "--out", "--threshold")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("sweep", help="empirical vs predicted error over a parameter grid")
-    common(p)
+    options(p, "--config", "--out", "--format", "--seed", "--trials", "--threshold")
     p.add_argument("--full", action="store_true", help="include per-trial records (JSON)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("histogram", help="pooled score samples with Gaussian overlay")
-    common(p)
+    options(p, "--config", "--out", "--seed", "--trials")
     p.add_argument("--full", action="store_true", help="include raw scores")
     p.set_defaults(func=cmd_histogram)
 
     p = sub.add_parser("convergence", help="score-equivalent convergence study")
-    common(p)
+    options(p, "--config", "--out", "--seed", "--trials")
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("estimate-tau", help="distance concentration point of a data file")
     p.add_argument("data", help=".npy (p x n) or comma-separated text matrix")
-    common(p, config=False)
+    options(p, "--out")
     p.set_defaults(func=cmd_estimate_tau)
 
     p = sub.add_parser("mnist-stats", help="two-digit statistics, prediction, and test error")
@@ -234,7 +239,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--n-test", type=int, default=256)
     p.add_argument("--snr-db", type=float, default=None)
-    common(p, config=False)
+    options(p, "--out", "--seed", "--trials", "--threshold")
     p.set_defaults(func=cmd_mnist_stats)
 
     return parser

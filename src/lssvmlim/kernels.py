@@ -177,19 +177,3 @@ def kernel_from_spec(spec: dict) -> KernelProfile:
         )
     raise ValueError(f"unknown kernel kind: {kind!r}")
 
-
-def kernel_to_spec(profile: KernelProfile) -> dict:
-    """Inverse of :func:`kernel_from_spec`."""
-    if isinstance(profile, GaussianKernel):
-        return {"kind": "gaussian", "sigma2": profile.sigma2}
-    if isinstance(profile, PolynomialKernel):
-        return {"kind": "polynomial", "coeffs": list(profile.coeffs)}
-    if isinstance(profile, TaylorKernel):
-        return {
-            "kind": "local",
-            "tau": profile.anchor,
-            "f": profile.f0,
-            "fp": profile.f1,
-            "fpp": profile.f2,
-        }
-    raise TypeError(f"not a kernel profile: {profile!r}")

@@ -14,16 +14,12 @@ column-pivoted QR if an LU pivot collapses too.
 
 from __future__ import annotations
 
-import base64
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, OneClassOnly, SingularSystem
-from .kernels import KernelProfile, gram_matrix, kernel_from_spec, kernel_to_spec, kernel_vector
+from .kernels import KernelProfile, gram_matrix, kernel_vector
 
 _PIVOT_RTOL = 1e-12
 
@@ -43,6 +39,8 @@ def _factor(K, shift):
     rebuilds ``S`` from ``K`` in the same buffer.  A factorization is kept
     only if its pivots stay above ``_PIVOT_RTOL * ||S||_inf``.
     """
+    import scipy.linalg  # imported here: training is its only user
+
     S = _shifted(np.empty_like(K, order="C"), K, shift)
     floor = _PIVOT_RTOL * scipy.linalg.lapack.dlange("1", S.T)  # ||S||_inf
     try:
@@ -201,51 +199,3 @@ class TrainedModel:
             raise ValueError("the points to score must be finite")
         return self.alpha @ kernel_vector(self.X, pts, self.profile) + self.bias
 
-
-def save_model(model: TrainedModel, path, data_path=None) -> None:
-    """Serialize to a flat JSON object.
-
-    Training data is embedded as base64 column-major float64 by default, or
-    written to ``data_path`` as raw column-major float64 bytes when given.
-    ``alpha`` and ``bias`` are stored as decimal floats, which round-trip
-    bit-exactly.
-    """
-    raw = np.asfortranarray(model.X).tobytes(order="F")
-    if data_path is None:
-        training = {"encoding": "base64_f64_colmajor", "data": base64.b64encode(raw).decode()}
-    else:
-        Path(data_path).write_bytes(raw)
-        training = {"encoding": "raw_f64_colmajor", "path": str(data_path)}
-    obj = {
-        "p": model.p,
-        "n": model.n,
-        "gamma": model.gamma,
-        "label_convention": model.label_convention,
-        "kernel": kernel_to_spec(model.profile),
-        "alpha": model.alpha.tolist(),
-        "bias": model.bias,
-        "training_data": training,
-    }
-    Path(path).write_text(json.dumps(obj))
-
-
-def load_model(path) -> TrainedModel:
-    """Inverse of :func:`save_model`."""
-    obj = json.loads(Path(path).read_text())
-    p, n = int(obj["p"]), int(obj["n"])
-    training = obj["training_data"]
-    if training["encoding"] == "base64_f64_colmajor":
-        raw = base64.b64decode(training["data"])
-    elif training["encoding"] == "raw_f64_colmajor":
-        raw = Path(training["path"]).read_bytes()
-    else:
-        raise ValueError(f"unknown training data encoding: {training['encoding']!r}")
-    X = np.frombuffer(raw, dtype=np.float64).reshape((p, n), order="F")
-    return TrainedModel(
-        X=X,
-        profile=kernel_from_spec(obj["kernel"]),
-        gamma=float(obj["gamma"]),
-        alpha=np.asarray(obj["alpha"], dtype=float),
-        bias=float(obj["bias"]),
-        label_convention=obj["label_convention"],
-    )

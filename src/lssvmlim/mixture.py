@@ -10,10 +10,9 @@ score predictions built from them can be validated directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EigFailure
 
@@ -42,10 +41,12 @@ class ToeplitzCov:
     closed forms, so no p x p array is formed until :func:`sample` needs a
     square root of a covariance that is not a multiple of the identity;
     ``np.asarray`` materializes the dense matrix.  It is not an array: read
-    entries through ``row`` or ``np.asarray``.
+    entries through ``row`` or ``np.asarray``.  Two instances with the same
+    ``(rho, scale, p)`` are equal and hash alike, so they share one cached
+    square root.
     """
 
-    __slots__ = ("row",)
+    __slots__ = ("rho", "scale", "row")
 
     def __init__(self, rho: float, scale: float, p: int):
         if not 0 <= rho < 1:
@@ -54,7 +55,16 @@ class ToeplitzCov:
             raise ValueError(f"scale must be positive, got {scale}")
         row = scale * rho ** np.arange(p)
         row.flags.writeable = False
-        self.row = row
+        self.rho, self.scale, self.row = rho, scale, row
+
+    def _key(self):
+        return (self.rho, self.scale, self.p)
+
+    def __eq__(self, other):
+        return isinstance(other, ToeplitzCov) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def p(self):
@@ -65,7 +75,9 @@ class ToeplitzCov:
         return (self.p, self.p)
 
     def __array__(self, dtype=None, copy=None):
-        dense = scipy.linalg.toeplitz(self.row)
+        k = np.arange(self.p)
+        lag = np.subtract.outer(k, k)
+        dense = self.row[np.abs(lag, out=lag)]  # exact entry copies
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
     def trace(self) -> float:
@@ -108,6 +120,30 @@ def _tr_prod(A, B) -> float:
     if isinstance(A, ToeplitzCov) and isinstance(B, ToeplitzCov):
         return A.tr_prod(B)
     return float(np.vdot(np.asarray(A), np.asarray(B)))
+
+
+def _eigh(C):
+    try:
+        return np.linalg.eigh(np.asarray(C))
+    except np.linalg.LinAlgError as exc:
+        raise EigFailure(str(exc)) from exc
+
+
+def _root(w, v):
+    """Symmetric square root from the eigendecomposition ``(w, v)``."""
+    s = np.sqrt(np.maximum(w, 0.0))  # clamp round-off negatives
+    return (v * s) @ v.T
+
+
+# Three roots: one per dimension of a convergence study, so the models of a
+# repeated study or of a sweep never refactor.  Each root holds 8 p^2 bytes.
+@lru_cache(maxsize=3)
+def _toeplitz_root(cov: ToeplitzCov) -> np.ndarray:
+    """Read-only symmetric square root of ``cov``, computed once per distinct
+    covariance and shared by every model that holds an equal one."""
+    root = _root(*_eigh(cov))
+    root.flags.writeable = False
+    return root
 
 
 def _check_cov(C, p, name):
@@ -177,29 +213,26 @@ class MixtureModel:
         """Model tied to integer class sizes; proportions are n1/(n1+n2)."""
         return cls(p, mu1, mu2, cov1, cov2, c1=n1 / (n1 + n2))
 
-    def _eig(self, C):
-        try:
-            return np.linalg.eigh(np.asarray(C))
-        except np.linalg.LinAlgError as exc:
-            raise EigFailure(str(exc)) from exc
-
+    # Eigendecompositions of dense covariances: the PSD test and the root
     @cached_property
     def _eig1(self):
-        return self._eig(self.cov1)
+        return _eigh(self.cov1)
 
     @cached_property
     def _eig2(self):
-        return self._eig(self.cov2)
+        return _eigh(self.cov2)
 
     def _sqrt(self, cov, eig):
-        """Symmetric square root of ``cov``: the scalar ``sqrt(r0)`` when
-        ``cov = r0 I`` (its eigendecomposition gives exactly ``sqrt(r0) I``),
-        else from the eigendecomposition in attribute ``eig``."""
-        if isinstance(cov, ToeplitzCov) and not cov.row[1:].any():
+        """Symmetric square root of ``cov``: the scalar ``sqrt(r0)`` when a
+        :class:`ToeplitzCov` is ``r0 I`` (its eigendecomposition gives
+        exactly ``sqrt(r0) I``), the shared cached root of any other
+        :class:`ToeplitzCov`, else from the eigendecomposition in attribute
+        ``eig``."""
+        if not isinstance(cov, ToeplitzCov):
+            return _root(*getattr(self, eig))
+        if not cov.row[1:].any():
             return np.sqrt(cov.row[0])
-        w, v = getattr(self, eig)
-        s = np.sqrt(np.maximum(w, 0.0))  # clamp round-off negatives
-        return (v * s) @ v.T
+        return _toeplitz_root(cov)
 
     @cached_property
     def sqrt_cov1(self):
@@ -297,16 +330,6 @@ class LatentDataset:
     def n2(self):
         return int(np.count_nonzero(self.labels > 0))
 
-    def permuted(self, perm) -> "LatentDataset":
-        """Column-reordered view of the same sample."""
-        perm = np.asarray(perm)
-        return LatentDataset(
-            X=self.X[:, perm],
-            labels=self.labels[perm],
-            omega=self.omega[:, perm],
-            psi=self.psi[perm],
-        )
-
 
 def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> LatentDataset:
     """Draw ``n1`` class-1 then ``n2`` class-2 points (contiguous blocks).
@@ -315,7 +338,9 @@ def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> LatentDataset:
     ``z_i``; the square root comes from the symmetric eigendecomposition with
     negative round-off eigenvalues clamped to zero, so rank-deficient
     covariances are legal.  A :class:`ToeplitzCov` ``r0 I`` skips it:
-    ``sqrt(r0) z`` equals the product with that root bit for bit.
+    ``sqrt(r0) z`` equals the product with that root bit for bit.  Any other
+    :class:`ToeplitzCov` takes its root from a cache shared by equal
+    covariances, so models of the same covariance decompose it once.
     Deterministic given ``seed``.
     """
     if n1 < 1 or n2 < 1:

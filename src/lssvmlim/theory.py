@@ -13,10 +13,10 @@ first two derivatives at the distance concentration point ``tau``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .errors import DegenerateStats
 from .kernels import KernelProfile
@@ -24,11 +24,12 @@ from .mixture import LatentDataset, MixtureModel
 
 _SQRT2 = np.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 def q_function(x):
     """Standard normal upper tail ``Q(x) = P(Z >= x) = erfc(x / sqrt 2) / 2``."""
-    out = 0.5 * scipy.special.erfc(np.asarray(x, dtype=float) / _SQRT2)
+    out = 0.5 * _erfc(np.asarray(x, dtype=float) / _SQRT2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -89,7 +90,7 @@ def noise_term(
     c2 = dataset.n2 / n
     _, fp, fpp = profile.derivatives(model.tau)
     y_centered = dataset.labels - (c2 - c1)
-    t1 = -2.0 * fp / n * (y_centered @ (dataset.omega.T @ omega_x))
+    t1 = -2.0 * fp / n * ((dataset.omega @ y_centered) @ omega_x)
     t2 = -4.0 * c1 * c2 * fp / np.sqrt(p) * (model.mean_gap @ omega_x)
     t3 = 2.0 * c1 * c2 * fpp * np.asarray(psi_x, dtype=float) * (model.trace_gap / p)
     out = t1 + t2 + t3

@@ -349,11 +349,58 @@ def test_toml_config_predicts_as_its_json_twin(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+SCIPY_FREE_PREDICT = """
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import lssvmlim
+if scipy_modules():
+    sys.exit(f"import lssvmlim loaded {scipy_modules()}")
+from lssvmlim.cli import main
+if main(["predict", "--config", sys.argv[1]]) != 0:
+    sys.exit("predict failed")
+if scipy_modules():
+    sys.exit(f"predict loaded {scipy_modules()}")
+"""
+
+
 def test_import_leaves_scipy_stats_unloaded():
-    proc = python_with_package(
-        "-c", "import sys, lssvmlim; sys.exit('scipy.stats' in sys.modules)")
+    # no part of SciPy at all, after the import and after a prediction
+    config = str(Path(CONFIG_DIR, "sweep_width.json").resolve())
+    proc = python_with_package("-c", SCIPY_FREE_PREDICT, config, stdout=subprocess.DEVNULL)
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("predict", "--format=csv"),
+        ("predict", "--seed=1"),
+        ("predict", "--trials=1"),
+        ("histogram", "--format=json"),
+        ("histogram", "--threshold=zero"),
+        ("convergence", "--format=json"),
+        ("convergence", "--threshold=zero"),
+        ("estimate-tau", "--format=json"),
+        ("estimate-tau", "--seed=1"),
+        ("estimate-tau", "--trials=1"),
+        ("estimate-tau", "--threshold=zero"),
+        ("mnist-stats", "--format=json"),
+    ],
+)
+def test_a_flag_the_subcommand_would_ignore_is_a_usage_error(tmp_path, command, flag):
+    operands = {
+        "estimate-tau": [str(tmp_path / "data.npy")],
+        "mnist-stats": ["--images", str(tmp_path / "images"), "--labels", str(tmp_path / "labels")],
+    }.get(command, ["--config", identical_classes_config(tmp_path)])
+    proc = python_with_package("-m", "lssvmlim.cli", command, *operands, flag,
+                               stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1, err
+    assert out == "" and f"unrecognized arguments: {flag}" in err
 
 
 def test_closed_stdout_exits_quietly(tmp_path):

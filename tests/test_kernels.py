@@ -9,7 +9,6 @@ from lssvmlim.kernels import (
     TaylorKernel,
     gram_matrix,
     kernel_from_spec,
-    kernel_to_spec,
     kernel_vector,
     pairwise_sq_dists,
 )
@@ -218,20 +217,6 @@ def test_kernel_vector_batch_matches_single():
     batch = kernel_vector(X, Q, profile)
     for j in range(3):
         np.testing.assert_allclose(batch[:, j], kernel_vector(X, Q[:, j], profile), atol=1e-12)
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        {"kind": "gaussian", "sigma2": 1.5},
-        {"kind": "polynomial", "coeffs": [1.0, -0.5, 0.25]},
-        {"kind": "local", "tau": 2.0, "f": 4.0, "fp": 0.0, "fpp": 2.0},
-    ],
-)
-def test_spec_round_trip(spec):
-    profile = kernel_from_spec(spec)
-    again = kernel_from_spec(kernel_to_spec(profile))
-    assert again == profile
 
 
 def test_unknown_kind_rejected():

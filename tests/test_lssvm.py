@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +11,7 @@ from lssvmlim.kernels import GaussianKernel, TaylorKernel, gram_matrix, kernel_v
 from lssvmlim.lssvm import (
     TrainedModel,
     classify,
-    load_model,
     normalize_labels,
-    save_model,
     train,
 )
 
@@ -328,40 +325,6 @@ def test_permutation_equivariance():
     assert np.max(np.abs(model.alpha[perm] - permuted.alpha)) < 1e-10
     x = rng.standard_normal(6)
     assert abs(model.decide(x) - permuted.decide(x)) < 1e-10
-
-
-def test_serialization_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    X, labels = random_instance(rng, 10, 4)
-    model = TrainedModel.fit(X, labels, 1.0, GaussianKernel(2.0))
-
-    inline = tmp_path / "model.json"
-    save_model(model, inline)
-    back = load_model(inline)
-    assert np.array_equal(back.alpha, model.alpha)  # bit-exact
-    assert back.bias == model.bias
-    assert np.array_equal(back.X, model.X)
-    assert back.profile == model.profile
-
-    external = tmp_path / "model_ext.json"
-    save_model(model, external, data_path=tmp_path / "train.f64")
-    back = load_model(external)
-    assert np.array_equal(back.alpha, model.alpha)
-    assert back.bias == model.bias
-    assert np.array_equal(back.X, model.X)
-
-
-def test_serialized_form_is_flat_json(tmp_path):
-    rng = np.random.default_rng(9)
-    X, labels = random_instance(rng, 6, 3)
-    model = TrainedModel.fit(X, labels, 1.0, GaussianKernel(1.0))
-    path = tmp_path / "m.json"
-    save_model(model, path)
-    obj = json.loads(path.read_text())
-    assert set(obj) == {
-        "p", "n", "gamma", "label_convention", "kernel", "alpha", "bias", "training_data",
-    }
-    assert obj["p"] == 3 and obj["n"] == 6
 
 
 def test_non_finite_labels_rejected():

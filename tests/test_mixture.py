@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import shape_kernel, shape_only_model
-from lssvmlim.experiments import _class_split
+from lssvmlim.experiments import _class_split, config_from_dict, run_sweep
 from lssvmlim.mixture import (
     MixtureModel,
     ToeplitzCov,
+    _toeplitz_root,
     mix64,
     model_from_spec,
     sample,
@@ -163,16 +164,6 @@ def test_distance_concentration():
     assert maxima.max() < 1.5
 
 
-def test_permuted_view():
-    m = fig_like_model(16)
-    ds = sample(m, 3, 5, seed=3)
-    perm = np.random.default_rng(0).permutation(8)
-    shuffled = ds.permuted(perm)
-    assert shuffled.n1 == 3 and shuffled.n2 == 5
-    np.testing.assert_array_equal(shuffled.X, ds.X[:, perm])
-    np.testing.assert_array_equal(shuffled.psi, ds.psi[perm])
-
-
 def test_mix64_is_stable_and_spread():
     assert mix64(42, 0) == mix64(42, 0)
     seen = {mix64(42, k) for k in range(1000)}
@@ -207,7 +198,9 @@ def test_model_from_counts():
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Every symmetric eigendecomposition the package asks NumPy for."""
+    """Every symmetric eigendecomposition the package asks NumPy for, from an
+    empty cache of Toeplitz roots, so no earlier test's root is reused."""
+    _toeplitz_root.cache_clear()
     calls = []
     real = np.linalg.eigh
 
@@ -337,11 +330,42 @@ def test_identity_sampling_needs_no_eigendecomposition(eigh_calls):
     assert eigh_calls == []
     assert np.array_equal(omega, dense_root_latents(m, 3, 3, seed=5))
     eigh_calls.clear()
-    m = model_from_spec({"p": p, "mean1": "zeros", "mean2": "zeros", "cov1": "identity",
-                         "cov2": "toeplitz(0.4, 1.0)", "c1": 0.5})
+    spec = {"p": p, "mean1": "zeros", "mean2": "zeros", "cov1": "identity",
+            "cov2": "toeplitz(0.4, 1.0)", "c1": 0.5}
+    m = model_from_spec(spec)
     sample(m, 3, 3, seed=5)
     sample(m, 3, 3, seed=6)
     assert eigh_calls == [(p, p)]  # once, for the correlated class
+    sample(model_from_spec(spec), 3, 3, seed=7)
+    assert eigh_calls == [(p, p)]  # a second model of the same spec reuses the root
+
+
+def test_sweep_factors_its_shared_covariance_once(eigh_calls):
+    config = config_from_dict({
+        "model": {"p": 64, "mean1": "zeros", "mean2": "unit_spike(1, 2.0)", "cov1": "identity",
+                  "cov2": "toeplitz(0.4, 1.5)", "c1": 0.5},
+        "n": 32, "n_test": 16, "trials": 1,
+        "sweep": {"axis": "sigma2", "grid": [0.5, 1.0, 2.0]},
+    })
+    result = run_sweep(config)
+    assert [r.trials for r in result.rows] == [1, 1, 1]
+    assert eigh_calls == [(64, 64)]
+
+
+def test_equal_toeplitz_covariances_share_one_read_only_root():
+    p = 32
+    a, b = ToeplitzCov(0.4, 1.5, p), ToeplitzCov(0.4, 1.5, p)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != ToeplitzCov(0.4, 1.5, p + 1) and a != ToeplitzCov(0.5, 1.5, p)
+    assert a != ToeplitzCov(0.4, 2.0, p) and a != np.asarray(a)
+    zeros = np.zeros(p)
+    root = MixtureModel(p, zeros, zeros, np.eye(p), a, c1=0.5).sqrt_cov2
+    assert MixtureModel(p, zeros, zeros, b, np.eye(p), c1=0.5).sqrt_cov1 is root
+    assert not root.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        root[0, 0] = 0.0
+    w, v = np.linalg.eigh(np.asarray(a))
+    assert np.array_equal(root, (v * np.sqrt(np.maximum(w, 0.0))) @ v.T)
 
 
 def test_million_dimension_prediction_stays_linear_in_p():
