@@ -14,6 +14,8 @@ from typing import Union
 
 import numpy as np
 
+from ._blas import gram, matmul
+
 
 class _Profile:
     """``value`` works on a copy; ``_apply`` overwrites a float array."""
@@ -29,8 +31,8 @@ class GaussianKernel(_Profile):
     sigma2: float
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        if not 0 < self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be finite and positive, got {self.sigma2}")
 
     def _apply(self, u):
         u /= -2.0 * self.sigma2
@@ -52,6 +54,8 @@ class PolynomialKernel(_Profile):
         coeffs = tuple(float(c) for c in self.coeffs)
         if not coeffs:
             raise ValueError("polynomial kernel needs at least one coefficient")
+        if not np.isfinite(coeffs).all():
+            raise ValueError(f"polynomial coefficients must be finite, got {coeffs}")
         object.__setattr__(self, "coeffs", coeffs)
 
     def _apply(self, u):
@@ -88,6 +92,11 @@ class TaylorKernel(_Profile):
     f1: float
     f2: float
 
+    def __post_init__(self):
+        given = (self.anchor, self.f0, self.f1, self.f2)
+        if not np.isfinite(given).all():
+            raise ValueError(f"local kernel anchor and coefficients must be finite, got {given}")
+
     def _apply(self, u):
         u -= self.anchor
         sq = (0.5 * self.f2) * u * u
@@ -113,12 +122,10 @@ def pairwise_sq_dists(X: np.ndarray, Q: np.ndarray | None = None) -> np.ndarray:
     (default ``X``) by the inner-product expansion, clamped at zero.
 
     Without ``Q`` the result is exactly symmetric with an exactly zero
-    diagonal: NumPy evaluates ``X.T @ X`` on one buffer as a symmetric
-    rank-k update, which fills one triangle and mirrors it."""
+    diagonal: ``X.T @ X`` is a symmetric rank-k update, which fills one
+    triangle and mirrors it."""
     X = np.asarray(X, dtype=float)
-    if Q is None and not X.flags.forc:
-        X = X.copy()  # one contiguous buffer, so that X.T @ X is a syrk
-    G = X.T @ (X if Q is None else Q)
+    G = gram(X) if Q is None else matmul(X.T, Q)
     a = np.diagonal(G).copy() if Q is None else np.einsum("ij,ij->j", X, X)
     D = np.add.outer(a, a if Q is None else np.einsum("ij,ij->j", Q, Q))
     G *= -2.0

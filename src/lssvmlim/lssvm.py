@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import matmul
 from .errors import DimensionMismatch, OneClassOnly, SingularSystem
 from .kernels import KernelProfile, gram_matrix, kernel_vector
 
@@ -66,7 +67,7 @@ def _factor(K, shift):
 
     def solve(B):
         out = np.empty_like(B)
-        out[perm] = scipy.linalg.solve_triangular(r, q.T @ B)
+        out[perm] = scipy.linalg.solve_triangular(r, matmul(q.T, B))
         return out
 
     return solve
@@ -111,11 +112,11 @@ def train(gram: np.ndarray, labels: np.ndarray, gamma: float):
     # factorization, before declaring it unusable.  Written as "not <=" so
     # that a NaN residual fails it too.
     target = y - bias
-    resid = K @ alpha + shift * alpha - target
+    resid = matmul(K, alpha) + shift * alpha - target
     tol = 1e-8 * (np.linalg.norm(y) + abs(bias) * np.sqrt(n))
     if not np.linalg.norm(resid) <= tol:
         alpha = alpha - solve(resid[:, None])[:, 0]
-        resid = K @ alpha + shift * alpha - target
+        resid = matmul(K, alpha) + shift * alpha - target
         if not np.linalg.norm(resid) <= tol:
             raise SingularSystem(
                 f"training residual {np.linalg.norm(resid):.3e} exceeds {tol:.3e}"
@@ -197,5 +198,5 @@ class TrainedModel:
             raise DimensionMismatch(f"expected a {self.p} x m matrix, got {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("the points to score must be finite")
-        return self.alpha @ kernel_vector(self.X, pts, self.profile) + self.bias
+        return matmul(self.alpha, kernel_vector(self.X, pts, self.profile)) + self.bias
 

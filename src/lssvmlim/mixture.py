@@ -14,6 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._blas import matmul
 from .errors import EigFailure
 
 _MASK64 = (1 << 64) - 1
@@ -36,14 +37,14 @@ class ToeplitzCov:
     """AR(1) covariance ``C[i, j] = scale * rho**|i - j|``, a symmetric
     Toeplitz matrix held by its first row ``row``.
 
-    Positive definite for ``0 <= rho < 1`` and ``scale > 0`` by construction;
-    ``rho = 0`` is ``scale`` times the identity.  The trace statistics have
-    closed forms, so no p x p array is formed until :func:`sample` needs a
-    square root of a covariance that is not a multiple of the identity;
-    ``np.asarray`` materializes the dense matrix.  It is not an array: read
-    entries through ``row`` or ``np.asarray``.  Two instances with the same
-    ``(rho, scale, p)`` are equal and hash alike, so they share one cached
-    square root.
+    Positive definite for ``0 <= rho < 1`` and a finite ``scale > 0`` by
+    construction; ``rho = 0`` is ``scale`` times the identity.  The trace
+    statistics have closed forms, so no p x p array is formed until
+    :func:`sample` needs a square root of a covariance that is not a
+    multiple of the identity; ``np.asarray`` materializes the dense matrix.
+    It is not an array: read entries through ``row`` or ``np.asarray``.  Two
+    instances with the same ``(rho, scale, p)`` are equal and hash alike, so
+    they share one cached square root.
     """
 
     __slots__ = ("rho", "scale", "row")
@@ -51,8 +52,8 @@ class ToeplitzCov:
     def __init__(self, rho: float, scale: float, p: int):
         if not 0 <= rho < 1:
             raise ValueError(f"rho must lie in [0, 1), got {rho}")
-        if not scale > 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        if not 0 < scale < np.inf:
+            raise ValueError(f"scale must be finite and positive, got {scale}")
         row = scale * rho ** np.arange(p)
         row.flags.writeable = False
         self.rho, self.scale, self.row = rho, scale, row
@@ -348,23 +349,19 @@ def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> LatentDataset:
     rng = np.random.default_rng(seed)
     p = model.p
     sqrt_p = np.sqrt(p)
-    parts_x, parts_om, parts_psi = [], [], []
-    for mu, sqrt_cov, trace, na in (
-        (model.mu1, model.sqrt_cov1, model.trace1, n1),
-        (model.mu2, model.sqrt_cov2, model.trace2, n2),
+    X, omega, psi = np.empty((p, n1 + n2)), np.empty((p, n1 + n2)), np.empty(n1 + n2)
+    for block, mu, sqrt_cov, trace in (
+        (slice(0, n1), model.mu1, model.sqrt_cov1, model.trace1),
+        (slice(n1, n1 + n2), model.mu2, model.sqrt_cov2, model.trace2),
     ):
-        z = rng.standard_normal((p, na))
-        omega = (sqrt_cov * z if np.ndim(sqrt_cov) == 0 else sqrt_cov @ z) / sqrt_p
-        parts_om.append(omega)
-        parts_x.append(mu[:, None] + sqrt_p * omega)
-        parts_psi.append(np.einsum("ij,ij->j", omega, omega) - trace / p)
+        z = rng.standard_normal((p, block.stop - block.start))
+        om = omega[:, block]
+        np.divide(sqrt_cov * z if np.ndim(sqrt_cov) == 0 else matmul(sqrt_cov, z), sqrt_p, out=om)
+        np.multiply(om, sqrt_p, out=X[:, block])
+        X[:, block] += mu[:, None]
+        psi[block] = np.einsum("ij,ij->j", om, om) - trace / p
     labels = np.concatenate([np.full(n1, -1.0), np.full(n2, 1.0)])
-    return LatentDataset(
-        X=np.hstack(parts_x),
-        labels=labels,
-        omega=np.hstack(parts_om),
-        psi=np.concatenate(parts_psi),
-    )
+    return LatentDataset(X=X, labels=labels, omega=omega, psi=psi)
 
 
 def _parse_mean_spec(spec, p):

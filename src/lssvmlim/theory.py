@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import matmul
 from .errors import DegenerateStats
 from .kernels import KernelProfile
 from .mixture import LatentDataset, MixtureModel
@@ -81,7 +82,9 @@ def noise_term(
     This is an oracle for validating the asymptotics, not an estimator: it
     reads latents that are unobservable in practice.
     """
-    omega_x = np.asarray(omega_x, dtype=float)
+    # one block, which SciPy's BLAS reads in place (a class's columns of a
+    # test set are not)
+    omega_x = np.ascontiguousarray(omega_x, dtype=float)
     n = dataset.n
     p = model.p
     if omega_x.shape[0] != p:
@@ -90,8 +93,8 @@ def noise_term(
     c2 = dataset.n2 / n
     _, fp, fpp = profile.derivatives(model.tau)
     y_centered = dataset.labels - (c2 - c1)
-    t1 = -2.0 * fp / n * ((dataset.omega @ y_centered) @ omega_x)
-    t2 = -4.0 * c1 * c2 * fp / np.sqrt(p) * (model.mean_gap @ omega_x)
+    t1 = -2.0 * fp / n * matmul(matmul(dataset.omega, y_centered), omega_x)
+    t2 = -4.0 * c1 * c2 * fp / np.sqrt(p) * matmul(model.mean_gap, omega_x)
     t3 = 2.0 * c1 * c2 * fpp * np.asarray(psi_x, dtype=float) * (model.trace_gap / p)
     out = t1 + t2 + t3
     return float(out) if omega_x.ndim == 1 else out

@@ -256,10 +256,18 @@ def small_sweep_doc(**changes):
         ("sweep", {"trials": 0}),
         ("histogram", {"gamma": float("inf")}),
         ("histogram", {"trials": None}),
+        ("predict", {"model": {"p": 16, "mean1": "zeros", "mean2": "unit_spike(2, 2.0)",
+                               "cov1": "identity", "cov2": "toeplitz(0.4, inf)", "c1": 0.5}}),
+        ("predict", {"kernel": {"kind": "gaussian", "sigma2": float("inf")}}),
+        ("predict", {"kernel": {"kind": "polynomial", "coeffs": [1, float("inf")]}}),
+        ("predict", {"kernel": {"kind": "local", "tau": float("nan"), "f": 4.0, "fp": 0.0,
+                                "fpp": 2.0}}),
     ],
     ids=["predict-gamma0", "predict-n0", "predict-gamma-negative", "predict-n1",
          "predict-gamma-nan", "predict-convention", "sweep-gamma0", "sweep-n_test1",
-         "sweep-n1", "sweep-trials0", "histogram-gamma-inf", "histogram-trials-null"],
+         "sweep-n1", "sweep-trials0", "histogram-gamma-inf", "histogram-trials-null",
+         "predict-toeplitz-scale-inf", "predict-gaussian-sigma2-inf",
+         "predict-polynomial-coeff-inf", "predict-local-tau-nan"],
 )
 def test_invalid_config_is_a_one_line_data_error(tmp_path, capsys, command, bad):
     config = write_config(tmp_path, small_sweep_doc(**bad))

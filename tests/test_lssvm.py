@@ -151,6 +151,46 @@ def test_collapsed_pivots_reach_qr_then_raise(factor_calls, S):
     assert np.array_equal(K, before)  # every attempt worked on a copy
 
 
+def _failed_cholesky(*args, **kwargs):
+    raise np.linalg.LinAlgError("forced failure")
+
+
+def _collapsed_lu(a, **kwargs):
+    return np.zeros_like(a), np.arange(len(a), dtype=np.int32)
+
+
+# scipy.linalg names replaced to force each solver path
+SOLVER_PATHS = {
+    "cholesky": {},
+    "lu": {"cho_factor": _failed_cholesky},
+    "qr": {"cho_factor": _failed_cholesky, "lu_factor": _collapsed_lu},
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 24), st.integers(0, 2**32 - 1))
+def test_solver_paths_agree_on_an_indefinite_kernel(n, seed):
+    # S = K + (n / gamma) I = K + I has its spectrum in [0.5, 2], so every
+    # path factors it, while K itself is indefinite
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    spectrum = rng.uniform(0.5, 2.0, n)
+    spectrum[:2] = 0.5, 2.0
+    K = (q * (spectrum - 1.0)) @ q.T
+    K = (K + K.T) / 2
+    labels = rng.permutation(np.where(np.arange(n) < n // 2, -1.0, 1.0))
+    solved = {}
+    for path, fakes in SOLVER_PATHS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            for name, fake in fakes.items():
+                mp.setattr(scipy.linalg, name, fake)
+            solved[path] = train(K, labels, gamma=n)
+    alpha, bias = solved["cholesky"]
+    for path in ("lu", "qr"):
+        np.testing.assert_allclose(solved[path][0], alpha, rtol=0, atol=1e-9)
+        assert abs(solved[path][1] - bias) <= 1e-9
+
+
 def test_refinement_pass_reuses_the_factorization(monkeypatch, factor_calls):
     rng = np.random.default_rng(37)
     X, labels = random_instance(rng, 30, 8)

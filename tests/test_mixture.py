@@ -50,6 +50,14 @@ def test_toeplitz_trace_is_p_times_scale():
     assert np.trace(toeplitz_cov(0.4, scale, p)) == pytest.approx(p * scale, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "rho, scale", [(0.4, np.inf), (0.4, np.nan), (0.4, 0.0), (0.4, -1.0), (1.0, 1.0), (np.nan, 1.0)]
+)
+def test_toeplitz_outside_its_domain_rejected(rho, scale):
+    with pytest.raises(ValueError):
+        ToeplitzCov(rho, scale, 16)
+
+
 def test_proportions_sum_exactly():
     m = MixtureModel(2, np.zeros(2), np.zeros(2), np.eye(2), np.eye(2), c1=1 / 3)
     assert m.c1 + m.c2 == 1.0
