@@ -5,11 +5,17 @@ Training solves the regularized kernel system
     S alpha = y - b 1,   b = (1' S^{-1} y) / (1' S^{-1} 1),
     S = K + (n / gamma) I,
 
-from a single factorization with two right-hand sides.  ``S`` is symmetric
-but not guaranteed positive definite (locally specified kernels may produce
-indefinite Gram matrices), so Cholesky is tried first, then a partially
-pivoted LU if Cholesky fails or a pivot collapses, then a rank-revealing
-column-pivoted QR if an LU pivot collapses too.
+for two right-hand sides at once.  In the regime the package studies, ``K``
+is a rank-few part plus a bulk with O(1) eigenvalues, and the shift n/gamma
+is O(n), so the spectrum of ``S`` sits in two tight clusters and its
+condition number stays O(1) as n grows.  Conjugate gradients therefore
+converge in a handful of products with ``K`` and are tried first.  When
+they do not converge, or a step's curvature is not safely positive, ``S``
+is factored instead.  ``S`` is symmetric but not guaranteed positive
+definite (locally specified kernels may produce indefinite Gram matrices),
+so Cholesky is tried first, then a partially pivoted LU if Cholesky fails or
+a pivot collapses, then a rank-revealing column-pivoted QR if an LU pivot
+collapses too.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from .errors import DimensionMismatch, OneClassOnly, SingularSystem
 from .kernels import KernelProfile, gram_matrix, kernel_vector
 
 _PIVOT_RTOL = 1e-12
+_CG_RTOL = 1e-14  # relative residual at which a conjugate-gradient column stops
+_CG_MAXIT = 16  # products with K before conjugate gradients give up
 
 
 def _shifted(S, K, shift):
@@ -30,6 +38,45 @@ def _shifted(S, K, shift):
     np.copyto(S, K)
     S.flat[:: len(S) + 1] += shift
     return S
+
+
+def _cg(K, shift, B):
+    """Solve ``(K + shift I) X = B`` by conjugate gradients, or return None.
+
+    The columns of ``B`` advance in lockstep, one product with ``K`` per
+    step, and a column stops once its recursive residual is within
+    ``_CG_RTOL`` of its right-hand side.  The result is None when a column
+    has not stopped after ``_CG_MAXIT`` steps, or when a step's curvature
+    p'Sp / p'p is not above ``_PIVOT_RTOL`` times the largest seen, the
+    floor the factorization's pivots use; a curvature that is not positive
+    never passes.  ``K`` is only read.
+    """
+    X = np.zeros_like(B)
+    R = B.copy()
+    P = B.copy()
+    rr = np.einsum("ij,ij->j", R, R)
+    stop = (_CG_RTOL**2) * rr
+    top = 0.0
+    for _ in range(_CG_MAXIT):
+        live = np.flatnonzero(~(rr <= stop))  # a NaN residual stays live
+        if not live.size:
+            return X
+        # A stopped column is left out: its next direction would be 0.
+        p = P[:, live]
+        q = matmul(K, p) + shift * p
+        pq = np.einsum("ij,ij->j", p, q)
+        curv = pq / np.einsum("ij,ij->j", p, p)
+        top = max(top, curv.max())
+        if not (curv > _PIVOT_RTOL * top).all():  # also a NaN, 0 or negative curvature
+            return None
+        step = rr[live] / pq
+        X[:, live] += step * p
+        r = R[:, live] - step * q
+        r_r = np.einsum("ij,ij->j", r, r)
+        R[:, live] = r
+        P[:, live] = r + (r_r / rr[live]) * p
+        rr[live] = r_r
+    return X if (rr <= stop).all() else None
 
 
 def _factor(K, shift):
@@ -102,19 +149,26 @@ def train(gram: np.ndarray, labels: np.ndarray, gamma: float):
         raise ValueError(f"gamma must be positive, got {gamma}")
 
     shift = n / gamma
-    solve = _factor(K, shift)
-    sol = solve(np.column_stack([y, np.ones(n)]))
+    B = np.column_stack([y, np.ones(n)])
+    solve = None  # S is factored only when conjugate gradients give up
+    sol = _cg(K, shift, B)
+    if sol is None:
+        solve = _factor(K, shift)
+        sol = solve(B)
     sy, s1 = sol[:, 0], sol[:, 1]
     bias = sy.sum() / s1.sum()
     alpha = sy - bias * s1
 
-    # Residual guard: one iterative-refinement pass, reusing the
-    # factorization, before declaring it unusable.  Written as "not <=" so
-    # that a NaN residual fails it too.
+    # Residual guard: one iterative-refinement pass with the factorization
+    # (made now if conjugate gradients solved) before declaring the
+    # solution unusable.  Written as "not <=" so that a NaN residual fails
+    # it too.
     target = y - bias
     resid = matmul(K, alpha) + shift * alpha - target
     tol = 1e-8 * (np.linalg.norm(y) + abs(bias) * np.sqrt(n))
     if not np.linalg.norm(resid) <= tol:
+        if solve is None:
+            solve = _factor(K, shift)
         alpha = alpha - solve(resid[:, None])[:, 0]
         resid = matmul(K, alpha) + shift * alpha - target
         if not np.linalg.norm(resid) <= tol:

@@ -149,13 +149,15 @@ def _toeplitz_root(cov: ToeplitzCov) -> np.ndarray:
 
 def _check_cov(C, p, name):
     """``C`` as the model stores it: a :class:`ToeplitzCov` as given, any
-    other input as a dense symmetric array, whose eigenvalues
+    other input as a dense finite symmetric array, whose eigenvalues
     :class:`MixtureModel` then tests."""
     C = C if isinstance(C, ToeplitzCov) else np.asarray(C, dtype=float)
     if C.shape != (p, p):
         raise ValueError(f"{name} must be {p}x{p}, got {C.shape}")
     if isinstance(C, ToeplitzCov):
         return C
+    if not np.isfinite(C).all():  # a NaN would pass the symmetry test below
+        raise ValueError(f"{name} must be finite")
     scale = max(1.0, np.abs(C).max())
     if np.abs(C - C.T).max() > 1e-12 * scale:
         raise ValueError(f"{name} is not symmetric")
@@ -193,6 +195,8 @@ class MixtureModel:
             mu = np.asarray(getattr(self, name), dtype=float)
             if mu.shape != (p,):
                 raise ValueError(f"{name} must have shape ({p},), got {mu.shape}")
+            if not np.isfinite(mu).all():
+                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, mu)
         object.__setattr__(self, "cov1", _check_cov(self.cov1, p, "cov1"))
         object.__setattr__(self, "cov2", _check_cov(self.cov2, p, "cov2"))

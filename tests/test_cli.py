@@ -262,12 +262,22 @@ def small_sweep_doc(**changes):
         ("predict", {"kernel": {"kind": "polynomial", "coeffs": [1, float("inf")]}}),
         ("predict", {"kernel": {"kind": "local", "tau": float("nan"), "f": 4.0, "fp": 0.0,
                                 "fpp": 2.0}}),
+        ("predict", {"model": {"p": 16, "mean1": "unit_spike(1, inf)",
+                               "mean2": "unit_spike(2, 2.0)", "cov1": "identity",
+                               "cov2": "identity", "c1": 0.5}}),
+        ("sweep", {"model": {"p": 16, "mean1": [float("nan")] + [0.0] * 15, "mean2": "zeros",
+                             "cov1": "identity", "cov2": "identity", "c1": 0.5}}),
+        ("sweep", {"sweep": {"axis": "mu_offset", "grid": [float("inf")]}}),
+        ("predict", {"model": {"p": 4, "mean1": "zeros", "mean2": "unit_spike(2, 2.0)",
+                               "cov1": np.diag([1.0, float("nan"), 1.0, 1.0]).tolist(),
+                               "cov2": "identity", "c1": 0.5}}),
     ],
     ids=["predict-gamma0", "predict-n0", "predict-gamma-negative", "predict-n1",
          "predict-gamma-nan", "predict-convention", "sweep-gamma0", "sweep-n_test1",
          "sweep-n1", "sweep-trials0", "histogram-gamma-inf", "histogram-trials-null",
          "predict-toeplitz-scale-inf", "predict-gaussian-sigma2-inf",
-         "predict-polynomial-coeff-inf", "predict-local-tau-nan"],
+         "predict-polynomial-coeff-inf", "predict-local-tau-nan", "predict-spike-inf",
+         "sweep-dense-mean-nan", "sweep-mu_offset-inf", "predict-dense-cov-nan"],
 )
 def test_invalid_config_is_a_one_line_data_error(tmp_path, capsys, command, bad):
     config = write_config(tmp_path, small_sweep_doc(**bad))

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lssvmlim import lssvm
 from lssvmlim.errors import DimensionMismatch, OneClassOnly, SingularSystem
 from lssvmlim.kernels import GaussianKernel, TaylorKernel, gram_matrix, kernel_vector
 from lssvmlim.lssvm import (
@@ -106,6 +107,16 @@ def factor_calls(monkeypatch):
     return calls
 
 
+def _gave_up(*args):
+    return None
+
+
+@pytest.fixture
+def no_cg(monkeypatch):
+    """Make conjugate gradients give up, so that ``train`` factors S."""
+    monkeypatch.setattr(lssvm, "_cg", _gave_up)
+
+
 def assert_solves(K, labels, gamma, alpha, bias):
     n = len(labels)
     resid = (K + (n / gamma) * np.eye(n)) @ alpha - (labels - bias)
@@ -113,7 +124,39 @@ def assert_solves(K, labels, gamma, alpha, bias):
     assert abs(alpha.sum()) < 1e-8
 
 
-def test_positive_definite_system_takes_one_cholesky(factor_calls):
+def test_well_conditioned_system_takes_cg(factor_calls):
+    rng = np.random.default_rng(31)
+    X, labels = random_instance(rng, 40, 10)
+    K = gram_matrix(X, GaussianKernel(1.0))
+    alpha, bias = train(K, labels, 1.0)
+    assert factor_calls == {"cho_factor": 0, "lu_factor": 0, "qr": 0}
+    assert_solves(K, labels, 1.0, alpha, bias)
+
+
+def test_cg_stops_a_column_once_it_has_converged(factor_calls):
+    # the rows of K sum to 1, so 1 is an eigenvector of S = K + I: its column
+    # reaches an exactly zero residual in one step, while y takes three, and
+    # a next direction of 0 would have a curvature of 0/0
+    K = scipy.linalg.circulant([0.5, 0.25, 0, 0, 0, 0, 0, 0.25])
+    labels = np.array([-1.0, -1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
+    alpha, bias = train(K, labels, gamma=8.0)
+    assert factor_calls == {"cho_factor": 0, "lu_factor": 0, "qr": 0}
+    assert_solves(K, labels, 8.0, alpha, bias)
+
+
+def test_cg_that_misses_the_residual_guard_is_refined_by_one_cholesky(monkeypatch, factor_calls):
+    rng = np.random.default_rng(31)
+    X, labels = random_instance(rng, 40, 10)
+    K = gram_matrix(X, GaussianKernel(1.0))
+    real_cg = lssvm._cg
+    # scaling both columns keeps the bias and moves alpha by 1e-6 relative
+    monkeypatch.setattr(lssvm, "_cg", lambda *args: real_cg(*args) * (1 + 1e-6))
+    alpha, bias = train(K, labels, 1.0)
+    assert factor_calls == {"cho_factor": 1, "lu_factor": 0, "qr": 0}
+    assert_solves(K, labels, 1.0, alpha, bias)
+
+
+def test_positive_definite_system_takes_one_cholesky(no_cg, factor_calls):
     rng = np.random.default_rng(31)
     X, labels = random_instance(rng, 40, 10)
     K = gram_matrix(X, GaussianKernel(1.0))
@@ -159,11 +202,23 @@ def _collapsed_lu(a, **kwargs):
     return np.zeros_like(a), np.arange(len(a), dtype=np.int32)
 
 
-# scipy.linalg names replaced to force each solver path
+def _unreachable(*args):
+    raise AssertionError("conjugate gradients gave up")
+
+
+# names replaced to force each solver path.  A uniform spectrum has no
+# clusters, so conjugate gradients take about n steps on it, more than
+# _CG_MAXIT allows past n = 16; the "cg" path gets room for every n drawn
+# and must not reach the factorization.
 SOLVER_PATHS = {
-    "cholesky": {},
-    "lu": {"cho_factor": _failed_cholesky},
-    "qr": {"cho_factor": _failed_cholesky, "lu_factor": _collapsed_lu},
+    "cg": {"lssvmlim.lssvm._CG_MAXIT": 48, "lssvmlim.lssvm._factor": _unreachable},
+    "cholesky": {"lssvmlim.lssvm._cg": _gave_up},
+    "lu": {"lssvmlim.lssvm._cg": _gave_up, "scipy.linalg.cho_factor": _failed_cholesky},
+    "qr": {
+        "lssvmlim.lssvm._cg": _gave_up,
+        "scipy.linalg.cho_factor": _failed_cholesky,
+        "scipy.linalg.lu_factor": _collapsed_lu,
+    },
 }
 
 
@@ -182,16 +237,16 @@ def test_solver_paths_agree_on_an_indefinite_kernel(n, seed):
     solved = {}
     for path, fakes in SOLVER_PATHS.items():
         with pytest.MonkeyPatch.context() as mp:
-            for name, fake in fakes.items():
-                mp.setattr(scipy.linalg, name, fake)
+            for target, fake in fakes.items():
+                mp.setattr(target, fake)
             solved[path] = train(K, labels, gamma=n)
     alpha, bias = solved["cholesky"]
-    for path in ("lu", "qr"):
+    for path in ("cg", "lu", "qr"):
         np.testing.assert_allclose(solved[path][0], alpha, rtol=0, atol=1e-9)
         assert abs(solved[path][1] - bias) <= 1e-9
 
 
-def test_refinement_pass_reuses_the_factorization(monkeypatch, factor_calls):
+def test_refinement_pass_reuses_the_factorization(monkeypatch, no_cg, factor_calls):
     rng = np.random.default_rng(37)
     X, labels = random_instance(rng, 30, 8)
     K = gram_matrix(X, GaussianKernel(1.0))
@@ -383,7 +438,7 @@ def test_nan_gram_is_a_singular_system(factor_calls, pos):
     assert factor_calls == {"cho_factor": 1, "lu_factor": 1, "qr": 1}
 
 
-def test_nan_solution_fails_the_residual_guard(monkeypatch):
+def test_nan_solution_fails_the_residual_guard(monkeypatch, no_cg):
     # a factorization that passes its pivot check but solves to NaN must not
     # come back as NaN coefficients
     real_solve = scipy.linalg.cho_solve

@@ -70,6 +70,14 @@ def test_asymmetric_covariance_rejected():
         MixtureModel(3, np.zeros(3), np.zeros(3), C, np.eye(3), c1=0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_covariance_rejected_before_its_eigenvalues(bad):
+    C = np.eye(3)
+    C[1, 1] = bad
+    with pytest.raises(ValueError, match="cov2 must be finite"):
+        MixtureModel(3, np.zeros(3), np.zeros(3), np.eye(3), C, c1=0.5)
+
+
 def test_indefinite_covariance_rejected():
     C = np.diag([1.0, -0.5, 1.0])
     with pytest.raises(ValueError):

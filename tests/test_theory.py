@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import RBF_UNIT, balanced_model, shape_kernel, shape_only_model, skew_model
 from lssvmlim.errors import DegenerateStats
@@ -17,6 +19,7 @@ from lssvmlim.theory import (
     q_function,
     random_equivalent,
 )
+from lssvmlim.theory import _reduced_threshold
 
 # ---------------------------------------------------------------- q-function
 
@@ -349,6 +352,25 @@ def test_optimal_threshold_beats_grid_search(c1):
     # and it beats the naive rules on this unbalanced model
     assert w <= error_rates(st, 0.0)[2]
     assert w <= error_rates(st, st.bias)[2]
+
+
+_MEANS = st.floats(-5.0, 5.0)
+_SPREADS = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(e1=_MEANS, s1=_SPREADS, e2=_MEANS, s2=_SPREADS, c1=st.floats(0.05, 0.95))
+def test_threshold_mirrors_with_the_classes(e1, s1, e2, s2, c1):
+    # negating the scores and swapping the classes negates the threshold
+    assume(not (s1 == s2 == 0.0 and e1 == e2))  # no threshold separates them
+    c2 = 1.0 - c1
+    stats = _stats(e1=e1, e2=e2, s1=s1, s2=s2, c1=c1, c2=c2)
+    mirror = _stats(e1=-e2, e2=-e1, s1=s2, s2=s1, c1=c2, c2=c1)
+    assert error_at_optimal(mirror)[3] == pytest.approx(error_at_optimal(stats)[3], rel=0, abs=1e-12)
+    # equal weights and spreads with e1 >= e2 make both ends of the search
+    # optimal, and each side keeps the end it tries first
+    if not (c1 == c2 and s1 == s2 and e1 >= e2):
+        assert _reduced_threshold(mirror) == pytest.approx(-_reduced_threshold(stats), rel=1e-9, abs=1e-12)
 
 
 # ------------------------------------------------------ structural invariants
