@@ -92,8 +92,6 @@ def cmd_sweep(args):
     fmt = args.format or ("json" if args.full or not args.out else "csv")
     if fmt == "json":
         _emit(result.to_json(full=args.full), args)
-    elif not args.out:
-        raise ValueError("--format csv requires --out")
     else:
         result.to_csv(args.out)
     return 0
@@ -213,7 +211,7 @@ def build_parser():
     p = sub.add_parser("sweep", help="empirical vs predicted error over a parameter grid")
     options(p, "--config", "--out", "--format", "--seed", "--trials", "--threshold")
     p.add_argument("--full", action="store_true", help="include per-trial records (JSON)")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, usage_error=p.error)
 
     p = sub.add_parser("histogram", help="pooled score samples with Gaussian overlay")
     options(p, "--config", "--out", "--seed", "--trials")
@@ -249,6 +247,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "format", None) == "csv" and not args.out:
+            args.usage_error("--format csv requires --out")
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:

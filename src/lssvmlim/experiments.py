@@ -142,6 +142,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown label convention: {self.convention!r}")
         if self.axis is not None and len(self.grid) == 0:
             raise ValueError("sweep grid must be nonempty")
+        if self.axis == "c0" and not all(0 < v < np.inf for v in self.grid):
+            raise ValueError(f"c0 grid values must be finite and positive, got {list(self.grid)}")
         if self.threshold_rule not in THRESHOLD_RULES:
             raise ValueError(f"unknown threshold rule: {self.threshold_rule!r}")
 

@@ -15,7 +15,8 @@ is factored instead.  ``S`` is symmetric but not guaranteed positive
 definite (locally specified kernels may produce indefinite Gram matrices),
 so Cholesky is tried first, then a partially pivoted LU if Cholesky fails or
 a pivot collapses, then a rank-revealing column-pivoted QR if an LU pivot
-collapses too.
+collapses too.  Only the factorization uses SciPy, so a system that
+conjugate gradients solve loads none of it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import matmul
 from .errors import DimensionMismatch, OneClassOnly, SingularSystem
 from .kernels import KernelProfile, gram_matrix, kernel_vector
 
@@ -63,7 +63,7 @@ def _cg(K, shift, B):
             return X
         # A stopped column is left out: its next direction would be 0.
         p = P[:, live]
-        q = matmul(K, p) + shift * p
+        q = K @ p + shift * p
         pq = np.einsum("ij,ij->j", p, q)
         curv = pq / np.einsum("ij,ij->j", p, p)
         top = max(top, curv.max())
@@ -87,7 +87,7 @@ def _factor(K, shift):
     rebuilds ``S`` from ``K`` in the same buffer.  A factorization is kept
     only if its pivots stay above ``_PIVOT_RTOL * ||S||_inf``.
     """
-    import scipy.linalg  # imported here: training is its only user
+    import scipy.linalg  # imported here: only this fallback needs it
 
     S = _shifted(np.empty_like(K, order="C"), K, shift)
     floor = _PIVOT_RTOL * scipy.linalg.lapack.dlange("1", S.T)  # ||S||_inf
@@ -114,7 +114,7 @@ def _factor(K, shift):
 
     def solve(B):
         out = np.empty_like(B)
-        out[perm] = scipy.linalg.solve_triangular(r, matmul(q.T, B))
+        out[perm] = scipy.linalg.solve_triangular(r, q.T @ B)
         return out
 
     return solve
@@ -164,13 +164,13 @@ def train(gram: np.ndarray, labels: np.ndarray, gamma: float):
     # solution unusable.  Written as "not <=" so that a NaN residual fails
     # it too.
     target = y - bias
-    resid = matmul(K, alpha) + shift * alpha - target
+    resid = K @ alpha + shift * alpha - target
     tol = 1e-8 * (np.linalg.norm(y) + abs(bias) * np.sqrt(n))
     if not np.linalg.norm(resid) <= tol:
         if solve is None:
             solve = _factor(K, shift)
         alpha = alpha - solve(resid[:, None])[:, 0]
-        resid = matmul(K, alpha) + shift * alpha - target
+        resid = K @ alpha + shift * alpha - target
         if not np.linalg.norm(resid) <= tol:
             raise SingularSystem(
                 f"training residual {np.linalg.norm(resid):.3e} exceeds {tol:.3e}"
@@ -252,5 +252,5 @@ class TrainedModel:
             raise DimensionMismatch(f"expected a {self.p} x m matrix, got {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("the points to score must be finite")
-        return matmul(self.alpha, kernel_vector(self.X, pts, self.profile)) + self.bias
+        return self.alpha @ kernel_vector(self.X, pts, self.profile) + self.bias
 

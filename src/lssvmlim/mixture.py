@@ -14,7 +14,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._blas import matmul
 from .errors import EigFailure
 
 _MASK64 = (1 << 64) - 1
@@ -360,7 +359,7 @@ def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> LatentDataset:
     ):
         z = rng.standard_normal((p, block.stop - block.start))
         om = omega[:, block]
-        np.divide(sqrt_cov * z if np.ndim(sqrt_cov) == 0 else matmul(sqrt_cov, z), sqrt_p, out=om)
+        np.divide(sqrt_cov * z if np.ndim(sqrt_cov) == 0 else sqrt_cov @ z, sqrt_p, out=om)
         np.multiply(om, sqrt_p, out=X[:, block])
         X[:, block] += mu[:, None]
         psi[block] = np.einsum("ij,ij->j", om, om) - trace / p

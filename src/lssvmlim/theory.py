@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import matmul
 from .errors import DegenerateStats
 from .kernels import KernelProfile
 from .mixture import LatentDataset, MixtureModel
@@ -82,9 +81,7 @@ def noise_term(
     This is an oracle for validating the asymptotics, not an estimator: it
     reads latents that are unobservable in practice.
     """
-    # one block, which SciPy's BLAS reads in place (a class's columns of a
-    # test set are not)
-    omega_x = np.ascontiguousarray(omega_x, dtype=float)
+    omega_x = np.asarray(omega_x, dtype=float)
     n = dataset.n
     p = model.p
     if omega_x.shape[0] != p:
@@ -93,8 +90,8 @@ def noise_term(
     c2 = dataset.n2 / n
     _, fp, fpp = profile.derivatives(model.tau)
     y_centered = dataset.labels - (c2 - c1)
-    t1 = -2.0 * fp / n * matmul(matmul(dataset.omega, y_centered), omega_x)
-    t2 = -4.0 * c1 * c2 * fp / np.sqrt(p) * matmul(model.mean_gap, omega_x)
+    t1 = -2.0 * fp / n * ((dataset.omega @ y_centered) @ omega_x)
+    t2 = -4.0 * c1 * c2 * fp / np.sqrt(p) * (model.mean_gap @ omega_x)
     t3 = 2.0 * c1 * c2 * fpp * np.asarray(psi_x, dtype=float) * (model.trace_gap / p)
     out = t1 + t2 + t3
     return float(out) if omega_x.ndim == 1 else out
@@ -325,7 +322,7 @@ def _reduced_optimal(e1, s1, e2, s2, c1, c2):
 
     Prefers a stationary point inside [e1, e2]; otherwise evaluates every
     stationary point together with the endpoints e1 - 6 s1 and e2 + 6 s2 and
-    keeps the best.  Assumes e1 <= e2 (callers swap signs otherwise).
+    keeps the best.
     """
     if s1 == 0.0 and s2 == 0.0:
         if e1 == e2:
@@ -348,13 +345,8 @@ def _reduced_optimal(e1, s1, e2, s2, c1, c2):
 
 
 def _reduced_threshold(stats: TheoryStats) -> float:
-    """Optimal reduced threshold; when the class means come out inverted
-    (e1 > e2) the roles are swapped by mirroring, so it is the minimizer for
-    the relabeled problem."""
-    c1, c2 = stats.c1, stats.c2
-    if stats.e1 <= stats.e2:
-        return _reduced_optimal(stats.e1, stats.s1, stats.e2, stats.s2, c1, c2)
-    return -_reduced_optimal(-stats.e2, stats.s2, -stats.e1, stats.s1, c2, c1)
+    """Optimal reduced threshold."""
+    return _reduced_optimal(stats.e1, stats.s1, stats.e2, stats.s2, stats.c1, stats.c2)
 
 
 def optimal_threshold(stats: TheoryStats) -> float:

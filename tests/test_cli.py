@@ -271,13 +271,17 @@ def small_sweep_doc(**changes):
         ("predict", {"model": {"p": 4, "mean1": "zeros", "mean2": "unit_spike(2, 2.0)",
                                "cov1": np.diag([1.0, float("nan"), 1.0, 1.0]).tolist(),
                                "cov2": "identity", "c1": 0.5}}),
+        ("sweep", {"sweep": {"axis": "c0", "grid": [0.5, 0.0]}}),
+        ("sweep", {"sweep": {"axis": "c0", "grid": [-2.0]}}),
+        ("sweep", {"sweep": {"axis": "c0", "grid": [float("inf")]}}),
     ],
     ids=["predict-gamma0", "predict-n0", "predict-gamma-negative", "predict-n1",
          "predict-gamma-nan", "predict-convention", "sweep-gamma0", "sweep-n_test1",
          "sweep-n1", "sweep-trials0", "histogram-gamma-inf", "histogram-trials-null",
          "predict-toeplitz-scale-inf", "predict-gaussian-sigma2-inf",
          "predict-polynomial-coeff-inf", "predict-local-tau-nan", "predict-spike-inf",
-         "sweep-dense-mean-nan", "sweep-mu_offset-inf", "predict-dense-cov-nan"],
+         "sweep-dense-mean-nan", "sweep-mu_offset-inf", "predict-dense-cov-nan",
+         "sweep-c0-zero", "sweep-c0-negative", "sweep-c0-inf"],
 )
 def test_invalid_config_is_a_one_line_data_error(tmp_path, capsys, command, bad):
     config = write_config(tmp_path, small_sweep_doc(**bad))
@@ -367,7 +371,7 @@ def test_toml_config_predicts_as_its_json_twin(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-SCIPY_FREE_PREDICT = """
+SCIPY_FREE_RUNS = """
 import sys
 
 def scipy_modules():
@@ -381,13 +385,19 @@ if main(["predict", "--config", sys.argv[1]]) != 0:
     sys.exit("predict failed")
 if scipy_modules():
     sys.exit(f"predict loaded {scipy_modules()}")
+if main(["sweep", "--config", sys.argv[2]]) != 0:
+    sys.exit("sweep failed")
+if scipy_modules():
+    sys.exit(f"a trial solved by conjugate gradients loaded {scipy_modules()}")
 """
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # no part of SciPy at all, after the import and after a prediction
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    # no part of SciPy at all, after the import, after a prediction and after
+    # a one-trial sweep whose system conjugate gradients solve
     config = str(Path(CONFIG_DIR, "sweep_width.json").resolve())
-    proc = python_with_package("-c", SCIPY_FREE_PREDICT, config, stdout=subprocess.DEVNULL)
+    sweep = write_config(tmp_path, small_sweep_doc())
+    proc = python_with_package("-c", SCIPY_FREE_RUNS, config, sweep, stdout=subprocess.DEVNULL)
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
 
@@ -407,6 +417,7 @@ def test_import_leaves_scipy_stats_unloaded():
         ("estimate-tau", "--trials=1"),
         ("estimate-tau", "--threshold=zero"),
         ("mnist-stats", "--format=json"),
+        ("sweep", "--format=csv"),  # CSV goes only to a file: --out is missing
     ],
 )
 def test_a_flag_the_subcommand_would_ignore_is_a_usage_error(tmp_path, command, flag):
@@ -418,7 +429,9 @@ def test_a_flag_the_subcommand_would_ignore_is_a_usage_error(tmp_path, command, 
                                stdout=subprocess.PIPE)
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 1, err
-    assert out == "" and f"unrecognized arguments: {flag}" in err
+    reason = {("sweep", "--format=csv"): "--format csv requires --out"}.get(
+        (command, flag), f"unrecognized arguments: {flag}")
+    assert out == "" and reason in err
 
 
 def test_closed_stdout_exits_quietly(tmp_path):

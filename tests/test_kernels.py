@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lssvmlim.kernels import (
+    _ROWS,
+    _TILE,
     GaussianKernel,
     PolynomialKernel,
     TaylorKernel,
+    _gram,
     gram_matrix,
     kernel_from_spec,
     kernel_vector,
@@ -156,8 +161,8 @@ def test_gram_and_kernel_vector_bit_identical_to_reference_expansion(profile, n)
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided", "column_slice"])
 def test_gram_exactly_symmetric_for_any_memory_layout(layout):
-    # symmetry rests on X.T @ X being one symmetric rank-k update; a strided
-    # view used to reach a general product, asymmetric in the last bits
+    # symmetry rests on _gram mirroring one triangle of X.T @ X; NumPy's own
+    # product of a strided view is a general one, asymmetric in the last bits
     rng = np.random.default_rng(29)
     big = rng.standard_normal((80, 600))
     X = {
@@ -170,6 +175,37 @@ def test_gram_exactly_symmetric_for_any_memory_layout(layout):
         K = gram_matrix(X, profile)
         assert np.array_equal(K, K.T)
         assert np.all(np.diag(K) == profile.value(0.0))
+
+
+# column counts on both sides of the block-row and mirror-tile edges
+_GRAM_COLUMNS = st.one_of(
+    st.sampled_from([1, 2, _TILE - 1, _TILE, _TILE + 1, _ROWS - 1, _ROWS, _ROWS + 1,
+                     _ROWS + _TILE, 2 * _ROWS + 3]),
+    st.integers(1, 3 * _ROWS),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 24), _GRAM_COLUMNS, st.sampled_from(["C", "F", "strided"]),
+       st.integers(0, 2**32 - 1))
+def test_gram_is_numpys_product_and_exactly_symmetric(p, n, layout, seed):
+    base = np.random.default_rng(seed).standard_normal((2 * p, 3 * n))
+    X = {"C": np.ascontiguousarray(base[:p, :n]), "F": np.asfortranarray(base[:p, :n]),
+         "strided": base[::2, ::3]}[layout]
+    before = X.copy()
+    Y = np.ascontiguousarray(X)  # NumPy's X.T @ X is one rank-k update only on one buffer
+    G, want = _gram(X), Y.T @ Y
+    assert np.array_equal(G, G.T)
+    assert np.array_equal(X, before)
+    if n <= _ROWS or n % _TILE == 0:
+        # one block row is NumPy's own product; past it, the general products
+        # run the rank-k update's BLAS kernel on the same whole tiles
+        assert G.tobytes() == want.tobytes()
+    else:
+        # the kernel's edge tiles fall elsewhere: rounding differs, by at most
+        # twice the bound on one p-term dot product
+        bound = 2 * p * np.finfo(float).eps * (np.abs(Y).T @ np.abs(Y))
+        assert np.all(np.abs(G - want) <= bound)
 
 
 def test_gram_duplicate_columns_hit_f_zero():
