@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-_ROWS = 512  # rows of X' X per product when filling its upper triangle
+_ROWS = 512  # rows of the Gram's upper triangle built per block row
 _TILE = 64  # rows and columns per block when mirroring that triangle
 
 
@@ -40,8 +40,11 @@ class GaussianKernel(_Profile):
         return np.exp(u, out=u)
 
     def derivatives(self, u):
-        f = float(np.exp(-float(u) / (2.0 * self.sigma2)))
-        return f, -f / (2.0 * self.sigma2), f / (4.0 * self.sigma2**2)
+        try:
+            f = float(np.exp(-float(u) / (2.0 * self.sigma2)))
+            return f, -f / (2.0 * self.sigma2), f / (4.0 * self.sigma2**2)
+        except ArithmeticError as exc:  # sigma2**2 overflows or underflows to 0
+            raise ValueError(f"sigma2 = {self.sigma2} gives non-finite derivatives") from exc
 
 
 @dataclass(frozen=True)
@@ -60,11 +63,12 @@ class PolynomialKernel(_Profile):
         object.__setattr__(self, "coeffs", coeffs)
 
     def _apply(self, u):
-        out = np.zeros_like(u)
+        x = u.copy()  # Horner overwrites u while it still needs the argument
+        u.fill(0.0)
         for c in reversed(self.coeffs):
-            out *= u
-            out += c
-        return out
+            u *= x
+            u += c
+        return u
 
     def derivatives(self, u):
         u = float(u)
@@ -118,66 +122,55 @@ class TaylorKernel(_Profile):
 KernelProfile = Union[GaussianKernel, PolynomialKernel, TaylorKernel]
 
 
-def _gram(X):
-    """``X.T @ X`` for a 2-D ``X``, exactly symmetric.
-
-    NumPy's own ``X.T @ X`` is a symmetric rank-k update whose triangle it
-    mirrors one column at a time, which about doubles its time at the sizes
-    the package trains on.  Here general products fill the upper triangle
-    ``_ROWS`` rows at a time, and it is mirrored tile by tile.  Up to
-    ``_ROWS`` columns the result is NumPy's product itself; past that, the
-    two agree bit for bit where the BLAS kernel's tiles fall alike, which
-    includes every ``n`` that is a multiple of ``_TILE``, and elsewhere may
-    differ in the last bits.  An ``X`` that is not one contiguous buffer is
-    first copied into C order.
-    """
-    X = X if X.flags.forc else np.ascontiguousarray(X)
-    n = X.shape[1]
-    G = np.empty((n, n))
-    for i in range(0, n, _ROWS):
-        np.matmul(X[:, i : i + _ROWS].T, X[:, i:], out=G[i : i + _ROWS, i:])
-    # Block by block: a column-at-a-time copy misses the cache on every write.
-    for i in range(0, n, _TILE):
-        for j in range(0, i, _TILE):
-            G[i : i + _TILE, j : j + _TILE] = G[j : j + _TILE, i : i + _TILE].T
-        for r in range(i + 1, min(i + _TILE, n)):
-            G[r, i:r] = G[i:r, r]
-    return G
-
-
-def pairwise_sq_dists(X: np.ndarray, Q: np.ndarray | None = None) -> np.ndarray:
-    """Squared distances between the columns of ``X`` and those of ``Q``
-    (default ``X``) by the inner-product expansion, clamped at zero.
-
-    Without ``Q`` the result is exactly symmetric with an exactly zero
-    diagonal: :func:`_gram` fills one triangle of ``X.T @ X`` and mirrors
-    it."""
-    X = np.asarray(X, dtype=float)
-    G = _gram(X) if Q is None else X.T @ Q
-    a = np.diagonal(G).copy() if Q is None else np.einsum("ij,ij->j", X, X)
-    D = np.add.outer(a, a if Q is None else np.einsum("ij,ij->j", Q, Q))
-    G *= -2.0
-    D += G
-    np.maximum(D, 0.0, out=D)
-    if Q is None:
-        np.fill_diagonal(D, 0.0)
-    return D
-
-
-def _kernel(X, Q, profile):
-    """``f(D / p)`` evaluated in the buffer of ``D = pairwise_sq_dists(X, Q)``."""
-    D = pairwise_sq_dists(X, Q)
-    D /= np.shape(X)[0]
-    return profile._apply(D)
-
-
 def gram_matrix(data: np.ndarray, profile: KernelProfile) -> np.ndarray:
     """Kernel matrix ``K[i, j] = f(||x_i - x_j||^2 / p)`` over the columns
     ``x_i`` of ``data`` (shape ``p x n``).
 
-    ``K`` is symmetric by construction with diagonal exactly ``f(0)``.
+    ``K`` is exactly symmetric with diagonal exactly ``f(0)``.  Each ``_ROWS``
+    rows of its upper triangle are built in ``K``'s own buffer: a general
+    product of ``X' X`` (NumPy's ``X.T @ X`` mirrors its triangle one column
+    at a time, about doubling its cost), the distances ``(a_i + a_j) - 2 G_ij``
+    with ``a`` the product's diagonal, clamped at zero, then ``f`` of their
+    ratio to ``p``.  The triangle is then mirrored, so the build holds ``K``
+    and about one block row.  A non-contiguous ``X`` is copied first.
     """
-    return _kernel(data, None, profile)
+    X = np.asarray(data, dtype=float)
+    X = X if X.flags.forc else np.ascontiguousarray(X)
+    p, n = X.shape
+    K = np.empty((n, n))
+    a = np.empty(n)
+    # Last block row first: each needs the norms a[j] of every later column.
+    for i in reversed(range(0, n, _ROWS)):
+        B = K[i : i + _ROWS, i:]
+        np.matmul(X[:, i : i + _ROWS].T, X[:, i:], out=B)
+        a[i : i + len(B)] = np.diagonal(B)
+        B *= -2.0
+        B += np.add.outer(a[i : i + len(B)], a[i:])
+        np.maximum(B, 0.0, out=B)
+        np.fill_diagonal(B, 0.0)  # already 0 unless a norm overflowed
+        B /= p
+        profile._apply(B)
+    # Block by block: a column-at-a-time copy misses the cache on every write.
+    for i in range(0, n, _TILE):
+        for j in range(0, i, _TILE):
+            K[i : i + _TILE, j : j + _TILE] = K[j : j + _TILE, i : i + _TILE].T
+        for r in range(i + 1, min(i + _TILE, n)):
+            K[r, i:r] = K[i:r, r]
+    return K
+
+
+def pairwise_sq_dists(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Squared distances between the columns of ``X`` and those of ``Q`` by
+    the inner-product expansion ``(a_i + b_j) - 2 x_i' q_j``, clamped at zero.
+
+    This is the query path of :func:`kernel_vector`; :func:`gram_matrix`
+    runs the same expansion on one triangle of its own buffer."""
+    X = np.asarray(X, dtype=float)
+    D = X.T @ Q
+    D *= -2.0
+    D += np.add.outer(np.einsum("ij,ij->j", X, X), np.einsum("ij,ij->j", Q, Q))
+    np.maximum(D, 0.0, out=D)
+    return D
 
 
 def kernel_vector(data: np.ndarray, x: np.ndarray, profile: KernelProfile) -> np.ndarray:
@@ -188,7 +181,9 @@ def kernel_vector(data: np.ndarray, x: np.ndarray, profile: KernelProfile) -> np
     ``p x m`` matrix of query points (returns ``n x m``).
     """
     q = np.asarray(x, dtype=float)
-    out = _kernel(data, q.reshape(q.shape[0], -1), profile)
+    D = pairwise_sq_dists(data, q.reshape(q.shape[0], -1))
+    D /= np.shape(data)[0]
+    out = profile._apply(D)
     return out[:, 0] if q.ndim == 1 else out
 
 

@@ -41,6 +41,8 @@ def estimate_tau(X: np.ndarray) -> float:
     p, n = X.shape
     if n < 2:
         raise ValueError("need at least two columns")
+    if not np.isfinite(X).all():
+        raise ValueError("the data must be finite")
     Xc = X - X.mean(axis=1, keepdims=True)
     return 2.0 * float(np.vdot(Xc, Xc)) / (n * p)
 

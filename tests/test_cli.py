@@ -198,6 +198,15 @@ def test_estimate_tau_missing_file(tmp_path, capsys):
     assert main(["estimate-tau", str(tmp_path / "missing.npy")]) == 2
 
 
+def test_estimate_tau_rejects_non_finite_data(tmp_path, capsys):
+    path = tmp_path / "data.npy"
+    np.save(path, np.array([[1.0, float("nan")], [0.0, 2.0]]))
+    assert main(["estimate-tau", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lssvmlim: invalid input:") and captured.err.count("\n") == 1
+
+
 def synthetic_idx_pair(tmp_path, p=16, per_class=80):
     """Two visibly different digit classes dumped in the IDX byte format."""
     rng = np.random.default_rng(42)
@@ -259,6 +268,8 @@ def small_sweep_doc(**changes):
         ("predict", {"model": {"p": 16, "mean1": "zeros", "mean2": "unit_spike(2, 2.0)",
                                "cov1": "identity", "cov2": "toeplitz(0.4, inf)", "c1": 0.5}}),
         ("predict", {"kernel": {"kind": "gaussian", "sigma2": float("inf")}}),
+        ("predict", {"kernel": {"kind": "gaussian", "sigma2": 1e-200}}),
+        ("predict", {"kernel": {"kind": "gaussian", "sigma2": 1e300}}),
         ("predict", {"kernel": {"kind": "polynomial", "coeffs": [1, float("inf")]}}),
         ("predict", {"kernel": {"kind": "local", "tau": float("nan"), "f": 4.0, "fp": 0.0,
                                 "fpp": 2.0}}),
@@ -279,6 +290,7 @@ def small_sweep_doc(**changes):
          "predict-gamma-nan", "predict-convention", "sweep-gamma0", "sweep-n_test1",
          "sweep-n1", "sweep-trials0", "histogram-gamma-inf", "histogram-trials-null",
          "predict-toeplitz-scale-inf", "predict-gaussian-sigma2-inf",
+         "predict-gaussian-sigma2-tiny", "predict-gaussian-sigma2-huge",
          "predict-polynomial-coeff-inf", "predict-local-tau-nan", "predict-spike-inf",
          "sweep-dense-mean-nan", "sweep-mu_offset-inf", "predict-dense-cov-nan",
          "sweep-c0-zero", "sweep-c0-negative", "sweep-c0-inf"],

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,9 @@ from lssvmlim.kernels import (
     GaussianKernel,
     PolynomialKernel,
     TaylorKernel,
-    _gram,
     gram_matrix,
     kernel_from_spec,
     kernel_vector,
-    pairwise_sq_dists,
 )
 
 # Profiles chosen so the second-difference check below is not swamped by
@@ -161,7 +160,7 @@ def test_gram_and_kernel_vector_bit_identical_to_reference_expansion(profile, n)
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided", "column_slice"])
 def test_gram_exactly_symmetric_for_any_memory_layout(layout):
-    # symmetry rests on _gram mirroring one triangle of X.T @ X; NumPy's own
+    # symmetry rests on gram_matrix mirroring one triangle of X.T @ X; NumPy's own
     # product of a strided view is a general one, asymmetric in the last bits
     rng = np.random.default_rng(29)
     big = rng.standard_normal((80, 600))
@@ -187,25 +186,48 @@ _GRAM_COLUMNS = st.one_of(
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(1, 24), _GRAM_COLUMNS, st.sampled_from(["C", "F", "strided"]),
-       st.integers(0, 2**32 - 1))
-def test_gram_is_numpys_product_and_exactly_symmetric(p, n, layout, seed):
+       st.sampled_from(FD_PROFILES), st.integers(0, 2**32 - 1))
+def test_gram_is_exactly_symmetric_with_f_zero_diagonal(p, n, layout, profile, seed):
     base = np.random.default_rng(seed).standard_normal((2 * p, 3 * n))
     X = {"C": np.ascontiguousarray(base[:p, :n]), "F": np.asfortranarray(base[:p, :n]),
          "strided": base[::2, ::3]}[layout]
     before = X.copy()
-    Y = np.ascontiguousarray(X)  # NumPy's X.T @ X is one rank-k update only on one buffer
-    G, want = _gram(X), Y.T @ Y
-    assert np.array_equal(G, G.T)
+    K = gram_matrix(X, profile)
+    assert np.array_equal(K, K.T)
+    assert np.all(np.diag(K) == profile.value(0.0))
     assert np.array_equal(X, before)
-    if n <= _ROWS or n % _TILE == 0:
-        # one block row is NumPy's own product; past it, the general products
-        # run the rank-k update's BLAS kernel on the same whole tiles
-        assert G.tobytes() == want.tobytes()
-    else:
-        # the kernel's edge tiles fall elsewhere: rounding differs, by at most
-        # twice the bound on one p-term dot product
-        bound = 2 * p * np.finfo(float).eps * (np.abs(Y).T @ np.abs(Y))
-        assert np.all(np.abs(G - want) <= bound)
+
+
+def test_gram_agrees_with_direct_distances_across_block_rows():
+    # several block rows, each using the norms of the later ones
+    rng = np.random.default_rng(31)
+    p, n = 8, 2 * _ROWS + 3
+    X = rng.standard_normal((p, n))
+    K = gram_matrix(X, PolynomialKernel((0.0, 1.0)))  # f(u) = u
+    direct = np.stack([np.sum((X - X[:, [j]]) ** 2, axis=0) for j in range(n)]) / p
+    np.testing.assert_allclose(K, direct, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("profile", FD_PROFILES, ids=lambda k: type(k).__name__)
+def test_gram_holds_about_one_matrix_at_a_time(profile):
+    # K plus about one block row: a second n x n distance buffer would read 2.0
+    n = 2048
+    X = np.random.default_rng(37).standard_normal((64, n))
+    tracemalloc.start()
+    try:
+        gram_matrix(X, profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 8 * n * n
+
+
+@pytest.mark.parametrize("profile", FD_PROFILES, ids=lambda k: type(k).__name__)
+def test_apply_overwrites_its_argument(profile):
+    u = np.linspace(0.0, 6.0, 301)
+    want = _reference_value(profile, u.copy())
+    assert profile._apply(u) is u
+    assert np.array_equal(u, want)
 
 
 def test_gram_duplicate_columns_hit_f_zero():
@@ -216,10 +238,20 @@ def test_gram_duplicate_columns_hit_f_zero():
     assert K[0, 2] == K[2, 0] == float(GaussianKernel(2.0).value(0.0))
 
 
-def test_pairwise_sq_dists_clamps_and_zeroes_diagonal():
-    X = np.ones((3, 4))
-    D = pairwise_sq_dists(X)
-    assert np.all(D == 0.0)
+def test_gram_clamps_and_zeroes_diagonal():
+    identity = PolynomialKernel((0.0, 1.0))  # f(u) = u: K is the distances over p
+    assert np.all(gram_matrix(np.ones((3, 4)), identity) == 0.0)
+    # near-duplicate columns: the expansion rounds some distances below zero
+    rng = np.random.default_rng(41)
+    X = 1e3 + 1e-9 * rng.standard_normal((5, 40))
+    a = np.einsum("ij,ij->j", X, X)
+    assert (np.add.outer(a, a) - 2.0 * (X.T @ X)).min() < 0.0
+    K = gram_matrix(X, identity)
+    assert K.min() >= 0.0 and np.all(np.diag(K) == 0.0)
+    # a squared norm that overflows leaves inf - inf on the diagonal unless zeroed
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = gram_matrix(np.array([[1e200, 1.0]]), identity)
+    assert np.all(np.diag(K) == 0.0)
 
 
 def test_kernel_vector_at_training_point():
