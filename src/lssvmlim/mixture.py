@@ -99,14 +99,12 @@ class ToeplitzCov:
         if nz.size**2 <= x.size:
             xs = x[nz]
             return float(xs @ self.row[np.abs(nz[:, None] - nz)] @ xs)
-        import scipy.fft  # imported here: only a dense mean gap needs it
-
         p = self.p
-        n = scipy.fft.next_fast_len(2 * p - 1, real=True)
+        n = 1 << (2 * p - 2).bit_length()  # the least power of two >= 2p - 1
         c = np.zeros(n)  # first column of the n x n circulant holding C top-left
         c[:p] = self.row
         c[n - p + 1 :] = self.row[:0:-1]
-        cx = scipy.fft.irfft(scipy.fft.rfft(c) * scipy.fft.rfft(x, n), n)[:p]
+        cx = np.fft.irfft(np.fft.rfft(c) * np.fft.rfft(x, n), n)[:p]
         return float(x @ cx)
 
 

@@ -228,49 +228,56 @@ def gaussian_stats(
     p = model.p
     c1, c2 = model.c1, model.c2
     tau = model.tau
-    _, fp, fpp = profile.derivatives(tau)
-    D = informative_term(model, profile)
+    try:
+        _, fp, fpp = profile.derivatives(tau)
+        D = informative_term(model, profile)
 
-    tr_sq = (model.tr_c1c1, model.tr_c2c2)
-    tr_cross = (
-        (model.tr_c1c1, model.tr_c1c2),  # tr(C1 C_a), tr(C2 C_a) for a = 1
-        (model.tr_c1c2, model.tr_c2c2),  # ... for a = 2
-    )
-    quad = model.mean_gap_quad
+        tr_sq = (model.tr_c1c1, model.tr_c2c2)
+        tr_cross = (
+            (model.tr_c1c1, model.tr_c1c2),  # tr(C1 C_a), tr(C2 C_a) for a = 1
+            (model.tr_c1c2, model.tr_c2c2),  # ... for a = 2
+        )
+        quad = model.mean_gap_quad
 
-    v1, v2, v3 = [], [], []
-    for a in (0, 1):
-        v1.append(fpp**2 / p**4 * model.trace_gap**2 * tr_sq[a])
-        v2.append(2.0 * fp**2 / p**2 * quad[a])
-        c1a, c2a = tr_cross[a]
-        v3.append(2.0 * fp**2 / (n * p**2) * (c1a / c1 + c2a / c2))
+        v1, v2, v3 = [], [], []
+        for a in (0, 1):
+            v1.append(fpp**2 / p**4 * model.trace_gap**2 * tr_sq[a])
+            v2.append(2.0 * fp**2 / p**2 * quad[a])
+            c1a, c2a = tr_cross[a]
+            v3.append(2.0 * fp**2 / (n * p**2) * (c1a / c1 + c2a / c2))
 
-    if convention == "standard":
-        bias = c2 - c1
-        e1 = -2.0 * c2 * c1 * c2 * D
-        e2 = 2.0 * c1 * c1 * c2 * D
-        var_scale = 8.0 * c1**2 * c2**2
-    else:
-        bias = 0.0
-        e1 = -c2 * D
-        e2 = c1 * D
-        var_scale = 2.0
-    return TheoryStats(
-        tau=tau,
-        D=D,
-        gamma=float(gamma),
-        label_convention=convention,
-        c1=c1,
-        c2=c2,
-        bias=bias,
-        e1=e1,
-        e2=e2,
-        r1=var_scale * (v1[0] + v2[0] + v3[0]),
-        r2=var_scale * (v1[1] + v2[1] + v3[1]),
-        v1=tuple(v1),
-        v2=tuple(v2),
-        v3=tuple(v3),
-    )
+        if convention == "standard":
+            bias = c2 - c1
+            e1 = -2.0 * c2 * c1 * c2 * D
+            e2 = 2.0 * c1 * c1 * c2 * D
+            var_scale = 8.0 * c1**2 * c2**2
+        else:
+            bias = 0.0
+            e1 = -c2 * D
+            e2 = c1 * D
+            var_scale = 2.0
+        stats = TheoryStats(
+            tau=tau,
+            D=D,
+            gamma=float(gamma),
+            label_convention=convention,
+            c1=c1,
+            c2=c2,
+            bias=bias,
+            e1=e1,
+            e2=e2,
+            r1=var_scale * (v1[0] + v2[0] + v3[0]),
+            r2=var_scale * (v1[1] + v2[1] + v3[1]),
+            v1=tuple(v1),
+            v2=tuple(v2),
+            v3=tuple(v3),
+        )
+        finite = np.isfinite((D, e1, e2, stats.r1, stats.r2, *v1, *v2, *v3)).all()
+    except ArithmeticError:  # a power of a huge derivative overflowed
+        finite = False
+    if not finite:
+        raise ValueError(f"the kernel's derivatives at tau = {tau} give non-finite statistics")
+    return stats
 
 
 def _tail_pair(e1, s1, e2, s2, t):

@@ -273,6 +273,9 @@ def small_sweep_doc(**changes):
         ("predict", {"kernel": {"kind": "polynomial", "coeffs": [1, float("inf")]}}),
         ("predict", {"kernel": {"kind": "local", "tau": float("nan"), "f": 4.0, "fp": 0.0,
                                 "fpp": 2.0}}),
+        ("predict", {"kernel": {"kind": "polynomial", "coeffs": [1, 1e308, 1e308]}}),
+        ("predict", {"kernel": {"kind": "local", "tau": 2.0, "f": 4.0, "fp": 0.0,
+                                "fpp": 1e200}}),
         ("predict", {"model": {"p": 16, "mean1": "unit_spike(1, inf)",
                                "mean2": "unit_spike(2, 2.0)", "cov1": "identity",
                                "cov2": "identity", "c1": 0.5}}),
@@ -291,7 +294,8 @@ def small_sweep_doc(**changes):
          "sweep-n1", "sweep-trials0", "histogram-gamma-inf", "histogram-trials-null",
          "predict-toeplitz-scale-inf", "predict-gaussian-sigma2-inf",
          "predict-gaussian-sigma2-tiny", "predict-gaussian-sigma2-huge",
-         "predict-polynomial-coeff-inf", "predict-local-tau-nan", "predict-spike-inf",
+         "predict-polynomial-coeff-inf", "predict-local-tau-nan",
+         "predict-polynomial-coeff-huge", "predict-local-fpp-huge", "predict-spike-inf",
          "sweep-dense-mean-nan", "sweep-mu_offset-inf", "predict-dense-cov-nan",
          "sweep-c0-zero", "sweep-c0-negative", "sweep-c0-inf"],
 )
@@ -383,33 +387,54 @@ def test_toml_config_predicts_as_its_json_twin(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-SCIPY_FREE_RUNS = """
+SCIPY_BLOCKED_RUNS = """
+import json
 import sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-import lssvmlim
-if scipy_modules():
-    sys.exit(f"import lssvmlim loaded {scipy_modules()}")
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"import of {name} is blocked")
+
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("scipy was not blocked")
 from lssvmlim.cli import main
-if main(["predict", "--config", sys.argv[1]]) != 0:
-    sys.exit("predict failed")
-if scipy_modules():
-    sys.exit(f"predict loaded {scipy_modules()}")
-if main(["sweep", "--config", sys.argv[2]]) != 0:
-    sys.exit("sweep failed")
-if scipy_modules():
-    sys.exit(f"a trial solved by conjugate gradients loaded {scipy_modules()}")
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
 """
 
 
-def test_import_leaves_scipy_stats_unloaded(tmp_path):
-    # no part of SciPy at all, after the import, after a prediction and after
-    # a one-trial sweep whose system conjugate gradients solve
-    config = str(Path(CONFIG_DIR, "sweep_width.json").resolve())
-    sweep = write_config(tmp_path, small_sweep_doc())
-    proc = python_with_package("-c", SCIPY_FREE_RUNS, config, sweep, stdout=subprocess.DEVNULL)
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # with any scipy import made to fail: a prediction, a one-trial sweep, a
+    # small histogram and convergence study, and both data commands
+    data = tmp_path / "data.npy"
+    np.save(data, np.random.default_rng(3).standard_normal((16, 40)))
+    images, labels = synthetic_idx_pair(tmp_path)
+    configs = {
+        name: write_config(tmp_path, small_sweep_doc(**changes), f"{name}.json")
+        for name, changes in (
+            ("sweep", {}),
+            ("histogram", {"n": 32, "n_test": 8, "trials": 2}),
+            ("convergence", {"sizes": [[16, 16], [32, 16]], "trials": 1, "n_points": 6}),
+        )
+    }
+    runs = [
+        ["predict", "--config", str(Path(CONFIG_DIR, "sweep_width.json").resolve())],
+        *([name, "--config", path] for name, path in configs.items()),
+        ["estimate-tau", str(data)],
+        ["mnist-stats", "--images", images, "--labels", labels, "--digit-a", "8",
+         "--digit-b", "9", "--n", "64", "--n-test", "32", "--trials", "1"],
+    ]
+    proc = python_with_package("-c", SCIPY_BLOCKED_RUNS, json.dumps(runs),
+                               stdout=subprocess.DEVNULL)
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
 

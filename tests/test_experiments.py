@@ -5,6 +5,7 @@ import scipy.stats
 from helpers import RBF_UNIT, balanced_model, skew_model, spiked_means
 from lssvmlim.experiments import (
     ExperimentConfig,
+    _ks_distance,
     config_from_dict,
     empirical_error,
     empirical_error_pool,
@@ -273,6 +274,18 @@ def test_histogram_summary_fields():
                            n_test=20, trials=1, seed=5).summary()
     assert single["se_class1"] is None and single["se_class2"] is None
     assert np.isfinite(single["mean_class1"])
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 10240, "tied"])
+def test_ks_distance_matches_scipy(m):
+    rng = np.random.default_rng(11)
+    mean, sd = 0.3, 1.7
+    if m == "tied":
+        scores = np.repeat(rng.normal(mean, sd, 5), [1, 3, 2, 5, 1])
+    else:
+        scores = rng.normal(mean + 0.2, sd, m)
+    expected = scipy.stats.kstest(scores, "norm", args=(mean, sd)).statistic
+    assert abs(_ks_distance(scores, mean, sd) - expected) <= 1e-15
 
 
 def test_convergence_degenerate_model_gap_is_zero():

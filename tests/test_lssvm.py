@@ -89,21 +89,17 @@ def test_indefinite_gram_is_handled():
     assert np.linalg.norm(resid) < 1e-8 * (np.linalg.norm(labels) + abs(bias) * np.sqrt(n))
 
 
-FACTORIZATIONS = ("cho_factor", "lu_factor", "qr")
-
-
 @pytest.fixture
 def factor_calls(monkeypatch):
-    """Count the factorizations ``train`` makes, by solver path."""
-    calls = dict.fromkeys(FACTORIZATIONS, 0)
-    for name in FACTORIZATIONS:
-        real = getattr(scipy.linalg, name)
+    """Count the times ``train`` decomposes S."""
+    calls = []
+    real = lssvm._factor
 
-        def spy(*args, _name=name, _real=real, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+    def spy(K, shift):
+        calls.append(len(K))
+        return real(K, shift)
 
-        monkeypatch.setattr(scipy.linalg, name, spy)
+    monkeypatch.setattr(lssvm, "_factor", spy)
     return calls
 
 
@@ -129,7 +125,7 @@ def test_well_conditioned_system_takes_cg(factor_calls):
     X, labels = random_instance(rng, 40, 10)
     K = gram_matrix(X, GaussianKernel(1.0))
     alpha, bias = train(K, labels, 1.0)
-    assert factor_calls == {"cho_factor": 0, "lu_factor": 0, "qr": 0}
+    assert len(factor_calls) == 0
     assert_solves(K, labels, 1.0, alpha, bias)
 
 
@@ -140,11 +136,11 @@ def test_cg_stops_a_column_once_it_has_converged(factor_calls):
     K = scipy.linalg.circulant([0.5, 0.25, 0, 0, 0, 0, 0, 0.25])
     labels = np.array([-1.0, -1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
     alpha, bias = train(K, labels, gamma=8.0)
-    assert factor_calls == {"cho_factor": 0, "lu_factor": 0, "qr": 0}
+    assert len(factor_calls) == 0
     assert_solves(K, labels, 8.0, alpha, bias)
 
 
-def test_cg_that_misses_the_residual_guard_is_refined_by_one_cholesky(monkeypatch, factor_calls):
+def test_cg_that_misses_the_residual_guard_is_refined_by_one_eigh(monkeypatch, factor_calls):
     rng = np.random.default_rng(31)
     X, labels = random_instance(rng, 40, 10)
     K = gram_matrix(X, GaussianKernel(1.0))
@@ -152,54 +148,45 @@ def test_cg_that_misses_the_residual_guard_is_refined_by_one_cholesky(monkeypatc
     # scaling both columns keeps the bias and moves alpha by 1e-6 relative
     monkeypatch.setattr(lssvm, "_cg", lambda *args: real_cg(*args) * (1 + 1e-6))
     alpha, bias = train(K, labels, 1.0)
-    assert factor_calls == {"cho_factor": 1, "lu_factor": 0, "qr": 0}
+    assert len(factor_calls) == 1
     assert_solves(K, labels, 1.0, alpha, bias)
 
 
-def test_positive_definite_system_takes_one_cholesky(no_cg, factor_calls):
+def test_positive_definite_system_takes_one_eigh(no_cg, factor_calls):
     rng = np.random.default_rng(31)
     X, labels = random_instance(rng, 40, 10)
     K = gram_matrix(X, GaussianKernel(1.0))
     alpha, bias = train(K, labels, 1.0)
-    assert factor_calls == {"cho_factor": 1, "lu_factor": 0, "qr": 0}
+    assert len(factor_calls) == 1
     assert_solves(K, labels, 1.0, alpha, bias)
 
 
-def test_negative_definite_system_falls_back_to_lu(factor_calls):
+def test_negative_definite_system_takes_one_eigh(factor_calls):
     n, gamma = 10, 2.0
     K = -3.0 * (n / gamma) * np.eye(n)  # S = K + (n/gamma) I = -2 (n/gamma) I
     labels = np.array([-1.0, 1.0] * (n // 2))
     alpha, bias = train(K, labels, gamma)
-    assert factor_calls == {"cho_factor": 1, "lu_factor": 1, "qr": 0}
+    assert len(factor_calls) == 1
     assert_solves(K, labels, gamma, alpha, bias)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 @pytest.mark.parametrize(
     "S",
     [
-        np.ones((6, 6)),  # rank one: Cholesky breaks down
-        np.diag([1.0] * 5 + [1e-14]),  # positive definite, pivot below 1e-12 ||S||
+        np.ones((6, 6)),  # rank one
+        np.diag([1.0] * 5 + [1e-14]),  # positive definite, eigenvalue below 1e-12 ||S||
     ],
     ids=["rank_one", "tiny_pivot"],
 )
-def test_collapsed_pivots_reach_qr_then_raise(factor_calls, S):
+def test_collapsed_eigenvalues_raise(factor_calls, S):
     n, gamma = len(S), 1.0
     K = S - (n / gamma) * np.eye(n)
     before = K.copy()
     labels = np.array([-1.0, 1.0] * (n // 2))
-    with pytest.raises(SingularSystem):
+    with pytest.raises(SingularSystem, match="numerically singular"):
         train(K, labels, gamma)
-    assert factor_calls == {"cho_factor": 1, "lu_factor": 1, "qr": 1}
-    assert np.array_equal(K, before)  # every attempt worked on a copy
-
-
-def _failed_cholesky(*args, **kwargs):
-    raise np.linalg.LinAlgError("forced failure")
-
-
-def _collapsed_lu(a, **kwargs):
-    return np.zeros_like(a), np.arange(len(a), dtype=np.int32)
+    assert len(factor_calls) == 1
+    assert np.array_equal(K, before)  # the decomposition worked on a copy
 
 
 def _unreachable(*args):
@@ -212,21 +199,15 @@ def _unreachable(*args):
 # and must not reach the factorization.
 SOLVER_PATHS = {
     "cg": {"lssvmlim.lssvm._CG_MAXIT": 48, "lssvmlim.lssvm._factor": _unreachable},
-    "cholesky": {"lssvmlim.lssvm._cg": _gave_up},
-    "lu": {"lssvmlim.lssvm._cg": _gave_up, "scipy.linalg.cho_factor": _failed_cholesky},
-    "qr": {
-        "lssvmlim.lssvm._cg": _gave_up,
-        "scipy.linalg.cho_factor": _failed_cholesky,
-        "scipy.linalg.lu_factor": _collapsed_lu,
-    },
+    "eigh": {"lssvmlim.lssvm._cg": _gave_up},
 }
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 24), st.integers(0, 2**32 - 1))
 def test_solver_paths_agree_on_an_indefinite_kernel(n, seed):
-    # S = K + (n / gamma) I = K + I has its spectrum in [0.5, 2], so every
-    # path factors it, while K itself is indefinite
+    # S = K + (n / gamma) I = K + I has its spectrum in [0.5, 2], so both
+    # paths solve it, while K itself is indefinite
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     spectrum = rng.uniform(0.5, 2.0, n)
@@ -240,10 +221,9 @@ def test_solver_paths_agree_on_an_indefinite_kernel(n, seed):
             for target, fake in fakes.items():
                 mp.setattr(target, fake)
             solved[path] = train(K, labels, gamma=n)
-    alpha, bias = solved["cholesky"]
-    for path in ("cg", "lu", "qr"):
-        np.testing.assert_allclose(solved[path][0], alpha, rtol=0, atol=1e-9)
-        assert abs(solved[path][1] - bias) <= 1e-9
+    alpha, bias = solved["eigh"]
+    np.testing.assert_allclose(solved["cg"][0], alpha, rtol=0, atol=1e-9)
+    assert abs(solved["cg"][1] - bias) <= 1e-9
 
 
 def test_refinement_pass_reuses_the_factorization(monkeypatch, no_cg, factor_calls):
@@ -251,22 +231,26 @@ def test_refinement_pass_reuses_the_factorization(monkeypatch, no_cg, factor_cal
     X, labels = random_instance(rng, 30, 8)
     K = gram_matrix(X, GaussianKernel(1.0))
     exact = train(K, labels, 1.0)
-    factor_calls.update(dict.fromkeys(FACTORIZATIONS, 0))
+    factor_calls.clear()
 
-    real_solve = scipy.linalg.cho_solve
+    counted_factor = lssvm._factor
     solves = []
 
-    def sloppy_first_solve(*args, **kwargs):
-        # scaling both columns keeps the bias and moves alpha by 1e-6
-        # relative, which trips the residual guard
-        x = real_solve(*args, **kwargs)
-        solves.append(x.shape)
-        return x * (1 + 1e-6) if len(solves) == 1 else x
+    def sloppy_first_solve(K, shift):
+        solve = counted_factor(K, shift)
 
-    monkeypatch.setattr(scipy.linalg, "cho_solve", sloppy_first_solve)
+        def sloppy(B):
+            # scaling both columns keeps the bias and moves alpha by 1e-6
+            # relative, which trips the residual guard
+            solves.append(B.shape)
+            return solve(B) * (1 + 1e-6) if len(solves) == 1 else solve(B)
+
+        return sloppy
+
+    monkeypatch.setattr(lssvm, "_factor", sloppy_first_solve)
     alpha, bias = train(K, labels, 1.0)
     assert solves == [(30, 2), (30, 1)]
-    assert factor_calls == {"cho_factor": 1, "lu_factor": 0, "qr": 0}
+    assert len(factor_calls) == 1
     assert_solves(K, labels, 1.0, alpha, bias)
     np.testing.assert_allclose(alpha, exact[0], rtol=0, atol=1e-12)
 
@@ -274,11 +258,11 @@ def test_refinement_pass_reuses_the_factorization(monkeypatch, no_cg, factor_cal
 @pytest.mark.parametrize(
     "make_gram",
     [
-        lambda X: gram_matrix(X, GaussianKernel(1.0)),  # Cholesky
-        lambda X: -3.0 * X.shape[1] * np.eye(X.shape[1]),  # LU
+        lambda X: gram_matrix(X, GaussianKernel(1.0)),
+        lambda X: -3.0 * X.shape[1] * np.eye(X.shape[1]),  # conjugate gradients give up
         lambda X: np.asfortranarray(gram_matrix(X, GaussianKernel(1.0))),
     ],
-    ids=["cholesky", "lu", "fortran_order"],
+    ids=["cg", "eigh", "fortran_order"],
 )
 def test_train_leaves_gram_unchanged(make_gram):
     rng = np.random.default_rng(41)
@@ -433,15 +417,16 @@ def test_non_finite_labels_rejected():
 def test_nan_gram_is_a_singular_system(factor_calls, pos):
     K = 0.5 * np.eye(4)
     K[pos] = np.nan
-    with pytest.raises(SingularSystem):
+    # the eigenvalue test rejects S itself, before any solve
+    with pytest.raises(SingularSystem, match="numerically singular"):
         train(K, [-1.0, 1.0, -1.0, 1.0], 1.0)
-    assert factor_calls == {"cho_factor": 1, "lu_factor": 1, "qr": 1}
+    assert len(factor_calls) == 1
 
 
 def test_nan_solution_fails_the_residual_guard(monkeypatch, no_cg):
-    # a factorization that passes its pivot check but solves to NaN must not
-    # come back as NaN coefficients
-    real_solve = scipy.linalg.cho_solve
-    monkeypatch.setattr(scipy.linalg, "cho_solve", lambda *a, **k: real_solve(*a, **k) * np.nan)
+    # a decomposition that passes its eigenvalue check but solves to NaN must
+    # not come back as NaN coefficients
+    real_factor = lssvm._factor
+    monkeypatch.setattr(lssvm, "_factor", lambda *args: lambda B: real_factor(*args)(B) * np.nan)
     with pytest.raises(SingularSystem):
         train(0.5 * np.eye(4), [-1.0, 1.0, -1.0, 1.0], 1.0)
