@@ -338,13 +338,13 @@ def run_histogram(model, n, gamma, profile, convention, n_test, trials, seed) ->
     over independently trained models, with the per-class Gaussian prediction
     and a one-sample Kolmogorov-Smirnov distance against it."""
     n1, n2 = _class_split(n, model.c1)
+    stats = gaussian_stats(model, n1 + n2, gamma, profile, convention)  # checks the kernel first
     blocks = [
         _trial(model, n1, n2, n_test, n_test, gamma, profile, convention, mix64(seed, t))[2]
         for t in range(trials)
     ]
     scores1 = np.concatenate([b[:n_test] for b in blocks])
     scores2 = np.concatenate([b[n_test:] for b in blocks])
-    stats = gaussian_stats(model, n1 + n2, gamma, profile, convention)
     return HistogramResult(
         scores1=scores1, scores2=scores2, stats=stats, trials=trials,
         ks1=_ks_distance(scores1, stats.E1, np.sqrt(stats.Var1)),
@@ -375,6 +375,7 @@ def run_convergence(model_factory, gamma, profile, sizes, trials, base_seed, n_p
         prof = profile(model) if callable(profile) else profile
         n1, n2 = _class_split(n, model.c1)
         m1, m2 = _class_split(n_points, model.c1)
+        gaussian_stats(model, n1 + n2, gamma, prof, "standard")  # rejects an overflowing kernel
         gaps = []
         for t in range(trials):
             train_set, test_set, g = _trial(

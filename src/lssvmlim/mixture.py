@@ -18,6 +18,7 @@ from .errors import EigFailure
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_ROWS = 64  # rows of a banded root product per block
 
 
 def mix64(seed: int, k: int) -> int:
@@ -43,7 +44,7 @@ class ToeplitzCov:
     multiple of the identity; ``np.asarray`` materializes the dense matrix.
     It is not an array: read entries through ``row`` or ``np.asarray``.  Two
     instances with the same ``(rho, scale, p)`` are equal and hash alike, so
-    they share one cached square root.
+    they share one cached square root, which :func:`sample` uses within :func:`_band`.
     """
 
     __slots__ = ("rho", "scale", "row")
@@ -142,6 +143,27 @@ def _toeplitz_root(cov: ToeplitzCov) -> np.ndarray:
     root = _root(*_eigh(cov))
     root.flags.writeable = False
     return root
+
+
+def _band(cov, p) -> int:
+    """Half-bandwidth of the root of ``cov`` that :func:`sample` uses: p, or for a
+    ``ToeplitzCov`` root, which decays like rho**|i - j|, the least b with rho**b <= eps/p."""
+    if not isinstance(cov, ToeplitzCov) or cov.rho == 0:
+        return p
+    return min(p, int(np.ceil(np.log(np.finfo(float).eps / p) / np.log(cov.rho))))
+
+
+def _root_product(root, z, band, out):
+    """``out = root @ z`` within ``band`` of the diagonal of ``root``, by ``_ROWS``-row
+    blocks; one product when the band reaches p, one multiply for a scalar root."""
+    if np.ndim(root) == 0:
+        return np.multiply(z, root, out=out)
+    p = z.shape[0]
+    rows = _ROWS if band < p else p
+    for i in range(0, p, rows):
+        lo, hi = max(0, i - band), i + rows + band
+        np.matmul(root[i : i + rows, lo:hi], z[lo:hi], out=out[i : i + rows])
+    return out
 
 
 def _check_cov(C, p, name):
@@ -342,8 +364,9 @@ def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> LatentDataset:
     covariances are legal.  A :class:`ToeplitzCov` ``r0 I`` skips it:
     ``sqrt(r0) z`` equals the product with that root bit for bit.  Any other
     :class:`ToeplitzCov` takes its root from a cache shared by equal
-    covariances, so models of the same covariance decompose it once.
-    Deterministic given ``seed``.
+    covariances and multiplies by it within :func:`_band` of its diagonal:
+    each column is within ``p eps max(|R| |z|)`` of ``R z``, that product's
+    own rounding bound.  Deterministic given ``seed``.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("need at least one sample per class")
@@ -351,15 +374,16 @@ def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> LatentDataset:
     p = model.p
     sqrt_p = np.sqrt(p)
     X, omega, psi = np.empty((p, n1 + n2)), np.empty((p, n1 + n2)), np.empty(n1 + n2)
-    for block, mu, sqrt_cov, trace in (
-        (slice(0, n1), model.mu1, model.sqrt_cov1, model.trace1),
-        (slice(n1, n1 + n2), model.mu2, model.sqrt_cov2, model.trace2),
+    for block, mu, cov, sqrt_cov, trace in (
+        (slice(0, n1), model.mu1, model.cov1, model.sqrt_cov1, model.trace1),
+        (slice(n1, n1 + n2), model.mu2, model.cov2, model.sqrt_cov2, model.trace2),
     ):
         z = rng.standard_normal((p, block.stop - block.start))
         om = omega[:, block]
-        np.divide(sqrt_cov * z if np.ndim(sqrt_cov) == 0 else sqrt_cov @ z, sqrt_p, out=om)
+        _root_product(sqrt_cov, z, _band(cov, p), om)
+        om /= sqrt_p
         np.multiply(om, sqrt_p, out=X[:, block])
-        X[:, block] += mu[:, None]
+        X[mu != 0, block] += mu[mu != 0, None]  # adding a zero mean changes no value
         psi[block] = np.einsum("ij,ij->j", om, om) - trace / p
     labels = np.concatenate([np.full(n1, -1.0), np.full(n2, 1.0)])
     return LatentDataset(X=X, labels=labels, omega=omega, psi=psi)

@@ -288,6 +288,10 @@ def small_sweep_doc(**changes):
         ("sweep", {"sweep": {"axis": "c0", "grid": [0.5, 0.0]}}),
         ("sweep", {"sweep": {"axis": "c0", "grid": [-2.0]}}),
         ("sweep", {"sweep": {"axis": "c0", "grid": [float("inf")]}}),
+        ("histogram", {"kernel": {"kind": "polynomial", "coeffs": [1, 1e308, 1e308]}}),
+        ("convergence", {"sizes": [[16, 16]], "n_points": 6,
+                         "kernel": {"kind": "local", "tau": 2.0, "f": 4.0, "fp": 0.0,
+                                    "fpp": 1e200}}),
     ],
     ids=["predict-gamma0", "predict-n0", "predict-gamma-negative", "predict-n1",
          "predict-gamma-nan", "predict-convention", "sweep-gamma0", "sweep-n_test1",
@@ -297,14 +301,16 @@ def small_sweep_doc(**changes):
          "predict-polynomial-coeff-inf", "predict-local-tau-nan",
          "predict-polynomial-coeff-huge", "predict-local-fpp-huge", "predict-spike-inf",
          "sweep-dense-mean-nan", "sweep-mu_offset-inf", "predict-dense-cov-nan",
-         "sweep-c0-zero", "sweep-c0-negative", "sweep-c0-inf"],
+         "sweep-c0-zero", "sweep-c0-negative", "sweep-c0-inf",
+         "histogram-polynomial-coeff-huge", "convergence-local-fpp-huge"],
 )
-def test_invalid_config_is_a_one_line_data_error(tmp_path, capsys, command, bad):
+def test_invalid_config_is_a_one_line_data_error(tmp_path, capsys, recwarn, command, bad):
     config = write_config(tmp_path, small_sweep_doc(**bad))
     assert main([command, "--config", config]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("lssvmlim: invalid input:") and captured.err.count("\n") == 1
+    assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
 
 
 def test_convergence_rejects_fisher_labels(tmp_path, capsys):

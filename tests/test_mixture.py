@@ -14,6 +14,8 @@ from lssvmlim.experiments import _class_split, config_from_dict, run_sweep
 from lssvmlim.mixture import (
     MixtureModel,
     ToeplitzCov,
+    _band,
+    _root_product,
     _toeplitz_root,
     mix64,
     model_from_spec,
@@ -309,6 +311,12 @@ def dense_root_latents(model, n1, n2, seed):
     return np.hstack(omegas)
 
 
+def dense_rounding_bound(R, z):
+    """``p eps max(|R| |z|)`` per column: the rounding bound of the dense
+    product ``R @ z``, which the banded product of a decaying root is held to."""
+    return R.shape[0] * np.finfo(float).eps * (np.abs(R) @ np.abs(z)).max(axis=0)
+
+
 @pytest.mark.parametrize("name", sorted(IDENTITY_BLOCK_SHA256))
 def test_shipped_config_draws_match_the_dense_root_sampler(name):
     doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
@@ -320,14 +328,45 @@ def test_shipped_config_draws_match_the_dense_root_sampler(name):
     omega = dense_root_latents(model, n1, n2, doc["base_seed"])
     means = np.where((ds.labels < 0)[None, :], model.mu1[:, None], model.mu2[:, None])
     traces = np.where(ds.labels < 0, model.trace1, model.trace2)
-    assert np.array_equal(ds.omega, omega)
-    assert np.array_equal(ds.X, means + np.sqrt(p) * omega)
-    assert np.array_equal(ds.psi, np.einsum("ij,ij->j", omega, omega) - traces / p)
+    assert np.array_equal(ds.omega[:, :n1], omega[:, :n1])
+    assert np.array_equal(ds.X, means + np.sqrt(p) * ds.omega)
+    assert np.array_equal(ds.psi, np.einsum("ij,ij->j", ds.omega, ds.omega) - traces / p)
+    # the correlated class (rho = 0.4 in every shipped config) is drawn by
+    # the banded product, which moves it from the dense draw at rounding level
+    rng = np.random.default_rng(doc["base_seed"])
+    rng.standard_normal((p, n1))
+    bound = dense_rounding_bound(model.sqrt_cov2, rng.standard_normal((p, n2))) / np.sqrt(p)
+    assert (np.abs(ds.omega[:, n1:] - omega[:, n1:]).max(axis=0) <= bound).all()
 
     h = hashlib.sha256()
     for a in (ds.X[:, :n1], ds.omega[:, :n1], ds.psi[:n1]):
         h.update(a.tobytes())
     assert h.hexdigest()[:16] == IDENTITY_BLOCK_SHA256[name]
+
+
+@pytest.mark.parametrize("p", [64, 256, 1024, 2048])
+@pytest.mark.parametrize("rho", [0.05, 0.1, 0.4, 0.7, 0.9, 0.97])
+def test_banded_root_product_is_within_the_dense_products_rounding(rho, p):
+    cov = ToeplitzCov(rho, 1.5, p)
+    band = _band(cov, p)
+    R = _toeplitz_root(cov)
+    z = np.random.default_rng(p).standard_normal((p, 24))
+    out = np.empty_like(z)
+    _root_product(R, z, band, out)
+    assert (np.abs(out - R @ z).max(axis=0) <= dense_rounding_bound(R, z)).all()
+
+
+def test_band_is_p_unless_the_root_decays():
+    p = 256
+    assert _band(np.asarray(ToeplitzCov(0.4, 1.0, p)), p) == p  # dense: the whole root
+    assert _band(ToeplitzCov(0.0, 2.0, p), p) == p
+    assert _band(ToeplitzCov(0.97, 1.0, p), p) == p
+    assert [_band(ToeplitzCov(0.4, 1.0, q), q) for q in (256, 1024, 2048)] == [46, 47, 48]
+    R = _toeplitz_root(ToeplitzCov(0.4, 1.0, p))
+    z = np.random.default_rng(0).standard_normal((p, 9))
+    out = np.empty_like(z)
+    _root_product(R, z, p, out)
+    assert np.array_equal(out, R @ z)
 
 
 def test_theory_of_shape_only_model_needs_no_eigendecomposition(eigh_calls):
