@@ -31,7 +31,7 @@ from .errors import (
 )
 from .mixture import mix64, model_from_spec
 
-_DATA_ERRORS = (BadMagic, TruncatedFile, CountMismatch, ClassMissing, FileNotFoundError)
+_DATA_ERRORS = (BadMagic, TruncatedFile, CountMismatch, ClassMissing, OSError)
 _NUMERIC_ERRORS = (SingularSystem, EigFailure, DegenerateStats, np.linalg.LinAlgError)
 
 
@@ -69,11 +69,9 @@ def _emit(obj, args):
 def _config(args, doc):
     """``doc`` with the command-line overrides the subcommand takes applied,
     parsed and checked."""
-    for key, flag in (("base_seed", "seed"), ("trials", "trials"), ("threshold", "threshold")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            doc[key] = value
-    return experiments.config_from_dict(doc)
+    flags = {"base_seed": "seed", "trials": "trials", "threshold": "threshold"}
+    given = {key: getattr(args, flag, None) for key, flag in flags.items()}
+    return experiments.config_from_dict(doc, **{k: v for k, v in given.items() if v is not None})
 
 
 def cmd_predict(args):

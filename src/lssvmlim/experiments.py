@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .kernels import TaylorKernel, kernel_from_spec
+from .kernels import kernel_from_spec
 from .lssvm import TrainedModel, classify
 from .mixture import mix64, model_from_spec, sample
 from .theory import error_rates, gaussian_stats, optimal_threshold, q_function, random_equivalent
@@ -160,12 +160,7 @@ def _instantiate(config, value):
     """Materialize (model, profile, n, n1, n2) for one grid point."""
     axis = config.axis
     model_spec = dict(config.model_spec)
-    n = config.n
-    if axis == "c0":
-        # dimension-to-sample sweep: n follows p at fixed p
-        p = int(model_spec["p"])
-        n = max(4, round(p / value))
-    elif axis == "c1":
+    if axis == "c1":
         model_spec["c1"] = value
         model_spec.pop("n1", None)
         model_spec.pop("n2", None)
@@ -173,18 +168,17 @@ def _instantiate(config, value):
         model_spec["mean1"] = f"unit_spike(1, {value})"
         model_spec["mean2"] = f"unit_spike(2, {value})"
     model = model_from_spec(model_spec)
+    # dimension-to-sample sweep: n follows p at fixed p
+    n = max(4, round(model.p / value)) if axis == "c0" else config.n
 
     kernel_spec = dict(config.kernel_spec)
     if axis == "sigma2":
         kernel_spec = {"kind": "gaussian", "sigma2": value}
     elif axis in ("fprime", "fsecond"):
         # realized as the exact local quadratic anchored at the model's tau
-        base = dict(kernel_spec)
-        anchor = model.tau
-        f0 = float(base.get("f", 1.0))
-        fp = value if axis == "fprime" else float(base.get("fp", 0.0))
-        fpp = value if axis == "fsecond" else float(base.get("fpp", 0.0))
-        return model, TaylorKernel(anchor, f0, fp, fpp), n, *_class_split(n, model.c1)
+        kernel_spec = {"kind": "local", "tau": "auto", "f": kernel_spec.get("f", 1.0),
+                       "fp": value if axis == "fprime" else kernel_spec.get("fp", 0.0),
+                       "fpp": value if axis == "fsecond" else kernel_spec.get("fpp", 0.0)}
     elif axis not in (None, "c0", "c1", "mu_offset"):
         raise ValueError(f"unknown sweep axis: {axis!r}")
     return model, resolve_kernel(kernel_spec, model), n, *_class_split(n, model.c1)
@@ -401,11 +395,23 @@ _CONFIG_FIELDS = {
 }
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build an :class:`ExperimentConfig` from a parsed config file; absent
-    keys take the field defaults."""
-    sweep = doc.get("sweep") or {}
+def _object(value, name):
+    """``value``, which a config file must give as an object (a table)."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {type(value).__name__}")
+    return value
+
+
+def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
+    """Build an :class:`ExperimentConfig` from a parsed config file with
+    ``overrides`` of its top-level keys; absent keys take the field defaults."""
+    doc = dict(_object(doc, "the config"), **overrides)
+    sweep = _object(doc.get("sweep") or {}, "sweep")
     given = {f: doc[key] for key, f in _CONFIG_FIELDS.items() if key in doc}
+    _object(given.get("kernel_spec", {}), "kernel")
+    grid = sweep.get("grid", [])
+    if not isinstance(grid, (list, tuple)):
+        raise ValueError(f"sweep grid must be a list, got {type(grid).__name__}")
     return ExperimentConfig(
-        model_spec=doc["model"], axis=sweep.get("axis"), grid=tuple(sweep.get("grid", ())), **given
+        model_spec=_object(doc["model"], "model"), axis=sweep.get("axis"), grid=tuple(grid), **given
     )

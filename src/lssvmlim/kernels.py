@@ -197,13 +197,14 @@ def kernel_from_spec(spec: dict) -> KernelProfile:
         {"kind": "local",      "tau": 2.0, "f": 4.0, "fp": 0.0, "fpp": 2.0}
     """
     kind = spec.get("kind")
-    if kind == "gaussian":
-        return GaussianKernel(float(spec["sigma2"]))
-    if kind == "polynomial":
-        return PolynomialKernel(tuple(spec["coeffs"]))
-    if kind == "local":
-        return TaylorKernel(
-            float(spec["tau"]), float(spec["f"]), float(spec["fp"]), float(spec["fpp"])
-        )
+    try:
+        if kind == "gaussian":
+            return GaussianKernel(float(spec["sigma2"]))
+        if kind == "polynomial":
+            return PolynomialKernel(tuple(spec["coeffs"]))
+        if kind == "local":
+            return TaylorKernel(*(float(spec[key]) for key in ("tau", "f", "fp", "fpp")))
+    except TypeError as exc:  # e.g. a null, or coefficients that are not a list
+        raise ValueError(f"kernel value of the wrong type: {exc}") from exc
     raise ValueError(f"unknown kernel kind: {kind!r}")
 

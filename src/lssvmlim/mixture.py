@@ -9,7 +9,7 @@ score predictions built from them can be validated directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -42,9 +42,7 @@ class ToeplitzCov:
     statistics have closed forms, so no p x p array is formed until
     :func:`sample` needs a square root of a covariance that is not a
     multiple of the identity; ``np.asarray`` materializes the dense matrix.
-    It is not an array: read entries through ``row`` or ``np.asarray``.  Two
-    instances with the same ``(rho, scale, p)`` are equal and hash alike, so
-    they share one cached square root, which :func:`sample` uses within :func:`_band`.
+    It is not an array: read entries through ``row`` or ``np.asarray``.
     """
 
     __slots__ = ("rho", "scale", "row")
@@ -57,15 +55,6 @@ class ToeplitzCov:
         row = scale * rho ** np.arange(p)
         row.flags.writeable = False
         self.rho, self.scale, self.row = rho, scale, row
-
-    def _key(self):
-        return (self.rho, self.scale, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, ToeplitzCov) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def p(self):
@@ -137,12 +126,25 @@ def _root(w, v):
 # Three roots: one per dimension of a convergence study, so the models of a
 # repeated study or of a sweep never refactor.  Each root holds 8 p^2 bytes.
 @lru_cache(maxsize=3)
-def _toeplitz_root(cov: ToeplitzCov) -> np.ndarray:
-    """Read-only symmetric square root of ``cov``, computed once per distinct
-    covariance and shared by every model that holds an equal one."""
-    root = _root(*_eigh(cov))
+def _toeplitz_root(rho, scale, p) -> np.ndarray:
+    """Read-only symmetric square root of ``ToeplitzCov(rho, scale, p)``,
+    computed once per distinct ``(rho, scale, p)`` and shared by every model
+    whose covariance has those values."""
+    root = _root(*_eigh(ToeplitzCov(rho, scale, p)))
     root.flags.writeable = False
     return root
+
+
+def _sqrt(cov, eig):
+    """Symmetric square root of ``cov``: the scalar ``sqrt(r0)`` when a
+    :class:`ToeplitzCov` is ``r0 I`` (its eigendecomposition gives exactly
+    ``sqrt(r0) I``), the cached root of any other :class:`ToeplitzCov`, else
+    from the eigendecomposition ``eig`` of the dense ``cov``."""
+    if not isinstance(cov, ToeplitzCov):
+        return _root(*eig)
+    if not cov.row[1:].any():
+        return np.sqrt(cov.row[0])
+    return _toeplitz_root(cov.rho, cov.scale, cov.p)
 
 
 def _band(cov, p) -> int:
@@ -167,28 +169,32 @@ def _root_product(root, z, band, out):
 
 
 def _check_cov(C, p, name):
-    """``C`` as the model stores it: a :class:`ToeplitzCov` as given, any
-    other input as a dense finite symmetric array, whose eigenvalues
-    :class:`MixtureModel` then tests."""
+    """``(C, eig)`` as the model stores them: a :class:`ToeplitzCov` as
+    given with no eigendecomposition, any other input as a dense finite
+    symmetric array with its eigendecomposition, whose eigenvalues must be
+    nonnegative up to round-off."""
     C = C if isinstance(C, ToeplitzCov) else np.asarray(C, dtype=float)
     if C.shape != (p, p):
         raise ValueError(f"{name} must be {p}x{p}, got {C.shape}")
     if isinstance(C, ToeplitzCov):
-        return C
+        return C, None
     if not np.isfinite(C).all():  # a NaN would pass the symmetry test below
         raise ValueError(f"{name} must be finite")
     scale = max(1.0, np.abs(C).max())
     if np.abs(C - C.T).max() > 1e-12 * scale:
         raise ValueError(f"{name} is not symmetric")
-    return C
+    w, _ = eig = _eigh(C)
+    if w.min() < -1e-10 * np.abs(w).max():
+        raise ValueError(f"{name} has eigenvalue {w.min()} below tolerance")
+    return C, eig
 
 
 @dataclass(frozen=True, eq=False)
 class MixtureModel:
     """Two-class Gaussian mixture statistics.
 
-    ``c1`` is the class-1 proportion; ``c2`` is always stored as ``1 - c1``
-    so the proportions sum to one exactly.  A :class:`ToeplitzCov`
+    ``c1`` is the class-1 proportion; ``c2`` is the property ``1 - c1``, so
+    the proportions sum to one exactly.  A :class:`ToeplitzCov`
     covariance is kept as given (the covariance specs of
     :func:`model_from_spec` build one) and is positive definite by
     construction.  Any other covariance is stored as a dense array, even
@@ -203,7 +209,6 @@ class MixtureModel:
     cov1: np.ndarray | ToeplitzCov
     cov2: np.ndarray | ToeplitzCov
     c1: float
-    c2: float = field(default=None)  # derived, always 1 - c1
 
     def __post_init__(self):
         p = int(self.p)
@@ -217,54 +222,20 @@ class MixtureModel:
             if not np.isfinite(mu).all():
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, mu)
-        object.__setattr__(self, "cov1", _check_cov(self.cov1, p, "cov1"))
-        object.__setattr__(self, "cov2", _check_cov(self.cov2, p, "cov2"))
         if not 0.0 < self.c1 < 1.0:
             raise ValueError(f"c1 must lie in (0, 1), got {self.c1}")
-        if self.c2 is not None and abs(self.c1 + self.c2 - 1.0) > 1e-12:
-            raise ValueError("c1 + c2 must equal 1")
-        object.__setattr__(self, "c2", 1.0 - self.c1)
-        for name, cov, eig in (("cov1", self.cov1, "_eig1"), ("cov2", self.cov2, "_eig2")):
-            if isinstance(cov, ToeplitzCov):
-                continue
-            w, _ = getattr(self, eig)
-            norm = np.abs(w).max() if w.size else 0.0
-            if w.min() < -1e-10 * norm:
-                raise ValueError(f"{name} has eigenvalue {w.min()} below tolerance")
+        (cov1, eig1), (cov2, eig2) = (_check_cov(getattr(self, n), p, n) for n in ("cov1", "cov2"))
+        for name, value in (("cov1", cov1), ("cov2", cov2), ("_eigs", (eig1, eig2))):
+            object.__setattr__(self, name, value)  # _eigs: None for a ToeplitzCov
 
-    @classmethod
-    def from_counts(cls, p, mu1, mu2, cov1, cov2, n1: int, n2: int) -> "MixtureModel":
-        """Model tied to integer class sizes; proportions are n1/(n1+n2)."""
-        return cls(p, mu1, mu2, cov1, cov2, c1=n1 / (n1 + n2))
-
-    # Eigendecompositions of dense covariances: the PSD test and the root
-    @cached_property
-    def _eig1(self):
-        return _eigh(self.cov1)
+    @property
+    def c2(self):
+        return 1.0 - self.c1
 
     @cached_property
-    def _eig2(self):
-        return _eigh(self.cov2)
-
-    def _sqrt(self, cov, eig):
-        """Symmetric square root of ``cov``: the scalar ``sqrt(r0)`` when a
-        :class:`ToeplitzCov` is ``r0 I`` (its eigendecomposition gives
-        exactly ``sqrt(r0) I``), the shared cached root of any other
-        :class:`ToeplitzCov`, else from the eigendecomposition in attribute
-        ``eig``."""
-        if not isinstance(cov, ToeplitzCov):
-            return _root(*getattr(self, eig))
-        if not cov.row[1:].any():
-            return np.sqrt(cov.row[0])
-        return _toeplitz_root(cov)
-
-    @cached_property
-    def sqrt_cov1(self):
-        return self._sqrt(self.cov1, "_eig1")
-
-    @cached_property
-    def sqrt_cov2(self):
-        return self._sqrt(self.cov2, "_eig2")
+    def sqrt_covs(self):
+        """Symmetric square roots of ``(cov1, cov2)``, by :func:`_sqrt`."""
+        return tuple(map(_sqrt, (self.cov1, self.cov2), self._eigs))
 
     # Trace statistics reused throughout the asymptotic formulas, in closed
     # form when both covariances are Toeplitz.
@@ -363,8 +334,8 @@ def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> LatentDataset:
     negative round-off eigenvalues clamped to zero, so rank-deficient
     covariances are legal.  A :class:`ToeplitzCov` ``r0 I`` skips it:
     ``sqrt(r0) z`` equals the product with that root bit for bit.  Any other
-    :class:`ToeplitzCov` takes its root from a cache shared by equal
-    covariances and multiplies by it within :func:`_band` of its diagonal:
+    :class:`ToeplitzCov` takes its root from a cache keyed on
+    ``(rho, scale, p)`` and multiplies by it within :func:`_band` of its diagonal:
     each column is within ``p eps max(|R| |z|)`` of ``R z``, that product's
     own rounding bound.  Deterministic given ``seed``.
     """
@@ -374,9 +345,9 @@ def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> LatentDataset:
     p = model.p
     sqrt_p = np.sqrt(p)
     X, omega, psi = np.empty((p, n1 + n2)), np.empty((p, n1 + n2)), np.empty(n1 + n2)
-    for block, mu, cov, sqrt_cov, trace in (
-        (slice(0, n1), model.mu1, model.cov1, model.sqrt_cov1, model.trace1),
-        (slice(n1, n1 + n2), model.mu2, model.cov2, model.sqrt_cov2, model.trace2),
+    for block, mu, cov, sqrt_cov, trace in zip(
+        (slice(0, n1), slice(n1, n1 + n2)), (model.mu1, model.mu2), (model.cov1, model.cov2),
+        model.sqrt_covs, (model.trace1, model.trace2),
     ):
         z = rng.standard_normal((p, block.stop - block.start))
         om = omega[:, block]
@@ -434,13 +405,16 @@ def model_from_spec(spec: dict, p: int | None = None) -> MixtureModel:
     no p x p array; a dense matrix, or ``{"file": path}``), and ``c1`` or
     integer counts ``n1``/``n2``.
     """
-    p = int(spec["p"]) if p is None else int(p)
-    mu1 = _parse_mean_spec(spec["mean1"], p)
-    mu2 = _parse_mean_spec(spec["mean2"], p)
-    cov1 = _parse_cov_spec(spec["cov1"], p)
-    cov2 = _parse_cov_spec(spec["cov2"], p)
-    if "c1" in spec:
-        return MixtureModel(p, mu1, mu2, cov1, cov2, c1=float(spec["c1"]))
-    return MixtureModel.from_counts(
-        p, mu1, mu2, cov1, cov2, int(spec["n1"]), int(spec["n2"])
-    )
+    try:
+        p = int(spec["p"]) if p is None else int(p)
+        mu1 = _parse_mean_spec(spec["mean1"], p)
+        mu2 = _parse_mean_spec(spec["mean2"], p)
+        cov1 = _parse_cov_spec(spec["cov1"], p)
+        cov2 = _parse_cov_spec(spec["cov2"], p)
+        if "c1" in spec:
+            c1 = float(spec["c1"])
+        else:
+            c1 = int(spec["n1"]) / (int(spec["n1"]) + int(spec["n2"]))
+    except (TypeError, ZeroDivisionError) as exc:  # e.g. a null, or n1 = n2 = 0
+        raise ValueError(f"model value of the wrong type or zero class counts: {exc}") from exc
+    return MixtureModel(p, mu1, mu2, cov1, cov2, c1=c1)

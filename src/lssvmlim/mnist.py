@@ -119,7 +119,7 @@ def class_stats(data: ImageDataset, digit_a: int, digit_b: int) -> MixtureModel:
     # enforce exact symmetry against accumulation order effects
     cov_a = 0.5 * (cov_a + cov_a.T)
     cov_b = 0.5 * (cov_b + cov_b.T)
-    return MixtureModel.from_counts(data.p, mu_a, mu_b, cov_a, cov_b, na, nb)
+    return MixtureModel(data.p, mu_a, mu_b, cov_a, cov_b, c1=na / (na + nb))
 
 
 def discrepancy_stats(model: MixtureModel):

@@ -229,54 +229,55 @@ def gaussian_stats(
     c1, c2 = model.c1, model.c2
     tau = model.tau
     try:
-        _, fp, fpp = profile.derivatives(tau)
-        D = informative_term(model, profile)
+        with np.errstate(over="raise", invalid="raise"):
+            _, fp, fpp = profile.derivatives(tau)
+            D = informative_term(model, profile)
 
-        tr_sq = (model.tr_c1c1, model.tr_c2c2)
-        tr_cross = (
-            (model.tr_c1c1, model.tr_c1c2),  # tr(C1 C_a), tr(C2 C_a) for a = 1
-            (model.tr_c1c2, model.tr_c2c2),  # ... for a = 2
-        )
-        quad = model.mean_gap_quad
+            tr_sq = (model.tr_c1c1, model.tr_c2c2)
+            tr_cross = (
+                (model.tr_c1c1, model.tr_c1c2),  # tr(C1 C_a), tr(C2 C_a) for a = 1
+                (model.tr_c1c2, model.tr_c2c2),  # ... for a = 2
+            )
+            quad = model.mean_gap_quad
 
-        v1, v2, v3 = [], [], []
-        for a in (0, 1):
-            v1.append(fpp**2 / p**4 * model.trace_gap**2 * tr_sq[a])
-            v2.append(2.0 * fp**2 / p**2 * quad[a])
-            c1a, c2a = tr_cross[a]
-            v3.append(2.0 * fp**2 / (n * p**2) * (c1a / c1 + c2a / c2))
+            v1, v2, v3 = [], [], []
+            for a in (0, 1):
+                v1.append(fpp**2 / p**4 * model.trace_gap**2 * tr_sq[a])
+                v2.append(2.0 * fp**2 / p**2 * quad[a])
+                c1a, c2a = tr_cross[a]
+                v3.append(2.0 * fp**2 / (n * p**2) * (c1a / c1 + c2a / c2))
 
-        if convention == "standard":
-            bias = c2 - c1
-            e1 = -2.0 * c2 * c1 * c2 * D
-            e2 = 2.0 * c1 * c1 * c2 * D
-            var_scale = 8.0 * c1**2 * c2**2
-        else:
-            bias = 0.0
-            e1 = -c2 * D
-            e2 = c1 * D
-            var_scale = 2.0
-        stats = TheoryStats(
-            tau=tau,
-            D=D,
-            gamma=float(gamma),
-            label_convention=convention,
-            c1=c1,
-            c2=c2,
-            bias=bias,
-            e1=e1,
-            e2=e2,
-            r1=var_scale * (v1[0] + v2[0] + v3[0]),
-            r2=var_scale * (v1[1] + v2[1] + v3[1]),
-            v1=tuple(v1),
-            v2=tuple(v2),
-            v3=tuple(v3),
-        )
-        finite = np.isfinite((D, e1, e2, stats.r1, stats.r2, *v1, *v2, *v3)).all()
-    except ArithmeticError:  # a power of a huge derivative overflowed
+            if convention == "standard":
+                bias = c2 - c1
+                e1 = -2.0 * c2 * c1 * c2 * D
+                e2 = 2.0 * c1 * c1 * c2 * D
+                var_scale = 8.0 * c1**2 * c2**2
+            else:
+                bias = 0.0
+                e1 = -c2 * D
+                e2 = c1 * D
+                var_scale = 2.0
+            stats = TheoryStats(
+                tau=tau,
+                D=D,
+                gamma=float(gamma),
+                label_convention=convention,
+                c1=c1,
+                c2=c2,
+                bias=bias,
+                e1=e1,
+                e2=e2,
+                r1=var_scale * (v1[0] + v2[0] + v3[0]),
+                r2=var_scale * (v1[1] + v2[1] + v3[1]),
+                v1=tuple(v1),
+                v2=tuple(v2),
+                v3=tuple(v3),
+            )
+            finite = np.isfinite((D, e1, e2, stats.r1, stats.r2, *v1, *v2, *v3)).all()
+    except ArithmeticError:  # a huge derivative or mean overflowed
         finite = False
     if not finite:
-        raise ValueError(f"the kernel's derivatives at tau = {tau} give non-finite statistics")
+        raise ValueError(f"the model and kernel at tau = {tau} give non-finite statistics")
     return stats
 
 
@@ -316,13 +317,14 @@ def _stationary_points(e1, s1, e2, s2, c1, c2):
     """Real roots of c1 N(t; e1, s1) = c2 N(t; e2, s2) in t (at most two)."""
     a = 0.5 / s2**2 - 0.5 / s1**2
     b = e1 / s1**2 - e2 / s2**2
-    c = e2**2 / (2.0 * s2**2) - e1**2 / (2.0 * s1**2) + np.log((c1 * s2) / (c2 * s1))
+    # Python floats: a root beyond the float range is +-inf, with no warning
+    c = e2**2 / (2.0 * s2**2) - e1**2 / (2.0 * s1**2) + float(np.log((c1 * s2) / (c2 * s1)))
     if a == 0.0:
         return [-c / b] if b != 0.0 else []
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
         return []
-    root = np.sqrt(disc)
+    root = math.sqrt(disc)
     return [(-b + root) / (2.0 * a), (-b - root) / (2.0 * a)]
 
 
@@ -333,6 +335,8 @@ def _reduced_optimal(e1, s1, e2, s2, c1, c2):
     stationary point together with the endpoints e1 - 6 s1 and e2 + 6 s2 and
     keeps the best.
     """
+    # a spread so small that 0.5 / s**2 overflows is the point mass it is
+    s1, s2 = (0.0 if s == 0.0 or 0.5 / s**2 == np.inf else s for s in (s1, s2))
     if s1 == 0.0 and s2 == 0.0:
         if e1 == e2:
             raise DegenerateStats("both variances vanish with equal means")

@@ -250,6 +250,10 @@ def small_sweep_doc(**changes):
     return doc
 
 
+def small_model(**changes):
+    return dict(small_sweep_doc()["model"], **changes)
+
+
 @pytest.mark.parametrize(
     "command, bad",
     [
@@ -292,6 +296,21 @@ def small_sweep_doc(**changes):
         ("convergence", {"sizes": [[16, 16]], "n_points": 6,
                          "kernel": {"kind": "local", "tau": 2.0, "f": 4.0, "fp": 0.0,
                                     "fpp": 1e200}}),
+        ("predict", [1]),
+        ("predict", "x"),
+        ("predict", {"model": []}),
+        ("predict", {"model": small_model(p=None)}),
+        ("predict", {"model": small_model(c1=None)}),
+        ("predict", {"model": small_model(mean1={"a": 1})}),
+        ("predict", {"model": {"p": 16, "mean1": "zeros", "mean2": "zeros", "cov1": "identity",
+                               "cov2": "identity", "n1": 0, "n2": 0}}),
+        ("predict", {"kernel": None}),
+        ("histogram", {"kernel": [1]}),
+        ("predict", {"kernel": {"kind": "polynomial", "coeffs": 3}}),
+        ("sweep", {"sweep": [1]}),
+        ("sweep", {"sweep": {"axis": "sigma2", "grid": 5}}),
+        ("sweep", {"model": small_model(p=None), "sweep": {"axis": "c0", "grid": [0.5]}}),
+        ("predict", {"model": small_model(mean1="unit_spike(1, 1e200)")}),
     ],
     ids=["predict-gamma0", "predict-n0", "predict-gamma-negative", "predict-n1",
          "predict-gamma-nan", "predict-convention", "sweep-gamma0", "sweep-n_test1",
@@ -302,14 +321,45 @@ def small_sweep_doc(**changes):
          "predict-polynomial-coeff-huge", "predict-local-fpp-huge", "predict-spike-inf",
          "sweep-dense-mean-nan", "sweep-mu_offset-inf", "predict-dense-cov-nan",
          "sweep-c0-zero", "sweep-c0-negative", "sweep-c0-inf",
-         "histogram-polynomial-coeff-huge", "convergence-local-fpp-huge"],
+         "histogram-polynomial-coeff-huge", "convergence-local-fpp-huge", "predict-doc-list",
+         "predict-doc-string", "predict-model-list", "predict-p-null", "predict-c1-null",
+         "predict-mean-object", "predict-counts-zero", "predict-kernel-null",
+         "histogram-kernel-list", "predict-coeffs-int", "sweep-sweep-list", "sweep-grid-int",
+         "sweep-c0-p-null", "predict-spike-huge"],
 )
 def test_invalid_config_is_a_one_line_data_error(tmp_path, capsys, recwarn, command, bad):
-    config = write_config(tmp_path, small_sweep_doc(**bad))
+    # a dict of changes to the small sweep document, or a whole document
+    config = write_config(tmp_path, small_sweep_doc(**bad) if isinstance(bad, dict) else bad)
     assert main([command, "--config", config]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("lssvmlim: invalid input:") and captured.err.count("\n") == 1
+    assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
+
+
+@pytest.mark.parametrize("case", ["estimate-tau-data", "predict-cov2-file", "predict-out"])
+def test_directory_path_is_a_one_line_data_error(tmp_path, capsys, case):
+    cov2 = {"file": str(tmp_path)} if case == "predict-cov2-file" else "identity"
+    config = write_config(tmp_path, small_sweep_doc(model=small_model(cov2=cov2)))
+    argv = {
+        "estimate-tau-data": ["estimate-tau", str(tmp_path)],
+        "predict-cov2-file": ["predict", "--config", config],
+        "predict-out": ["predict", "--config", config, "--out", str(tmp_path)],
+    }[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lssvmlim: data error:") and captured.err.count("\n") == 1
+
+
+def test_underflowed_variance_predicts_finite_json(tmp_path, capsys, recwarn):
+    # Var2 underflows to a subnormal: class 2 is then a point mass at E2
+    doc = small_sweep_doc(model=small_model(cov2="toeplitz(0.4, 1e-320)"))
+    assert main(["predict", "--config", write_config(tmp_path, doc)]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)  # rejects NaN
+    assert 0.0 < out["Var2"] < 1e-300
+    assert all(np.isfinite(v).all() for v in out.values() if not isinstance(v, str))
+    assert out["E1"] < out["threshold"] < out["E2"]
     assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import RBF_UNIT, balanced_model, shape_kernel, shape_only_model, skew_model
@@ -324,6 +324,17 @@ def test_optimal_threshold_symmetric_case():
     assert optimal_threshold(st) == pytest.approx(0.25 + 1.0, rel=1e-12)
 
 
+def test_underflowed_spread_is_a_point_mass():
+    # 0.5 / s2**2 overflows, so the stationary-point search would meet inf
+    st = _stats(e1=-1.0, e2=1.0, s1=0.5, s2=7e-162)
+    assert 0.5 / st.s2**2 == np.inf
+    point = _stats(e1=-1.0, e2=1.0, s1=0.5, s2=0.0)
+    th, eps1, eps2, w = error_at_optimal(st)
+    assert th == optimal_threshold(point) and -1.0 < th < 1.0
+    assert np.isfinite((eps1, eps2, w)).all() and eps2 == 0.0
+    assert (eps1, w) == error_at_optimal(point)[1:4:2]
+
+
 def test_optimal_threshold_degenerate_raises():
     st = _stats(e1=0.5, e2=0.5, s1=0.0, s2=0.0)
     with pytest.raises(DegenerateStats):
@@ -360,6 +371,7 @@ _SPREADS = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
 
 @settings(max_examples=200, deadline=None)
 @given(e1=_MEANS, s1=_SPREADS, e2=_MEANS, s2=_SPREADS, c1=st.floats(0.05, 0.95))
+@example(e1=5e-324, s1=0.01, e2=0.0, s2=0.01, c1=0.3)  # the crossing's root overflows to inf
 def test_threshold_mirrors_with_the_classes(e1, s1, e2, s2, c1):
     # negating the scores and swapping the classes negates the threshold
     assume(not (s1 == s2 == 0.0 and e1 == e2))  # no threshold separates them
