@@ -21,6 +21,7 @@ from .errors import (
 from .experiments import (
     ExperimentConfig,
     SweepResult,
+    at_threshold,
     empirical_error,
     empirical_error_pool,
     resolve_threshold,
@@ -44,7 +45,6 @@ from .mixture import (
     mix64,
     model_from_spec,
     sample,
-    toeplitz_cov,
 )
 from .mnist import (
     ImageDataset,
@@ -57,7 +57,6 @@ from .mnist import (
 )
 from .theory import (
     TheoryStats,
-    error_at_optimal,
     error_rates,
     estimate_tau,
     gaussian_stats,

@@ -131,8 +131,6 @@ def cmd_convergence(args):
 
 def cmd_estimate_tau(args):
     path = Path(args.data)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     X = np.load(path) if path.suffix == ".npy" else np.loadtxt(path, delimiter=",")
     _emit({"tau": theory.estimate_tau(X), "p": X.shape[0], "n": X.shape[1]}, args)
     return 0

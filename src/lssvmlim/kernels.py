@@ -159,30 +159,22 @@ def gram_matrix(data: np.ndarray, profile: KernelProfile) -> np.ndarray:
     return K
 
 
-def pairwise_sq_dists(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Squared distances between the columns of ``X`` and those of ``Q`` by
-    the inner-product expansion ``(a_i + b_j) - 2 x_i' q_j``, clamped at zero.
-
-    This is the query path of :func:`kernel_vector`; :func:`gram_matrix`
-    runs the same expansion on one triangle of its own buffer."""
-    X = np.asarray(X, dtype=float)
-    D = X.T @ Q
-    D *= -2.0
-    D += np.add.outer(np.einsum("ij,ij->j", X, X), np.einsum("ij,ij->j", Q, Q))
-    np.maximum(D, 0.0, out=D)
-    return D
-
-
 def kernel_vector(data: np.ndarray, x: np.ndarray, profile: KernelProfile) -> np.ndarray:
     """Kernel evaluations ``f(||x - x_j||^2 / p)`` against the columns of
     ``data``.
 
     ``x`` may be a single ``p``-vector (returns an ``n``-vector) or a
-    ``p x m`` matrix of query points (returns ``n x m``).
+    ``p x m`` matrix of query points (returns ``n x m``).  The distances
+    expand as in :func:`gram_matrix`, ``(a_i + b_j) - 2 x_i' q_j``, clamped at zero.
     """
+    X = np.asarray(data, dtype=float)
     q = np.asarray(x, dtype=float)
-    D = pairwise_sq_dists(data, q.reshape(q.shape[0], -1))
-    D /= np.shape(data)[0]
+    Q = q.reshape(q.shape[0], -1)
+    D = X.T @ Q
+    D *= -2.0
+    D += np.add.outer(np.einsum("ij,ij->j", X, X), np.einsum("ij,ij->j", Q, Q))
+    np.maximum(D, 0.0, out=D)
+    D /= X.shape[0]
     out = profile._apply(D)
     return out[:, 0] if q.ndim == 1 else out
 

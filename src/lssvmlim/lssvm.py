@@ -211,13 +211,11 @@ class TrainedModel:
         return self.X.shape[1]
 
     def decide(self, x) -> float:
-        """Decision score ``alpha' k(x) + bias`` for a single point."""
+        """Decision score ``alpha' k(x) + bias`` of one point, as :meth:`decide_many` scores it."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.p,):
             raise DimensionMismatch(f"expected a vector of length {self.p}, got {x.shape}")
-        if not np.isfinite(x).all():
-            raise ValueError("the point to score must be finite")
-        return float(self.alpha @ kernel_vector(self.X, x, self.profile) + self.bias)
+        return float(self.decide_many(x[:, None])[0])
 
     def decide_many(self, points) -> np.ndarray:
         """Decision scores for the columns of a ``p x m`` matrix."""

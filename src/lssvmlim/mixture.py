@@ -72,7 +72,7 @@ class ToeplitzCov:
 
     def trace(self) -> float:
         """``tr C = p r0``"""
-        return float(self.p * self.row[0])
+        return self.p * float(self.row[0])  # a Python float: inf on overflow, no warning
 
     def tr_prod(self, other: "ToeplitzCov") -> float:
         """``tr(A B) = p a0 b0 + 2 sum_k (p - k) a_k b_k`` for A = self, B = other."""
@@ -96,11 +96,6 @@ class ToeplitzCov:
         c[n - p + 1 :] = self.row[:0:-1]
         cx = np.fft.irfft(np.fft.rfft(c) * np.fft.rfft(x, n), n)[:p]
         return float(x @ cx)
-
-
-def toeplitz_cov(rho: float, scale: float, p: int) -> np.ndarray:
-    """Dense covariance with entries ``scale * rho**|i - j|``."""
-    return np.asarray(ToeplitzCov(rho, scale, p))
 
 
 def _tr_prod(A, B) -> float:
@@ -308,10 +303,6 @@ class LatentDataset:
     labels: np.ndarray
     omega: np.ndarray
     psi: np.ndarray
-
-    @property
-    def p(self):
-        return self.X.shape[0]
 
     @property
     def n(self):

@@ -135,8 +135,8 @@ class TheoryStats:
     proportions, the bias, the reduced means ``e_a`` and the reduced
     variances ``r_a``.  The user-facing Gaussian parameters are derived as
     ``E_a = bias + gamma e_a`` and ``Var_a = gamma^2 r_a``, with
-    ``s_a = sqrt(r_a)``.  Threshold selection and error rates computed in the
-    reduced domain are therefore exactly invariant under rescaling gamma.
+    ``s_a = sqrt(r_a)``.  The reduced optimal threshold is therefore exactly
+    invariant under rescaling gamma, and the error rates are to rounding.
     """
 
     tau: float
@@ -314,14 +314,20 @@ def error_rates(stats: TheoryStats, threshold: float):
 
 
 def _stationary_points(e1, s1, e2, s2, c1, c2):
-    """Real roots of c1 N(t; e1, s1) = c2 N(t; e2, s2) in t (at most two)."""
-    a = 0.5 / s2**2 - 0.5 / s1**2
-    b = e1 / s1**2 - e2 / s2**2
+    """Real roots of c1 N(t; e1, s1) = c2 N(t; e2, s2) in t (at most two), or
+    None when the quadratic's coefficients or discriminant overflow."""
+    try:
+        a = 0.5 / s2**2 - 0.5 / s1**2
+        b = e1 / s1**2 - e2 / s2**2
+        c = e2**2 / (2.0 * s2**2) - e1**2 / (2.0 * s1**2) + float(np.log((c1 * s2) / (c2 * s1)))
+    except OverflowError:  # a Python float's ** does not return inf
+        return None
+    disc = b * b - 4.0 * a * c
+    if not math.isfinite(disc):  # b or c overflowed to inf, or b * b or 4 a c did
+        return None
     # Python floats: a root beyond the float range is +-inf, with no warning
-    c = e2**2 / (2.0 * s2**2) - e1**2 / (2.0 * s1**2) + float(np.log((c1 * s2) / (c2 * s1)))
     if a == 0.0:
         return [-c / b] if b != 0.0 else []
-    disc = b * b - 4.0 * a * c
     if disc < 0.0:
         return []
     root = math.sqrt(disc)
@@ -347,6 +353,13 @@ def _reduced_optimal(e1, s1, e2, s2, c1, c2):
         shift = 1e-12 * max(e2 - e1, abs(e1), abs(e2), 1.0)
         return e1 + shift if s1 == 0.0 else e2 - shift
     candidates = _stationary_points(e1, s1, e2, s2, c1, c2)
+    if candidates is None:  # overflowed: again in units of 2**k near the spreads
+        k = math.frexp(max(s1, s2))[1]
+        roots = _stationary_points(*(math.ldexp(v, -k) for v in (e1, s1, e2, s2)), c1, c2)
+        # None again: the means lie some 1e150 spreads apart, and the densities
+        # cross where each mean is equally many spreads away
+        w = s1 / (s1 + s2)
+        candidates = [(1 - w) * e1 + w * e2] if roots is None else [math.ldexp(t, k) for t in roots]
     inside = [t for t in candidates if e1 <= t <= e2]
     pool = inside if inside else candidates + [e1 - 6.0 * s1, e2 + 6.0 * s2]
 
@@ -357,22 +370,7 @@ def _reduced_optimal(e1, s1, e2, s2, c1, c2):
     return min(pool, key=weighted)
 
 
-def _reduced_threshold(stats: TheoryStats) -> float:
-    """Optimal reduced threshold."""
-    return _reduced_optimal(stats.e1, stats.s1, stats.e2, stats.s2, stats.c1, stats.c2)
-
-
 def optimal_threshold(stats: TheoryStats) -> float:
     """Threshold minimizing the weighted error ``c1 eps1 + c2 eps2``."""
-    return float(stats.bias + stats.gamma * _reduced_threshold(stats))
-
-
-def error_at_optimal(stats: TheoryStats):
-    """Threshold and error rates at the optimal threshold, computed entirely
-    in the reduced domain (hence exactly invariant under rescaling gamma).
-
-    Returns ``(threshold, eps1, eps2, weighted)``.
-    """
-    t = _reduced_threshold(stats)
-    eps1, eps2 = _tail_pair(stats.e1, stats.s1, stats.e2, stats.s2, t)
-    return float(stats.bias + stats.gamma * t), eps1, eps2, stats.c1 * eps1 + stats.c2 * eps2
+    t = _reduced_optimal(stats.e1, stats.s1, stats.e2, stats.s2, stats.c1, stats.c2)
+    return float(stats.bias + stats.gamma * t)

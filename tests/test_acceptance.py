@@ -18,12 +18,18 @@ import numpy as np
 import pytest
 
 from helpers import RBF_UNIT, balanced_model, shape_kernel, shape_only_model, skew_model
-from lssvmlim.experiments import empirical_error, empirical_error_pool, run_convergence, run_histogram
+from lssvmlim.experiments import (
+    at_threshold,
+    empirical_error,
+    empirical_error_pool,
+    run_convergence,
+    run_histogram,
+)
 from lssvmlim.kernels import GaussianKernel, PolynomialKernel, TaylorKernel
 from lssvmlim.lssvm import TrainedModel, train
-from lssvmlim.mixture import MixtureModel, mix64, sample, toeplitz_cov
+from lssvmlim.mixture import MixtureModel, ToeplitzCov, mix64, sample
 from lssvmlim.mnist import CANDIDATE_SCALINGS, apply_scaling, class_stats, discrepancy_stats, load_idx
-from lssvmlim.theory import error_at_optimal, error_rates, estimate_tau, gaussian_stats
+from lssvmlim.theory import error_rates, estimate_tau, gaussian_stats
 
 SLOPE_GRID = [-3.0, -2.5, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
 
@@ -41,7 +47,7 @@ def test_c01_shape_only_theory_curve():
     errors = {}
     for fp in SLOPE_GRID:
         st = gaussian_stats(m, n, 1.0, shape_kernel(m, fprime=fp))
-        errors[fp] = error_at_optimal(st)[3]
+        errors[fp] = at_threshold(st, "optimal")["weighted"]
     elapsed = time.perf_counter() - t0
 
     assert errors[0.0] == 0.0
@@ -59,7 +65,7 @@ def test_c02_shape_only_empirical_point():
     m = shape_only_model(512)
     profile = shape_kernel(m, fprime=0.0)
     st = gaussian_stats(m, 2048, 1.0, profile)
-    threshold = error_at_optimal(st)[0]
+    threshold = at_threshold(st, "optimal")["threshold"]
     errs = [
         empirical_error(m, 1024, 1024, 512, 1.0, profile, threshold, mix64(12345, t))[2]
         for t in range(10)
@@ -78,7 +84,7 @@ def test_c03_rbf_width_sweep():
         m = balanced_model(p)
         n = p // 2
         errs = {
-            s2: error_at_optimal(gaussian_stats(m, n, 1.0, GaussianKernel(s2)))[3]
+            s2: at_threshold(gaussian_stats(m, n, 1.0, GaussianKernel(s2)), "optimal")["weighted"]
             for s2 in targets
         }
         matches[p] = all(abs(errs[s2] - targets[s2]) <= 0.01 for s2 in targets)
@@ -87,7 +93,7 @@ def test_c03_rbf_width_sweep():
     m = balanced_model(1024)
     profile = GaussianKernel(0.25)
     st = gaussian_stats(m, 512, 1.0, profile)
-    threshold = error_at_optimal(st)[0]
+    threshold = at_threshold(st, "optimal")["threshold"]
     errs = [
         empirical_error(m, 256, 256, 512, 1.0, profile, threshold, mix64(777, t))[2]
         for t in range(20)
@@ -108,7 +114,7 @@ def test_c04_sample_ratio_sweep():
     for gi, c0 in enumerate((1, 4, 32)):
         n = round(p / c0)
         st = gaussian_stats(m, n, 1.0, profile)
-        threshold, _, _, w = error_at_optimal(st)
+        threshold, _, _, w = at_threshold(st, "optimal").values()
         theory[c0] = w
         assert w == pytest.approx(targets[c0], abs=0.01)
         n1 = n // 2
@@ -236,13 +242,13 @@ def test_c09_regularizer_invariance():
         mu2[1] = spike
         m = MixtureModel(
             p, mu1, mu2, np.eye(p),
-            toeplitz_cov(float(rng.uniform(0, 0.6)), 1.0 + boost / np.sqrt(p), p),
+            np.asarray(ToeplitzCov(float(rng.uniform(0, 0.6)), 1.0 + boost / np.sqrt(p), p)),
             c1=float(rng.uniform(0.2, 0.8)),
         )
         n = int(rng.integers(32, 512))
         profile = GaussianKernel(float(rng.uniform(0.25, 4.0)))
         outcomes = [
-            error_at_optimal(gaussian_stats(m, n, gamma, profile))[3]
+            at_threshold(gaussian_stats(m, n, gamma, profile), "optimal")["weighted"]
             for gamma in (0.1, 1.0, 10.0)
         ]
         worst = max(worst, abs(outcomes[0] - outcomes[1]), abs(outcomes[2] - outcomes[1]))
@@ -298,7 +304,7 @@ def test_c11_mnist_pipeline():
     model = class_stats(data, 8, 9)
     profile = GaussianKernel(1.0)
     st = gaussian_stats(model, 256, 1.0, profile)
-    threshold = error_at_optimal(st)[0]
+    threshold = at_threshold(st, "optimal")["threshold"]
 
     mask = (data.labels == 8) | (data.labels == 9)
     pool_x = data.images[:, mask]

@@ -195,7 +195,10 @@ def test_estimate_tau_on_npy(tmp_path, capsys):
 
 
 def test_estimate_tau_missing_file(tmp_path, capsys):
-    assert main(["estimate-tau", str(tmp_path / "missing.npy")]) == 2
+    for name in ("missing.npy", "missing.csv"):  # read by np.load and np.loadtxt
+        assert main(["estimate-tau", str(tmp_path / name)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("lssvmlim: data error:") and captured.err.count("\n") == 1
 
 
 def test_estimate_tau_rejects_non_finite_data(tmp_path, capsys):
@@ -311,6 +314,7 @@ def small_model(**changes):
         ("sweep", {"sweep": {"axis": "sigma2", "grid": 5}}),
         ("sweep", {"model": small_model(p=None), "sweep": {"axis": "c0", "grid": [0.5]}}),
         ("predict", {"model": small_model(mean1="unit_spike(1, 1e200)")}),
+        ("predict", {"model": small_model(cov2="toeplitz(0.4, 1e307)")}),
     ],
     ids=["predict-gamma0", "predict-n0", "predict-gamma-negative", "predict-n1",
          "predict-gamma-nan", "predict-convention", "sweep-gamma0", "sweep-n_test1",
@@ -325,7 +329,7 @@ def small_model(**changes):
          "predict-doc-string", "predict-model-list", "predict-p-null", "predict-c1-null",
          "predict-mean-object", "predict-counts-zero", "predict-kernel-null",
          "histogram-kernel-list", "predict-coeffs-int", "sweep-sweep-list", "sweep-grid-int",
-         "sweep-c0-p-null", "predict-spike-huge"],
+         "sweep-c0-p-null", "predict-spike-huge", "predict-toeplitz-trace-huge"],
 )
 def test_invalid_config_is_a_one_line_data_error(tmp_path, capsys, recwarn, command, bad):
     # a dict of changes to the small sweep document, or a whole document
@@ -360,6 +364,27 @@ def test_underflowed_variance_predicts_finite_json(tmp_path, capsys, recwarn):
     assert 0.0 < out["Var2"] < 1e-300
     assert all(np.isfinite(v).all() for v in out.values() if not isinstance(v, str))
     assert out["E1"] < out["threshold"] < out["E2"]
+    assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"mean1": f"unit_spike(1, {v})"} for v in ("1e150", "1e152", "1e153")]
+    + [{"cov1": f"toeplitz(0.0, {s})", "cov2": f"toeplitz(0.4, {s})"}
+       for s in ("1e-290", "1e-298", "1e-300", "1e-305")],
+    ids=["spike-1e150", "spike-1e152", "spike-1e153",
+         "scale-1e-290", "scale-1e-298", "scale-1e-300", "scale-1e-305"],
+)
+def test_classes_too_far_apart_for_the_quadratic_predict_no_error(tmp_path, capsys, recwarn,
+                                                                   changes):
+    # the means lie some 1e145 to 1e153 spreads apart: the optimal threshold's
+    # quadratic overflows unless it is solved in units near the spreads
+    doc = json.loads(Path(CONFIG_DIR, "histogram_skew.json").read_text())
+    doc["model"].update(p=16, **changes)
+    assert main(["predict", "--config", write_config(tmp_path, doc)]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)  # rejects NaN
+    assert out["E1"] < out["threshold"] < out["E2"]
+    assert out["eps1"] == out["eps2"] == out["weighted"] == 0.0
     assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
 
 

@@ -6,6 +6,7 @@ from helpers import RBF_UNIT, balanced_model, skew_model, spiked_means
 from lssvmlim.experiments import (
     ExperimentConfig,
     _ks_distance,
+    at_threshold,
     config_from_dict,
     empirical_error,
     empirical_error_pool,
@@ -15,8 +16,8 @@ from lssvmlim.experiments import (
     run_sweep,
 )
 from lssvmlim.lssvm import TrainedModel
-from lssvmlim.mixture import MixtureModel, mix64, sample, toeplitz_cov
-from lssvmlim.theory import error_at_optimal, gaussian_stats
+from lssvmlim.mixture import MixtureModel, mix64, sample
+from lssvmlim.theory import gaussian_stats
 
 
 def test_empirical_error_point_masses_are_separable():
@@ -42,7 +43,7 @@ def test_empirical_error_identical_classes_is_coin_flip():
 def test_empirical_error_agrees_with_prediction():
     m = balanced_model(128)
     stats = gaussian_stats(m, 256, 1.0, RBF_UNIT)
-    threshold, _, _, w_theory = error_at_optimal(stats)
+    threshold, _, _, w_theory = at_threshold(stats, "optimal").values()
     runs = [
         empirical_error(m, 128, 128, 256, 1.0, RBF_UNIT, threshold, seed=s)[2]
         for s in range(10)
@@ -107,7 +108,7 @@ def test_single_point_sweep_reduces_to_empirical_error():
         for t in range(4)
     ]
     assert row.emp_err == pytest.approx(np.mean(manual), abs=1e-12)
-    assert row.th_weighted == pytest.approx(error_at_optimal(st)[3], abs=1e-15)
+    assert row.th_weighted == pytest.approx(at_threshold(st, "optimal")["weighted"], abs=1e-15)
 
 
 def test_sweep_is_deterministic():
@@ -237,7 +238,7 @@ def test_fisher_sweep_fits_normalized_labels(monkeypatch):
     m = experiments.model_from_spec(doc["model"])
     st = gaussian_stats(m, 48, 1.0, RBF_UNIT, "fisher")
     assert row.threshold == resolve_threshold("optimal", st)
-    assert row.th_weighted == error_at_optimal(st)[3]
+    assert row.th_weighted == at_threshold(st, "optimal")["weighted"]
 
 
 def test_histogram_identical_classes_pools_same_distribution():

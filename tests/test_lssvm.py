@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from lssvmlim import lssvm
 from lssvmlim.errors import DimensionMismatch, OneClassOnly, SingularSystem
-from lssvmlim.kernels import GaussianKernel, TaylorKernel, gram_matrix, kernel_vector
+from lssvmlim.kernels import (
+    GaussianKernel,
+    PolynomialKernel,
+    TaylorKernel,
+    gram_matrix,
+    kernel_vector,
+)
 from lssvmlim.lssvm import (
     TrainedModel,
     classify,
@@ -301,6 +307,20 @@ def test_batch_decision_over_training_set_is_gram_action():
     np.testing.assert_allclose(
         model.decide_many(X), K @ model.alpha + model.bias, atol=1e-10
     )
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [GaussianKernel(1.3), PolynomialKernel((1.0, -0.5, 0.25)), TaylorKernel(2.0, 4.0, -1.0, 2.0)],
+    ids=["gaussian", "polynomial", "local"],
+)
+def test_decide_is_the_first_column_of_decide_many(profile):
+    # one scoring path: a single point is scored as a one-column matrix
+    rng = np.random.default_rng(5)
+    X, labels = random_instance(rng, 16, 8)
+    model = TrainedModel.fit(X, labels, 0.7, profile)
+    for x in rng.standard_normal((3, 8)):
+        assert model.decide(x) == model.decide_many(x[:, None])[0]
 
 
 def test_decide_dimension_mismatch():

@@ -20,7 +20,6 @@ from lssvmlim.mixture import (
     mix64,
     model_from_spec,
     sample,
-    toeplitz_cov,
 )
 from lssvmlim.theory import gaussian_stats
 
@@ -33,23 +32,23 @@ def fig_like_model(p, spike=3.0, scale_boost=5.0, c1=0.25):
     mu2 = np.zeros(p)
     mu1[0] = spike
     mu2[1] = spike
-    cov2 = toeplitz_cov(0.4, 1.0 + scale_boost / np.sqrt(p), p)
+    cov2 = np.asarray(ToeplitzCov(0.4, 1.0 + scale_boost / np.sqrt(p), p))
     return MixtureModel(p, mu1, mu2, np.eye(p), cov2, c1=c1)
 
 
 def test_toeplitz_identity():
-    np.testing.assert_array_equal(toeplitz_cov(0.0, 1.0, 4), np.eye(4))
+    np.testing.assert_array_equal(np.asarray(ToeplitzCov(0.0, 1.0, 4)), np.eye(4))
 
 
 def test_toeplitz_small_case():
     expected = np.array([[1.0, 0.4, 0.16], [0.4, 1.0, 0.4], [0.16, 0.4, 1.0]])
-    np.testing.assert_allclose(toeplitz_cov(0.4, 1.0, 3), expected, atol=1e-15)
+    np.testing.assert_allclose(np.asarray(ToeplitzCov(0.4, 1.0, 3)), expected, atol=1e-15)
 
 
 def test_toeplitz_trace_is_p_times_scale():
     p = 512
     scale = 1 + 4 / np.sqrt(p)
-    assert np.trace(toeplitz_cov(0.4, scale, p)) == pytest.approx(p * scale, rel=1e-12)
+    assert np.trace(np.asarray(ToeplitzCov(0.4, scale, p))) == pytest.approx(p * scale, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -94,7 +93,7 @@ def test_tau_identity_covariances():
 def test_tau_equal_trace_covariances():
     p = 64
     m = MixtureModel(
-        p, np.zeros(p), np.zeros(p), np.eye(p), toeplitz_cov(0.4, 1.0, p), c1=0.5
+        p, np.zeros(p), np.zeros(p), np.eye(p), np.asarray(ToeplitzCov(0.4, 1.0, p)), c1=0.5
     )
     assert m.tau == pytest.approx(2.0, rel=1e-14)
 
@@ -103,7 +102,7 @@ def test_tau_boosted_covariance():
     p = 512
     scale = 1 + 4 / np.sqrt(p)
     m = MixtureModel(
-        p, np.zeros(p), np.zeros(p), np.eye(p), toeplitz_cov(0.4, scale, p), c1=0.5
+        p, np.zeros(p), np.zeros(p), np.eye(p), np.asarray(ToeplitzCov(0.4, scale, p)), c1=0.5
     )
     # 2 * (1/2 + (1/2) * scale) = 2 + 4 / sqrt(512)
     assert m.tau == pytest.approx(2.1767766952966369, rel=1e-12)
@@ -245,12 +244,13 @@ def test_spec_covariances_are_toeplitz_rows():
                          "cov2": "boosted_toeplitz(0.5, 2.0)", "c1": 0.5})
     assert isinstance(m.cov1, ToeplitzCov) and isinstance(m.cov2, ToeplitzCov)
     np.testing.assert_array_equal(np.asarray(m.cov1), np.eye(6))
-    np.testing.assert_array_equal(np.asarray(m.cov2), toeplitz_cov(0.5, 1.0 + 2.0 / np.sqrt(6), 6))
+    expected = np.asarray(ToeplitzCov(0.5, 1.0 + 2.0 / np.sqrt(6), 6))
+    np.testing.assert_array_equal(np.asarray(m.cov2), expected)
 
 
 def test_dense_toeplitz_stays_dense():
     p = 32
-    C = toeplitz_cov(0.4, 1.5, p)
+    C = np.asarray(ToeplitzCov(0.4, 1.5, p))
     m = MixtureModel(p, np.zeros(p), np.zeros(p), np.eye(p), C, c1=0.5)
     assert isinstance(m.cov1, np.ndarray) and isinstance(m.cov2, np.ndarray)
     np.testing.assert_array_equal(m.cov2, C)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -5,11 +7,11 @@ from hypothesis import strategies as st
 
 from helpers import RBF_UNIT, balanced_model, shape_kernel, shape_only_model, skew_model
 from lssvmlim.errors import DegenerateStats
+from lssvmlim.experiments import at_threshold
 from lssvmlim.kernels import GaussianKernel, TaylorKernel
-from lssvmlim.mixture import MixtureModel, sample, toeplitz_cov
+from lssvmlim.mixture import MixtureModel, ToeplitzCov, sample
 from lssvmlim.theory import (
     TheoryStats,
-    error_at_optimal,
     error_rates,
     estimate_tau,
     gaussian_stats,
@@ -19,7 +21,6 @@ from lssvmlim.theory import (
     q_function,
     random_equivalent,
 )
-from lssvmlim.theory import _reduced_threshold
 
 # ---------------------------------------------------------------- q-function
 
@@ -298,7 +299,7 @@ def test_error_rates_shape_only_zero_error_point():
     profile = shape_kernel(m, fprime=0.0)
     st = gaussian_stats(m, n=2048, gamma=1.0, profile=profile)
     assert st.Var1 == st.Var2 == 0.0 and st.D > 0
-    th, eps1, eps2, w = error_at_optimal(st)
+    th, eps1, eps2, w = at_threshold(st, "optimal").values()
     assert w == 0.0 and st.E1 < th < st.E2
 
 
@@ -308,7 +309,7 @@ def test_error_rates_shape_only_reference_value():
     m = shape_only_model(512)
     profile = shape_kernel(m, fprime=-1.0)
     st = gaussian_stats(m, n=2048, gamma=1.0, profile=profile)
-    _, _, _, w_opt = error_at_optimal(st)
+    _, _, _, w_opt = at_threshold(st, "optimal").values()
     assert w_opt == pytest.approx(0.3578586, abs=1e-2)
     _, _, w_zero = error_rates(st, 0.0)
     assert w_zero == pytest.approx(0.357858640171627, abs=1e-9)
@@ -329,10 +330,11 @@ def test_underflowed_spread_is_a_point_mass():
     st = _stats(e1=-1.0, e2=1.0, s1=0.5, s2=7e-162)
     assert 0.5 / st.s2**2 == np.inf
     point = _stats(e1=-1.0, e2=1.0, s1=0.5, s2=0.0)
-    th, eps1, eps2, w = error_at_optimal(st)
+    th, eps1, eps2, w = at_threshold(st, "optimal").values()
     assert th == optimal_threshold(point) and -1.0 < th < 1.0
     assert np.isfinite((eps1, eps2, w)).all() and eps2 == 0.0
-    assert (eps1, w) == error_at_optimal(point)[1:4:2]
+    at_point = at_threshold(point, "optimal")
+    assert (eps1, w) == (at_point["eps1"], at_point["weighted"])
 
 
 def test_optimal_threshold_degenerate_raises():
@@ -345,7 +347,7 @@ def test_optimal_threshold_flat_case_attains_grid_min():
     # equal means: no interior optimum; returned point must match the best
     # of a fine grid
     st = _stats(e1=0.3, e2=0.3, s1=2e-3, s2=3e-3, bias=0.0, c1=0.3, c2=0.7)
-    th, _, _, w = error_at_optimal(st)
+    th, _, _, w = at_threshold(st, "optimal").values()
     grid = np.linspace(st.E1 - 6 * np.sqrt(st.Var1), st.E2 + 6 * np.sqrt(st.Var2), 10_000)
     grid_w = min(error_rates(st, t)[2] for t in grid)
     assert w <= grid_w + 1e-12
@@ -355,7 +357,7 @@ def test_optimal_threshold_flat_case_attains_grid_min():
 def test_optimal_threshold_beats_grid_search(c1):
     m = skew_model(128, c1=c1)
     st = gaussian_stats(m, n=256, gamma=1.0, profile=RBF_UNIT)
-    th, _, _, w = error_at_optimal(st)
+    th, _, _, w = at_threshold(st, "optimal").values()
     lo = st.E1 - 6 * np.sqrt(st.Var1)
     hi = st.E2 + 6 * np.sqrt(st.Var2)
     grid_w = min(error_rates(st, t)[2] for t in np.linspace(lo, hi, 10_000))
@@ -378,11 +380,39 @@ def test_threshold_mirrors_with_the_classes(e1, s1, e2, s2, c1):
     c2 = 1.0 - c1
     stats = _stats(e1=e1, e2=e2, s1=s1, s2=s2, c1=c1, c2=c2)
     mirror = _stats(e1=-e2, e2=-e1, s1=s2, s2=s1, c1=c2, c2=c1)
-    assert error_at_optimal(mirror)[3] == pytest.approx(error_at_optimal(stats)[3], rel=0, abs=1e-12)
+    w_mirror = at_threshold(mirror, "optimal")["weighted"]
+    assert w_mirror == pytest.approx(at_threshold(stats, "optimal")["weighted"], rel=0, abs=1e-12)
     # equal weights and spreads with e1 >= e2 make both ends of the search
     # optimal, and each side keeps the end it tries first
     if not (c1 == c2 and s1 == s2 and e1 >= e2):
-        assert _reduced_threshold(mirror) == pytest.approx(-_reduced_threshold(stats), rel=1e-9, abs=1e-12)
+        th_mirror = optimal_threshold(mirror)  # bias 0 and gamma 1: the reduced threshold
+        assert th_mirror == pytest.approx(-optimal_threshold(stats), rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(e1=_MEANS.filter(lambda e: e == 0.0 or abs(e) >= 1e-3), s1=st.floats(0.01, 5.0),
+       e2=_MEANS.filter(lambda e: e == 0.0 or abs(e) >= 1e-3), s2=st.floats(0.01, 5.0),
+       c1=st.floats(0.05, 0.95), k=st.integers(-505, -495) | st.integers(-495, 200))
+@example(e1=-1.0, s1=0.01, e2=2.0, s2=0.02, c1=0.3, k=-505)  # b * b overflows
+def test_threshold_scales_with_the_scores_by_powers_of_two(e1, s1, e2, s2, c1, k):
+    # The threshold scales with the scores, also near k = -505, where the
+    # quadratic's coefficients overflow and it is solved again in units near
+    # the spreads.  A float's ** is not exactly scaled by 2**k, so to rounding.
+    stats = _stats(e1=e1, e2=e2, s1=s1, s2=s2, c1=c1, c2=1.0 - c1)
+    scaled = _stats(e1=math.ldexp(e1, k), e2=math.ldexp(e2, k), s1=math.ldexp(s1, k),
+                    s2=math.ldexp(s2, k), c1=c1, c2=1.0 - c1)
+    expected = math.ldexp(optimal_threshold(stats), k)
+    assert optimal_threshold(scaled) == pytest.approx(expected, rel=1e-9, abs=math.ldexp(1e-12, k))
+
+
+@pytest.mark.parametrize("c1", [0.25, 0.5])
+def test_threshold_of_means_1e160_spreads_apart(c1):
+    # even the quadratic in units of the spreads overflows: the threshold is
+    # where both means are equally many spreads away
+    stats = _stats(e1=-1e300, e2=2e300, s1=1e140, s2=2e140, c1=c1, c2=1.0 - c1)
+    th, eps1, eps2, w = at_threshold(stats, "optimal").values()
+    assert (th - stats.e1) / stats.s1 == pytest.approx((stats.e2 - th) / stats.s2, rel=1e-12)
+    assert (eps1, eps2, w) == (0.0, 0.0, 0.0)
 
 
 # ------------------------------------------------------ structural invariants
@@ -397,7 +427,7 @@ def _random_reasonable_model(rng):
     mu2 = np.zeros(p)
     mu1[0] = spike
     mu2[1] = spike
-    cov2 = toeplitz_cov(float(rng.uniform(0, 0.6)), 1.0 + boost / np.sqrt(p), p)
+    cov2 = np.asarray(ToeplitzCov(float(rng.uniform(0, 0.6)), 1.0 + boost / np.sqrt(p), p))
     return MixtureModel(p, mu1, mu2, np.eye(p), cov2, c1=c1)
 
 
@@ -410,7 +440,7 @@ def test_gamma_invariance_of_optimal_error():
         outcomes = []
         for gamma in (0.1, 1.0, 10.0):
             st = gaussian_stats(m, n, gamma, profile)
-            outcomes.append(error_at_optimal(st)[3])
+            outcomes.append(at_threshold(st, "optimal")["weighted"])
         assert abs(outcomes[0] - outcomes[1]) <= 1e-12
         assert abs(outcomes[2] - outcomes[1]) <= 1e-12
 
@@ -454,8 +484,8 @@ def test_curvature_sign_flip_never_helps():
             down = gaussian_stats(m, 128, 1.0, shape_kernel(m, -1.0, -fsecond))
             assert abs(down.D) <= abs(up.D) + 1e-15
             assert down.Var1 == up.Var1 and down.Var2 == up.Var2
-            w_up = error_at_optimal(up)[3]
-            w_down = error_at_optimal(down)[3]
+            w_up = at_threshold(up, "optimal")["weighted"]
+            w_down = at_threshold(down, "optimal")["weighted"]
             assert w_down >= w_up - 1e-12
 
 
@@ -465,6 +495,6 @@ def test_error_monotone_in_separation():
         prev = 1.0
         for D in np.linspace(0.0, 5e-3, 12):
             st = _stats(e1=-0.6 * D, e2=0.4 * D, s1=1.1e-3, s2=1.7e-3, D=D, c1=c1, c2=1 - c1)
-            w = error_at_optimal(st)[3]
+            w = at_threshold(st, "optimal")["weighted"]
             assert w <= prev + 1e-12
             prev = w
