@@ -6,18 +6,7 @@ statistics alone, and verify the predictions by Monte Carlo on synthetic
 mixtures and image data.
 """
 
-from .errors import (
-    BadMagic,
-    ClassMissing,
-    CountMismatch,
-    DegenerateStats,
-    DimensionMismatch,
-    EigFailure,
-    LssvmError,
-    OneClassOnly,
-    SingularSystem,
-    TruncatedFile,
-)
+from .errors import DataError, NumericalFailure
 from .experiments import (
     ExperimentConfig,
     SweepResult,

@@ -4,7 +4,10 @@ Subcommands: predict, sweep, histogram, convergence, estimate-tau,
 mnist-stats.  Config files are JSON (TOML accepted when the interpreter
 ships tomllib); keys are documented in the README.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success; 1 usage error; 2 on ``DataError`` or ``OSError``
+("data error") and on ``ValueError`` or ``KeyError`` ("invalid input"); 3 on
+``NumericalFailure`` or ``numpy.linalg.LinAlgError`` ("numerical failure").
+Each failure prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -19,20 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, mnist, theory
-from .errors import (
-    BadMagic,
-    ClassMissing,
-    CountMismatch,
-    DegenerateStats,
-    EigFailure,
-    LssvmError,
-    SingularSystem,
-    TruncatedFile,
-)
+from .errors import DataError, NumericalFailure
 from .mixture import mix64, model_from_spec
-
-_DATA_ERRORS = (BadMagic, TruncatedFile, CountMismatch, ClassMissing, OSError)
-_NUMERIC_ERRORS = (SingularSystem, EigFailure, DegenerateStats, np.linalg.LinAlgError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -249,17 +240,14 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 0
     try:
         return args.func(args)
-    except _DATA_ERRORS as exc:
+    except (DataError, OSError) as exc:
         print(f"lssvmlim: data error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"lssvmlim: invalid input: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERIC_ERRORS as exc:
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:  # before ValueError, its base
         print(f"lssvmlim: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except LssvmError as exc:
-        print(f"lssvmlim: error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError too
+        print(f"lssvmlim: invalid input: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,41 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per non-usage exit code of
+the command line.  Each raise site says in its message which case it hit."""
 
 
-class LssvmError(Exception):
-    """Base class for all package-specific errors."""
+class DataError(Exception):
+    """Input data that cannot be used (exit code 2): a malformed or truncated
+    IDX file, a missing class, a single-class label vector, or an array of
+    the wrong dimension."""
 
 
-class SingularSystem(LssvmError):
-    """The regularized kernel system could not be factorized reliably."""
-
-
-class OneClassOnly(LssvmError):
-    """A label vector contains a single class where two are required."""
-
-
-class DimensionMismatch(LssvmError):
-    """An input vector or matrix has an incompatible dimension."""
-
-
-class EigFailure(LssvmError):
-    """A symmetric eigendecomposition failed to converge."""
-
-
-class DegenerateStats(LssvmError):
-    """Score statistics are too degenerate to define a threshold."""
-
-
-class BadMagic(LssvmError):
-    """An IDX file starts with an unexpected magic number."""
-
-
-class TruncatedFile(LssvmError):
-    """An IDX file ends before the payload announced in its header."""
-
-
-class CountMismatch(LssvmError):
-    """Image and label IDX files disagree on the number of items."""
-
-
-class ClassMissing(LssvmError):
-    """A requested class has no samples in the dataset."""
+class NumericalFailure(Exception):
+    """A computation that cannot give a reliable answer (exit code 3): a
+    numerically singular kernel system, or score statistics too degenerate to
+    define a threshold."""

@@ -130,8 +130,8 @@ class ExperimentConfig:
                 object.__setattr__(self, name, kind(getattr(self, name)))
             object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
             object.__setattr__(self, "sizes", tuple(tuple(map(int, pair)) for pair in self.sizes))
-        except TypeError as exc:  # e.g. a null in the config file
-            raise ValueError(f"config value of the wrong type: {exc}") from exc
+        except (TypeError, OverflowError) as exc:  # e.g. a null, or an inf integer
+            raise ValueError(f"config value of the wrong type or range: {exc}") from exc
         if not (np.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if self.n < 2 or self.n_test < 2:
@@ -168,6 +168,8 @@ def _instantiate(config, value):
         model_spec["mean1"] = f"unit_spike(1, {value})"
         model_spec["mean2"] = f"unit_spike(2, {value})"
     model = model_from_spec(model_spec)
+    if axis == "c0" and not np.isfinite(model.p / value):
+        raise ValueError(f"c0 = {value} gives no finite sample size at p = {model.p}")
     # dimension-to-sample sweep: n follows p at fixed p
     n = max(4, round(model.p / value)) if axis == "c0" else config.n
 

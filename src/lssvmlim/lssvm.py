@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, OneClassOnly, SingularSystem
+from .errors import DataError, NumericalFailure
 from .kernels import KernelProfile, gram_matrix, kernel_vector
 
 _PIVOT_RTOL = 1e-12
@@ -88,9 +88,7 @@ def _factor(K, shift):
     except np.linalg.LinAlgError:  # eigh did not converge
         kept = False
     if not kept:
-        raise SingularSystem(
-            f"regularized kernel system is numerically singular (n={len(S)})"
-        )
+        raise NumericalFailure(f"regularized kernel system is numerically singular (n={len(S)})")
     return lambda B: V @ ((V.T @ B) / lam[:, None])
 
 
@@ -112,13 +110,13 @@ def train(gram: np.ndarray, labels: np.ndarray, gamma: float):
     y = np.asarray(labels, dtype=float)
     n = K.shape[0]
     if K.shape != (n, n):
-        raise DimensionMismatch(f"gram matrix must be square, got {K.shape}")
+        raise DataError(f"gram matrix must be square, got {K.shape}")
     if y.shape != (n,):
-        raise DimensionMismatch(f"labels must have length {n}, got {y.shape}")
+        raise DataError(f"labels must have length {n}, got {y.shape}")
     if not np.isfinite(y).all():
         raise ValueError("training labels must be finite")
     if np.unique(y).size < 2:
-        raise OneClassOnly("training labels contain a single class")
+        raise DataError("training labels contain a single class")
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
 
@@ -146,7 +144,7 @@ def train(gram: np.ndarray, labels: np.ndarray, gamma: float):
         alpha = alpha - solve(resid[:, None])[:, 0]
         resid = K @ alpha + shift * alpha - target
         if not np.linalg.norm(resid) <= tol:
-            raise SingularSystem(
+            raise NumericalFailure(
                 f"training residual {np.linalg.norm(resid):.3e} exceeds {tol:.3e}"
             )
     return alpha, float(bias)
@@ -159,7 +157,7 @@ def normalize_labels(labels: np.ndarray) -> np.ndarray:
     n1 = int(np.count_nonzero(y < 0))
     n2 = int(np.count_nonzero(y > 0))
     if n1 == 0 or n2 == 0:
-        raise OneClassOnly("both classes are required to normalize labels")
+        raise DataError("both classes are required to normalize labels")
     n = n1 + n2
     out = np.where(y < 0, -n / n1, n / n2)
     return out.astype(float)
@@ -214,14 +212,14 @@ class TrainedModel:
         """Decision score ``alpha' k(x) + bias`` of one point, as :meth:`decide_many` scores it."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.p,):
-            raise DimensionMismatch(f"expected a vector of length {self.p}, got {x.shape}")
+            raise DataError(f"expected a vector of length {self.p}, got {x.shape}")
         return float(self.decide_many(x[:, None])[0])
 
     def decide_many(self, points) -> np.ndarray:
         """Decision scores for the columns of a ``p x m`` matrix."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] != self.p:
-            raise DimensionMismatch(f"expected a {self.p} x m matrix, got {pts.shape}")
+            raise DataError(f"expected a {self.p} x m matrix, got {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("the points to score must be finite")
         return self.alpha @ kernel_vector(self.X, pts, self.profile) + self.bias

@@ -14,8 +14,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import EigFailure
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _ROWS = 64  # rows of a banded root product per block
@@ -105,13 +103,6 @@ def _tr_prod(A, B) -> float:
     return float(np.vdot(np.asarray(A), np.asarray(B)))
 
 
-def _eigh(C):
-    try:
-        return np.linalg.eigh(np.asarray(C))
-    except np.linalg.LinAlgError as exc:
-        raise EigFailure(str(exc)) from exc
-
-
 def _root(w, v):
     """Symmetric square root from the eigendecomposition ``(w, v)``."""
     s = np.sqrt(np.maximum(w, 0.0))  # clamp round-off negatives
@@ -125,7 +116,7 @@ def _toeplitz_root(rho, scale, p) -> np.ndarray:
     """Read-only symmetric square root of ``ToeplitzCov(rho, scale, p)``,
     computed once per distinct ``(rho, scale, p)`` and shared by every model
     whose covariance has those values."""
-    root = _root(*_eigh(ToeplitzCov(rho, scale, p)))
+    root = _root(*np.linalg.eigh(np.asarray(ToeplitzCov(rho, scale, p))))
     root.flags.writeable = False
     return root
 
@@ -178,7 +169,7 @@ def _check_cov(C, p, name):
     scale = max(1.0, np.abs(C).max())
     if np.abs(C - C.T).max() > 1e-12 * scale:
         raise ValueError(f"{name} is not symmetric")
-    w, _ = eig = _eigh(C)
+    w, _ = eig = np.linalg.eigh(C)
     if w.min() < -1e-10 * np.abs(w).max():
         raise ValueError(f"{name} has eigenvalue {w.min()} below tolerance")
     return C, eig
@@ -406,6 +397,6 @@ def model_from_spec(spec: dict, p: int | None = None) -> MixtureModel:
             c1 = float(spec["c1"])
         else:
             c1 = int(spec["n1"]) / (int(spec["n1"]) + int(spec["n2"]))
-    except (TypeError, ZeroDivisionError) as exc:  # e.g. a null, or n1 = n2 = 0
-        raise ValueError(f"model value of the wrong type or zero class counts: {exc}") from exc
+    except (TypeError, ArithmeticError) as exc:  # e.g. a null, n1 = n2 = 0, or an inf count
+        raise ValueError(f"model value of the wrong type or range: {exc}") from exc
     return MixtureModel(p, mu1, mu2, cov1, cov2, c1=c1)

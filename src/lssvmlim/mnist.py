@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMagic, ClassMissing, CountMismatch, TruncatedFile
+from .errors import DataError
 from .mixture import MixtureModel
 
 IMAGES_MAGIC = 0x00000803
@@ -56,7 +56,7 @@ def _open_maybe_gzip(path):
 def _read_exact(fh, size, path):
     buf = fh.read(size)
     if len(buf) != size:
-        raise TruncatedFile(f"{path}: expected {size} more bytes, got {len(buf)}")
+        raise DataError(f"{path}: expected {size} more bytes, got {len(buf)}")
     return buf
 
 
@@ -65,15 +65,15 @@ def load_idx(images_path, labels_path) -> ImageDataset:
     with _open_maybe_gzip(images_path) as fh:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path))
         if magic != IMAGES_MAGIC:
-            raise BadMagic(f"{images_path}: magic 0x{magic:08x}, expected 0x{IMAGES_MAGIC:08x}")
+            raise DataError(f"{images_path}: magic 0x{magic:08x}, expected 0x{IMAGES_MAGIC:08x}")
         raw = _read_exact(fh, count * rows * cols, images_path)
     with _open_maybe_gzip(labels_path) as fh:
         magic, label_count = struct.unpack(">II", _read_exact(fh, 8, labels_path))
         if magic != LABELS_MAGIC:
-            raise BadMagic(f"{labels_path}: magic 0x{magic:08x}, expected 0x{LABELS_MAGIC:08x}")
+            raise DataError(f"{labels_path}: magic 0x{magic:08x}, expected 0x{LABELS_MAGIC:08x}")
         label_raw = _read_exact(fh, label_count, labels_path)
     if label_count != count:
-        raise CountMismatch(f"{count} images but {label_count} labels")
+        raise DataError(f"{count} images but {label_count} labels")
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     images = pixels.T.astype(np.float64) / 255.0
     labels = np.frombuffer(label_raw, dtype=np.uint8).astype(np.int64)
@@ -106,9 +106,9 @@ def class_stats(data: ImageDataset, digit_a: int, digit_b: int) -> MixtureModel:
     mask_b = data.labels == digit_b
     na, nb = int(mask_a.sum()), int(mask_b.sum())
     if na == 0:
-        raise ClassMissing(f"no samples labeled {digit_a}")
+        raise DataError(f"no samples labeled {digit_a}")
     if nb == 0:
-        raise ClassMissing(f"no samples labeled {digit_b}")
+        raise DataError(f"no samples labeled {digit_b}")
     if na < 2 or nb < 2:
         raise ValueError("need at least two samples per class for a covariance")
     xa = data.images[:, mask_a]
@@ -139,13 +139,20 @@ def add_white_noise(data: ImageDataset, snr_db, seed) -> ImageDataset:
     """Add i.i.d. zero-mean Gaussian pixel noise at the given SNR.
 
     Signal power is the dataset-wide mean squared pixel value, and the noise
-    variance is ``P_signal / 10**(snr_db / 10)``; ``snr_db=None`` (or +inf)
-    returns the dataset unchanged.
+    variance is ``P_signal * 10**(-snr_db / 10)``; ``snr_db=None`` (or +inf)
+    returns the dataset unchanged, and a huge finite SNR adds zero noise.
+    An SNR whose noise variance is not finite (NaN, -inf, a huge negative
+    value) raises ``ValueError``.
     """
     if snr_db is None or snr_db == np.inf:
         return data
     power = float(np.mean(data.images**2))
-    noise_var = power / 10.0 ** (snr_db / 10.0)
+    try:
+        noise_var = power * 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:  # a Python float's ** does not return inf
+        noise_var = np.inf
+    if not np.isfinite(noise_var):
+        raise ValueError(f"snr_db = {snr_db} gives a noise variance that is not finite")
     rng = np.random.default_rng(seed)
     noisy = data.images + np.sqrt(noise_var) * rng.standard_normal(data.images.shape)
     return ImageDataset(

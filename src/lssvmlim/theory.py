@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStats
+from .errors import NumericalFailure
 from .kernels import KernelProfile
 from .mixture import LatentDataset, MixtureModel
 
@@ -330,8 +330,9 @@ def _stationary_points(e1, s1, e2, s2, c1, c2):
         return [-c / b] if b != 0.0 else []
     if disc < 0.0:
         return []
-    root = math.sqrt(disc)
-    return [(-b + root) / (2.0 * a), (-b - root) / (2.0 * a)]
+    # q adds two terms of one sign, so neither root comes from a cancellation
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [q / a, c / q] if q != 0.0 else [0.0]
 
 
 def _reduced_optimal(e1, s1, e2, s2, c1, c2):
@@ -345,7 +346,7 @@ def _reduced_optimal(e1, s1, e2, s2, c1, c2):
     s1, s2 = (0.0 if s == 0.0 or 0.5 / s**2 == np.inf else s for s in (s1, s2))
     if s1 == 0.0 and s2 == 0.0:
         if e1 == e2:
-            raise DegenerateStats("both variances vanish with equal means")
+            raise NumericalFailure("both variances vanish with equal means")
         return 0.5 * (e1 + e2)
     if s1 == 0.0 or s2 == 0.0:
         # One point mass: any threshold just inside the gap zeroes its error;

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import lssvmlim
+from lssvmlim import cli
 from lssvmlim.cli import main
+from lssvmlim.errors import DataError, NumericalFailure
 from lssvmlim.mixture import MixtureModel, sample
 from lssvmlim.mnist import write_idx
 
@@ -315,6 +317,15 @@ def small_model(**changes):
         ("sweep", {"model": small_model(p=None), "sweep": {"axis": "c0", "grid": [0.5]}}),
         ("predict", {"model": small_model(mean1="unit_spike(1, 1e200)")}),
         ("predict", {"model": small_model(cov2="toeplitz(0.4, 1e307)")}),
+        ("predict", {"n": float("inf")}),
+        ("sweep", {"trials": float("inf")}),
+        ("sweep", {"base_seed": float("inf")}),
+        ("convergence", {"sizes": [[16, 16]], "n_points": float("inf")}),
+        ("convergence", {"sizes": [[16, float("inf")]], "n_points": 6}),
+        ("predict", {"model": small_model(p=float("inf"))}),
+        ("predict", {"model": {"p": 16, "mean1": "zeros", "mean2": "zeros", "cov1": "identity",
+                               "cov2": "identity", "n1": float("inf"), "n2": 1}}),
+        ("sweep", {"sweep": {"axis": "c0", "grid": [5e-324]}}),
     ],
     ids=["predict-gamma0", "predict-n0", "predict-gamma-negative", "predict-n1",
          "predict-gamma-nan", "predict-convention", "sweep-gamma0", "sweep-n_test1",
@@ -329,7 +340,9 @@ def small_model(**changes):
          "predict-doc-string", "predict-model-list", "predict-p-null", "predict-c1-null",
          "predict-mean-object", "predict-counts-zero", "predict-kernel-null",
          "histogram-kernel-list", "predict-coeffs-int", "sweep-sweep-list", "sweep-grid-int",
-         "sweep-c0-p-null", "predict-spike-huge", "predict-toeplitz-trace-huge"],
+         "sweep-c0-p-null", "predict-spike-huge", "predict-toeplitz-trace-huge", "predict-n-inf",
+         "sweep-trials-inf", "sweep-base_seed-inf", "convergence-n_points-inf",
+         "convergence-sizes-inf", "predict-p-inf", "predict-n1-inf", "sweep-c0-subnormal"],
 )
 def test_invalid_config_is_a_one_line_data_error(tmp_path, capsys, recwarn, command, bad):
     # a dict of changes to the small sweep document, or a whole document
@@ -421,11 +434,13 @@ def test_fisher_bias_threshold_is_the_zero_threshold(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [["--gamma", "0"], ["--trials", "0"], ["--n-test", "1"]],
-    ids=["gamma0", "trials0", "n_test1"],
+    "flags, named",
+    [(["--gamma", "0"], "gamma"), (["--trials", "0"], "trials"), (["--n-test", "1"], "n_test"),
+     (["--snr-db", "nan"], "snr_db"), (["--snr-db=-inf"], "snr_db"),
+     (["--snr-db=-1e10"], "snr_db")],
+    ids=["gamma0", "trials0", "n_test1", "snr-nan", "snr-minus-inf", "snr-huge-negative"],
 )
-def test_mnist_stats_invalid_flag_is_a_one_line_data_error(tmp_path, capsys, flags):
+def test_mnist_stats_invalid_flag_is_a_one_line_data_error(tmp_path, capsys, flags, named):
     ip, lp = synthetic_idx_pair(tmp_path)
     # the pool holds these sizes, so only the bad flag can fail the command
     args = ["--images", ip, "--labels", lp, "--n", "64", "--n-test", "32", *flags]
@@ -433,6 +448,36 @@ def test_mnist_stats_invalid_flag_is_a_one_line_data_error(tmp_path, capsys, fla
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("lssvmlim: invalid input:") and captured.err.count("\n") == 1
+    assert named in captured.err
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [(DataError, 2, "data error"), (OSError, 2, "data error"),
+     (ValueError, 2, "invalid input"), (KeyError, 2, "invalid input"),
+     (NumericalFailure, 3, "numerical failure"), (np.linalg.LinAlgError, 3, "numerical failure")],
+    ids=["DataError", "OSError", "ValueError", "KeyError", "NumericalFailure", "LinAlgError"],
+)
+def test_each_error_type_ends_in_its_exit_code_and_one_line(monkeypatch, capsys, error, code,
+                                                            prefix):
+    def fail(args):
+        raise error("what went wrong")
+
+    monkeypatch.setattr(cli, "cmd_predict", fail)
+    assert main(["predict", "--config", "unread.json"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"lssvmlim: {prefix}: ") and captured.err.count("\n") == 1
+
+
+def test_flat_local_kernel_is_a_numerical_failure(tmp_path, capsys, recwarn):
+    # f' = f'' = 0: both classes score as one point, so no threshold separates them
+    doc = small_sweep_doc(kernel={"kind": "local", "tau": 2.0, "f": 4.0, "fp": 0.0, "fpp": 0.0})
+    assert main(["predict", "--config", write_config(tmp_path, doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lssvmlim: numerical failure: both variances vanish with equal means\n"
+    assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
 
 
 def test_mnist_stats_runs_ten_trials_by_default(tmp_path, capsys):

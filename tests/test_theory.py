@@ -1,4 +1,7 @@
+import decimal
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +9,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import RBF_UNIT, balanced_model, shape_kernel, shape_only_model, skew_model
-from lssvmlim.errors import DegenerateStats
-from lssvmlim.experiments import at_threshold
+from lssvmlim.errors import NumericalFailure
+from lssvmlim.experiments import at_threshold, config_from_dict, resolve_kernel
 from lssvmlim.kernels import GaussianKernel, TaylorKernel
-from lssvmlim.mixture import MixtureModel, ToeplitzCov, sample
+from lssvmlim.mixture import MixtureModel, ToeplitzCov, model_from_spec, sample
 from lssvmlim.theory import (
     TheoryStats,
+    _stationary_points,
     error_rates,
     estimate_tau,
     gaussian_stats,
@@ -337,9 +341,32 @@ def test_underflowed_spread_is_a_point_mass():
     assert (eps1, w) == (at_point["eps1"], at_point["weighted"])
 
 
+def test_stationary_points_match_an_80_digit_evaluation():
+    # sweep_width at sigma2 = 32: the two terms of -b + sqrt(b^2 - 4ac) nearly
+    # cancel, which cost the textbook form 6.7e-11 of relative accuracy
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs/sweep_width.json").read_text())
+    doc["kernel"]["sigma2"] = 32.0
+    config = config_from_dict(doc)
+    model = model_from_spec(config.model_spec)
+    st = gaussian_stats(model, config.n, config.gamma, resolve_kernel(config.kernel_spec, model))
+    e1, s1, e2, s2, c1, c2 = st.e1, st.s1, st.e2, st.s2, st.c1, st.c2
+    # the quadratic's coefficients as _stationary_points forms them
+    a = 0.5 / s2**2 - 0.5 / s1**2
+    b = e1 / s1**2 - e2 / s2**2
+    c = e2**2 / (2.0 * s2**2) - e1**2 / (2.0 * s1**2) + float(np.log((c1 * s2) / (c2 * s1)))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        A, B, C = (decimal.Decimal(v) for v in (a, b, c))
+        root = (B * B - 4 * A * C).sqrt()
+        exact = sorted(float(r) for r in ((-B + root) / (2 * A), (-B - root) / (2 * A)))
+    got = sorted(_stationary_points(e1, s1, e2, s2, c1, c2))
+    assert got == pytest.approx(exact, rel=5e-12, abs=0)
+    assert e1 <= got[1] <= e2  # the root the optimal threshold takes
+
+
 def test_optimal_threshold_degenerate_raises():
     st = _stats(e1=0.5, e2=0.5, s1=0.0, s2=0.0)
-    with pytest.raises(DegenerateStats):
+    with pytest.raises(NumericalFailure, match="both variances vanish with equal means"):
         optimal_threshold(st)
 
 
