@@ -5,14 +5,21 @@ mnist-stats.  Config files are JSON (TOML accepted when the interpreter
 ships tomllib); keys are documented in the README.
 
 Exit codes: 0 success; 1 usage error; 2 on ``DataError`` or ``OSError``
-("data error") and on ``ValueError`` or ``KeyError`` ("invalid input"); 3 on
-``NumericalFailure`` or ``numpy.linalg.LinAlgError`` ("numerical failure").
-Each failure prints one line on stderr.
+("data error") and on ``ValueError``, ``KeyError`` or ``MemoryError``, a size
+too large to allocate ("invalid input"); 3 on ``NumericalFailure`` or
+``numpy.linalg.LinAlgError`` ("numerical failure"), and from ``sweep`` when a
+grid point has no completed trial, after its output is written.  Each failure
+prints one line on stderr.
+
+``main(argv)`` may be called repeatedly in one process: it builds its parser
+once, on the first call, and finds each subcommand's handler by name when
+called.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -83,6 +90,11 @@ def cmd_sweep(args):
         _emit(result.to_json(full=args.full), args)
     else:
         result.to_csv(args.out)
+    for row in result.rows:
+        if row.trials == 0:  # a sweep without an axis has one row, value NaN
+            first = next(f for f in result.failures if f["value"] == row.value or row.axis == "none")
+            raise NumericalFailure(f"no trial completed at {row.axis} = {row.value} "
+                                   f"(first failure: {first['error']})")
     return 0
 
 
@@ -183,6 +195,7 @@ _OPTIONS = {
 }
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(prog="lssvmlim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -193,26 +206,22 @@ def build_parser():
 
     p = sub.add_parser("predict", help="asymptotic prediction from a model config")
     options(p, "--config", "--out", "--threshold")
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("sweep", help="empirical vs predicted error over a parameter grid")
     options(p, "--config", "--out", "--format", "--seed", "--trials", "--threshold")
     p.add_argument("--full", action="store_true", help="include per-trial records (JSON)")
-    p.set_defaults(func=cmd_sweep, usage_error=p.error)
+    p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("histogram", help="pooled score samples with Gaussian overlay")
     options(p, "--config", "--out", "--seed", "--trials")
     p.add_argument("--full", action="store_true", help="include raw scores")
-    p.set_defaults(func=cmd_histogram)
 
     p = sub.add_parser("convergence", help="score-equivalent convergence study")
     options(p, "--config", "--out", "--seed", "--trials")
-    p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("estimate-tau", help="distance concentration point of a data file")
     p.add_argument("data", help=".npy (p x n) or comma-separated text matrix")
     options(p, "--out")
-    p.set_defaults(func=cmd_estimate_tau)
 
     p = sub.add_parser("mnist-stats", help="two-digit statistics, prediction, and test error")
     p.add_argument("--images", required=True)
@@ -225,7 +234,6 @@ def build_parser():
     p.add_argument("--n-test", type=int, default=256)
     p.add_argument("--snr-db", type=float, default=None)
     options(p, "--out", "--seed", "--trials", "--threshold")
-    p.set_defaults(func=cmd_mnist_stats)
 
     return parser
 
@@ -239,14 +247,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return args.func(args)
+        # looked up at call time, so a handler replaced in the module is the one run
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (DataError, OSError) as exc:
         print(f"lssvmlim: data error: {exc}", file=sys.stderr)
         return 2
     except (NumericalFailure, np.linalg.LinAlgError) as exc:  # before ValueError, its base
         print(f"lssvmlim: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError too
+    except (ValueError, KeyError, MemoryError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"lssvmlim: invalid input: {exc}", file=sys.stderr)
         return 2
 

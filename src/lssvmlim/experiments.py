@@ -238,7 +238,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     asymptotic prediction for every grid point, in grid order.
 
     A failed trial is recorded under ``failures`` and excluded from the
-    averages, never silently folded in.
+    averages, never silently folded in.  A ``MemoryError`` is raised, not
+    recorded: sizes too large to allocate fail every trial alike.
     """
     grid = config.grid if config.axis is not None else (float("nan"),)
     rows, per_trial, failures = [], {}, []
@@ -255,6 +256,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                     model, n1, n2, config.n_test, config.gamma, profile, threshold, seed,
                     config.convention,
                 )
+            except MemoryError:  # the sizes, not the draw: no trial at them can run
+                raise
             except Exception as exc:  # noqa: BLE001 - recorded, not averaged
                 failures.append(
                     {"value": value, "trial": t, "seed": seed, "error": repr(exc)}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lssvmlim
-from lssvmlim import cli
+from lssvmlim import cli, experiments
 from lssvmlim.cli import main
 from lssvmlim.errors import DataError, NumericalFailure
 from lssvmlim.mixture import MixtureModel, sample
@@ -326,6 +326,10 @@ def small_model(**changes):
         ("predict", {"model": {"p": 16, "mean1": "zeros", "mean2": "zeros", "cov1": "identity",
                                "cov2": "identity", "n1": float("inf"), "n2": 1}}),
         ("sweep", {"sweep": {"axis": "c0", "grid": [5e-324]}}),
+        # arrays of more than 1 TiB, which NumPy refuses before touching memory
+        ("histogram", {"n_test": 1e12}),
+        ("convergence", {"sizes": [[16, 1e12]], "n_points": 6}),
+        ("sweep", {"n": 1e12}),
     ],
     ids=["predict-gamma0", "predict-n0", "predict-gamma-negative", "predict-n1",
          "predict-gamma-nan", "predict-convention", "sweep-gamma0", "sweep-n_test1",
@@ -342,7 +346,8 @@ def small_model(**changes):
          "histogram-kernel-list", "predict-coeffs-int", "sweep-sweep-list", "sweep-grid-int",
          "sweep-c0-p-null", "predict-spike-huge", "predict-toeplitz-trace-huge", "predict-n-inf",
          "sweep-trials-inf", "sweep-base_seed-inf", "convergence-n_points-inf",
-         "convergence-sizes-inf", "predict-p-inf", "predict-n1-inf", "sweep-c0-subnormal"],
+         "convergence-sizes-inf", "predict-p-inf", "predict-n1-inf", "sweep-c0-subnormal",
+         "histogram-n_test-huge", "convergence-sizes-huge", "sweep-n-huge"],
 )
 def test_invalid_config_is_a_one_line_data_error(tmp_path, capsys, recwarn, command, bad):
     # a dict of changes to the small sweep document, or a whole document
@@ -468,6 +473,33 @@ def test_each_error_type_ends_in_its_exit_code_and_one_line(monkeypatch, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"lssvmlim: {prefix}: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "sweep, fails_at",
+    [({"axis": "sigma2", "grid": [1.0, 2.0]}, "sigma2 = 2.0"), (None, "none = nan")],
+    ids=["second-grid-point", "no-axis"],
+)
+def test_a_grid_point_without_a_completed_trial_is_a_numerical_failure(
+        tmp_path, monkeypatch, capsys, sweep, fails_at):
+    real = experiments.empirical_error
+
+    def singular_at_width_2(model, n1, n2, n_test, gamma, profile, *args):
+        if sweep is None or profile.sigma2 == 2.0:
+            raise NumericalFailure("the kernel system is singular")
+        return real(model, n1, n2, n_test, gamma, profile, *args)
+
+    monkeypatch.setattr(experiments, "empirical_error", singular_at_width_2)
+    config = write_config(tmp_path, small_sweep_doc(trials=2, sweep=sweep))
+    assert main(["sweep", "--config", config]) == 3
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)["rows"]  # the output is still written
+    assert [row["trials"] for row in rows] == ([2, 0] if sweep else [0])
+    assert captured.err == (f"lssvmlim: numerical failure: no trial completed at {fails_at} "
+                            "(first failure: NumericalFailure('the kernel system is singular'))\n")
+    csv_path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", config, "--out", str(csv_path)]) == 3
+    assert len(csv_path.read_text().splitlines()) == 1 + len(rows)
 
 
 def test_flat_local_kernel_is_a_numerical_failure(tmp_path, capsys, recwarn):
@@ -605,3 +637,73 @@ def test_closed_stdout_exits_quietly(tmp_path):
     _, err = proc.communicate(timeout=120)
     assert "Traceback" not in err and "Error" not in err, err
     assert proc.returncode == 0
+
+
+PARSERS_BUILT_AT_IMPORT = """
+import argparse
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+
+
+argparse.ArgumentParser.__init__ = counting
+import lssvmlim.cli
+
+assert built == [], built
+assert lssvmlim.cli.build_parser.cache_info().currsize == 0
+"""
+
+
+def test_importing_the_cli_builds_no_parser():
+    proc = python_with_package("-c", PARSERS_BUILT_AT_IMPORT)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+
+
+def test_ten_calls_build_the_parser_once(tmp_path, monkeypatch, capsys):
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    config = identical_classes_config(tmp_path)
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    cli.build_parser.cache_clear()
+    try:
+        outputs = []
+        for _ in range(10):
+            assert main(["predict", "--config", config]) == 0
+            outputs.append(capsys.readouterr().out)
+    finally:
+        cli.build_parser.cache_clear()  # drop the parser built from the counting class
+    assert built.count("lssvmlim") == 1  # and one parser per subcommand beside it
+    assert len(built) == 7
+    assert outputs == outputs[:1] * 10
+
+
+def run_alone(*argv):
+    """stdout and exit code of ``argv`` in a fresh interpreter."""
+    proc = python_with_package("-m", "lssvmlim.cli", *argv, stdout=subprocess.PIPE)
+    out, _ = proc.communicate(timeout=120)
+    return out, proc.returncode
+
+
+def test_no_state_passes_from_one_call_to_the_next(tmp_path, capsys):
+    sweep = write_config(tmp_path, small_sweep_doc(), "sweep.json")
+    assert main(["sweep", "--config", sweep, "--seed", "7", "--trials", "1", "--full"]) == 0
+    assert "failures" in capsys.readouterr().out
+    assert main(["sweep", "--config", sweep, "--trials", "1"]) == 0
+    assert (capsys.readouterr().out, 0) == run_alone("sweep", "--config", sweep, "--trials", "1")
+
+    predict = identical_classes_config(tmp_path)
+    assert main(["sweep", "--config", sweep, "--format", "csv"]) == 1
+    assert "--format csv requires --out" in capsys.readouterr().err
+    assert main(["predict", "--config", predict]) == 0
+    assert (capsys.readouterr().out, 0) == run_alone("predict", "--config", predict)
