@@ -20,6 +20,7 @@ from .experiments import (
 )
 from .kernels import (
     GaussianKernel,
+    Gram,
     PolynomialKernel,
     TaylorKernel,
     gram_matrix,

@@ -14,8 +14,8 @@ from typing import Union
 
 import numpy as np
 
-_ROWS = 512  # rows of the Gram's upper triangle built per block row
-_TILE = 64  # rows and columns per block when mirroring that triangle
+_ROWS = 512  # rows of the Gram's upper triangle per block row, and columns per product chunk
+_TILE = 64  # rows per kernel-value tile, and rows and columns per mirrored block
 
 
 class _Profile:
@@ -122,41 +122,113 @@ class TaylorKernel(_Profile):
 KernelProfile = Union[GaussianKernel, PolynomialKernel, TaylorKernel]
 
 
-def gram_matrix(data: np.ndarray, profile: KernelProfile) -> np.ndarray:
-    """Kernel matrix ``K[i, j] = f(||x_i - x_j||^2 / p)`` over the columns
-    ``x_i`` of ``data`` (shape ``p x n``).
+def _to_kernel(G, a, b, p, profile):
+    """Turn ``G`` in place from products ``x_i' y_j`` into ``f(d_ij / p)``,
+    ``d_ij = (a_i + b_j) - 2 G_ij`` clamped at zero, ``_TILE`` rows at a time
+    so that each tile is still in cache for the profile.  ``a`` and ``b`` are
+    the squared norms of the ``x_i`` and ``y_j``; their sums go into one
+    ``_TILE`` by ``len(b)`` scratch."""
+    sums = np.empty((min(_TILE, len(G)), len(b)))
+    for r in range(0, len(G), _TILE):
+        T = G[r : r + _TILE]
+        S = sums[: len(T)]
+        np.add.outer(a[r : r + _TILE], b, out=S)
+        T *= -2.0
+        T += S
+        np.maximum(T, 0.0, out=T)
+        T /= p
+        profile._apply(T)
+    return G
 
-    ``K`` is exactly symmetric with diagonal exactly ``f(0)``.  Each ``_ROWS``
-    rows of its upper triangle are built in ``K``'s own buffer: a general
-    product of ``X' X`` (NumPy's ``X.T @ X`` mirrors its triangle one column
-    at a time, about doubling its cost), the distances ``(a_i + a_j) - 2 G_ij``
-    with ``a`` the product's diagonal, clamped at zero, then ``f`` of their
-    ratio to ``p``.  The triangle is then mirrored, so the build holds ``K``
-    and about one block row.  A non-contiguous ``X`` is copied first.
+
+def _mirror(S):
+    """Copy the upper triangle of the square ``S`` onto its lower one, block
+    by block: a column-at-a-time copy misses the cache on every write."""
+    for i in range(0, len(S), _TILE):
+        for j in range(0, i, _TILE):
+            S[i : i + _TILE, j : j + _TILE] = S[j : j + _TILE, i : i + _TILE].T
+        for r in range(i + 1, min(i + _TILE, len(S))):
+            S[r, i:r] = S[i:r, r]
+
+
+@dataclass(frozen=True, eq=False)
+class Gram:
+    """A symmetric kernel matrix ``K`` held as its upper block rows.
+
+    ``rows[k]`` is ``K[i:i + _ROWS, i:]`` with ``i = k * _ROWS``: its leading
+    square is exactly symmetric, and the rectangle to its right stands for
+    itself and, transposed, for the block column below the square.  That is
+    about n^2 / 2 doubles instead of n^2.  ``G @ P`` multiplies a vector or
+    an ``n x m`` matrix, and ``np.asarray(G)`` gives the dense, exactly
+    symmetric ``K``.
+    """
+
+    rows: tuple
+
+    @property
+    def shape(self):
+        n = sum(map(len, self.rows))
+        return n, n
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __matmul__(self, P):
+        """``K @ P``.  Each square is one product; the rectangle right of it
+        goes ``_ROWS`` columns at a time, and each chunk serves both ``C @ P``
+        and ``C' @ P`` while it is in cache.  With one block row this is the
+        one product ``B @ P``."""
+        P = np.asarray(P, dtype=float)
+        out = np.zeros((len(self),) + P.shape[1:])
+        for i, B in zip(range(0, len(self), _ROWS), self.rows):
+            r = len(B)
+            out[i : i + r] += B[:, :r] @ P[i : i + r]
+            for c in range(r, B.shape[1], _ROWS):
+                C = B[:, c : c + _ROWS]
+                out[i : i + r] += C @ P[i + c : i + c + _ROWS]
+                out[i + c : i + c + _ROWS] += C.T @ P[i : i + r]
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a Gram holds no dense matrix to share")
+        K = np.empty(self.shape)
+        for i, B in zip(range(0, len(K), _ROWS), self.rows):
+            r = len(B)
+            K[i : i + r, i:] = B
+            K[i + r :, i : i + r] = B[:, r:].T
+        return K if dtype is None else K.astype(dtype, copy=False)
+
+
+def gram_matrix(data: np.ndarray, profile: KernelProfile) -> Gram:
+    """Kernel matrix ``K[i, j] = f(||x_i - x_j||^2 / p)`` over the columns
+    ``x_i`` of ``data`` (shape ``p x n``), as a :class:`Gram`.
+
+    ``K`` is exactly symmetric with diagonal exactly ``f(0)``.  Each
+    ``_ROWS``-row block row of its upper triangle is one general product of
+    ``X' X`` (NumPy's ``X.T @ X`` mirrors its triangle one column at a time,
+    about doubling its cost), turned in place into kernel values by
+    :func:`_to_kernel` with ``a`` the product's diagonal; its square's
+    diagonal is then set to ``f(0)`` and the square mirrored.  The build
+    holds the block rows, about n^2 / 2 + 256 n doubles.  A non-contiguous
+    ``X`` is copied first.
     """
     X = np.asarray(data, dtype=float)
     X = X if X.flags.forc else np.ascontiguousarray(X)
     p, n = X.shape
-    K = np.empty((n, n))
+    f0 = profile.value(0.0)
     a = np.empty(n)
+    rows = []
     # Last block row first: each needs the norms a[j] of every later column.
     for i in reversed(range(0, n, _ROWS)):
-        B = K[i : i + _ROWS, i:]
-        np.matmul(X[:, i : i + _ROWS].T, X[:, i:], out=B)
-        a[i : i + len(B)] = np.diagonal(B)
-        B *= -2.0
-        B += np.add.outer(a[i : i + len(B)], a[i:])
-        np.maximum(B, 0.0, out=B)
-        np.fill_diagonal(B, 0.0)  # already 0 unless a norm overflowed
-        B /= p
-        profile._apply(B)
-    # Block by block: a column-at-a-time copy misses the cache on every write.
-    for i in range(0, n, _TILE):
-        for j in range(0, i, _TILE):
-            K[i : i + _TILE, j : j + _TILE] = K[j : j + _TILE, i : i + _TILE].T
-        for r in range(i + 1, min(i + _TILE, n)):
-            K[r, i:r] = K[i:r, r]
-    return K
+        B = X[:, i : i + _ROWS].T @ X[:, i:]
+        r = len(B)
+        a[i : i + r] = np.diagonal(B)
+        _to_kernel(B, a[i : i + r], a[i:], p, profile)
+        np.fill_diagonal(B, f0)  # also where an overflowed norm left inf - inf
+        _mirror(B[:, :r])
+        rows.append(B)
+    return Gram(tuple(reversed(rows)))
 
 
 def kernel_vector(data: np.ndarray, x: np.ndarray, profile: KernelProfile) -> np.ndarray:
@@ -164,18 +236,15 @@ def kernel_vector(data: np.ndarray, x: np.ndarray, profile: KernelProfile) -> np
     ``data``.
 
     ``x`` may be a single ``p``-vector (returns an ``n``-vector) or a
-    ``p x m`` matrix of query points (returns ``n x m``).  The distances
-    expand as in :func:`gram_matrix`, ``(a_i + b_j) - 2 x_i' q_j``, clamped at zero.
+    ``p x m`` matrix of query points (returns ``n x m``).  The product
+    ``X' Q`` is turned into kernel values by :func:`_to_kernel`, as the
+    block rows of :func:`gram_matrix` are.
     """
     X = np.asarray(data, dtype=float)
     q = np.asarray(x, dtype=float)
     Q = q.reshape(q.shape[0], -1)
-    D = X.T @ Q
-    D *= -2.0
-    D += np.add.outer(np.einsum("ij,ij->j", X, X), np.einsum("ij,ij->j", Q, Q))
-    np.maximum(D, 0.0, out=D)
-    D /= X.shape[0]
-    out = profile._apply(D)
+    a, b = np.einsum("ij,ij->j", X, X), np.einsum("ij,ij->j", Q, Q)
+    out = _to_kernel(X.T @ Q, a, b, X.shape[0], profile)
     return out[:, 0] if q.ndim == 1 else out
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalFailure
-from .kernels import KernelProfile, gram_matrix, kernel_vector
+from .kernels import Gram, KernelProfile, gram_matrix, kernel_vector
 
 _PIVOT_RTOL = 1e-12
 _CG_RTOL = 1e-14  # relative residual at which a conjugate-gradient column stops
@@ -41,7 +41,7 @@ def _cg(K, shift, B):
     has not stopped after ``_CG_MAXIT`` steps, or when a step's curvature
     p'Sp / p'p is not above ``_PIVOT_RTOL`` times the largest seen, the
     floor the fallback's eigenvalues use; a curvature that is not positive
-    never passes.  ``K`` is only read.
+    never passes.  ``K`` is only read, and only through ``K @``.
     """
     X = np.zeros_like(B)
     R = B.copy()
@@ -77,10 +77,12 @@ def _factor(K, shift):
     ``S = V diag(lam) V'`` by ``np.linalg.eigh``, kept only if every
     ``|lam|`` is at least ``_PIVOT_RTOL * ||S||_inf``.  The norm is taken
     over all of ``S``: ``eigh`` reads one triangle, and a NaN in the other
-    must fail the test too.  On a shared 2-core machine it took 1.6 s at
-    n = 2048 and 0.24 s at n = 1024, against 0.23 s and 0.05 s for an LU.
+    must fail the test too.  ``S`` starts as a dense copy of ``K``, which may
+    be a :class:`~lssvmlim.kernels.Gram` or a square array.  On a shared
+    2-core machine it took 1.6 s at n = 2048 and 0.24 s at n = 1024, against
+    0.23 s and 0.05 s for an LU.
     """
-    S = K.copy()
+    S = np.array(K, dtype=float)
     S.flat[:: len(S) + 1] += shift
     try:
         lam, V = np.linalg.eigh(S)
@@ -92,12 +94,14 @@ def _factor(K, shift):
     return lambda B: V @ ((V.T @ B) / lam[:, None])
 
 
-def train(gram: np.ndarray, labels: np.ndarray, gamma: float):
+def train(gram: Gram | np.ndarray, labels: np.ndarray, gamma: float):
     """Solve for the dual coefficients and bias.
 
     Parameters
     ----------
-    gram : (n, n) symmetric kernel matrix; left unchanged.
+    gram : (n, n) symmetric kernel matrix, a :class:`~lssvmlim.kernels.Gram`
+        or a dense square array; left unchanged.  It is read through
+        ``gram @`` only, unless the system has to be decomposed.
     labels : n-vector with both classes present (+-1 or normalized values).
     gamma : positive regularization factor.
 
@@ -106,7 +110,7 @@ def train(gram: np.ndarray, labels: np.ndarray, gamma: float):
     (alpha, bias) satisfying ``S alpha = y - bias`` and ``1' alpha = 0`` up to
     solver tolerance.
     """
-    K = np.asarray(gram, dtype=float)
+    K = gram if isinstance(gram, Gram) else np.asarray(gram, dtype=float)
     y = np.asarray(labels, dtype=float)
     n = K.shape[0]
     if K.shape != (n, n):

@@ -16,6 +16,7 @@ from lssvmlim.kernels import (
     kernel_from_spec,
     kernel_vector,
 )
+from lssvmlim.lssvm import TrainedModel
 
 # Profiles chosen so the second-difference check below is not swamped by
 # cancellation noise, which scales like eps * |f| / (h^2 |f''|): each profile
@@ -94,7 +95,7 @@ def test_gram_diagonal_is_f_zero():
 
 def test_gram_two_points():
     X = np.array([[0.0, 2.0], [0.0, 0.0]])
-    K = gram_matrix(X, GaussianKernel(1.0))
+    K = np.asarray(gram_matrix(X, GaussianKernel(1.0)))
     # ||x1 - x2||^2 / p = 4 / 2 = 2
     assert K[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
@@ -103,7 +104,7 @@ def test_gram_matches_entrywise_double_loop():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((4, 5))
     profile = GaussianKernel(0.8)
-    K = gram_matrix(X, profile)
+    K = np.asarray(gram_matrix(X, profile))
     p = X.shape[0]
     for i in range(5):
         for j in range(5):
@@ -115,7 +116,7 @@ def test_gram_exactly_symmetric():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((16, 40)) * 3.0
     for profile in FD_PROFILES:
-        K = gram_matrix(X, profile)
+        K = np.asarray(gram_matrix(X, profile))
         assert np.array_equal(K, K.T)
 
 
@@ -171,12 +172,12 @@ def test_gram_exactly_symmetric_for_any_memory_layout(layout):
         "column_slice": big[:40, :300],
     }[layout]
     for profile in FD_PROFILES:
-        K = gram_matrix(X, profile)
+        K = np.asarray(gram_matrix(X, profile))
         assert np.array_equal(K, K.T)
         assert np.all(np.diag(K) == profile.value(0.0))
 
 
-# column counts on both sides of the block-row and mirror-tile edges
+# column counts on both sides of the block-row, product-chunk and tile edges
 _GRAM_COLUMNS = st.one_of(
     st.sampled_from([1, 2, _TILE - 1, _TILE, _TILE + 1, _ROWS - 1, _ROWS, _ROWS + 1,
                      _ROWS + _TILE, 2 * _ROWS + 3]),
@@ -192,7 +193,7 @@ def test_gram_is_exactly_symmetric_with_f_zero_diagonal(p, n, layout, profile, s
     X = {"C": np.ascontiguousarray(base[:p, :n]), "F": np.asfortranarray(base[:p, :n]),
          "strided": base[::2, ::3]}[layout]
     before = X.copy()
-    K = gram_matrix(X, profile)
+    K = np.asarray(gram_matrix(X, profile))
     assert np.array_equal(K, K.T)
     assert np.all(np.diag(K) == profile.value(0.0))
     assert np.array_equal(X, before)
@@ -210,7 +211,7 @@ def test_gram_agrees_with_direct_distances_across_block_rows():
 
 @pytest.mark.parametrize("profile", FD_PROFILES, ids=lambda k: type(k).__name__)
 def test_gram_holds_about_one_matrix_at_a_time(profile):
-    # K plus about one block row: a second n x n distance buffer would read 2.0
+    # the packed block rows and one scratch: a second n x n distance buffer would read 2.0
     n = 2048
     X = np.random.default_rng(37).standard_normal((64, n))
     tracemalloc.start()
@@ -220,6 +221,38 @@ def test_gram_holds_about_one_matrix_at_a_time(profile):
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * 8 * n * n
+
+
+@pytest.mark.parametrize("profile", FD_PROFILES, ids=lambda k: type(k).__name__)
+def test_fit_holds_well_under_one_dense_gram(profile):
+    # the packed block rows are about n^2 / 2 + 256 n doubles: a dense K alone reads 1.0
+    n = 2048
+    rng = np.random.default_rng(43)
+    X = rng.standard_normal((64, n))
+    labels = rng.permutation(np.where(np.arange(n) < n // 2, -1.0, 1.0))
+    tracemalloc.start()
+    try:
+        TrainedModel.fit(X, labels, 1.0, profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.8 * 8 * n * n
+
+
+@settings(max_examples=60, deadline=None)
+@given(_GRAM_COLUMNS, st.sampled_from([(), (2,)]), st.sampled_from(FD_PROFILES),
+       st.integers(0, 2**32 - 1))
+def test_gram_product_matches_the_dense_product(n, columns, profile, seed):
+    rng = np.random.default_rng(seed)
+    G = gram_matrix(rng.standard_normal((6, n)), profile)
+    P = rng.standard_normal((n, *columns))
+    K = np.asarray(G)
+    got = G @ P
+    assert got.shape == P.shape
+    if n <= _ROWS:  # one block row: the one product K @ P
+        assert np.array_equal(got, K @ P)
+    bound = n * np.finfo(float).eps * (np.abs(K) @ np.abs(P))
+    assert np.all(np.abs(got - K @ P) <= bound)
 
 
 @pytest.mark.parametrize("profile", FD_PROFILES, ids=lambda k: type(k).__name__)
@@ -234,23 +267,23 @@ def test_gram_duplicate_columns_hit_f_zero():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((6, 4))
     X[:, 2] = X[:, 0]
-    K = gram_matrix(X, GaussianKernel(2.0))
+    K = np.asarray(gram_matrix(X, GaussianKernel(2.0)))
     assert K[0, 2] == K[2, 0] == float(GaussianKernel(2.0).value(0.0))
 
 
 def test_gram_clamps_and_zeroes_diagonal():
     identity = PolynomialKernel((0.0, 1.0))  # f(u) = u: K is the distances over p
-    assert np.all(gram_matrix(np.ones((3, 4)), identity) == 0.0)
+    assert np.all(np.asarray(gram_matrix(np.ones((3, 4)), identity)) == 0.0)
     # near-duplicate columns: the expansion rounds some distances below zero
     rng = np.random.default_rng(41)
     X = 1e3 + 1e-9 * rng.standard_normal((5, 40))
     a = np.einsum("ij,ij->j", X, X)
     assert (np.add.outer(a, a) - 2.0 * (X.T @ X)).min() < 0.0
-    K = gram_matrix(X, identity)
+    K = np.asarray(gram_matrix(X, identity))
     assert K.min() >= 0.0 and np.all(np.diag(K) == 0.0)
     # a squared norm that overflows leaves inf - inf on the diagonal unless zeroed
     with np.errstate(over="ignore", invalid="ignore"):
-        K = gram_matrix(np.array([[1e200, 1.0]]), identity)
+        K = np.asarray(gram_matrix(np.array([[1e200, 1.0]]), identity))
     assert np.all(np.diag(K) == 0.0)
 
 
@@ -272,7 +305,7 @@ def test_kernel_vector_equals_gram_column():
     rng = np.random.default_rng(13)
     X = rng.standard_normal((4, 9))
     profile = TaylorKernel(1.5, 2.0, -0.5, 0.7)
-    K = gram_matrix(X, profile)
+    K = np.asarray(gram_matrix(X, profile))
     for j in (0, 4, 8):
         np.testing.assert_allclose(kernel_vector(X, X[:, j], profile), K[:, j], atol=1e-12)
 

@@ -167,6 +167,20 @@ def test_positive_definite_system_takes_one_eigh(no_cg, factor_calls):
     assert_solves(K, labels, 1.0, alpha, bias)
 
 
+def test_eigh_path_from_a_gram_matches_the_dense_one(no_cg, factor_calls):
+    # three block rows, so that the dense copy is assembled from packed ones
+    rng = np.random.default_rng(47)
+    X, labels = random_instance(rng, 1100, 10)
+    G = gram_matrix(X, GaussianKernel(1.0))
+    K = np.asarray(G)
+    alpha, bias = train(G, labels, 1.0)
+    dense_alpha, dense_bias = train(K, labels, 1.0)
+    assert len(factor_calls) == 2
+    np.testing.assert_allclose(alpha, dense_alpha, rtol=0, atol=1e-12)
+    assert abs(bias - dense_bias) <= 1e-12
+    assert np.array_equal(np.asarray(G), K)
+
+
 def test_negative_definite_system_takes_one_eigh(factor_calls):
     n, gamma = 10, 2.0
     K = -3.0 * (n / gamma) * np.eye(n)  # S = K + (n/gamma) I = -2 (n/gamma) I
@@ -264,7 +278,7 @@ def test_refinement_pass_reuses_the_factorization(monkeypatch, no_cg, factor_cal
 @pytest.mark.parametrize(
     "make_gram",
     [
-        lambda X: gram_matrix(X, GaussianKernel(1.0)),
+        lambda X: np.asarray(gram_matrix(X, GaussianKernel(1.0))),
         lambda X: -3.0 * X.shape[1] * np.eye(X.shape[1]),  # conjugate gradients give up
         lambda X: np.asfortranarray(gram_matrix(X, GaussianKernel(1.0))),
     ],
