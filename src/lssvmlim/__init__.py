@@ -39,8 +39,8 @@ from .mixture import (
 from .mnist import (
     ImageDataset,
     add_white_noise,
-    apply_scaling,
     class_stats,
+    discrepancy_by_scaling,
     discrepancy_stats,
     load_idx,
     write_idx,

@@ -165,16 +165,10 @@ def cmd_mnist_stats(args):
         )[2]
         for t in range(config.trials)
     ]
-    triples = {
-        name: mnist.discrepancy_stats(
-            mnist.class_stats(mnist.apply_scaling(data, name), args.digit_a, args.digit_b)
-        )
-        for name in mnist.CANDIDATE_SCALINGS
-    }
     out = {
         "digits": [args.digit_a, args.digit_b],
         "counts": [int((data.labels == args.digit_a).sum()), int((data.labels == args.digit_b).sum())],
-        "discrepancy_by_scaling": {k: list(v) for k, v in triples.items()},
+        "discrepancy_by_scaling": mnist.discrepancy_by_scaling(data, model),
         "theory": dict(stats.as_dict(), **predicted),
         "empirical_weighted_error": float(np.mean(errs)),
         "empirical_se": float(np.std(errs, ddof=1) / np.sqrt(len(errs))) if len(errs) > 1 else None,

@@ -132,6 +132,8 @@ class ExperimentConfig:
             object.__setattr__(self, "sizes", tuple(tuple(map(int, pair)) for pair in self.sizes))
         except (TypeError, OverflowError) as exc:  # e.g. a null, or an inf integer
             raise ValueError(f"config value of the wrong type or range: {exc}") from exc
+        if any(len(pair) != 2 for pair in self.sizes):
+            raise ValueError(f"sizes must be [n, p] pairs, got {[list(s) for s in self.sizes]}")
         if not (np.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if self.n < 2 or self.n_test < 2:
@@ -142,6 +144,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown label convention: {self.convention!r}")
         if self.axis is not None and len(self.grid) == 0:
             raise ValueError("sweep grid must be nonempty")
+        if len(set(self.grid)) < len(self.grid):  # a grid point is known by its value
+            raise ValueError(f"sweep grid repeats a value: {list(self.grid)}")
         if self.axis == "c0" and not all(0 < v < np.inf for v in self.grid):
             raise ValueError(f"c0 grid values must be finite and positive, got {list(self.grid)}")
         if self.threshold_rule not in THRESHOLD_RULES:
@@ -411,6 +415,8 @@ def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a parsed config file with
     ``overrides`` of its top-level keys; absent keys take the field defaults."""
     doc = dict(_object(doc, "the config"), **overrides)
+    if "model" not in doc:
+        raise ValueError("missing key model")
     sweep = _object(doc.get("sweep") or {}, "sweep")
     given = {f: doc[key] for key, f in _CONFIG_FIELDS.items() if key in doc}
     _object(given.get("kernel_spec", {}), "kernel")

@@ -265,6 +265,8 @@ def kernel_from_spec(spec: dict) -> KernelProfile:
             return PolynomialKernel(tuple(spec["coeffs"]))
         if kind == "local":
             return TaylorKernel(*(float(spec[key]) for key in ("tau", "f", "fp", "fpp")))
+    except KeyError as exc:
+        raise ValueError(f"missing key kernel.{exc.args[0]}") from None
     except TypeError as exc:  # e.g. a null, or coefficients that are not a list
         raise ValueError(f"kernel value of the wrong type: {exc}") from exc
     raise ValueError(f"unknown kernel kind: {kind!r}")

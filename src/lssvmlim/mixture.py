@@ -342,34 +342,47 @@ def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> LatentDataset:
     return LatentDataset(X=X, labels=labels, omega=omega, psi=psi)
 
 
-def _parse_mean_spec(spec, p):
+def _spec_args(spec, name, form, kinds):
+    """The arguments of a spec string like "toeplitz(0.4, 2)", each converted
+    by its entry of ``kinds``; ``name`` and ``form`` make the message when
+    they do not fit."""
+    s = spec.strip()
+    args = s[s.index("(") + 1 : -1].split(",")
+    try:
+        if len(args) == len(kinds):
+            return [kind(arg) for kind, arg in zip(kinds, args)]  # int and float strip spaces
+    except ValueError:  # e.g. int("1.5")
+        pass
+    raise ValueError(f"{name}: expected {form}, got {spec!r}")
+
+
+def _parse_mean_spec(spec, p, name):
     if isinstance(spec, str):
         s = spec.strip()
         if s == "zeros":
             return np.zeros(p)
         if s.startswith("unit_spike(") and s.endswith(")"):
-            idx, val = (t.strip() for t in s[len("unit_spike(") : -1].split(","))
+            k, val = _spec_args(spec, name, "unit_spike(k, v) with an integer k", (int, float))
             mu = np.zeros(p)
-            k = int(idx)
             if not 1 <= k <= p:
                 raise ValueError(f"spike coordinate {k} outside 1..{p}")
-            mu[k - 1] = float(val)  # 1-based coordinate
+            mu[k - 1] = val  # 1-based coordinate
             return mu
         raise ValueError(f"unknown mean spec: {spec!r}")
     return np.asarray(spec, dtype=float)
 
 
-def _parse_cov_spec(spec, p):
+def _parse_cov_spec(spec, p, name):
     if isinstance(spec, str):
         s = spec.strip()
         if s == "identity":
             return ToeplitzCov(0.0, 1.0, p)
         if s.startswith("toeplitz(") and s.endswith(")"):
-            rho, scale = (float(t) for t in s[len("toeplitz(") : -1].split(","))
+            rho, scale = _spec_args(spec, name, "toeplitz(rho, scale)", (float, float))
             return ToeplitzCov(rho, scale, p)
         if s.startswith("boosted_toeplitz(") and s.endswith(")"):
             # scale tied to the dimension: 1 + boost / sqrt(p)
-            rho, boost = (float(t) for t in s[len("boosted_toeplitz(") : -1].split(","))
+            rho, boost = _spec_args(spec, name, "boosted_toeplitz(rho, boost)", (float, float))
             return ToeplitzCov(rho, 1.0 + boost / np.sqrt(p), p)
         raise ValueError(f"unknown covariance spec: {spec!r}")
     if isinstance(spec, dict) and "file" in spec:
@@ -389,14 +402,14 @@ def model_from_spec(spec: dict, p: int | None = None) -> MixtureModel:
     """
     try:
         p = int(spec["p"]) if p is None else int(p)
-        mu1 = _parse_mean_spec(spec["mean1"], p)
-        mu2 = _parse_mean_spec(spec["mean2"], p)
-        cov1 = _parse_cov_spec(spec["cov1"], p)
-        cov2 = _parse_cov_spec(spec["cov2"], p)
+        mu1, mu2 = (_parse_mean_spec(spec[key], p, f"model.{key}") for key in ("mean1", "mean2"))
+        cov1, cov2 = (_parse_cov_spec(spec[key], p, f"model.{key}") for key in ("cov1", "cov2"))
         if "c1" in spec:
             c1 = float(spec["c1"])
         else:
             c1 = int(spec["n1"]) / (int(spec["n1"]) + int(spec["n2"]))
+    except KeyError as exc:
+        raise ValueError(f"missing key model.{exc.args[0]}") from None
     except (TypeError, ArithmeticError) as exc:  # e.g. a null, n1 = n2 = 0, or an inf count
         raise ValueError(f"model value of the wrong type or range: {exc}") from exc
     return MixtureModel(p, mu1, mu2, cov1, cov2, c1=c1)

@@ -1,5 +1,5 @@
-"""IDX image-file ingestion, empirical two-class moments, and white-noise
-injection.
+"""IDX image-file ingestion, empirical two-class moments, their discrepancy
+summaries under candidate pixel scalings, and white-noise injection.
 
 The IDX byte format (big-endian):
 
@@ -40,10 +40,6 @@ class ImageDataset:
     def p(self):
         return self.images.shape[0]
 
-    @property
-    def count(self):
-        return self.images.shape[1]
-
 
 def _open_maybe_gzip(path):
     with open(path, "rb") as fh:
@@ -75,7 +71,8 @@ def load_idx(images_path, labels_path) -> ImageDataset:
     if label_count != count:
         raise DataError(f"{count} images but {label_count} labels")
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-    images = pixels.T.astype(np.float64) / 255.0
+    images = pixels.T.astype(np.float64)
+    images /= 255.0
     labels = np.frombuffer(label_raw, dtype=np.uint8).astype(np.int64)
     return ImageDataset(images=images, labels=labels, scaling="unit_interval")
 
@@ -135,6 +132,26 @@ def discrepancy_stats(model: MixtureModel):
     )
 
 
+def _mean_square(images):
+    """Mean squared pixel; ``np.vdot`` and ``images**2`` would copy the matrix."""
+    flat = images.ravel(order="K")
+    return float(flat @ flat) / flat.size
+
+
+def discrepancy_by_scaling(data: ImageDataset, model: MixtureModel):
+    """``discrepancy_stats`` of ``model = class_stats(data, ...)`` as it reads
+    with every pixel multiplied by f, for each candidate scaling: ``unit``
+    (f = 1), ``raw`` (255), ``mean`` (1 / the dataset-wide mean pixel) and
+    ``rms`` (1 / the root mean squared pixel), for matching moment tables of
+    unknown preprocessing.  Scaling by f scales the triple by (f^2, f^4, f^4).
+    """
+    factors = {"unit": 1.0, "raw": 255.0, "mean": 1.0 / float(np.mean(data.images)),
+               "rms": 1.0 / np.sqrt(_mean_square(data.images))}
+    mean_gap, trace_gap, sq_trace_gap = discrepancy_stats(model)
+    return {name: (f**2 * mean_gap, f**4 * trace_gap, f**4 * sq_trace_gap)
+            for name, f in factors.items()}
+
+
 def add_white_noise(data: ImageDataset, snr_db, seed) -> ImageDataset:
     """Add i.i.d. zero-mean Gaussian pixel noise at the given SNR.
 
@@ -146,43 +163,17 @@ def add_white_noise(data: ImageDataset, snr_db, seed) -> ImageDataset:
     """
     if snr_db is None or snr_db == np.inf:
         return data
-    power = float(np.mean(data.images**2))
     try:
-        noise_var = power * 10.0 ** (-float(snr_db) / 10.0)
+        noise_var = _mean_square(data.images) * 10.0 ** (-float(snr_db) / 10.0)
     except OverflowError:  # a Python float's ** does not return inf
         noise_var = np.inf
     if not np.isfinite(noise_var):
         raise ValueError(f"snr_db = {snr_db} gives a noise variance that is not finite")
-    rng = np.random.default_rng(seed)
-    noisy = data.images + np.sqrt(noise_var) * rng.standard_normal(data.images.shape)
+    noisy = np.random.default_rng(seed).standard_normal(data.images.shape)
+    noisy *= np.sqrt(noise_var)
+    noisy += data.images
     return ImageDataset(
         images=noisy,
         labels=data.labels,
         scaling=f"{data.scaling}+awgn({snr_db:g}dB)",
     )
-
-
-# Candidate pixel scalings for matching externally reported moment tables
-# whose preprocessing convention is unknown.
-def apply_scaling(data: ImageDataset, name: str) -> ImageDataset:
-    """Rescale pixels: ``unit`` (identity), ``raw`` (x255), ``mean`` (divide
-    by the dataset-wide mean pixel), ``rms`` (divide by the root mean squared
-    pixel)."""
-    if name == "unit":
-        return data
-    if name == "raw":
-        factor = 255.0
-    elif name == "mean":
-        factor = 1.0 / float(np.mean(data.images))
-    elif name == "rms":
-        factor = 1.0 / float(np.sqrt(np.mean(data.images**2)))
-    else:
-        raise ValueError(f"unknown scaling: {name!r}")
-    return ImageDataset(
-        images=data.images * factor,
-        labels=data.labels,
-        scaling=f"{data.scaling}*{name}",
-    )
-
-
-CANDIDATE_SCALINGS = ("unit", "raw", "mean", "rms")

@@ -23,7 +23,6 @@ from .kernels import KernelProfile
 from .mixture import LatentDataset, MixtureModel
 
 _SQRT2 = np.sqrt(2.0)
-_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 
@@ -38,11 +37,11 @@ def estimate_tau(X: np.ndarray) -> float:
     concentration point of pairwise normalized squared distances, computable
     from the data alone (no class information, no kernel)."""
     X = np.asarray(X, dtype=float)
-    p, n = X.shape
-    if n < 2:
-        raise ValueError("need at least two columns")
+    if X.ndim != 2 or X.shape[1] < 2:
+        raise ValueError(f"the data must be a p x n matrix with n >= 2, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValueError("the data must be finite")
+    p, n = X.shape
     Xc = X - X.mean(axis=1, keepdims=True)
     return 2.0 * float(np.vdot(Xc, Xc)) / (n * p)
 
@@ -281,21 +280,18 @@ def gaussian_stats(
     return stats
 
 
+def _tail(d, s):
+    """P(s Z > d) for a standard normal Z, and 1/2 at s = d = 0."""
+    return q_function(d / s) if s > 0.0 else (0.0 if d > 0.0 else (1.0 if d < 0.0 else 0.5))
+
+
 def _tail_pair(e1, s1, e2, s2, t):
     """Per-class error rates at reduced threshold t, handling zero spread.
 
     Class 1 errs when its score lands at or above the threshold, class 2 when
     below; a point mass sitting exactly on the threshold counts 1/2.
     """
-    if s1 > 0.0:
-        eps1 = q_function((t - e1) / s1)
-    else:
-        eps1 = 0.0 if e1 < t else (1.0 if e1 > t else 0.5)
-    if s2 > 0.0:
-        eps2 = q_function((e2 - t) / s2)
-    else:
-        eps2 = 0.0 if e2 > t else (1.0 if e2 < t else 0.5)
-    return eps1, eps2
+    return _tail(t - e1, s1), _tail(e2 - t, s2)
 
 
 def error_rates(stats: TheoryStats, threshold: float):
@@ -320,7 +316,7 @@ def _stationary_points(e1, s1, e2, s2, c1, c2):
         a = 0.5 / s2**2 - 0.5 / s1**2
         b = e1 / s1**2 - e2 / s2**2
         c = e2**2 / (2.0 * s2**2) - e1**2 / (2.0 * s1**2) + float(np.log((c1 * s2) / (c2 * s1)))
-    except OverflowError:  # a Python float's ** does not return inf
+    except ArithmeticError:  # Python floats raise where NumPy gives inf: ** and / 0.0
         return None
     disc = b * b - 4.0 * a * c
     if not math.isfinite(disc):  # b or c overflowed to inf, or b * b or 4 a c did
@@ -353,14 +349,13 @@ def _reduced_optimal(e1, s1, e2, s2, c1, c2):
         # push against the degenerate side to shrink the other tail.
         shift = 1e-12 * max(e2 - e1, abs(e1), abs(e2), 1.0)
         return e1 + shift if s1 == 0.0 else e2 - shift
-    candidates = _stationary_points(e1, s1, e2, s2, c1, c2)
-    if candidates is None:  # overflowed: again in units of 2**k near the spreads
-        k = math.frexp(max(s1, s2))[1]
-        roots = _stationary_points(*(math.ldexp(v, -k) for v in (e1, s1, e2, s2)), c1, c2)
-        # None again: the means lie some 1e150 spreads apart, and the densities
-        # cross where each mean is equally many spreads away
-        w = s1 / (s1 + s2)
-        candidates = [(1 - w) * e1 + w * e2] if roots is None else [math.ldexp(t, k) for t in roots]
+    # In units of 2**k midway between the spreads, so no 1 / s**2 overflows (ldexp
+    # is exact).  None: the means lie some 1e150 spreads apart, and the densities
+    # cross where each mean is equally many spreads away.
+    k = (math.frexp(s1)[1] + math.frexp(s2)[1]) // 2
+    roots = _stationary_points(*(math.ldexp(v, -k) for v in (e1, s1, e2, s2)), c1, c2)
+    w = s1 / (s1 + s2)
+    candidates = [(1 - w) * e1 + w * e2] if roots is None else [math.ldexp(t, k) for t in roots]
     inside = [t for t in candidates if e1 <= t <= e2]
     pool = inside if inside else candidates + [e1 - 6.0 * s1, e2 + 6.0 * s2]
 

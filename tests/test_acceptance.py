@@ -28,7 +28,7 @@ from lssvmlim.experiments import (
 from lssvmlim.kernels import GaussianKernel, PolynomialKernel, TaylorKernel
 from lssvmlim.lssvm import TrainedModel, train
 from lssvmlim.mixture import MixtureModel, ToeplitzCov, mix64, sample
-from lssvmlim.mnist import CANDIDATE_SCALINGS, apply_scaling, class_stats, discrepancy_stats, load_idx
+from lssvmlim.mnist import class_stats, discrepancy_by_scaling, load_idx
 from lssvmlim.theory import error_rates, estimate_tau, gaussian_stats
 
 SLOPE_GRID = [-3.0, -2.5, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
@@ -319,8 +319,8 @@ def test_c11_mnist_pipeline():
 
     reference = np.array([251.0, 19.0, 30.0])
     best_name, best_ratio = None, np.inf
-    for name in CANDIDATE_SCALINGS:
-        triple = np.array(discrepancy_stats(class_stats(apply_scaling(data, name), 8, 9)))
+    for name, triple in discrepancy_by_scaling(data, model).items():
+        triple = np.array(triple)
         with np.errstate(divide="ignore"):
             ratios = np.where(triple > 0, np.maximum(triple / reference, reference / triple), np.inf)
         if ratios.max() < best_ratio:

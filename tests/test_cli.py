@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lssvmlim
-from lssvmlim import cli, experiments
+from lssvmlim import cli, experiments, mnist
 from lssvmlim.cli import main
 from lssvmlim.errors import DataError, NumericalFailure
 from lssvmlim.mixture import MixtureModel, sample
@@ -240,6 +241,35 @@ def test_mnist_stats_on_synthetic_idx(tmp_path, capsys):
     assert out["theory"]["weighted"] <= 0.5
 
 
+def test_mnist_stats_builds_one_model_and_no_rescaled_images(tmp_path, capsys, monkeypatch):
+    # The four scaled discrepancy triples follow from the one model by their
+    # exact factors: one class_stats, whose two 784 x 784 covariances take an
+    # eigh each, and no rescaled copy of the images.  The tracemalloc peak was
+    # 5.3x the float64 image bytes when each scaling rebuilt the model from
+    # rescaled images and 2.8x with one model; 3.5x lies between.
+    ip, lp = synthetic_idx_pair(tmp_path, p=784, per_class=3000)
+    calls = {"class_stats": 0, "eigh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mnist, "class_stats", counted("class_stats", mnist.class_stats))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    tracemalloc.start()
+    try:
+        assert main(["mnist-stats", "--images", ip, "--labels", lp, "--trials", "2"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == {"class_stats": 1, "eigh": 2}
+    assert peak <= 3.5 * 784 * 6000 * 8
+    assert set(json.loads(capsys.readouterr().out)["discrepancy_by_scaling"]) == {
+        "unit", "raw", "mean", "rms"}
+
+
 def test_mnist_stats_bad_file_is_data_error(tmp_path, capsys):
     junk = tmp_path / "junk.idx"
     junk.write_bytes(b"\x00\x00\x00\x00rest")
@@ -357,6 +387,54 @@ def test_invalid_config_is_a_one_line_data_error(tmp_path, capsys, recwarn, comm
     assert captured.out == ""
     assert captured.err.startswith("lssvmlim: invalid input:") and captured.err.count("\n") == 1
     assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
+
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "command, doc, named",
+    [
+        ("predict", json.loads(Path(CONFIG_DIR, "convergence.json").read_text()), "model.p"),
+        ("predict", without(small_sweep_doc(), "model"), "model"),
+        ("predict", small_sweep_doc(model=without(small_model(), "cov2")), "model.cov2"),
+        ("predict", small_sweep_doc(kernel={"kind": "gaussian"}), "kernel.sigma2"),
+        ("predict", small_sweep_doc(kernel={"kind": "local", "tau": 2.0, "f": 4.0, "fpp": 2.0}),
+         "kernel.fp"),
+        ("predict", small_sweep_doc(model=small_model(mean2="unit_spike(1, 2, 3)")),
+         "model.mean2"),
+        ("predict", small_sweep_doc(model=small_model(mean2="unit_spike(1.5, 2)")),
+         "model.mean2"),
+        ("predict", small_sweep_doc(model=small_model(cov2="toeplitz(0.4)")), "model.cov2"),
+        ("predict", small_sweep_doc(model=small_model(cov2="boosted_toeplitz(0.4, x)")),
+         "model.cov2"),
+        ("convergence", small_sweep_doc(sizes=[[16]], n_points=6), "sizes"),
+        ("sweep", small_sweep_doc(sweep={"axis": "sigma2", "grid": [1.0, 1.0]}), "grid"),
+        ("sweep", small_sweep_doc(sweep={"axis": "fprime", "grid": [0.0, -0.0]}), "grid"),
+    ],
+    ids=["predict-shipped-convergence-config", "predict-model-missing", "predict-cov2-missing",
+         "predict-sigma2-missing", "predict-fp-missing", "predict-spike-three-args",
+         "predict-spike-fractional-index", "predict-toeplitz-one-arg",
+         "predict-boosted-toeplitz-text", "convergence-size-single", "sweep-grid-repeated",
+         "sweep-grid-signed-zeros"],
+)
+def test_invalid_config_error_names_its_key(tmp_path, capsys, recwarn, command, doc, named):
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lssvmlim: invalid input:") and captured.err.count("\n") == 1
+    assert named in captured.err
+    assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
+
+
+def test_estimate_tau_names_the_matrix_it_needs(tmp_path, capsys):
+    path = tmp_path / "data.npy"
+    np.save(path, np.ones(5))
+    assert main(["estimate-tau", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("lssvmlim: invalid input:") and captured.err.count("\n") == 1
+    assert "p x n matrix" in captured.err
 
 
 @pytest.mark.parametrize("case", ["estimate-tau-data", "predict-cov2-file", "predict-out"])

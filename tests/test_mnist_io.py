@@ -7,11 +7,10 @@ import pytest
 from lssvmlim.errors import DataError
 from lssvmlim.mixture import MixtureModel, sample
 from lssvmlim.mnist import (
-    CANDIDATE_SCALINGS,
     ImageDataset,
     add_white_noise,
-    apply_scaling,
     class_stats,
+    discrepancy_by_scaling,
     discrepancy_stats,
     load_idx,
     write_idx,
@@ -31,7 +30,7 @@ def tiny_pair(tmp_path, pixels=None, labels=None):
 def test_crafted_two_image_file(tmp_path):
     ip, lp = tiny_pair(tmp_path)
     data = load_idx(ip, lp)
-    assert data.p == 4 and data.count == 2
+    assert data.p == 4 and data.images.shape == (4, 2)
     np.testing.assert_allclose(data.images[:, 0], [0.0, 1.0, 0.0, 1.0])
     np.testing.assert_allclose(data.images[:, 1], [1.0, 0.0, 128 / 255, 64 / 255])
     np.testing.assert_array_equal(data.labels, [3, 7])
@@ -196,17 +195,24 @@ def test_white_noise_two_seeds_differ_by_twice_the_power():
     assert abs(diff_var - 2 * power) < se_band + 0.01 * power
 
 
-def test_candidate_scalings():
+def _rescaled_discrepancies(data):
+    # the triple recomputed from class moments of the rescaled images
+    factors = {"unit": 1.0, "raw": 255.0, "mean": 1.0 / float(np.mean(data.images)),
+               "rms": 1.0 / float(np.sqrt(np.mean(data.images**2)))}
+    return {
+        name: discrepancy_stats(class_stats(
+            ImageDataset(images=data.images * f, labels=data.labels), 0, 1))
+        for name, f in factors.items()
+    }
+
+
+def test_discrepancy_by_scaling_matches_the_rescaled_images():
     rng = np.random.default_rng(10)
     images = rng.uniform(0, 1, size=(9, 40))
     data = ImageDataset(images=images, labels=np.repeat([0, 1], 20))
-    assert apply_scaling(data, "unit") is data
-    raw = apply_scaling(data, "raw")
-    np.testing.assert_allclose(raw.images, images * 255.0)
-    mean_scaled = apply_scaling(data, "mean")
-    assert np.mean(mean_scaled.images) == pytest.approx(1.0, rel=1e-12)
-    rms_scaled = apply_scaling(data, "rms")
-    assert np.mean(rms_scaled.images**2) == pytest.approx(1.0, rel=1e-12)
-    assert set(CANDIDATE_SCALINGS) == {"unit", "raw", "mean", "rms"}
-    with pytest.raises(ValueError):
-        apply_scaling(data, "log")
+    triples = discrepancy_by_scaling(data, class_stats(data, 0, 1))
+    expected = _rescaled_discrepancies(data)
+    assert list(triples) == ["unit", "raw", "mean", "rms"]
+    for name, triple in triples.items():
+        np.testing.assert_allclose(triple, expected[name], rtol=1e-12, err_msg=name)
+    assert triples["unit"] == discrepancy_stats(class_stats(data, 0, 1))

@@ -420,11 +420,11 @@ def test_threshold_mirrors_with_the_classes(e1, s1, e2, s2, c1):
 @given(e1=_MEANS.filter(lambda e: e == 0.0 or abs(e) >= 1e-3), s1=st.floats(0.01, 5.0),
        e2=_MEANS.filter(lambda e: e == 0.0 or abs(e) >= 1e-3), s2=st.floats(0.01, 5.0),
        c1=st.floats(0.05, 0.95), k=st.integers(-505, -495) | st.integers(-495, 200))
-@example(e1=-1.0, s1=0.01, e2=2.0, s2=0.02, c1=0.3, k=-505)  # b * b overflows
+@example(e1=-1.0, s1=0.01, e2=2.0, s2=0.02, c1=0.3, k=-505)  # b * b overflows unscaled
 def test_threshold_scales_with_the_scores_by_powers_of_two(e1, s1, e2, s2, c1, k):
     # The threshold scales with the scores, also near k = -505, where the
-    # quadratic's coefficients overflow and it is solved again in units near
-    # the spreads.  A float's ** is not exactly scaled by 2**k, so to rounding.
+    # quadratic's coefficients would overflow unless it were solved in units
+    # near the spreads.  A float's ** is not exactly scaled by 2**k, so to rounding.
     stats = _stats(e1=e1, e2=e2, s1=s1, s2=s2, c1=c1, c2=1.0 - c1)
     scaled = _stats(e1=math.ldexp(e1, k), e2=math.ldexp(e2, k), s1=math.ldexp(s1, k),
                     s2=math.ldexp(s2, k), c1=c1, c2=1.0 - c1)
@@ -440,6 +440,18 @@ def test_threshold_of_means_1e160_spreads_apart(c1):
     th, eps1, eps2, w = at_threshold(stats, "optimal").values()
     assert (th - stats.e1) / stats.s1 == pytest.approx((stats.e2 - th) / stats.s2, rel=1e-12)
     assert (eps1, eps2, w) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("e1, s1, e2, s2", [(0.0, 1e-150, 1.0, 1e10), (0.0, 1e-100, 1e200, 1e100)],
+                         ids=["spreads-1e160-apart", "spreads-1e200-apart"])
+def test_threshold_of_spreads_far_apart(e1, s1, e2, s2):
+    # In units of the larger spread, 1 / s1**2 overflows; in units midway
+    # between the spreads the quadratic is solved, and the threshold sits just
+    # past the narrow class, where its error vanishes.
+    stats = _stats(e1=e1, e2=e2, s1=s1, s2=s2)
+    th, eps1, eps2, w = at_threshold(stats, "optimal").values()
+    assert e1 < th < e2
+    assert eps1 < 1e-100 and w <= 0.5 * eps2 + 1e-100
 
 
 # ------------------------------------------------------ structural invariants
