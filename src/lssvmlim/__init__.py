@@ -11,8 +11,8 @@ from .experiments import (
     ExperimentConfig,
     SweepResult,
     at_threshold,
+    class_split,
     empirical_error,
-    empirical_error_pool,
     resolve_threshold,
     run_convergence,
     run_histogram,

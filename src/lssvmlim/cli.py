@@ -76,7 +76,8 @@ def cmd_predict(args):
     config = _config(args, _load_config(args.config))
     model = model_from_spec(config.model_spec)
     profile = experiments.resolve_kernel(config.kernel_spec, model)
-    stats = theory.gaussian_stats(model, config.n, config.gamma, profile, config.convention)
+    n1, n2 = experiments.class_split(config.n, model.c1)  # the counts sweep trains on
+    stats = theory.gaussian_stats(model, n1, n2, config.gamma, profile, config.convention)
     rule = config.threshold_rule
     _emit(dict(stats.as_dict(), threshold_rule=rule, **experiments.at_threshold(stats, rule)), args)
     return 0
@@ -150,28 +151,24 @@ def cmd_mnist_stats(args):
         data = mnist.add_white_noise(data, args.snr_db, mix64(config.base_seed, 99))
     model = mnist.class_stats(data, args.digit_a, args.digit_b)
     profile = experiments.resolve_kernel(config.kernel_spec, model)
-    stats = theory.gaussian_stats(model, config.n, config.gamma, profile)
+    n1, n2 = config.n // 2, config.n - config.n // 2
+    stats = theory.gaussian_stats(model, n1, n2, config.gamma, profile)
     predicted = experiments.at_threshold(stats, config.threshold_rule)
-
-    mask = (data.labels == args.digit_a) | (data.labels == args.digit_b)
-    pool_x = data.images[:, mask]
-    pool_y = np.where(data.labels[mask] == args.digit_a, -1.0, 1.0)
-    n1 = config.n // 2
-    m1 = config.n_test // 2
-    errs = [
-        experiments.empirical_error_pool(
-            pool_x, pool_y, n1, config.n - n1, m1, config.n_test - m1,
-            config.gamma, profile, predicted["threshold"], mix64(config.base_seed, t),
-        )[2]
+    # every image is in the pool; those of other digits are labeled 0 and never picked
+    pool = (data.images, np.select([data.labels == args.digit_a, data.labels == args.digit_b],
+                                   [-1.0, 1.0]))
+    mean, se = experiments.mean_se([
+        experiments.empirical_error(pool, n1, n2, config.n_test, config.gamma, profile,
+                                    predicted["threshold"], mix64(config.base_seed, t))[2]
         for t in range(config.trials)
-    ]
+    ])
     out = {
         "digits": [args.digit_a, args.digit_b],
         "counts": [int((data.labels == args.digit_a).sum()), int((data.labels == args.digit_b).sum())],
         "discrepancy_by_scaling": mnist.discrepancy_by_scaling(data, model),
         "theory": dict(stats.as_dict(), **predicted),
-        "empirical_weighted_error": float(np.mean(errs)),
-        "empirical_se": float(np.std(errs, ddof=1) / np.sqrt(len(errs))) if len(errs) > 1 else None,
+        "empirical_weighted_error": mean,
+        "empirical_se": experiments.nan_to_none(se),
         "trials": config.trials,
     }
     _emit(out, args)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
 from .kernels import kernel_from_spec
 from .lssvm import TrainedModel, classify
-from .mixture import mix64, model_from_spec, sample
+from .mixture import MixtureModel, mix64, model_from_spec, sample
 from .theory import error_rates, gaussian_stats, optimal_threshold, q_function, random_equivalent
 
 THRESHOLD_RULES = ("optimal", "zero", "bias")
@@ -42,64 +43,69 @@ def at_threshold(stats, rule):
     return {"threshold": threshold, "eps1": eps1, "eps2": eps2, "weighted": weighted}
 
 
-def _class_split(n, c1):
+def class_split(n, c1):
     """Per-class counts of ``n`` points at proportions c1 : c2, at least one
-    each."""
+    each: the counts every trial trains on and every prediction is made at."""
     if n < 2:
         raise ValueError(f"{n} points cannot cover both classes")
     n1 = min(max(1, round(n * c1)), n - 1)
     return n1, n - n1
 
 
-def _trial(model, n1, n2, m1, m2, gamma, profile, convention, seed):
-    """One Monte Carlo trial: fit on ``n1 + n2`` points drawn at
-    ``mix64(seed, 0)``, score ``m1 + m2`` test points drawn at
-    ``mix64(seed, 1)``.  Returns ``(train_set, test_set, scores)``."""
-    train_set = sample(model, n1, n2, mix64(seed, 0))
-    test_set = sample(model, m1, m2, mix64(seed, 1))
+def mean_se(values):
+    """Mean of ``values`` and its standard error ``std(ddof=1) / sqrt(count)``;
+    the mean is NaN without values and the standard error with fewer than two."""
+    v = np.asarray(values, dtype=float)
+    mean = float(v.mean()) if v.size else float("nan")
+    se = float(v.std(ddof=1) / np.sqrt(v.size)) if v.size > 1 else float("nan")
+    return mean, se
+
+
+def _draw(source, n1, n2, m1, m2, seed):
+    """Training and test sets of one trial, ``n1 + n2`` and ``m1 + m2``
+    points with class 1 first, each with ``X`` and -1/+1 ``labels``.
+
+    A :class:`MixtureModel` is sampled, the training set at ``mix64(seed, 0)``
+    and the test set at ``mix64(seed, 1)``.  A labeled pool ``(X, labels)``
+    (columns of ``X``; a column labeled 0 is never picked) is picked from
+    without replacement at ``default_rng(seed)``, class 1 first: the two sets
+    are disjoint."""
+    if isinstance(source, MixtureModel):
+        return sample(source, n1, n2, mix64(seed, 0)), sample(source, m1, m2, mix64(seed, 1))
+    X, labels = source[0], np.asarray(source[1], dtype=float)
+    idx1, idx2 = np.flatnonzero(labels < 0), np.flatnonzero(labels > 0)
+    if len(idx1) < n1 + m1 or len(idx2) < n2 + m2:
+        raise ValueError(f"a pool of {len(idx1)} + {len(idx2)} points per class is too small "
+                         f"for {n1} + {n2} training and {m1} + {m2} test points")
+    rng = np.random.default_rng(seed)
+    pick1 = rng.choice(idx1, size=n1 + m1, replace=False)
+    pick2 = rng.choice(idx2, size=n2 + m2, replace=False)
+    train, test = np.r_[pick1[:n1], pick2[:n2]], np.r_[pick1[n1:], pick2[n2:]]
+    return tuple(SimpleNamespace(X=X[:, i], labels=labels[i]) for i in (train, test))
+
+
+def _trial(source, n1, n2, m1, m2, gamma, profile, convention, seed):
+    """One trial, drawn by :func:`_draw`: ``(train_set, test_set, test scores)``."""
+    train_set, test_set = _draw(source, n1, n2, m1, m2, seed)
     fitted = TrainedModel.fit(train_set.X, train_set.labels, gamma, profile, convention)
     return train_set, test_set, fitted.decide_many(test_set.X)
 
 
-def _class_errors(scores, labels, threshold, n1, n2):
-    """Per-class misclassification rates of test points labeled -1/+1 and
-    their weighting ``c1 eps1 + c2 eps2`` at the training proportions."""
-    assigned = classify(scores, threshold)
-    class1 = np.asarray(labels) < 0
-    eps1 = float(np.mean(assigned[class1] != 1))
-    eps2 = float(np.mean(assigned[~class1] != 2))
-    n = n1 + n2
-    return eps1, eps2, n1 / n * eps1 + n2 / n * eps2
-
-
-def empirical_error(model, n1, n2, n_test, gamma, profile, threshold, seed, convention="standard"):
-    """Train on a fresh sample, misclassification rates on a fresh test
-    sample of ``n_test`` points split by the class proportions.
+def empirical_error(source, n1, n2, n_test, gamma, profile, threshold, seed, convention="standard"):
+    """Train on ``n1 + n2`` points of ``source`` (a mixture model or a
+    labeled pool, see :func:`_draw`) and misclassification rates on ``n_test``
+    test points split by the training proportions, :func:`class_split`.
 
     Returns ``(eps1_hat, eps2_hat, weighted_hat)`` with the weighted rate
-    ``c1 eps1 + c2 eps2``.
+    ``c1 eps1 + c2 eps2`` at the training proportions c1 : c2 = n1 : n2.
     """
-    m1, m2 = _class_split(n_test, n1 / (n1 + n2))
-    _, test_set, scores = _trial(model, n1, n2, m1, m2, gamma, profile, convention, seed)
-    return _class_errors(scores, test_set.labels, threshold, n1, n2)
-
-
-def empirical_error_pool(X, labels, n1, n2, m1, m2, gamma, profile, threshold, seed):
-    """Like :func:`empirical_error`, but drawing train and test points
-    without replacement from a fixed labeled pool (columns of ``X``,
-    labels -1/+1).  Train and test sets are disjoint."""
-    rng = np.random.default_rng(seed)
-    labels = np.asarray(labels)
-    idx1 = np.flatnonzero(labels < 0)
-    idx2 = np.flatnonzero(labels > 0)
-    if len(idx1) < n1 + m1 or len(idx2) < n2 + m2:
-        raise ValueError("pool too small for the requested train/test sizes")
-    pick1 = rng.choice(idx1, size=n1 + m1, replace=False)
-    pick2 = rng.choice(idx2, size=n2 + m2, replace=False)
-    tr = np.concatenate([pick1[:n1], pick2[:n2]])
-    te = np.concatenate([pick1[n1:], pick2[n2:]])
-    fitted = TrainedModel.fit(X[:, tr], labels[tr].astype(float), gamma, profile)
-    return _class_errors(fitted.decide_many(X[:, te]), labels[te], threshold, n1, n2)
+    m1, m2 = class_split(n_test, n1 / (n1 + n2))
+    _, test_set, scores = _trial(source, n1, n2, m1, m2, gamma, profile, convention, seed)
+    assigned = classify(scores, threshold)
+    class1 = test_set.labels < 0
+    eps1 = float(np.mean(assigned[class1] != 1))
+    eps2 = float(np.mean(assigned[~class1] != 2))
+    return eps1, eps2, n1 / (n1 + n2) * eps1 + n2 / (n1 + n2) * eps2
 
 
 @dataclass(frozen=True)
@@ -187,7 +193,7 @@ def _instantiate(config, value):
                        "fpp": value if axis == "fsecond" else kernel_spec.get("fpp", 0.0)}
     elif axis not in (None, "c0", "c1", "mu_offset"):
         raise ValueError(f"unknown sweep axis: {axis!r}")
-    return model, resolve_kernel(kernel_spec, model), n, *_class_split(n, model.c1)
+    return model, resolve_kernel(kernel_spec, model), n, *class_split(n, model.c1)
 
 
 @dataclass(frozen=True)
@@ -208,7 +214,7 @@ class SweepRow:
 CSV_COLUMNS = [f.name for f in fields(SweepRow)]
 
 
-def _nan_to_none(x):
+def nan_to_none(x):
     return None if isinstance(x, float) and np.isnan(x) else x
 
 
@@ -230,10 +236,10 @@ class SweepResult:
         object.  JSON has no NaN, so a statistic that could not be computed
         (``emp_se`` from one trial, ``emp_err`` from none) and the ``value``
         of a sweep without an axis are written as ``null``."""
-        obj = {"rows": [{c: _nan_to_none(getattr(r, c)) for c in CSV_COLUMNS} for r in self.rows]}
+        obj = {"rows": [{c: nan_to_none(getattr(r, c)) for c in CSV_COLUMNS} for r in self.rows]}
         if full:
             obj["trials"] = {str(k): v for k, v in self.per_trial.items()}
-            obj["failures"] = [dict(f, value=_nan_to_none(f["value"])) for f in self.failures]
+            obj["failures"] = [dict(f, value=nan_to_none(f["value"])) for f in self.failures]
         return obj
 
 
@@ -249,7 +255,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     rows, per_trial, failures = [], {}, []
     for gi, value in enumerate(grid):
         model, profile, n, n1, n2 = _instantiate(config, value)
-        stats = gaussian_stats(model, n, config.gamma, profile, config.convention)
+        stats = gaussian_stats(model, n1, n2, config.gamma, profile, config.convention)
         predicted = at_threshold(stats, config.threshold_rule)
         threshold = predicted["threshold"]
         records = []
@@ -268,13 +274,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 )
                 continue
             records.append({"trial": t, "seed": seed, "eps1": e1, "eps2": e2, "weighted": w})
-        weighted = np.array([r["weighted"] for r in records])
-        emp = float(weighted.mean()) if len(weighted) else float("nan")
-        se = (
-            float(weighted.std(ddof=1) / np.sqrt(len(weighted)))
-            if len(weighted) > 1
-            else float("nan")
-        )
+        emp, se = mean_se([r["weighted"] for r in records])
         rows.append(
             SweepRow(
                 axis=config.axis or "none",
@@ -321,10 +321,7 @@ class HistogramResult:
         out = {"ks1": self.ks1, "ks2": self.ks2}
         for name, s in (("class1", self.scores1), ("class2", self.scores2)):
             out[f"mean_{name}"] = float(s.mean())
-            trial_means = s.reshape(self.trials, -1).mean(axis=1)
-            out[f"se_{name}"] = (
-                float(trial_means.std(ddof=1) / np.sqrt(self.trials)) if self.trials > 1 else None
-            )
+            out[f"se_{name}"] = nan_to_none(mean_se(s.reshape(self.trials, -1).mean(axis=1))[1])
         out.update(self.stats.as_dict())
         return out
 
@@ -340,8 +337,8 @@ def run_histogram(model, n, gamma, profile, convention, n_test, trials, seed) ->
     """Pool decision scores of fresh test points (n_test per class per trial)
     over independently trained models, with the per-class Gaussian prediction
     and a one-sample Kolmogorov-Smirnov distance against it."""
-    n1, n2 = _class_split(n, model.c1)
-    stats = gaussian_stats(model, n1 + n2, gamma, profile, convention)  # checks the kernel first
+    n1, n2 = class_split(n, model.c1)
+    stats = gaussian_stats(model, n1, n2, gamma, profile, convention)  # checks the kernel first
     blocks = [
         _trial(model, n1, n2, n_test, n_test, gamma, profile, convention, mix64(seed, t))[2]
         for t in range(trials)
@@ -376,9 +373,9 @@ def run_convergence(model_factory, gamma, profile, sizes, trials, base_seed, n_p
     for si, (n, p) in enumerate(sizes):
         model = model_factory(p)
         prof = profile(model) if callable(profile) else profile
-        n1, n2 = _class_split(n, model.c1)
-        m1, m2 = _class_split(n_points, model.c1)
-        gaussian_stats(model, n1 + n2, gamma, prof, "standard")  # rejects an overflowing kernel
+        n1, n2 = class_split(n, model.c1)
+        m1, m2 = class_split(n_points, model.c1)
+        gaussian_stats(model, n1, n2, gamma, prof, "standard")  # rejects an overflowing kernel
         gaps = []
         for t in range(trials):
             train_set, test_set, g = _trial(

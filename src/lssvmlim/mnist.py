@@ -99,6 +99,8 @@ def class_stats(data: ImageDataset, digit_a: int, digit_b: int) -> MixtureModel:
     """Empirical two-class mixture (sample means, sample covariances with
     denominator N-1, proportions from class counts) usable by the asymptotic
     predictors; class 1 is ``digit_a``."""
+    if digit_a == digit_b:
+        raise ValueError(f"the two digits must differ, got {digit_a} twice")
     mask_a = data.labels == digit_a
     mask_b = data.labels == digit_b
     na, nb = int(mask_a.sum()), int(mask_b.sum())
@@ -108,15 +110,18 @@ def class_stats(data: ImageDataset, digit_a: int, digit_b: int) -> MixtureModel:
         raise DataError(f"no samples labeled {digit_b}")
     if na < 2 or nb < 2:
         raise ValueError("need at least two samples per class for a covariance")
-    xa = data.images[:, mask_a]
-    xb = data.images[:, mask_b]
-    mu_a, mu_b = xa.mean(axis=1), xb.mean(axis=1)
-    cov_a = np.cov(xa, ddof=1)
-    cov_b = np.cov(xb, ddof=1)
-    # enforce exact symmetry against accumulation order effects
-    cov_a = 0.5 * (cov_a + cov_a.T)
-    cov_b = 0.5 * (cov_b + cov_b.T)
+    # one class's columns at a time: each copy is freed when _moments returns
+    (mu_a, cov_a), (mu_b, cov_b) = (_moments(data.images[:, m]) for m in (mask_a, mask_b))
     return MixtureModel(data.p, mu_a, mu_b, cov_a, cov_b, c1=na / (na + nb))
+
+
+def _moments(x):
+    """Mean and covariance (denominator N-1) of the columns of ``x``, centred
+    in place: the product ``np.cov`` forms, without its two copies of ``x``."""
+    mu = x.mean(axis=1)
+    x -= mu[:, None]
+    cov = x @ x.T * (1.0 / (x.shape[1] - 1))
+    return mu, 0.5 * (cov + cov.T)  # exactly symmetric against accumulation order
 
 
 def discrepancy_stats(model: MixtureModel):

@@ -193,13 +193,8 @@ class TheoryStats:
         }
 
 
-def gaussian_stats(
-    model: MixtureModel,
-    n: int,
-    gamma: float,
-    profile: KernelProfile,
-    convention: str = "standard",
-) -> TheoryStats:
+def gaussian_stats(model: MixtureModel, n1: int, n2: int, gamma: float, profile: KernelProfile,
+                   convention: str = "standard") -> TheoryStats:
     """Asymptotic Gaussian parameters of the decision score per class.
 
     With the variance pieces (a = 1, 2 indexing the test class)
@@ -218,14 +213,19 @@ def gaussian_stats(
         E*_1 = -c2 gamma D,   E*_2 = c1 gamma D,
         Var*_a = 2 gamma^2 (V1_a + V2_a + V3_a).
 
-    c1, c2 are the model's; ``gamma`` must be finite and positive.
+    c1 = n1/n and c2 = n2/n are the proportions of the ``n = n1 + n2``
+    training points, since a trained score centres at (n2 - n1)/n; tau is the
+    model's.  ``gamma`` must be finite and positive.
     """
     if convention not in ("standard", "fisher"):
         raise ValueError(f"unknown label convention: {convention!r}")
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
+    if min(n1, n2) < 1:
+        raise ValueError(f"need a training point of each class, got {n1} + {n2}")
     p = model.p
-    c1, c2 = model.c1, model.c2
+    n = n1 + n2
+    c1, c2 = n1 / n, n2 / n
     tau = model.tau
     try:
         with np.errstate(over="raise", invalid="raise"):

@@ -20,8 +20,8 @@ import pytest
 from helpers import RBF_UNIT, balanced_model, shape_kernel, shape_only_model, skew_model
 from lssvmlim.experiments import (
     at_threshold,
+    class_split,
     empirical_error,
-    empirical_error_pool,
     run_convergence,
     run_histogram,
 )
@@ -46,7 +46,7 @@ def test_c01_shape_only_theory_curve():
     n = 2048  # p / n = 1/4
     errors = {}
     for fp in SLOPE_GRID:
-        st = gaussian_stats(m, n, 1.0, shape_kernel(m, fprime=fp))
+        st = gaussian_stats(m, n // 2, n // 2, 1.0, shape_kernel(m, fprime=fp))
         errors[fp] = at_threshold(st, "optimal")["weighted"]
     elapsed = time.perf_counter() - t0
 
@@ -64,7 +64,7 @@ def test_c02_shape_only_empirical_point():
     t0 = time.perf_counter()
     m = shape_only_model(512)
     profile = shape_kernel(m, fprime=0.0)
-    st = gaussian_stats(m, 2048, 1.0, profile)
+    st = gaussian_stats(m, 1024, 1024, 1.0, profile)
     threshold = at_threshold(st, "optimal")["threshold"]
     errs = [
         empirical_error(m, 1024, 1024, 512, 1.0, profile, threshold, mix64(12345, t))[2]
@@ -84,7 +84,8 @@ def test_c03_rbf_width_sweep():
         m = balanced_model(p)
         n = p // 2
         errs = {
-            s2: at_threshold(gaussian_stats(m, n, 1.0, GaussianKernel(s2)), "optimal")["weighted"]
+            s2: at_threshold(gaussian_stats(m, n // 2, n // 2, 1.0, GaussianKernel(s2)),
+                             "optimal")["weighted"]
             for s2 in targets
         }
         matches[p] = all(abs(errs[s2] - targets[s2]) <= 0.01 for s2 in targets)
@@ -92,7 +93,7 @@ def test_c03_rbf_width_sweep():
 
     m = balanced_model(1024)
     profile = GaussianKernel(0.25)
-    st = gaussian_stats(m, 512, 1.0, profile)
+    st = gaussian_stats(m, 256, 256, 1.0, profile)
     threshold = at_threshold(st, "optimal")["threshold"]
     errs = [
         empirical_error(m, 256, 256, 512, 1.0, profile, threshold, mix64(777, t))[2]
@@ -113,7 +114,7 @@ def test_c04_sample_ratio_sweep():
     empirical = []
     for gi, c0 in enumerate((1, 4, 32)):
         n = round(p / c0)
-        st = gaussian_stats(m, n, 1.0, profile)
+        st = gaussian_stats(m, n // 2, n - n // 2, 1.0, profile)
         threshold, _, _, w = at_threshold(st, "optimal").values()
         theory[c0] = w
         assert w == pytest.approx(targets[c0], abs=0.01)
@@ -248,7 +249,8 @@ def test_c09_regularizer_invariance():
         n = int(rng.integers(32, 512))
         profile = GaussianKernel(float(rng.uniform(0.25, 4.0)))
         outcomes = [
-            at_threshold(gaussian_stats(m, n, gamma, profile), "optimal")["weighted"]
+            at_threshold(gaussian_stats(m, *class_split(n, m.c1), gamma, profile),
+                         "optimal")["weighted"]
             for gamma in (0.1, 1.0, 10.0)
         ]
         worst = max(worst, abs(outcomes[0] - outcomes[1]), abs(outcomes[2] - outcomes[1]))
@@ -303,15 +305,15 @@ def test_c11_mnist_pipeline():
     assert (n8, n9) == (5851, 5949)  # the standard 60k training set
     model = class_stats(data, 8, 9)
     profile = GaussianKernel(1.0)
-    st = gaussian_stats(model, 256, 1.0, profile)
+    st = gaussian_stats(model, 128, 128, 1.0, profile)
     threshold = at_threshold(st, "optimal")["threshold"]
 
     mask = (data.labels == 8) | (data.labels == 9)
     pool_x = data.images[:, mask]
     pool_y = np.where(data.labels[mask] == 8, -1.0, 1.0)
     errs = [
-        empirical_error_pool(pool_x, pool_y, 128, 128, 128, 128, 1.0, profile,
-                             threshold, mix64(6174, t))[2]
+        empirical_error((pool_x, pool_y), 128, 128, 256, 1.0, profile, threshold,
+                        mix64(6174, t))[2]
         for t in range(10)
     ]
     emp = float(np.mean(errs))

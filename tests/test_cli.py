@@ -246,7 +246,8 @@ def test_mnist_stats_builds_one_model_and_no_rescaled_images(tmp_path, capsys, m
     # exact factors: one class_stats, whose two 784 x 784 covariances take an
     # eigh each, and no rescaled copy of the images.  The tracemalloc peak was
     # 5.3x the float64 image bytes when each scaling rebuilt the model from
-    # rescaled images and 2.8x with one model; 3.5x lies between.
+    # rescaled images and 2.8x with one model; 3.5x lies between.  Centring
+    # each class in place took it to 1.9x.
     ip, lp = synthetic_idx_pair(tmp_path, p=784, per_class=3000)
     calls = {"class_stats": 0, "eigh": 0}
 
@@ -520,8 +521,11 @@ def test_fisher_bias_threshold_is_the_zero_threshold(tmp_path, capsys):
     "flags, named",
     [(["--gamma", "0"], "gamma"), (["--trials", "0"], "trials"), (["--n-test", "1"], "n_test"),
      (["--snr-db", "nan"], "snr_db"), (["--snr-db=-inf"], "snr_db"),
-     (["--snr-db=-1e10"], "snr_db")],
-    ids=["gamma0", "trials0", "n_test1", "snr-nan", "snr-minus-inf", "snr-huge-negative"],
+     (["--snr-db=-1e10"], "snr_db"), (["--digit-b", "8"], "the two digits must differ"),
+     (["--n", "200"], "80 + 80 points per class is too small for 100 + 100 training and "
+                      "16 + 16 test points")],
+    ids=["gamma0", "trials0", "n_test1", "snr-nan", "snr-minus-inf", "snr-huge-negative",
+         "same-digit", "pool-too-small"],
 )
 def test_mnist_stats_invalid_flag_is_a_one_line_data_error(tmp_path, capsys, flags, named):
     ip, lp = synthetic_idx_pair(tmp_path)
@@ -532,6 +536,40 @@ def test_mnist_stats_invalid_flag_is_a_one_line_data_error(tmp_path, capsys, fla
     assert captured.out == ""
     assert captured.err.startswith("lssvmlim: invalid input:") and captured.err.count("\n") == 1
     assert named in captured.err
+
+
+def test_mnist_stats_predicts_at_the_counts_it_trains_on(tmp_path, capsys):
+    # 300 eights and 330 nines: the digits' proportion 300/630 is not the
+    # 64 + 64 each trial trains on, and a prediction at the former puts the
+    # threshold outside both classes' scores
+    rng = np.random.default_rng(42)
+    a = np.clip(rng.normal(110, 40, size=(256, 300)), 0, 255)
+    b = np.clip(rng.normal(120, 40, size=(256, 330)), 0, 255)
+    ip, lp = tmp_path / "imgs.idx", tmp_path / "labs.idx"
+    write_idx(np.concatenate([a, b], axis=1).astype(np.uint8), np.repeat([8, 9], [300, 330]),
+              ip, lp)
+    assert main(["mnist-stats", "--images", str(ip), "--labels", str(lp),
+                 "--n", "128", "--n-test", "128", "--trials", "10"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["counts"] == [300, 330]
+    emp, se = out["empirical_weighted_error"], out["empirical_se"]
+    assert abs(emp - out["theory"]["weighted"]) <= 3 * se + 0.02
+
+
+def test_c1_sweep_and_predict_use_the_counts_trained_on(tmp_path, capsys):
+    # n c1 is not an integer at either grid point: 25.6 and 76.8 of 256
+    doc = json.loads((Path(CONFIG_DIR) / "histogram_skew.json").read_text())
+    doc["model"]["p"] = 256
+    doc.update(n=256, n_test=512, trials=10, sweep={"axis": "c1", "grid": [0.1, 0.3]})
+    config = write_config(tmp_path, doc)
+    assert main(["sweep", "--config", config]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    for row in rows:
+        assert abs(row["emp_err"] - row["th_weighted"]) <= 3 * row["emp_se"] + 0.005, row
+    doc["model"]["c1"] = 0.3
+    del doc["sweep"]
+    assert main(["predict", "--config", write_config(tmp_path, doc, "at_0.3.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["threshold"] == rows[1]["threshold"]
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from lssvmlim.experiments import (
     at_threshold,
     config_from_dict,
     empirical_error,
-    empirical_error_pool,
     resolve_threshold,
     run_convergence,
     run_histogram,
@@ -42,7 +41,7 @@ def test_empirical_error_identical_classes_is_coin_flip():
 
 def test_empirical_error_agrees_with_prediction():
     m = balanced_model(128)
-    stats = gaussian_stats(m, 256, 1.0, RBF_UNIT)
+    stats = gaussian_stats(m, 128, 128, 1.0, RBF_UNIT)
     threshold, _, _, w_theory = at_threshold(stats, "optimal").values()
     runs = [
         empirical_error(m, 128, 128, 256, 1.0, RBF_UNIT, threshold, seed=s)[2]
@@ -54,7 +53,7 @@ def test_empirical_error_agrees_with_prediction():
 
 def test_threshold_rules():
     m = skew_model(64)
-    st = gaussian_stats(m, 64, 1.0, RBF_UNIT)
+    st = gaussian_stats(m, 16, 48, 1.0, RBF_UNIT)
     assert resolve_threshold("zero", st) == 0.0
     assert resolve_threshold("bias", st) == m.c2 - m.c1
     opt = resolve_threshold("optimal", st)
@@ -67,8 +66,8 @@ def test_bias_rule_is_the_centre_of_the_scores():
     # c2 - c1 under standard labels, 0 under fisher labels, whose scores
     # centre on zero
     m = skew_model(64)
-    assert resolve_threshold("bias", gaussian_stats(m, 64, 1.0, RBF_UNIT)) == m.c2 - m.c1
-    assert resolve_threshold("bias", gaussian_stats(m, 64, 1.0, RBF_UNIT, "fisher")) == 0.0
+    assert resolve_threshold("bias", gaussian_stats(m, 16, 48, 1.0, RBF_UNIT)) == m.c2 - m.c1
+    assert resolve_threshold("bias", gaussian_stats(m, 16, 48, 1.0, RBF_UNIT, "fisher")) == 0.0
 
 
 BASE_SWEEP = {
@@ -101,7 +100,7 @@ def test_single_point_sweep_reduces_to_empirical_error():
     from lssvmlim.mixture import model_from_spec
 
     m = model_from_spec(doc["model"])
-    st = gaussian_stats(m, 48, 1.0, RBF_UNIT)
+    st = gaussian_stats(m, 24, 24, 1.0, RBF_UNIT)
     threshold = resolve_threshold("optimal", st)
     manual = [
         empirical_error(m, 24, 24, 64, 1.0, RBF_UNIT, threshold, mix64(7, t))[2]
@@ -132,7 +131,7 @@ def test_sweep_seed_isolation():
 
     m = model_from_spec(doc["model"])
     profile = GaussianKernel(2.0)
-    st = gaussian_stats(m, 48, 1.0, profile)
+    st = gaussian_stats(m, 24, 24, 1.0, profile)
     threshold = resolve_threshold("optimal", st)
     again = empirical_error(m, 24, 24, 64, 1.0, profile, threshold, rec["seed"])
     assert again[2] == rec["weighted"]
@@ -236,7 +235,7 @@ def test_fisher_sweep_fits_normalized_labels(monkeypatch):
     row = run_sweep(config_from_dict(doc)).rows[0]
     assert conventions == ["fisher", "fisher"]
     m = experiments.model_from_spec(doc["model"])
-    st = gaussian_stats(m, 48, 1.0, RBF_UNIT, "fisher")
+    st = gaussian_stats(m, 24, 24, 1.0, RBF_UNIT, "fisher")
     assert row.threshold == resolve_threshold("optimal", st)
     assert row.th_weighted == at_threshold(st, "optimal")["weighted"]
 
@@ -312,16 +311,16 @@ def test_convergence_median_stable_under_more_trials():
     assert many[0].median_scaled_gap == pytest.approx(few[0].median_scaled_gap, rel=0.2)
 
 
-def test_empirical_error_pool_disjoint_split():
+def test_empirical_error_on_a_pool_picks_a_disjoint_split():
     rng = np.random.default_rng(8)
     p, n_pool = 16, 200
     X = rng.standard_normal((p, n_pool))
     X[0, 100:] += 4.0  # separable in the first coordinate
     labels = np.concatenate([-np.ones(100), np.ones(100)])
-    eps1, eps2, w = empirical_error_pool(X, labels, 40, 40, 30, 30, 1.0, RBF_UNIT, 0.0, seed=9)
+    eps1, eps2, w = empirical_error((X, labels), 40, 40, 60, 1.0, RBF_UNIT, 0.0, seed=9)
     assert w < 0.2
     with pytest.raises(ValueError):
-        empirical_error_pool(X, labels, 90, 90, 30, 30, 1.0, RBF_UNIT, 0.0, seed=9)
+        empirical_error((X, labels), 90, 90, 60, 1.0, RBF_UNIT, 0.0, seed=9)
 
 
 def test_histogram_and_convergence_trials_follow_the_seed_scheme(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import shape_kernel, shape_only_model
-from lssvmlim.experiments import _class_split, config_from_dict, run_sweep
+from lssvmlim.experiments import class_split, config_from_dict, run_sweep
 from lssvmlim.mixture import (
     MixtureModel,
     ToeplitzCov,
@@ -332,7 +332,7 @@ def test_shipped_config_draws_match_the_dense_root_sampler(name):
     doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     n, p = (doc.get("sizes") or [[doc["n"], doc["model"]["p"]]])[0]
     model = model_from_spec(doc["model"], p=p)
-    n1, n2 = _class_split(n, model.c1)
+    n1, n2 = class_split(n, model.c1)
     ds = sample(model, n1, n2, doc["base_seed"])
 
     omega = dense_root_latents(model, n1, n2, doc["base_seed"])
@@ -383,7 +383,7 @@ def test_theory_of_shape_only_model_needs_no_eigendecomposition(eigh_calls):
     # the body of acceptance claim C01
     m = shape_only_model(512)
     for fp in (-1.0, 0.0, 1.0):
-        gaussian_stats(m, 2048, 1.0, shape_kernel(m, fprime=fp))
+        gaussian_stats(m, 1024, 1024, 1.0, shape_kernel(m, fprime=fp))
     assert eigh_calls == []
 
 
@@ -437,7 +437,7 @@ def test_million_dimension_prediction_stays_linear_in_p():
     tracemalloc.start()
     try:
         m = model_from_spec(spec, p=p)
-        stats = gaussian_stats(m, 512, 1.0, shape_kernel(m, fprime=1.0))
+        stats = gaussian_stats(m, 256, 256, 1.0, shape_kernel(m, fprime=1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
