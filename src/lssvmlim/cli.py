@@ -23,6 +23,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -135,7 +136,9 @@ def cmd_convergence(args):
 
 def cmd_estimate_tau(args):
     path = Path(args.data)
-    X = np.load(path) if path.suffix == ".npy" else np.loadtxt(path, delimiter=",")
+    with warnings.catch_warnings():  # an empty file is reported below, in one line
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        X = np.load(path) if path.suffix == ".npy" else np.loadtxt(path, delimiter=",")
     _emit({"tau": theory.estimate_tau(X), "p": X.shape[0], "n": X.shape[1]}, args)
     return 0
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .kernels import kernel_from_spec
 from .lssvm import TrainedModel, classify
-from .mixture import MixtureModel, mix64, model_from_spec, sample
+from .mixture import MixtureModel, mix64, model_from_spec, positive_int, sample
 from .theory import error_rates, gaussian_stats, optimal_threshold, q_function, random_equivalent
 
 THRESHOLD_RULES = ("optimal", "zero", "bias")
@@ -131,21 +131,24 @@ class ExperimentConfig:
 
     def __post_init__(self):
         try:
-            for name, kind in (("n", int), ("n_test", int), ("gamma", float), ("trials", int),
-                               ("base_seed", int), ("n_points", int)):
-                object.__setattr__(self, name, kind(getattr(self, name)))
+            for name in ("n", "n_test", "trials", "n_points"):
+                object.__setattr__(self, name, positive_int(getattr(self, name), name))
+            object.__setattr__(self, "gamma", float(self.gamma))
+            object.__setattr__(self, "base_seed", int(self.base_seed))
             object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
-            object.__setattr__(self, "sizes", tuple(tuple(map(int, pair)) for pair in self.sizes))
+            sizes = tuple(tuple(pair) for pair in self.sizes)
+            if any(len(pair) != 2 for pair in sizes):
+                raise ValueError(f"sizes must be [n, p] pairs, got {[list(s) for s in sizes]}")
+            object.__setattr__(self, "sizes", tuple(
+                (positive_int(n, f"sizes[{i}] n"), positive_int(p, f"sizes[{i}] p"))
+                for i, (n, p) in enumerate(sizes)
+            ))
         except (TypeError, OverflowError) as exc:  # e.g. a null, or an inf integer
             raise ValueError(f"config value of the wrong type or range: {exc}") from exc
-        if any(len(pair) != 2 for pair in self.sizes):
-            raise ValueError(f"sizes must be [n, p] pairs, got {[list(s) for s in self.sizes]}")
         if not (np.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if self.n < 2 or self.n_test < 2:
             raise ValueError("n and n_test must be at least 2 to cover both classes")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
         if self.convention not in ("standard", "fisher"):
             raise ValueError(f"unknown label convention: {self.convention!r}")
         if self.axis is not None and len(self.grid) == 0:

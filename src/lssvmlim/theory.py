@@ -37,8 +37,10 @@ def estimate_tau(X: np.ndarray) -> float:
     concentration point of pairwise normalized squared distances, computable
     from the data alone (no class information, no kernel)."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] < 2:
-        raise ValueError(f"the data must be a p x n matrix with n >= 2, got shape {X.shape}")
+    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 2:
+        raise ValueError(
+            f"the data must be a p x n matrix with p >= 1 and n >= 2, got shape {X.shape}"
+        )
     if not np.isfinite(X).all():
         raise ValueError("the data must be finite")
     p, n = X.shape

@@ -413,12 +413,35 @@ def without(doc, key):
         ("convergence", small_sweep_doc(sizes=[[16]], n_points=6), "sizes"),
         ("sweep", small_sweep_doc(sweep={"axis": "sigma2", "grid": [1.0, 1.0]}), "grid"),
         ("sweep", small_sweep_doc(sweep={"axis": "fprime", "grid": [0.0, -0.0]}), "grid"),
+        # a count that is not a positive whole number is refused, never truncated
+        ("predict", small_sweep_doc(n=300.9), "invalid input: n must be"),
+        ("sweep", small_sweep_doc(n=-64), "invalid input: n must be"),
+        ("sweep", small_sweep_doc(n_test=16.5), "invalid input: n_test must be"),
+        ("sweep", small_sweep_doc(trials=1.9), "invalid input: trials must be"),
+        ("convergence", small_sweep_doc(sizes=[[16, 16]], n_points=6.5), "n_points must be"),
+        ("convergence", small_sweep_doc(sizes=[[16, 16]], n_points=0), "n_points must be"),
+        ("convergence", small_sweep_doc(sizes=[[8, 0]], n_points=6), "sizes[0] p must be"),
+        ("convergence", small_sweep_doc(sizes=[[16, 16], [16.5, 16]], n_points=6),
+         "sizes[1] n must be"),
+        ("predict", small_sweep_doc(model=small_model(p=16.5)), "model.p must be"),
+        ("predict", small_sweep_doc(model=small_model(p=-16)), "model.p must be"),
+        ("predict", small_sweep_doc(model=dict(without(small_model(), "c1"), n1=1.5, n2=2.5)),
+         "model.n1 must be"),
+        ("predict", small_sweep_doc(model=dict(without(small_model(), "c1"), n1=24, n2=40.5)),
+         "model.n2 must be"),
+        ("predict", small_sweep_doc(model=dict(without(small_model(), "c1"), n1=-24, n2=40)),
+         "model.n1 must be"),
     ],
     ids=["predict-shipped-convergence-config", "predict-model-missing", "predict-cov2-missing",
          "predict-sigma2-missing", "predict-fp-missing", "predict-spike-three-args",
          "predict-spike-fractional-index", "predict-toeplitz-one-arg",
          "predict-boosted-toeplitz-text", "convergence-size-single", "sweep-grid-repeated",
-         "sweep-grid-signed-zeros"],
+         "sweep-grid-signed-zeros", "predict-n-fractional", "sweep-n-negative",
+         "sweep-n_test-fractional", "sweep-trials-fractional", "convergence-n_points-fractional",
+         "convergence-n_points-zero", "convergence-sizes-p-zero",
+         "convergence-sizes-n-fractional", "predict-p-fractional", "predict-p-negative",
+         "predict-counts-fractional", "predict-unequal-counts-fractional",
+         "predict-count-negative"],
 )
 def test_invalid_config_error_names_its_key(tmp_path, capsys, recwarn, command, doc, named):
     assert main([command, "--config", write_config(tmp_path, doc)]) == 2
@@ -436,6 +459,32 @@ def test_estimate_tau_names_the_matrix_it_needs(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("lssvmlim: invalid input:") and captured.err.count("\n") == 1
     assert "p x n matrix" in captured.err
+
+
+def test_integral_float_counts_read_as_the_integers(tmp_path, capsys):
+    # 64.0 is the whole number 64: the same prediction, at an unequal split
+    outputs = []
+    for n, n1 in ((64, 24), (64.0, 24.0)):
+        doc = small_sweep_doc(n=n, model=dict(without(small_model(), "c1"), n1=n1, n2=40))
+        assert main(["predict", "--config", write_config(tmp_path, doc)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("case", ["empty-csv", "blank-csv", "zero-rows-npy"])
+def test_estimate_tau_empty_data_is_one_line(tmp_path, capsys, recwarn, case):
+    # no traceback from estimate_tau dividing by p = 0, and no loadtxt warning
+    path = tmp_path / ("data.npy" if case.endswith("npy") else "data.csv")
+    if case == "zero-rows-npy":
+        np.save(path, np.zeros((0, 5)))
+    else:
+        path.write_text("" if case == "empty-csv" else "\n\n")
+    assert main(["estimate-tau", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lssvmlim: invalid input:") and captured.err.count("\n") == 1
+    assert "p x n matrix" in captured.err
+    assert [str(w.message) for w in recwarn] == []
 
 
 @pytest.mark.parametrize("case", ["estimate-tau-data", "predict-cov2-file", "predict-out"])

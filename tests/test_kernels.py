@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lssvmlim import kernels
 from lssvmlim.kernels import (
     _ROWS,
     _TILE,
+    _TILE_ENTRIES,
     GaussianKernel,
     PolynomialKernel,
     TaylorKernel,
@@ -253,6 +255,45 @@ def test_gram_product_matches_the_dense_product(n, columns, profile, seed):
         assert np.array_equal(got, K @ P)
     bound = n * np.finfo(float).eps * (np.abs(K) @ np.abs(P))
     assert np.all(np.abs(got - K @ P) <= bound)
+
+
+@pytest.mark.parametrize("n", [37, _ROWS, _ROWS + 1, 2 * _ROWS + 37, 3 * _ROWS + 5])
+def test_gram_product_column_is_the_one_column_product(n):
+    # one to four block rows; past one, each column of P goes on its own
+    rng = np.random.default_rng(n)
+    G = gram_matrix(rng.standard_normal((6, n)), GaussianKernel(0.5))
+    P = rng.standard_normal((n, 3))
+    got = G @ P
+    if n <= _ROWS:  # one block row: the dense products, a matrix one and vector ones
+        K = np.asarray(G)
+        assert np.array_equal(got, K @ P)
+        assert all(np.array_equal(G @ P[:, k], K @ P[:, k]) for k in range(3))
+    else:
+        assert all(np.array_equal(got[:, k], G @ P[:, k]) for k in range(3))
+        assert np.array_equal(G @ P[:, 1:2], got[:, 1:2])
+
+
+def test_tile_rows_follow_the_row_width():
+    assert [kernels._tile_rows(w) for w in (1, 512, 1024, 1025, 2048, 4096, 8192)] == [
+        _TILE, _TILE, _TILE, 63, 32, 16, 8]
+    assert kernels._tile_rows(_TILE_ENTRIES + 1) == 1
+
+
+@pytest.mark.parametrize("profile", FD_PROFILES, ids=lambda k: type(k).__name__)
+def test_kernel_values_do_not_depend_on_the_tile_height(profile, monkeypatch):
+    # block rows 1061, 549 and 37 wide, and query blocks 1500 and 300 wide: on
+    # both sides of the 1024 width at which the entry budget starts to cut tiles
+    rng = np.random.default_rng(59)
+    p = 12
+    X = rng.standard_normal((p, 2 * _ROWS + 37))
+    queries = [rng.standard_normal((p, m)) for m in (1500, 300)]
+    want = [np.asarray(gram_matrix(X, profile))]
+    want += [kernel_vector(X, Q, profile) for Q in queries]
+    for rows in (1, 5, 16, _TILE, 3 * _TILE):
+        monkeypatch.setattr(kernels, "_tile_rows", lambda width, rows=rows: rows)
+        got = [np.asarray(gram_matrix(X, profile))]
+        got += [kernel_vector(X, Q, profile) for Q in queries]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("profile", FD_PROFILES, ids=lambda k: type(k).__name__)

@@ -246,6 +246,23 @@ def test_solver_paths_agree_on_an_indefinite_kernel(n, seed):
     assert abs(solved["cg"][1] - bias) <= 1e-9
 
 
+def test_cg_fit_over_block_rows_matches_the_dense_eigh(factor_calls):
+    # three block rows, whose products go one column at a time, at a 400 : 661 split
+    n = 1061
+    rng = np.random.default_rng(61)
+    X = rng.standard_normal((16, n))
+    labels = rng.permutation(np.where(np.arange(n) < 400, -1.0, 1.0))
+    G = gram_matrix(X, GaussianKernel(1.0))
+    alpha, bias = train(G, labels, 1.0)
+    assert len(factor_calls) == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lssvm, "_cg", _gave_up)
+        dense_alpha, dense_bias = train(np.asarray(G), labels, 1.0)
+    assert len(factor_calls) == 1
+    np.testing.assert_allclose(alpha, dense_alpha, rtol=0, atol=1e-9)
+    assert abs(bias - dense_bias) <= 1e-9
+
+
 def test_refinement_pass_reuses_the_factorization(monkeypatch, no_cg, factor_calls):
     rng = np.random.default_rng(37)
     X, labels = random_instance(rng, 30, 8)
