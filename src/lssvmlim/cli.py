@@ -138,7 +138,7 @@ def cmd_estimate_tau(args):
     path = Path(args.data)
     with warnings.catch_warnings():  # an empty file is reported below, in one line
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        X = np.load(path) if path.suffix == ".npy" else np.loadtxt(path, delimiter=",")
+        X = np.load(path) if path.suffix == ".npy" else np.loadtxt(path, delimiter=",", ndmin=2)
     _emit({"tau": theory.estimate_tau(X), "p": X.shape[0], "n": X.shape[1]}, args)
     return 0
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .kernels import kernel_from_spec
 from .lssvm import TrainedModel, classify
-from .mixture import MixtureModel, mix64, model_from_spec, positive_int, sample
+from .mixture import MixtureModel, mix64, model_from_spec, sample, whole_int
 from .theory import error_rates, gaussian_stats, optimal_threshold, q_function, random_equivalent
 
 THRESHOLD_RULES = ("optimal", "zero", "bias")
@@ -132,15 +132,15 @@ class ExperimentConfig:
     def __post_init__(self):
         try:
             for name in ("n", "n_test", "trials", "n_points"):
-                object.__setattr__(self, name, positive_int(getattr(self, name), name))
+                object.__setattr__(self, name, whole_int(getattr(self, name), name))
             object.__setattr__(self, "gamma", float(self.gamma))
-            object.__setattr__(self, "base_seed", int(self.base_seed))
+            object.__setattr__(self, "base_seed", whole_int(self.base_seed, "base_seed", positive=False))
             object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
             sizes = tuple(tuple(pair) for pair in self.sizes)
             if any(len(pair) != 2 for pair in sizes):
                 raise ValueError(f"sizes must be [n, p] pairs, got {[list(s) for s in sizes]}")
             object.__setattr__(self, "sizes", tuple(
-                (positive_int(n, f"sizes[{i}] n"), positive_int(p, f"sizes[{i}] p"))
+                (whole_int(n, f"sizes[{i}] n"), whole_int(p, f"sizes[{i}] p"))
                 for i, (n, p) in enumerate(sizes)
             ))
         except (TypeError, OverflowError) as exc:  # e.g. a null, or an inf integer

@@ -174,14 +174,14 @@ class Gram:
     ``rows[k]`` is ``K[i:i + _ROWS, i:]`` with ``i = k * _ROWS``: its leading
     square is exactly symmetric, and the rectangle to its right stands for
     itself and, transposed, for the block column below the square.  That is
-    about n^2 / 2 doubles instead of n^2.  ``G @ P`` multiplies a vector or
-    an ``n x m`` matrix, reading each block row once per column of ``P``,
-    and ``np.asarray(G)`` gives the dense, exactly symmetric ``K``.
+    about n^2 / 2 doubles instead of n^2.  ``G @ p`` multiplies a vector,
+    reading each block row once, and ``np.asarray(G)`` gives the dense,
+    exactly symmetric ``K``.
 
-    At n = 4096 a product took 7.3 ms with two columns and 3.5 ms with one,
-    against 9.8 and 7.0 ms when 512-column chunks of each block row served
-    both ``C @ P`` and ``C' @ P`` (a shared 2-core x86-64 machine): a
-    general product with one or two columns runs well below memory speed.
+    At n = 4096 a product took 3.5 ms, against 7.0 ms when 512-column
+    chunks of each block row served both ``C @ p`` and ``C' @ p`` (a shared
+    2-core x86-64 machine): a general product with one column runs well
+    below memory speed.
     """
 
     rows: tuple
@@ -194,24 +194,20 @@ class Gram:
     def __len__(self):
         return self.shape[0]
 
-    def __matmul__(self, P):
-        """``K @ P`` for a vector or an ``n x m`` matrix ``P``.  With one
-        block row this is the one product ``B @ P``.  Otherwise each column
-        ``p`` of ``P`` goes on its own, two matrix-vector products per block
-        row over the whole row: ``B @ p[i:]`` for the rows of the block row,
-        and ``p[i:i + r] @ B[:, r:]`` for the block column below its square.
-        A column of ``K @ P`` is thus bit for bit ``K @ p``."""
-        P = np.asarray(P, dtype=float)
-        if len(self.rows) == 1:
-            return self.rows[0] @ P
-        cols = np.ascontiguousarray(P.reshape(len(P), -1).T)
-        out = np.zeros_like(cols)
-        for p, acc in zip(cols, out):
-            for i, B in zip(range(0, len(p), _ROWS), self.rows):
-                r = len(B)
-                acc[i : i + r] += B @ p[i:]
-                acc[i + r :] += p[i : i + r] @ B[:, r:]
-        return out.T.reshape(P.shape)
+    def __matmul__(self, p):
+        """``K @ p`` for a vector ``p``: two matrix-vector products per
+        block row B over the whole row, ``B @ p[i:]`` for the rows of the
+        block row and ``p[i:i + r] @ B[:, r:]`` for the block column below
+        its square.  With one block row this is ``K @ p`` bit for bit."""
+        p = np.asarray(p, dtype=float)
+        if p.ndim != 1:
+            raise ValueError(f"a Gram multiplies vectors, got shape {p.shape}")
+        out = np.zeros(len(p))
+        for i, B in zip(range(0, len(p), _ROWS), self.rows):
+            r = len(B)
+            out[i : i + r] += B @ p[i:]
+            out[i + r :] += p[i : i + r] @ B[:, r:]
+        return out
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:

@@ -5,13 +5,14 @@ Training solves the regularized kernel system
     S alpha = y - b 1,   b = (1' S^{-1} y) / (1' S^{-1} 1),
     S = K + (n / gamma) I,
 
-for two right-hand sides at once.  In the regime the package studies, ``K``
-is a rank-few part plus a bulk with O(1) eigenvalues, and the shift n/gamma
-is O(n), so the spectrum of ``S`` sits in two tight clusters and its
-condition number stays O(1) as n grows.  Conjugate gradients therefore
-converge in a handful of products with ``K`` and are tried first.  When
-they do not converge, or a step's curvature is not safely positive, ``S``
-is decomposed instead, as ``V diag(lam) V'`` by NumPy's ``eigh``.  ``S`` is
+one right-hand side at a time, y and then 1.  In the regime the package
+studies, ``K`` is a rank-few part plus a bulk with O(1) eigenvalues, and
+the shift n/gamma is O(n), so the spectrum of ``S`` sits in two tight
+clusters and its condition number stays O(1) as n grows.  Conjugate
+gradients therefore converge in a handful of products with ``K`` and are
+tried first.  When either solve does not converge, or a step's curvature
+is not safely positive, ``S`` is decomposed once instead, as
+``V diag(lam) V'`` by NumPy's ``eigh``, and both are solved with it.  ``S`` is
 symmetric but not guaranteed positive definite (locally specified kernels
 may produce indefinite Gram matrices), and ``eigh`` takes either kind.  It
 is several times the cost of an LU (about 1.6 s at n = 2048), a cost paid
@@ -28,51 +29,46 @@ from .errors import DataError, NumericalFailure
 from .kernels import Gram, KernelProfile, gram_matrix, kernel_vector
 
 _PIVOT_RTOL = 1e-12
-_CG_RTOL = 1e-14  # relative residual at which a conjugate-gradient column stops
+_CG_RTOL = 1e-14  # relative residual at which a conjugate-gradient solve stops
 _CG_MAXIT = 16  # products with K before conjugate gradients give up
 
 
-def _cg(K, shift, B):
-    """Solve ``(K + shift I) X = B`` by conjugate gradients, or return None.
+def _cg(K, shift, b):
+    """Solve ``(K + shift I) x = b`` by conjugate gradients, or return None.
 
-    The columns of ``B`` advance in lockstep, one product with ``K`` per
-    step, and a column stops once its recursive residual is within
-    ``_CG_RTOL`` of its right-hand side.  The result is None when a column
-    has not stopped after ``_CG_MAXIT`` steps, or when a step's curvature
-    p'Sp / p'p is not above ``_PIVOT_RTOL`` times the largest seen, the
-    floor the fallback's eigenvalues use; a curvature that is not positive
-    never passes.  ``K`` is only read, and only through ``K @``.
+    Each step makes one product with ``K``, and the solve stops once its
+    recursive residual is within ``_CG_RTOL`` of ``b``.  The result is None
+    when it has not stopped after ``_CG_MAXIT`` steps, or when a step's
+    curvature p'Sp / p'p is not above ``_PIVOT_RTOL`` times the largest
+    seen, the floor the fallback's eigenvalues use; a curvature that is not
+    positive never passes.  ``K`` is only read, and only through ``K @``.
     """
-    X = np.zeros_like(B)
-    R = B.copy()
-    P = B.copy()
-    rr = np.einsum("ij,ij->j", R, R)
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = b.copy()
+    rr = r @ r
     stop = (_CG_RTOL**2) * rr
     top = 0.0
     for _ in range(_CG_MAXIT):
-        live = np.flatnonzero(~(rr <= stop))  # a NaN residual stays live
-        if not live.size:
-            return X
-        # A stopped column is left out: its next direction would be 0.
-        p = P[:, live]
+        if rr <= stop:  # a NaN residual never stops
+            return x
         q = K @ p + shift * p
-        pq = np.einsum("ij,ij->j", p, q)
-        curv = pq / np.einsum("ij,ij->j", p, p)
-        top = max(top, curv.max())
-        if not (curv > _PIVOT_RTOL * top).all():  # also a NaN, 0 or negative curvature
+        pq = p @ q
+        curv = pq / (p @ p)
+        top = max(top, curv)
+        if not curv > _PIVOT_RTOL * top:  # also a NaN, 0 or negative curvature
             return None
-        step = rr[live] / pq
-        X[:, live] += step * p
-        r = R[:, live] - step * q
-        r_r = np.einsum("ij,ij->j", r, r)
-        R[:, live] = r
-        P[:, live] = r + (r_r / rr[live]) * p
-        rr[live] = r_r
-    return X if (rr <= stop).all() else None
+        step = rr / pq
+        x += step * p
+        r -= step * q
+        r_r = r @ r
+        p = r + (r_r / rr) * p
+        rr = r_r
+    return x if rr <= stop else None
 
 
 def _factor(K, shift):
-    """Decompose ``S = K + shift I`` once and return ``solve(B)`` for ``S X = B``.
+    """Decompose ``S = K + shift I`` once and return ``solve(b)`` for ``S x = b``.
 
     ``S = V diag(lam) V'`` by ``np.linalg.eigh``, kept only if every
     ``|lam|`` is at least ``_PIVOT_RTOL * ||S||_inf``.  The norm is taken
@@ -91,7 +87,7 @@ def _factor(K, shift):
         kept = False
     if not kept:
         raise NumericalFailure(f"regularized kernel system is numerically singular (n={len(S)})")
-    return lambda B: V @ ((V.T @ B) / lam[:, None])
+    return lambda b: V @ ((V.T @ b) / lam)
 
 
 def train(gram: Gram | np.ndarray, labels: np.ndarray, gamma: float):
@@ -125,13 +121,13 @@ def train(gram: Gram | np.ndarray, labels: np.ndarray, gamma: float):
         raise ValueError(f"gamma must be positive, got {gamma}")
 
     shift = n / gamma
-    B = np.column_stack([y, np.ones(n)])
+    ones = np.ones(n)
     solve = None  # S is factored only when conjugate gradients give up
-    sol = _cg(K, shift, B)
-    if sol is None:
+    sy = _cg(K, shift, y)
+    s1 = None if sy is None else _cg(K, shift, ones)
+    if s1 is None:
         solve = _factor(K, shift)
-        sol = solve(B)
-    sy, s1 = sol[:, 0], sol[:, 1]
+        sy, s1 = solve(y), solve(ones)
     bias = sy.sum() / s1.sum()
     alpha = sy - bias * s1
 
@@ -145,7 +141,7 @@ def train(gram: Gram | np.ndarray, labels: np.ndarray, gamma: float):
     if not np.linalg.norm(resid) <= tol:
         if solve is None:
             solve = _factor(K, shift)
-        alpha = alpha - solve(resid[:, None])[:, 0]
+        alpha = alpha - solve(resid)
         resid = K @ alpha + shift * alpha - target
         if not np.linalg.norm(resid) <= tol:
             raise NumericalFailure(

@@ -31,12 +31,14 @@ def mix64(seed: int, k: int) -> int:
     return z ^ (z >> 31)
 
 
-def positive_int(value, name: str) -> int:
-    """``value`` as an int if it is a whole number >= 1, such as 300 or
-    300.0; else a ValueError that names ``name``.  Nothing is truncated."""
+def whole_int(value, name: str, positive: bool = True) -> int:
+    """``value`` as an int if it is a whole number, such as 300 or 300.0,
+    and at least 1 where ``positive``; else a ValueError that names
+    ``name``.  Nothing is truncated."""
     k = int(value) if isinstance(value, float) and value.is_integer() else value
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or (positive and k < 1):
+        kind = "a positive integer" if positive else "an integer"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
     return int(k)
 
 
@@ -410,13 +412,13 @@ def model_from_spec(spec: dict, p: int | None = None) -> MixtureModel:
     integer counts ``n1``/``n2``.
     """
     try:
-        p = positive_int(spec["p"], "model.p") if p is None else int(p)
+        p = whole_int(spec["p"], "model.p") if p is None else int(p)
         mu1, mu2 = (_parse_mean_spec(spec[key], p, f"model.{key}") for key in ("mean1", "mean2"))
         cov1, cov2 = (_parse_cov_spec(spec[key], p, f"model.{key}") for key in ("cov1", "cov2"))
         if "c1" in spec:
             c1 = float(spec["c1"])
         else:
-            n1, n2 = (positive_int(spec[key], f"model.{key}") for key in ("n1", "n2"))
+            n1, n2 = (whole_int(spec[key], f"model.{key}") for key in ("n1", "n2"))
             c1 = n1 / (n1 + n2)
     except KeyError as exc:
         raise ValueError(f"missing key model.{exc.args[0]}") from None

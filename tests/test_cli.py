@@ -431,6 +431,10 @@ def without(doc, key):
          "model.n2 must be"),
         ("predict", small_sweep_doc(model=dict(without(small_model(), "c1"), n1=-24, n2=40)),
          "model.n1 must be"),
+        # a seed that is not a whole number is refused, never truncated
+        ("sweep", small_sweep_doc(base_seed=1.5), "base_seed must be an integer"),
+        ("sweep", small_sweep_doc(base_seed=True), "base_seed must be an integer"),
+        ("sweep", small_sweep_doc(base_seed="7"), "base_seed must be an integer"),
     ],
     ids=["predict-shipped-convergence-config", "predict-model-missing", "predict-cov2-missing",
          "predict-sigma2-missing", "predict-fp-missing", "predict-spike-three-args",
@@ -441,7 +445,8 @@ def without(doc, key):
          "convergence-n_points-zero", "convergence-sizes-p-zero",
          "convergence-sizes-n-fractional", "predict-p-fractional", "predict-p-negative",
          "predict-counts-fractional", "predict-unequal-counts-fractional",
-         "predict-count-negative"],
+         "predict-count-negative", "sweep-base_seed-fractional", "sweep-base_seed-bool",
+         "sweep-base_seed-string"],
 )
 def test_invalid_config_error_names_its_key(tmp_path, capsys, recwarn, command, doc, named):
     assert main([command, "--config", write_config(tmp_path, doc)]) == 2
@@ -471,14 +476,28 @@ def test_integral_float_counts_read_as_the_integers(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("case", ["empty-csv", "blank-csv", "zero-rows-npy"])
+@pytest.mark.parametrize("seed", [2.0, 0, -5])
+def test_whole_seeds_are_accepted(seed):
+    # 2.0 is the whole number 2; 0 and negative seeds are masked by mix64
+    config = experiments.config_from_dict(small_sweep_doc(base_seed=seed))
+    assert config.base_seed == seed and type(config.base_seed) is int
+
+
+def test_estimate_tau_reads_a_one_row_csv_as_one_dimension(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_text("1,2,3\n")
+    assert main(["estimate-tau", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"tau": 4 / 3, "p": 1, "n": 3}
+
+
+@pytest.mark.parametrize("case", ["empty-csv", "blank-csv", "one-column-csv", "zero-rows-npy"])
 def test_estimate_tau_empty_data_is_one_line(tmp_path, capsys, recwarn, case):
     # no traceback from estimate_tau dividing by p = 0, and no loadtxt warning
     path = tmp_path / ("data.npy" if case.endswith("npy") else "data.csv")
     if case == "zero-rows-npy":
         np.save(path, np.zeros((0, 5)))
     else:
-        path.write_text("" if case == "empty-csv" else "\n\n")
+        path.write_text({"empty-csv": "", "blank-csv": "\n\n", "one-column-csv": "1\n2\n3\n"}[case])
     assert main(["estimate-tau", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

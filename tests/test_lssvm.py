@@ -1,3 +1,4 @@
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from lssvmlim import lssvm
 from lssvmlim.errors import DataError, NumericalFailure
 from lssvmlim.kernels import (
     GaussianKernel,
+    Gram,
     PolynomialKernel,
     TaylorKernel,
     gram_matrix,
@@ -136,12 +138,35 @@ def test_well_conditioned_system_takes_cg(factor_calls):
 
 
 def test_cg_stops_a_column_once_it_has_converged(factor_calls):
-    # the rows of K sum to 1, so 1 is an eigenvector of S = K + I: its column
-    # reaches an exactly zero residual in one step, while y takes three, and
+    # the rows of K sum to 1, so 1 is an eigenvector of S = K + I: its solve
+    # reaches an exactly zero residual in one step, while y takes four, and
     # a next direction of 0 would have a curvature of 0/0
     K = scipy.linalg.circulant([0.5, 0.25, 0, 0, 0, 0, 0, 0.25])
     labels = np.array([-1.0, -1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
     alpha, bias = train(K, labels, gamma=8.0)
+    assert len(factor_calls) == 0
+    assert_solves(K, labels, 8.0, alpha, bias)
+
+
+@dataclass(frozen=True, eq=False)
+class CountingGram(Gram):
+    """A :class:`Gram` that records the shape of each operand it multiplies."""
+
+    products: list = field(default_factory=list)
+
+    def __matmul__(self, p):
+        self.products.append(np.shape(p))
+        return super().__matmul__(p)
+
+
+def test_training_makes_six_vector_products_with_k(factor_calls):
+    # on the circulant system above: 1 product for the ones, 4 for y (it has
+    # parts in four of S's five eigenvalues), and 1 for the residual guard
+    K = scipy.linalg.circulant([0.5, 0.25, 0, 0, 0, 0, 0, 0.25])
+    G = CountingGram((K,))  # n <= 512: one block row, K itself
+    labels = np.array([-1.0, -1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
+    alpha, bias = train(G, labels, gamma=8.0)
+    assert G.products == [(8,)] * 6
     assert len(factor_calls) == 0
     assert_solves(K, labels, 8.0, alpha, bias)
 
@@ -151,7 +176,7 @@ def test_cg_that_misses_the_residual_guard_is_refined_by_one_eigh(monkeypatch, f
     X, labels = random_instance(rng, 40, 10)
     K = gram_matrix(X, GaussianKernel(1.0))
     real_cg = lssvm._cg
-    # scaling both columns keeps the bias and moves alpha by 1e-6 relative
+    # scaling both solves keeps the bias and moves alpha by 1e-6 relative
     monkeypatch.setattr(lssvm, "_cg", lambda *args: real_cg(*args) * (1 + 1e-6))
     alpha, bias = train(K, labels, 1.0)
     assert len(factor_calls) == 1
@@ -276,17 +301,17 @@ def test_refinement_pass_reuses_the_factorization(monkeypatch, no_cg, factor_cal
     def sloppy_first_solve(K, shift):
         solve = counted_factor(K, shift)
 
-        def sloppy(B):
-            # scaling both columns keeps the bias and moves alpha by 1e-6
-            # relative, which trips the residual guard
-            solves.append(B.shape)
-            return solve(B) * (1 + 1e-6) if len(solves) == 1 else solve(B)
+        def sloppy(b):
+            # scaling the solves for y and 1 keeps the bias and moves alpha
+            # by 1e-6 relative, which trips the residual guard
+            solves.append(b.shape)
+            return solve(b) * (1 + 1e-6) if len(solves) <= 2 else solve(b)
 
         return sloppy
 
     monkeypatch.setattr(lssvm, "_factor", sloppy_first_solve)
     alpha, bias = train(K, labels, 1.0)
-    assert solves == [(30, 2), (30, 1)]
+    assert solves == [(30,), (30,), (30,)]
     assert len(factor_calls) == 1
     assert_solves(K, labels, 1.0, alpha, bias)
     np.testing.assert_allclose(alpha, exact[0], rtol=0, atol=1e-12)
