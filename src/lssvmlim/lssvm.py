@@ -2,21 +2,23 @@
 
 Training solves the regularized kernel system
 
-    S alpha = y - b 1,   b = (1' S^{-1} y) / (1' S^{-1} 1),
-    S = K + (n / gamma) I,
+    S alpha + b 1 = y,   1' alpha = 0,   S = K + (n / gamma) I,
 
-one right-hand side at a time, y and then 1.  In the regime the package
-studies, ``K`` is a rank-few part plus a bulk with O(1) eigenvalues, and
-the shift n/gamma is O(n), so the spectrum of ``S`` sits in two tight
-clusters and its condition number stays O(1) as n grows.  Conjugate
-gradients therefore converge in a handful of products with ``K`` and are
-tried first.  When either solve does not converge, or a step's curvature
-is not safely positive, ``S`` is decomposed once instead, as
-``V diag(lam) V'`` by NumPy's ``eigh``, and both are solved with it.  ``S`` is
-symmetric but not guaranteed positive definite (locally specified kernels
-may produce indefinite Gram matrices), and ``eigh`` takes either kind.  It
-is several times the cost of an LU (about 1.6 s at n = 2048), a cost paid
-only where conjugate gradients give up.
+as one projected solve, ``P S P alpha = P y`` for alpha orthogonal to 1
+with ``P = I - 11'/n``, then ``b = mean(y - S alpha)``.  In the regime the
+package studies, ``K`` is a rank-few part plus a bulk with O(1)
+eigenvalues, and the shift n/gamma is O(n), so the spectrum of ``S`` sits
+in two tight clusters (``P`` also removes its outlier near ``n f(tau)``)
+and its condition number stays O(1) as n grows.  Conjugate gradients
+therefore converge in a handful of products with ``K`` and are tried
+first.  When they do not converge, or a step's curvature is not safely
+positive, ``S`` is decomposed once instead, as ``V diag(lam) V'`` by
+NumPy's ``eigh``, which solves for y and 1 and gives the paper's
+``b = (1' S^{-1} y) / (1' S^{-1} 1)``.  ``S`` is symmetric but not
+guaranteed positive definite (locally specified kernels may produce
+indefinite Gram matrices), and ``eigh`` takes either kind.  It is several
+times the cost of an LU (about 1.6 s at n = 2048), a cost paid only where
+conjugate gradients give up.
 """
 
 from __future__ import annotations
@@ -34,18 +36,20 @@ _CG_MAXIT = 16  # products with K before conjugate gradients give up
 
 
 def _cg(K, shift, b):
-    """Solve ``(K + shift I) x = b`` by conjugate gradients, or return None.
+    """Solve ``P (K + shift I) x = P b``, ``P = I - 11'/n``, for ``x``
+    orthogonal to 1 by conjugate gradients, or return None.
 
-    Each step makes one product with ``K``, and the solve stops once its
-    recursive residual is within ``_CG_RTOL`` of ``b``.  The result is None
-    when it has not stopped after ``_CG_MAXIT`` steps, or when a step's
-    curvature p'Sp / p'p is not above ``_PIVOT_RTOL`` times the largest
-    seen, the floor the fallback's eigenvalues use; a curvature that is not
-    positive never passes.  ``K`` is only read, and only through ``K @``.
+    Each step makes one product with ``K`` and removes its mean, and the
+    solve stops once its recursive residual is within ``_CG_RTOL`` of
+    ``P b``.  The result is None when it has not stopped after ``_CG_MAXIT``
+    steps, or when a step's curvature p'Sp / p'p is not above
+    ``_PIVOT_RTOL`` times the largest seen, the floor the fallback's
+    eigenvalues use; a curvature that is not positive never passes.  ``K``
+    is only read, and only through ``K @``.
     """
     x = np.zeros_like(b)
-    r = b.copy()
-    p = b.copy()
+    r = b - b.mean()
+    p = r.copy()
     rr = r @ r
     stop = (_CG_RTOL**2) * rr
     top = 0.0
@@ -53,6 +57,7 @@ def _cg(K, shift, b):
         if rr <= stop:  # a NaN residual never stops
             return x
         q = K @ p + shift * p
+        q -= q.mean()
         pq = p @ q
         curv = pq / (p @ p)
         top = max(top, curv)
@@ -93,6 +98,9 @@ def _factor(K, shift):
 def train(gram: Gram | np.ndarray, labels: np.ndarray, gamma: float):
     """Solve for the dual coefficients and bias.
 
+    One projected solve for y; the bias is ``mean(y - S alpha)``, from the
+    residual guard's product.  The paper's ``b`` serves the factored path.
+
     Parameters
     ----------
     gram : (n, n) symmetric kernel matrix, a :class:`~lssvmlim.kernels.Gram`
@@ -121,22 +129,23 @@ def train(gram: Gram | np.ndarray, labels: np.ndarray, gamma: float):
         raise ValueError(f"gamma must be positive, got {gamma}")
 
     shift = n / gamma
-    ones = np.ones(n)
     solve = None  # S is factored only when conjugate gradients give up
-    sy = _cg(K, shift, y)
-    s1 = None if sy is None else _cg(K, shift, ones)
-    if s1 is None:
+    alpha = _cg(K, shift, y)
+    if alpha is None:
         solve = _factor(K, shift)
-        sy, s1 = solve(y), solve(ones)
-    bias = sy.sum() / s1.sum()
-    alpha = sy - bias * s1
+        sy, s1 = solve(y), solve(np.ones(n))
+        bias = sy.sum() / s1.sum()
+        alpha = sy - bias * s1
+    s_alpha = K @ alpha + shift * alpha
+    if solve is None:
+        bias = np.mean(y - s_alpha)
 
     # Residual guard: one iterative-refinement pass with the factorization
     # (made now if conjugate gradients solved) before declaring the
     # solution unusable.  Written as "not <=" so that a NaN residual fails
     # it too.
     target = y - bias
-    resid = K @ alpha + shift * alpha - target
+    resid = s_alpha - target
     tol = 1e-8 * (np.linalg.norm(y) + abs(bias) * np.sqrt(n))
     if not np.linalg.norm(resid) <= tol:
         if solve is None:

@@ -1,10 +1,11 @@
 """Two-class Gaussian mixtures: model statistics, covariance constructors
-and sampling with latent-variable tracking.
+and sampling.
 
 A sample from class ``a`` is ``x = mu_a + sqrt(p) * w`` with
-``w ~ N(0, C_a / p)``; the latent vectors ``w`` and the centered squared
-norms ``psi = ||w||^2 - tr(C_a)/p`` are kept alongside the data so that
-score predictions built from them can be validated directly.
+``w ~ N(0, C_a / p)``.  A draw stores ``X`` only; the latent vectors ``w``
+and the centered squared norms ``psi = ||w||^2 - tr(C_a)/p`` are derived
+from it on first read, for the studies that validate score predictions
+built from them.
 """
 
 from __future__ import annotations
@@ -294,17 +295,16 @@ class MixtureModel:
 
 @dataclass(frozen=True, eq=False)
 class LatentDataset:
-    """Sampled data matrix with its generating latents.
+    """Sampled data matrix with the model that generated it.
 
-    ``X[:, i] = mu_class(i) + sqrt(p) * omega[:, i]`` holds exactly by
-    construction, and ``psi[i] = ||omega[:, i]||^2 - tr(C_class(i)) / p``.
-    Labels are -1 for class 1 and +1 for class 2.
+    Labels are -1 for class 1 and +1 for class 2.  The latents ``omega`` and
+    ``psi`` are not stored: each is derived from ``X`` on its first read, so
+    a draw that never reads them spends no memory on them.
     """
 
     X: np.ndarray
     labels: np.ndarray
-    omega: np.ndarray
-    psi: np.ndarray
+    model: MixtureModel
 
     @property
     def n(self):
@@ -318,12 +318,28 @@ class LatentDataset:
     def n2(self):
         return int(np.count_nonzero(self.labels > 0))
 
+    @cached_property
+    def omega(self):
+        """``(X - mu_class) / sqrt(p)``: the drawn latents, to rounding."""
+        m = self.model
+        means = np.where(self.labels < 0, m.mu1[:, None], m.mu2[:, None])
+        return (self.X - means) / np.sqrt(m.p)
+
+    @cached_property
+    def psi(self):
+        """``||omega[:, i]||^2 - tr(C_class(i)) / p``"""
+        m = self.model
+        traces = np.where(self.labels < 0, m.trace1, m.trace2)
+        return np.einsum("ij,ij->j", self.omega, self.omega) - traces / m.p
+
 
 def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> LatentDataset:
     """Draw ``n1`` class-1 then ``n2`` class-2 points (contiguous blocks).
 
-    Latents are ``omega_i = C_a^{1/2} z_i / sqrt(p)`` with standard normal
-    ``z_i``; the square root comes from the symmetric eigendecomposition with
+    Column ``i`` of class ``a`` is ``mu_a + sqrt(p) * omega_i`` with latent
+    ``omega_i = C_a^{1/2} z_i / sqrt(p)`` and standard normal ``z_i``, each
+    class block computed in place in the one ``p x (n1 + n2)`` array ``X``.
+    The square root comes from the symmetric eigendecomposition with
     negative round-off eigenvalues clamped to zero, so rank-deficient
     covariances are legal.  A :class:`ToeplitzCov` ``r0 I`` skips it:
     ``sqrt(r0) z`` equals the product with that root bit for bit.  Any other
@@ -337,20 +353,19 @@ def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> LatentDataset:
     rng = np.random.default_rng(seed)
     p = model.p
     sqrt_p = np.sqrt(p)
-    X, omega, psi = np.empty((p, n1 + n2)), np.empty((p, n1 + n2)), np.empty(n1 + n2)
-    for block, mu, cov, sqrt_cov, trace in zip(
+    X = np.empty((p, n1 + n2))
+    for block, mu, cov, sqrt_cov in zip(
         (slice(0, n1), slice(n1, n1 + n2)), (model.mu1, model.mu2), (model.cov1, model.cov2),
-        model.sqrt_covs, (model.trace1, model.trace2),
+        model.sqrt_covs,
     ):
         z = rng.standard_normal((p, block.stop - block.start))
-        om = omega[:, block]
-        _root_product(sqrt_cov, z, _band(cov, p), om)
-        om /= sqrt_p
-        np.multiply(om, sqrt_p, out=X[:, block])
+        xb = X[:, block]
+        _root_product(sqrt_cov, z, _band(cov, p), xb)
+        xb /= sqrt_p  # the latents omega: X is sqrt(p) * omega as rounded
+        xb *= sqrt_p
         X[mu != 0, block] += mu[mu != 0, None]  # adding a zero mean changes no value
-        psi[block] = np.einsum("ij,ij->j", om, om) - trace / p
     labels = np.concatenate([np.full(n1, -1.0), np.full(n2, 1.0)])
-    return LatentDataset(X=X, labels=labels, omega=omega, psi=psi)
+    return LatentDataset(X=X, labels=labels, model=model)
 
 
 def _spec_args(spec, name, form, kinds):

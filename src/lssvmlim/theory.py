@@ -72,15 +72,17 @@ def noise_term(
     profile: KernelProfile,
 ):
     """Zero-mean fluctuation of the score equivalent, from the training
-    latents and the test point's latents:
+    data and the test point's latents:
 
         P = -(2 f'(tau)/n) y' P Omega' w_x
             - (4 c1 c2 f'(tau)/sqrt p) (mu2 - mu1)' w_x
             + 2 c1 c2 f''(tau) psi_x tr(C2 - C1) / p
 
     with the centering projector applied implicitly as
-    ``y' P = (y - (c2 - c1) 1)'``.  ``omega_x`` may be a single ``p``-vector
-    or a ``p x m`` matrix of test latents (with ``psi_x`` an ``m``-vector).
+    ``y' P = (y - (c2 - c1) 1)'`` and ``Omega y_c`` read off the data as
+    ``(X y_c - sum_a mu_a (sum of y_c over class a)) / sqrt p``.  ``omega_x``
+    may be a single ``p``-vector or a ``p x m`` matrix of test latents (with
+    ``psi_x`` an ``m``-vector).
     This is an oracle for validating the asymptotics, not an estimator: it
     reads latents that are unobservable in practice.
     """
@@ -93,7 +95,13 @@ def noise_term(
     c2 = dataset.n2 / n
     _, fp, fpp = profile.derivatives(model.tau)
     y_centered = dataset.labels - (c2 - c1)
-    t1 = -2.0 * fp / n * ((dataset.omega @ y_centered) @ omega_x)
+    class1 = dataset.labels < 0
+    omega_y = (
+        dataset.X @ y_centered
+        - model.mu1 * y_centered[class1].sum()
+        - model.mu2 * y_centered[~class1].sum()
+    ) / np.sqrt(p)
+    t1 = -2.0 * fp / n * (omega_y @ omega_x)
     t2 = -4.0 * c1 * c2 * fp / np.sqrt(p) * (model.mean_gap @ omega_x)
     t3 = 2.0 * c1 * c2 * fpp * np.asarray(psi_x, dtype=float) * (model.trace_gap / p)
     out = t1 + t2 + t3

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -190,16 +192,36 @@ def test_sweep_csv_schema(tmp_path):
 
 def test_sweep_records_failures_instead_of_averaging():
     # a trial that cannot train must be recorded as a failure, not silently
-    # skipped: identical point masses under a constant kernel f = -1/gamma
-    # make S = K + (n/gamma) I exactly singular
-    p = 48
-    point_mass = dict(BASE_SWEEP["model"], mean1="zeros", mean2="zeros",
-                      cov1=np.zeros((p, p)).tolist(), cov2=np.zeros((p, p)).tolist())
-    doc = dict(BASE_SWEEP, model=point_mass, threshold="zero",
-               kernel={"kind": "local", "tau": 0.0, "f": -1.0, "fp": 0.0, "fpp": 0.0})
+    # skipped.  Two point masses at distance^2 / p = 1 under f(t) = 2 t give
+    # K = 2 (1_1 1_2' + 1_2 1_1'), so with n1 = n2 = 24 = n / gamma,
+    # S (1_1 - 1_2) = 0 exactly: singular along a direction orthogonal to 1,
+    # where the LS-SVM system itself has no unique solution
+    p = 64
+    point_masses = dict(BASE_SWEEP["model"], p=p, mean1="zeros", mean2="unit_spike(1, 8.0)",
+                        cov1=np.zeros((p, p)).tolist(), cov2=np.zeros((p, p)).tolist())
+    doc = dict(BASE_SWEEP, model=point_masses, threshold="zero",
+               kernel={"kind": "local", "tau": 0.0, "f": 0.0, "fp": 2.0, "fpp": 0.0})
     result = run_sweep(config_from_dict(doc))
     assert len(result.failures) == 4
     assert np.isnan(result.rows[0].emp_err)
+
+
+def test_a_sampled_trial_holds_no_latents():
+    # p = 256, n = 1024, n_test = 256: the trial must hold its data,
+    # p (n + n_test) doubles (2.5 MiB), and the packed Gram, (n^2 / 2 + 256 n)
+    # doubles (6 MiB); 1 MiB more covers the kernel tiles and solver vectors.
+    # Another p (n + n_test) doubles of latents do not fit in it.
+    p, n, n_test = 256, 1024, 256
+    bound = (p * (n + n_test) + n * n // 2 + 256 * n) * 8 + 2**20
+    m = balanced_model(p)
+    empirical_error(m, n // 2, n // 2, n_test, 1.0, RBF_UNIT, threshold=0.0, seed=3)  # warm caches
+    tracemalloc.start()
+    try:
+        empirical_error(m, n // 2, n // 2, n_test, 1.0, RBF_UNIT, threshold=0.0, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_config_validation():

@@ -15,8 +15,10 @@ from lssvmlim.kernels import (
     PolynomialKernel,
     TaylorKernel,
     gram_matrix,
+    kernel_from_spec,
     kernel_vector,
 )
+from lssvmlim.mixture import MixtureModel, sample
 from lssvmlim.lssvm import (
     TrainedModel,
     classify,
@@ -159,14 +161,15 @@ class CountingGram(Gram):
         return super().__matmul__(p)
 
 
-def test_training_makes_six_vector_products_with_k(factor_calls):
-    # on the circulant system above: 1 product for the ones, 4 for y (it has
-    # parts in four of S's five eigenvalues), and 1 for the residual guard
+def test_training_makes_five_vector_products_with_k(factor_calls):
+    # on the circulant system above: 4 for y (it has parts in four of S's
+    # five eigenvalues), and 1 for the residual guard, which also gives the
+    # bias; no solve for the ones
     K = scipy.linalg.circulant([0.5, 0.25, 0, 0, 0, 0, 0, 0.25])
     G = CountingGram((K,))  # n <= 512: one block row, K itself
     labels = np.array([-1.0, -1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
     alpha, bias = train(G, labels, gamma=8.0)
-    assert G.products == [(8,)] * 6
+    assert G.products == [(8,)] * 5
     assert len(factor_calls) == 0
     assert_solves(K, labels, 8.0, alpha, bias)
 
@@ -216,14 +219,19 @@ def test_negative_definite_system_takes_one_eigh(factor_calls):
 
 
 @pytest.mark.parametrize(
-    "S",
+    "S, cg",
     [
-        np.ones((6, 6)),  # rank one
-        np.diag([1.0] * 5 + [1e-14]),  # positive definite, eigenvalue below 1e-12 ||S||
+        (np.ones((6, 6)), True),  # rank one, and zero on the complement of 1
+        # positive definite, eigenvalue below 1e-12 ||S||; the projected
+        # system is well posed, so conjugate gradients are kept off to test
+        # the pivot rule of the factorization
+        (np.diag([1.0] * 5 + [1e-14]), False),
     ],
     ids=["rank_one", "tiny_pivot"],
 )
-def test_collapsed_eigenvalues_raise(factor_calls, S):
+def test_collapsed_eigenvalues_raise(request, factor_calls, S, cg):
+    if not cg:
+        request.getfixturevalue("no_cg")
     n, gamma = len(S), 1.0
     K = S - (n / gamma) * np.eye(n)
     before = K.copy()
@@ -232,6 +240,37 @@ def test_collapsed_eigenvalues_raise(factor_calls, S):
         train(K, labels, gamma)
     assert len(factor_calls) == 1
     assert np.array_equal(K, before)  # the decomposition worked on a copy
+
+
+def test_point_masses_under_a_constant_kernel_train(factor_calls):
+    # identical point masses under f = -1/gamma give K = -11'/gamma, so
+    # S = (n/gamma) I - 11'/gamma is singular only along 1, where the LS-SVM
+    # system constrains alpha to zero: alpha = (gamma/n) P y, b = mean(y)
+    p, n1, n2, gamma = 48, 20, 28, 1.0
+    zeros = np.zeros((p, p))
+    ds = sample(MixtureModel(p, np.zeros(p), np.zeros(p), zeros, zeros, c1=0.5), n1, n2, seed=7)
+    profile = kernel_from_spec({"kind": "local", "tau": 0.0, "f": -1.0, "fp": 0.0, "fpp": 0.0})
+    fitted = TrainedModel.fit(ds.X, ds.labels, gamma, profile)
+    y, n = ds.labels, n1 + n2
+    np.testing.assert_allclose(fitted.alpha, gamma / n * (y - y.mean()), rtol=0, atol=1e-14)
+    assert fitted.bias == pytest.approx(y.mean(), rel=0, abs=1e-14)
+    assert len(factor_calls) == 0
+
+
+@pytest.mark.parametrize("n, n1", [(1061, 400), (300, 113)], ids=["block_rows", "one_block_row"])
+def test_projected_solve_matches_the_bordered_system(n, n1):
+    # [[S, 1], [1', 0]] [alpha; b] = [y; 0] is the LS-SVM system itself
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((16, n))
+    y = rng.permutation(np.where(np.arange(n) < n1, -1.0, 1.0))
+    G = gram_matrix(X, GaussianKernel(1.0))
+    S = np.asarray(G) + n * np.eye(n)
+    bordered = np.block([[S, np.ones((n, 1))], [np.ones((1, n)), np.zeros((1, 1))]])
+    solution = np.linalg.solve(bordered, np.r_[y, 0.0])
+    np.testing.assert_allclose(lssvm._cg(G, float(n), y), solution[:n], rtol=0, atol=1e-9)
+    alpha, bias = train(G, y, 1.0)
+    np.testing.assert_allclose(alpha, solution[:n], rtol=0, atol=1e-9)
+    assert abs(bias - solution[n]) <= 1e-9
 
 
 def _unreachable(*args):
