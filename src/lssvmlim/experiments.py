@@ -17,7 +17,7 @@ import numpy as np
 
 from .kernels import kernel_from_spec
 from .lssvm import TrainedModel, classify
-from .mixture import MixtureModel, mix64, model_from_spec, sample, whole_int
+from .mixture import MixtureModel, mix64, model_from_spec, real, sample, whole_int
 from .theory import error_rates, gaussian_stats, optimal_threshold, q_function, random_equivalent
 
 THRESHOLD_RULES = ("optimal", "zero", "bias")
@@ -133,9 +133,9 @@ class ExperimentConfig:
         try:
             for name in ("n", "n_test", "trials", "n_points"):
                 object.__setattr__(self, name, whole_int(getattr(self, name), name))
-            object.__setattr__(self, "gamma", float(self.gamma))
+            object.__setattr__(self, "gamma", real(self.gamma, "gamma"))
             object.__setattr__(self, "base_seed", whole_int(self.base_seed, "base_seed", positive=False))
-            object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
+            object.__setattr__(self, "grid", tuple(real(v, "a sweep grid value") for v in self.grid))
             sizes = tuple(tuple(pair) for pair in self.sizes)
             if any(len(pair) != 2 for pair in sizes):
                 raise ValueError(f"sizes must be [n, p] pairs, got {[list(s) for s in sizes]}")
@@ -384,11 +384,7 @@ def run_convergence(model_factory, gamma, profile, sizes, trials, base_seed, n_p
             train_set, test_set, g = _trial(
                 model, n1, n2, m1, m2, gamma, prof, "standard", mix64(base_seed, si * trials + t)
             )
-            for cls, sl in ((1, slice(0, m1)), (2, slice(m1, m1 + m2))):
-                g_hat = random_equivalent(
-                    train_set, model, test_set.omega[:, sl], test_set.psi[sl], cls, gamma, prof
-                )
-                gaps.append(n * np.abs(g[sl] - g_hat))
+            gaps.append(n * np.abs(g - random_equivalent(train_set, test_set, gamma, prof)))
         gaps = np.concatenate(gaps)
         rows.append(
             ConvergenceRow(n=n, p=p, median_scaled_gap=float(np.median(gaps)), samples=len(gaps))

@@ -14,6 +14,8 @@ from typing import Union
 
 import numpy as np
 
+from .mixture import real
+
 _ROWS = 512  # rows of the Gram's upper triangle per block row
 _TILE = 64  # most rows per kernel-value tile, and rows and columns per mirrored block
 _TILE_ENTRIES = 1 << 16  # most entries per kernel-value tile: 512 KiB, so a tile, its
@@ -139,10 +141,7 @@ def _to_kernel(G, a, b, p, profile):
     A tile is :func:`_tile_rows` rows: at most 64, and at most 64K entries,
     so 16 rows at width 4096.  Each entry goes through the same operations
     whatever the tile, so the height moves no value.  Taller tiles spill a
-    2 MiB L2 between the passes: on a 512 x 4096 block row, the median of five
-    runs on a shared 2-core x86-64 machine was 5.2 ns per entry in 64-row
-    tiles against 4.6 in 16-row ones for the Gaussian profile, and 6.2
-    against 4.7 for the local quadratic."""
+    2 MiB L2 between the passes, and each entry then costs more."""
     h = _tile_rows(len(b))
     sums = np.empty((min(h, len(G)), len(b)))
     for r in range(0, len(G), h):
@@ -176,12 +175,10 @@ class Gram:
     itself and, transposed, for the block column below the square.  That is
     about n^2 / 2 doubles instead of n^2.  ``G @ p`` multiplies a vector,
     reading each block row once, and ``np.asarray(G)`` gives the dense,
-    exactly symmetric ``K``.
-
-    At n = 4096 a product took 3.5 ms, against 7.0 ms when 512-column
-    chunks of each block row served both ``C @ p`` and ``C' @ p`` (a shared
-    2-core x86-64 machine): a general product with one column runs well
-    below memory speed.
+    exactly symmetric ``K``.  Two matrix-vector products over each whole
+    block row beat 512-column chunks that serve both ``C @ p`` and
+    ``C' @ p``: a general product with one column runs well below memory
+    speed.
     """
 
     rows: tuple
@@ -280,11 +277,11 @@ def kernel_from_spec(spec: dict) -> KernelProfile:
     kind = spec.get("kind")
     try:
         if kind == "gaussian":
-            return GaussianKernel(float(spec["sigma2"]))
+            return GaussianKernel(real(spec["sigma2"], "kernel.sigma2"))
         if kind == "polynomial":
-            return PolynomialKernel(tuple(spec["coeffs"]))
+            return PolynomialKernel(tuple(real(c, "kernel.coeffs") for c in spec["coeffs"]))
         if kind == "local":
-            return TaylorKernel(*(float(spec[key]) for key in ("tau", "f", "fp", "fpp")))
+            return TaylorKernel(*(real(spec[k], f"kernel.{k}") for k in ("tau", "f", "fp", "fpp")))
     except KeyError as exc:
         raise ValueError(f"missing key kernel.{exc.args[0]}") from None
     except TypeError as exc:  # e.g. a null, or coefficients that are not a list

@@ -17,8 +17,7 @@ NumPy's ``eigh``, which solves for y and 1 and gives the paper's
 ``b = (1' S^{-1} y) / (1' S^{-1} 1)``.  ``S`` is symmetric but not
 guaranteed positive definite (locally specified kernels may produce
 indefinite Gram matrices), and ``eigh`` takes either kind.  It is several
-times the cost of an LU (about 1.6 s at n = 2048), a cost paid only where
-conjugate gradients give up.
+times the cost of an LU, a cost paid only where conjugate gradients give up.
 """
 
 from __future__ import annotations
@@ -79,9 +78,8 @@ def _factor(K, shift):
     ``|lam|`` is at least ``_PIVOT_RTOL * ||S||_inf``.  The norm is taken
     over all of ``S``: ``eigh`` reads one triangle, and a NaN in the other
     must fail the test too.  ``S`` starts as a dense copy of ``K``, which may
-    be a :class:`~lssvmlim.kernels.Gram` or a square array.  On a shared
-    2-core machine it took 1.6 s at n = 2048 and 0.24 s at n = 1024, against
-    0.23 s and 0.05 s for an LU.
+    be a :class:`~lssvmlim.kernels.Gram` or a square array.  It costs several
+    times an LU, and runs only where conjugate gradients give up.
     """
     S = np.array(K, dtype=float)
     S.flat[:: len(S) + 1] += shift

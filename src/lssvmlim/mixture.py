@@ -43,6 +43,14 @@ def whole_int(value, name: str, positive: bool = True) -> int:
     return int(k)
 
 
+def real(value, name: str) -> float:
+    """``value`` as a float, unless it is a boolean, which would read as 1
+    or 0: then a ValueError that names ``name``."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 class ToeplitzCov:
     """AR(1) covariance ``C[i, j] = scale * rho**|i - j|``, a symmetric
     Toeplitz matrix held by its first row ``row``.
@@ -431,7 +439,7 @@ def model_from_spec(spec: dict, p: int | None = None) -> MixtureModel:
         mu1, mu2 = (_parse_mean_spec(spec[key], p, f"model.{key}") for key in ("mean1", "mean2"))
         cov1, cov2 = (_parse_cov_spec(spec[key], p, f"model.{key}") for key in ("cov1", "cov2"))
         if "c1" in spec:
-            c1 = float(spec["c1"])
+            c1 = real(spec["c1"], "model.c1")
         else:
             n1, n2 = (whole_int(spec[key], f"model.{key}") for key in ("n1", "n2"))
             c1 = n1 / (n1 + n2)

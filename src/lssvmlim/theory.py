@@ -64,76 +64,50 @@ def informative_term(model: MixtureModel, profile: KernelProfile) -> float:
     )
 
 
-def noise_term(
-    dataset: LatentDataset,
-    model: MixtureModel,
-    omega_x,
-    psi_x,
-    profile: KernelProfile,
-):
-    """Zero-mean fluctuation of the score equivalent, from the training
-    data and the test point's latents:
+def noise_term(train_set: LatentDataset, test_set: LatentDataset, profile: KernelProfile):
+    """Zero-mean fluctuation of the score equivalent at each test point,
+    from the training data and the point's latents ``w`` and ``psi``:
 
-        P = -(2 f'(tau)/n) y' P Omega' w_x
-            - (4 c1 c2 f'(tau)/sqrt p) (mu2 - mu1)' w_x
-            + 2 c1 c2 f''(tau) psi_x tr(C2 - C1) / p
+        P = -(2 f'(tau)/n) y' P Omega' w
+            - (4 c1 c2 f'(tau)/sqrt p) (mu2 - mu1)' w
+            + 2 c1 c2 f''(tau) psi tr(C2 - C1) / p
 
     with the centering projector applied implicitly as
     ``y' P = (y - (c2 - c1) 1)'`` and ``Omega y_c`` read off the data as
-    ``(X y_c - sum_a mu_a (sum of y_c over class a)) / sqrt p``.  ``omega_x``
-    may be a single ``p``-vector or a ``p x m`` matrix of test latents (with
-    ``psi_x`` an ``m``-vector).
-    This is an oracle for validating the asymptotics, not an estimator: it
-    reads latents that are unobservable in practice.
+    ``(X y_c - sum_a mu_a (sum of y_c over class a)) / sqrt p``.  Both sets
+    must be drawn from the same model object.  This is an oracle for
+    validating the asymptotics, not an estimator: it reads latents that are
+    unobservable in practice.
     """
-    omega_x = np.asarray(omega_x, dtype=float)
-    n = dataset.n
-    p = model.p
-    if omega_x.shape[0] != p:
-        raise ValueError(f"test latents must have {p} rows, got {omega_x.shape}")
-    c1 = dataset.n1 / n
-    c2 = dataset.n2 / n
+    model = train_set.model
+    if test_set.model is not model:
+        raise ValueError("the test set must be drawn from the training set's model")
+    n, p = train_set.n, model.p
+    c1, c2 = train_set.n1 / n, train_set.n2 / n
     _, fp, fpp = profile.derivatives(model.tau)
-    y_centered = dataset.labels - (c2 - c1)
-    class1 = dataset.labels < 0
+    y_centered = train_set.labels - (c2 - c1)
+    class1 = train_set.labels < 0
     omega_y = (
-        dataset.X @ y_centered
+        train_set.X @ y_centered
         - model.mu1 * y_centered[class1].sum()
         - model.mu2 * y_centered[~class1].sum()
     ) / np.sqrt(p)
-    t1 = -2.0 * fp / n * (omega_y @ omega_x)
-    t2 = -4.0 * c1 * c2 * fp / np.sqrt(p) * (model.mean_gap @ omega_x)
-    t3 = 2.0 * c1 * c2 * fpp * np.asarray(psi_x, dtype=float) * (model.trace_gap / p)
-    out = t1 + t2 + t3
-    return float(out) if omega_x.ndim == 1 else out
+    w = test_set.omega
+    t1 = -2.0 * fp / n * (omega_y @ w)
+    t2 = -4.0 * c1 * c2 * fp / np.sqrt(p) * (model.mean_gap @ w)
+    t3 = 2.0 * c1 * c2 * fpp * test_set.psi * (model.trace_gap / p)
+    return t1 + t2 + t3
 
 
-def random_equivalent(
-    dataset: LatentDataset,
-    model: MixtureModel,
-    omega_x,
-    psi_x,
-    test_class: int,
-    gamma: float,
-    profile: KernelProfile,
-):
-    """Deterministic-plus-latent equivalent of the decision score,
-
-        g_hat = c2 - c1 + gamma (P - 2 c1 c2^2 D)   for a class-1 point,
-        g_hat = c2 - c1 + gamma (P + 2 c1^2 c2 D)   for a class-2 point,
-
-    asymptotically indistinguishable from the trained score at scale 1/n.
-    Class proportions are the training sample's exact counts.
-    """
-    if test_class not in (1, 2):
-        raise ValueError(f"test_class must be 1 or 2, got {test_class}")
-    n = dataset.n
-    c1 = dataset.n1 / n
-    c2 = dataset.n2 / n
-    noise = noise_term(dataset, model, omega_x, psi_x, profile)
-    info = informative_term(model, profile)
-    coef = -2.0 * c1 * c2**2 if test_class == 1 else 2.0 * c1**2 * c2
-    return (c2 - c1) + gamma * (noise + coef * info)
+def random_equivalent(train_set: LatentDataset, test_set: LatentDataset, gamma: float,
+                      profile: KernelProfile):
+    """Equivalent ``g_hat = E_a + gamma P`` of the decision score at each test
+    point: ``E_a`` is the mean :func:`gaussian_stats` predicts for the point's
+    class at the training counts, and ``P`` the :func:`noise_term`.  It is
+    asymptotically indistinguishable from the trained score at scale 1/n."""
+    stats = gaussian_stats(train_set.model, train_set.n1, train_set.n2, gamma, profile)
+    means = np.where(test_set.labels < 0, stats.E1, stats.E2)
+    return means + gamma * noise_term(train_set, test_set, profile)
 
 
 @dataclass(frozen=True)

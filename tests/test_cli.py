@@ -394,6 +394,10 @@ def without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
+def local_kernel(**changes):
+    return dict({"kind": "local", "tau": 2.0, "f": 1.0, "fp": -0.5, "fpp": 0.25}, **changes)
+
+
 @pytest.mark.parametrize(
     "command, doc, named",
     [
@@ -435,6 +439,22 @@ def without(doc, key):
         ("sweep", small_sweep_doc(base_seed=1.5), "base_seed must be an integer"),
         ("sweep", small_sweep_doc(base_seed=True), "base_seed must be an integer"),
         ("sweep", small_sweep_doc(base_seed="7"), "base_seed must be an integer"),
+        # a boolean is no real number either: it is refused, never read as 1 or 0
+        ("sweep", small_sweep_doc(gamma=True), "gamma must be a number, got True"),
+        ("histogram", small_sweep_doc(kernel={"kind": "gaussian", "sigma2": True}),
+         "kernel.sigma2 must be a number"),
+        ("sweep", small_sweep_doc(sweep={"axis": "sigma2", "grid": [True]}),
+         "sweep grid value must be a number"),
+        ("predict", small_sweep_doc(model=small_model(c1=False)), "model.c1 must be a number"),
+        ("convergence",
+         small_sweep_doc(sizes=[[16, 16]], n_points=6, kernel=local_kernel(tau=True)),
+         "kernel.tau must be a number"),
+        ("predict", small_sweep_doc(kernel=local_kernel(f=True)), "kernel.f must be a number"),
+        ("predict", small_sweep_doc(kernel=local_kernel(fp=False)), "kernel.fp must be a number"),
+        ("histogram", small_sweep_doc(kernel=local_kernel(fpp=True)),
+         "kernel.fpp must be a number"),
+        ("predict", small_sweep_doc(kernel={"kind": "polynomial", "coeffs": [1.0, True]}),
+         "kernel.coeffs must be a number"),
     ],
     ids=["predict-shipped-convergence-config", "predict-model-missing", "predict-cov2-missing",
          "predict-sigma2-missing", "predict-fp-missing", "predict-spike-three-args",
@@ -446,7 +466,9 @@ def without(doc, key):
          "convergence-sizes-n-fractional", "predict-p-fractional", "predict-p-negative",
          "predict-counts-fractional", "predict-unequal-counts-fractional",
          "predict-count-negative", "sweep-base_seed-fractional", "sweep-base_seed-bool",
-         "sweep-base_seed-string"],
+         "sweep-base_seed-string", "sweep-gamma-bool", "histogram-sigma2-bool",
+         "sweep-grid-bool", "predict-c1-bool", "convergence-tau-bool", "predict-f-bool",
+         "predict-fp-bool", "histogram-fpp-bool", "predict-coeffs-bool"],
 )
 def test_invalid_config_error_names_its_key(tmp_path, capsys, recwarn, command, doc, named):
     assert main([command, "--config", write_config(tmp_path, doc)]) == 2

@@ -12,7 +12,7 @@ from helpers import RBF_UNIT, balanced_model, shape_kernel, shape_only_model, sk
 from lssvmlim.errors import NumericalFailure
 from lssvmlim.experiments import at_threshold, class_split, config_from_dict, resolve_kernel
 from lssvmlim.kernels import GaussianKernel, TaylorKernel
-from lssvmlim.mixture import MixtureModel, ToeplitzCov, model_from_spec, sample
+from lssvmlim.mixture import LatentDataset, MixtureModel, ToeplitzCov, model_from_spec, sample
 from lssvmlim.theory import (
     TheoryStats,
     _stationary_points,
@@ -131,10 +131,18 @@ def test_informative_term_mean_only_reduction():
 # ------------------------------------------------------------ noise term P
 
 
+def at_class_means(model, labels):
+    """A test set whose every point sits at its class mean: zero latents."""
+    labels = np.asarray(labels, dtype=float)
+    X = np.where(labels < 0, model.mu1[:, None], model.mu2[:, None])
+    return LatentDataset(X, labels, model)
+
+
 def test_noise_term_zero_latents():
-    m = balanced_model(16)
+    # equal traces, so the psi term vanishes with the other two
+    m = balanced_model(16, boost=0.0)
     ds = sample(m, 4, 4, seed=0)
-    assert noise_term(ds, m, np.zeros(16), 0.0, RBF_UNIT) == 0.0
+    assert np.all(noise_term(ds, at_class_means(m, [-1, 1]), RBF_UNIT) == 0.0)
 
 
 def test_noise_term_coefficient_cancellation():
@@ -143,8 +151,7 @@ def test_noise_term_coefficient_cancellation():
     m = shape_only_model(p)
     profile = shape_kernel(m, fprime=0.0)
     ds = sample(m, 5, 5, seed=1)
-    rng = np.random.default_rng(2)
-    assert noise_term(ds, m, rng.standard_normal(p), 0.37, profile) == 0.0
+    assert np.all(noise_term(ds, sample(m, 3, 3, seed=2), profile) == 0.0)
 
 
 def test_noise_term_dense_oracle():
@@ -153,8 +160,11 @@ def test_noise_term_dense_oracle():
     m = balanced_model(p, spike=1.0, boost=1.0)
     ds = sample(m, 2, 4, seed=3)
     rng = np.random.default_rng(4)
-    omega_x = rng.standard_normal(p)
-    psi_x = 0.21
+    omega_x = rng.standard_normal((p, 2))
+    labels = np.array([-1.0, 1.0])
+    means = np.column_stack([m.mu1, m.mu2])
+    test = LatentDataset(means + np.sqrt(p) * omega_x, labels, m)
+    psi_x = (omega_x**2).sum(axis=0) - np.array([m.cov1.trace(), m.cov2.trace()]) / p
     profile = GaussianKernel(1.3)
 
     f, fp, fpp = profile.derivatives(m.tau)
@@ -166,19 +176,18 @@ def test_noise_term_dense_oracle():
         - 4 * c1 * c2 * fp / np.sqrt(p) * ((m.mu2 - m.mu1) @ omega_x)
         + 2 * c1 * c2 * fpp * psi_x * (m.cov2.trace() - m.cov1.trace()) / p
     )
-    assert noise_term(ds, m, omega_x, psi_x, profile) == pytest.approx(expected, rel=1e-12)
+    assert noise_term(ds, test, profile) == pytest.approx(expected, rel=1e-12)
 
 
-def test_noise_term_vectorized_matches_scalar():
-    p = 8
-    m = balanced_model(p, spike=1.0, boost=1.0)
+def test_noise_term_refuses_a_test_set_of_another_model():
+    # an equal model that is another object did not draw the training set
+    m, other = balanced_model(8), balanced_model(8)
     ds = sample(m, 3, 5, seed=5)
-    rng = np.random.default_rng(6)
-    W = rng.standard_normal((p, 4))
-    psis = rng.standard_normal(4)
-    batch = noise_term(ds, m, W, psis, RBF_UNIT)
-    for j in range(4):
-        assert batch[j] == pytest.approx(noise_term(ds, m, W[:, j], psis[j], RBF_UNIT), rel=1e-12)
+    test = sample(other, 2, 2, seed=6)
+    with pytest.raises(ValueError, match="model"):
+        noise_term(ds, test, RBF_UNIT)
+    with pytest.raises(ValueError, match="model"):
+        random_equivalent(ds, test, 1.0, RBF_UNIT)
 
 
 # -------------------------------------------------------- random equivalent
@@ -189,24 +198,36 @@ def test_random_equivalent_reduces_to_bias():
     p = 8
     m = MixtureModel(p, np.ones(p), np.ones(p), np.eye(p), np.eye(p), c1=0.25)
     ds = sample(m, 2, 6, seed=7)
-    got = random_equivalent(ds, m, np.zeros(p), 0.0, 1, gamma=2.0, profile=RBF_UNIT)
-    assert got == pytest.approx(6 / 8 - 2 / 8, rel=1e-14)
+    got = random_equivalent(ds, at_class_means(m, [-1, 1]), gamma=2.0, profile=RBF_UNIT)
+    assert got == pytest.approx([6 / 8 - 2 / 8] * 2, rel=1e-14)
 
 
 def test_random_equivalent_class_gap():
-    # same latents: the class-2 minus class-1 equivalent is gamma 2 c1 c2 D
+    # same latents: the class-2 minus class-1 equivalent is gamma 2 c1 c2 D;
+    # equal traces, so the two points' psi agree too
     p = 16
-    m = balanced_model(p)
+    m = balanced_model(p, boost=0.0)
     ds = sample(m, 6, 10, seed=8)
     rng = np.random.default_rng(9)
     omega_x = rng.standard_normal(p) * 0.1
-    psi_x = 0.05
+    X = np.column_stack([m.mu1, m.mu2]) + np.sqrt(p) * omega_x[:, None]
     gamma = 1.7
-    g1 = random_equivalent(ds, m, omega_x, psi_x, 1, gamma, RBF_UNIT)
-    g2 = random_equivalent(ds, m, omega_x, psi_x, 2, gamma, RBF_UNIT)
+    g1, g2 = random_equivalent(ds, LatentDataset(X, np.array([-1.0, 1.0]), m), gamma, RBF_UNIT)
     c1, c2 = 6 / 16, 10 / 16
     D = informative_term(m, RBF_UNIT)
     assert g2 - g1 == pytest.approx(gamma * 2 * c1 * c2 * D, rel=1e-10)
+
+
+def test_random_equivalent_without_noise_is_the_predicted_class_mean():
+    # an unequal split, equal traces and test points at their class means:
+    # the noise term vanishes and each point reads its class's E_a exactly
+    m = balanced_model(16, boost=0.0)
+    ds = sample(m, 6, 18, seed=10)
+    labels = [-1, -1, 1, 1, 1]
+    got = random_equivalent(ds, at_class_means(m, labels), 1.3, RBF_UNIT)
+    st = gaussian_stats(m, 6, 18, 1.3, RBF_UNIT)
+    assert st.E1 != st.E2
+    assert np.array_equal(got, [st.E1, st.E1, st.E2, st.E2, st.E2])
 
 
 # ----------------------------------------------------------- gaussian stats
