@@ -75,23 +75,22 @@ def _config(args, doc):
 
 def cmd_predict(args):
     config = _config(args, _load_config(args.config))
-    model = model_from_spec(config.model_spec)
-    profile = experiments.resolve_kernel(config.kernel_spec, model)
+    model = model_from_spec(config.model)
+    profile = experiments.resolve_kernel(config.kernel, model)
     n1, n2 = experiments.class_split(config.n, model.c1)  # the counts sweep trains on
     stats = theory.gaussian_stats(model, n1, n2, config.gamma, profile, config.convention)
-    rule = config.threshold_rule
+    rule = config.threshold
     _emit(dict(stats.as_dict(), threshold_rule=rule, **experiments.at_threshold(stats, rule)), args)
     return 0
 
 
 def cmd_sweep(args):
     result = experiments.run_sweep(_config(args, _load_config(args.config)))
-    # CSV is the default file output; --full implies the JSON mirror
-    fmt = args.format or ("json" if args.full or not args.out else "csv")
-    if fmt == "json":
-        _emit(result.to_json(full=args.full), args)
-    else:
+    # a file is CSV unless --full asks for the trials or its name ends in .json
+    if args.out and not args.full and not args.out.endswith(".json"):
         result.to_csv(args.out)
+    else:
+        _emit(result.to_json(full=args.full), args)
     for row in result.rows:
         if row.trials == 0:  # a sweep without an axis has one row, value NaN
             first = next(f for f in result.failures if f["value"] == row.value or row.axis == "none")
@@ -102,9 +101,9 @@ def cmd_sweep(args):
 
 def cmd_histogram(args):
     config = _config(args, _load_config(args.config))
-    model = model_from_spec(config.model_spec)
+    model = model_from_spec(config.model)
     result = experiments.run_histogram(
-        model, config.n, config.gamma, experiments.resolve_kernel(config.kernel_spec, model),
+        model, config.n, config.gamma, experiments.resolve_kernel(config.kernel, model),
         config.convention, config.n_test, config.trials, config.base_seed,
     )
     out = result.summary()
@@ -122,9 +121,9 @@ def cmd_convergence(args):
     if not config.sizes:
         raise ValueError("convergence needs sizes: [[n, p], ...]")
     rows = experiments.run_convergence(
-        lambda p: model_from_spec(config.model_spec, p=p),
+        lambda p: model_from_spec(config.model, p=p),
         config.gamma,
-        lambda model: experiments.resolve_kernel(config.kernel_spec, model),
+        lambda model: experiments.resolve_kernel(config.kernel, model),
         config.sizes,
         config.trials,
         config.base_seed,
@@ -153,10 +152,10 @@ def cmd_mnist_stats(args):
     if args.snr_db is not None:
         data = mnist.add_white_noise(data, args.snr_db, mix64(config.base_seed, 99))
     model = mnist.class_stats(data, args.digit_a, args.digit_b)
-    profile = experiments.resolve_kernel(config.kernel_spec, model)
-    n1, n2 = config.n // 2, config.n - config.n // 2
+    profile = experiments.resolve_kernel(config.kernel, model)
+    n1, n2 = experiments.class_split(config.n, 0.5)
     stats = theory.gaussian_stats(model, n1, n2, config.gamma, profile)
-    predicted = experiments.at_threshold(stats, config.threshold_rule)
+    predicted = experiments.at_threshold(stats, config.threshold)
     # every image is in the pool; those of other digits are labeled 0 and never picked
     pool = (data.images, np.select([data.labels == args.digit_a, data.labels == args.digit_b],
                                    [-1.0, 1.0]))
@@ -182,7 +181,6 @@ def cmd_mnist_stats(args):
 _OPTIONS = {
     "--config": dict(required=True, help="JSON config file"),
     "--out": dict(help="output path (default: stdout)"),
-    "--format": dict(choices=["csv", "json"], help="output format"),
     "--seed": dict(type=int, help="override base seed"),
     "--trials": dict(type=int, help="override trial count"),
     "--threshold": dict(choices=list(experiments.THRESHOLD_RULES), help="threshold rule"),
@@ -202,9 +200,8 @@ def build_parser():
     options(p, "--config", "--out", "--threshold")
 
     p = sub.add_parser("sweep", help="empirical vs predicted error over a parameter grid")
-    options(p, "--config", "--out", "--format", "--seed", "--trials", "--threshold")
+    options(p, "--config", "--out", "--seed", "--trials", "--threshold")
     p.add_argument("--full", action="store_true", help="include per-trial records (JSON)")
-    p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("histogram", help="pooled score samples with Gaussian overlay")
     options(p, "--config", "--out", "--seed", "--trials")
@@ -236,8 +233,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "format", None) == "csv" and not args.out:
-            args.usage_error("--format csv requires --out")
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:

@@ -110,19 +110,21 @@ def empirical_error(source, n1, n2, n_test, gamma, profile, threshold, seed, con
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One parsed config file; each field's default is its key's default.
+    """One parsed config file.  Each field is the config key of its name,
+    except ``axis`` and ``grid``, which are given inside ``sweep``; each
+    field's default is its key's default.
 
     The README's config reference lists which subcommands read each key.
     """
 
-    model_spec: dict
-    kernel_spec: dict = field(default_factory=lambda: {"kind": "gaussian", "sigma2": 1.0})
+    model: dict
+    kernel: dict = field(default_factory=lambda: {"kind": "gaussian", "sigma2": 1.0})
     n: int = 256
     n_test: int = 256
     gamma: float = 1.0
     trials: int = 20
     base_seed: int = 0
-    threshold_rule: str = "optimal"
+    threshold: str = "optimal"
     axis: str = None
     grid: tuple = ()
     convention: str = "standard"
@@ -153,12 +155,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown label convention: {self.convention!r}")
         if self.axis is not None and len(self.grid) == 0:
             raise ValueError("sweep grid must be nonempty")
+        if self.axis is None and self.grid:
+            raise ValueError("sweep.grid needs sweep.axis")
         if len(set(self.grid)) < len(self.grid):  # a grid point is known by its value
             raise ValueError(f"sweep grid repeats a value: {list(self.grid)}")
         if self.axis == "c0" and not all(0 < v < np.inf for v in self.grid):
             raise ValueError(f"c0 grid values must be finite and positive, got {list(self.grid)}")
-        if self.threshold_rule not in THRESHOLD_RULES:
-            raise ValueError(f"unknown threshold rule: {self.threshold_rule!r}")
+        if self.threshold not in THRESHOLD_RULES:
+            raise ValueError(f"unknown threshold rule: {self.threshold!r}")
 
 
 def resolve_kernel(spec, model):
@@ -172,11 +176,9 @@ def resolve_kernel(spec, model):
 def _instantiate(config, value):
     """Materialize (model, profile, n, n1, n2) for one grid point."""
     axis = config.axis
-    model_spec = dict(config.model_spec)
+    model_spec = dict(config.model)
     if axis == "c1":
         model_spec["c1"] = value
-        model_spec.pop("n1", None)
-        model_spec.pop("n2", None)
     elif axis == "mu_offset":
         model_spec["mean1"] = f"unit_spike(1, {value})"
         model_spec["mean2"] = f"unit_spike(2, {value})"
@@ -186,7 +188,8 @@ def _instantiate(config, value):
     # dimension-to-sample sweep: n follows p at fixed p
     n = max(4, round(model.p / value)) if axis == "c0" else config.n
 
-    kernel_spec = dict(config.kernel_spec)
+    kernel_spec = config.kernel
+    resolve_kernel(kernel_spec, model)  # on every axis, so that a malformed kernel is refused
     if axis == "sigma2":
         kernel_spec = {"kind": "gaussian", "sigma2": value}
     elif axis in ("fprime", "fsecond"):
@@ -259,7 +262,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     for gi, value in enumerate(grid):
         model, profile, n, n1, n2 = _instantiate(config, value)
         stats = gaussian_stats(model, n1, n2, config.gamma, profile, config.convention)
-        predicted = at_threshold(stats, config.threshold_rule)
+        predicted = at_threshold(stats, config.threshold)
         threshold = predicted["threshold"]
         records = []
         for t in range(config.trials):
@@ -392,14 +395,6 @@ def run_convergence(model_factory, gamma, profile, sizes, trials, base_seed, n_p
     return rows
 
 
-# config key -> ExperimentConfig field, for the keys given outside "sweep"
-_CONFIG_FIELDS = {
-    "kernel": "kernel_spec", "n": "n", "n_test": "n_test", "gamma": "gamma",
-    "trials": "trials", "base_seed": "base_seed", "threshold": "threshold_rule",
-    "convention": "convention", "sizes": "sizes", "n_points": "n_points",
-}
-
-
 def _object(value, name):
     """``value``, which a config file must give as an object (a table)."""
     if not isinstance(value, dict):
@@ -409,16 +404,20 @@ def _object(value, name):
 
 def config_from_dict(doc: dict, **overrides) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a parsed config file with
-    ``overrides`` of its top-level keys; absent keys take the field defaults."""
+    ``overrides`` of its top-level keys; absent keys take the field defaults,
+    and a key that is no field (nor ``sweep``) is refused."""
     doc = dict(_object(doc, "the config"), **overrides)
+    sweep = _object(doc.pop("sweep", None) or {}, "sweep")
+    keys = {f.name for f in fields(ExperimentConfig)} - {"axis", "grid"}  # those two are in sweep
+    unknown = [k for k in doc if k not in keys]
+    unknown += [f"sweep.{k}" for k in sweep if k not in ("axis", "grid")]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]}")
     if "model" not in doc:
         raise ValueError("missing key model")
-    sweep = _object(doc.get("sweep") or {}, "sweep")
-    given = {f: doc[key] for key, f in _CONFIG_FIELDS.items() if key in doc}
-    _object(given.get("kernel_spec", {}), "kernel")
+    _object(doc["model"], "model")
+    _object(doc.get("kernel", {}), "kernel")
     grid = sweep.get("grid", [])
     if not isinstance(grid, (list, tuple)):
         raise ValueError(f"sweep grid must be a list, got {type(grid).__name__}")
-    return ExperimentConfig(
-        model_spec=_object(doc["model"], "model"), axis=sweep.get("axis"), grid=tuple(grid), **given
-    )
+    return ExperimentConfig(**doc, axis=sweep.get("axis"), grid=tuple(grid))

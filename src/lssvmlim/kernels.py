@@ -188,9 +188,6 @@ class Gram:
         n = sum(map(len, self.rows))
         return n, n
 
-    def __len__(self):
-        return self.shape[0]
-
     def __matmul__(self, p):
         """``K @ p`` for a vector ``p``: two matrix-vector products per
         block row B over the whole row, ``B @ p[i:]`` for the rows of the
@@ -248,21 +245,17 @@ def gram_matrix(data: np.ndarray, profile: KernelProfile) -> Gram:
     return Gram(tuple(reversed(rows)))
 
 
-def kernel_vector(data: np.ndarray, x: np.ndarray, profile: KernelProfile) -> np.ndarray:
-    """Kernel evaluations ``f(||x - x_j||^2 / p)`` against the columns of
-    ``data``.
-
-    ``x`` may be a single ``p``-vector (returns an ``n``-vector) or a
-    ``p x m`` matrix of query points (returns ``n x m``).  The product
+def kernel_vector(data: np.ndarray, queries: np.ndarray, profile: KernelProfile) -> np.ndarray:
+    """Kernel evaluations ``K[j, k] = f(||x_j - q_k||^2 / p)`` between the
+    columns ``x_j`` of ``data`` (``p x n``) and the columns ``q_k`` of the
+    ``p x m`` matrix ``queries``, as an ``n x m`` array.  The product
     ``X' Q`` is turned into kernel values by :func:`_to_kernel`, as the
     block rows of :func:`gram_matrix` are.
     """
     X = np.asarray(data, dtype=float)
-    q = np.asarray(x, dtype=float)
-    Q = q.reshape(q.shape[0], -1)
+    Q = np.asarray(queries, dtype=float)
     a, b = np.einsum("ij,ij->j", X, X), np.einsum("ij,ij->j", Q, Q)
-    out = _to_kernel(X.T @ Q, a, b, X.shape[0], profile)
-    return out[:, 0] if q.ndim == 1 else out
+    return _to_kernel(X.T @ Q, a, b, X.shape[0], profile)
 
 
 def kernel_from_spec(spec: dict) -> KernelProfile:

@@ -170,11 +170,10 @@ def normalize_labels(labels: np.ndarray) -> np.ndarray:
     return out.astype(float)
 
 
-def classify(score, threshold):
-    """Class 1 if ``score < threshold`` else class 2 (ties go to class 2)."""
-    score = np.asarray(score)
-    out = np.where(score < threshold, 1, 2)
-    return int(out) if out.ndim == 0 else out
+def classify(scores, threshold) -> np.ndarray:
+    """Class 1 where ``scores < threshold``, else class 2 (ties go to class
+    2), as an array of the shape of ``scores``."""
+    return np.where(np.asarray(scores) < threshold, 1, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,14 +182,13 @@ class TrainedModel:
 
     X: np.ndarray               # p x n training data
     profile: KernelProfile
-    gamma: float
     alpha: np.ndarray
     bias: float
-    label_convention: str       # "standard" (+-1) or "fisher" (-n/n1, n/n2)
 
     @classmethod
     def fit(cls, X, labels, gamma, profile, convention="standard"):
-        """Train on the columns of ``X`` with +-1 ``labels``."""
+        """Train on the columns of ``X`` with +-1 ``labels``, as targets
+        under ``convention``: "standard" (+-1) or "fisher" (-n/n1, n/n2)."""
         if convention not in ("standard", "fisher"):
             raise ValueError(f"unknown label convention: {convention!r}")
         y = np.asarray(labels, dtype=float)
@@ -198,22 +196,11 @@ class TrainedModel:
             y = normalize_labels(y)
         K = gram_matrix(X, profile)
         alpha, bias = train(K, y, gamma)
-        return cls(
-            X=np.asarray(X, dtype=float),
-            profile=profile,
-            gamma=float(gamma),
-            alpha=alpha,
-            bias=bias,
-            label_convention=convention,
-        )
+        return cls(X=np.asarray(X, dtype=float), profile=profile, alpha=alpha, bias=bias)
 
     @property
     def p(self):
         return self.X.shape[0]
-
-    @property
-    def n(self):
-        return self.X.shape[1]
 
     def decide(self, x) -> float:
         """Decision score ``alpha' k(x) + bias`` of one point, as :meth:`decide_many` scores it."""

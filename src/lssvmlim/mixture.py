@@ -44,9 +44,10 @@ def whole_int(value, name: str, positive: bool = True) -> int:
 
 
 def real(value, name: str) -> float:
-    """``value`` as a float, unless it is a boolean, which would read as 1
-    or 0: then a ValueError that names ``name``."""
-    if isinstance(value, bool):
+    """``value`` as a float if it is an int or a float, NumPy's included;
+    else a ValueError that names ``name``.  A boolean, which would read as
+    1 or 0, and a string, which ``float`` would parse, are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
 
@@ -431,20 +432,19 @@ def model_from_spec(spec: dict, p: int | None = None) -> MixtureModel:
     ("zeros", "unit_spike(k, v)" with 1-based k, or a dense list),
     ``cov1``/``cov2`` ("identity", "toeplitz(rho, scale)",
     "boosted_toeplitz(rho, boost)", each built as a :class:`ToeplitzCov` with
-    no p x p array; a dense matrix, or ``{"file": path}``), and ``c1`` or
-    integer counts ``n1``/``n2``.
+    no p x p array; a dense matrix, or ``{"file": path}``), and the class-1
+    proportion ``c1``.  Any other key is refused.
     """
+    unknown = [key for key in spec if key not in ("p", "mean1", "mean2", "cov1", "cov2", "c1")]
+    if unknown:
+        raise ValueError(f"unknown key model.{unknown[0]}")
     try:
         p = whole_int(spec["p"], "model.p") if p is None else int(p)
         mu1, mu2 = (_parse_mean_spec(spec[key], p, f"model.{key}") for key in ("mean1", "mean2"))
         cov1, cov2 = (_parse_cov_spec(spec[key], p, f"model.{key}") for key in ("cov1", "cov2"))
-        if "c1" in spec:
-            c1 = real(spec["c1"], "model.c1")
-        else:
-            n1, n2 = (whole_int(spec[key], f"model.{key}") for key in ("n1", "n2"))
-            c1 = n1 / (n1 + n2)
+        c1 = real(spec["c1"], "model.c1")
     except KeyError as exc:
         raise ValueError(f"missing key model.{exc.args[0]}") from None
-    except (TypeError, ArithmeticError) as exc:  # e.g. a null c1, or an int too big for a float
+    except (TypeError, ArithmeticError) as exc:  # e.g. an object for a mean, or a huge int
         raise ValueError(f"model value of the wrong type or range: {exc}") from exc
     return MixtureModel(p, mu1, mu2, cov1, cov2, c1=c1)

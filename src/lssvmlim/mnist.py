@@ -8,8 +8,7 @@ The IDX byte format (big-endian):
     labels: int32 magic 0x00000801, int32 count, then count unsigned bytes
 
 Gzip-compressed files are accepted transparently.  Pixels are mapped to
-[0, 1] by division by 255; the applied preprocessing is tracked in the
-dataset's scaling record.
+[0, 1] by division by 255.
 """
 
 from __future__ import annotations
@@ -30,11 +29,10 @@ LABELS_MAGIC = 0x00000801
 @dataclass(frozen=True, eq=False)
 class ImageDataset:
     """Vectorized images (columns of ``images``, shape p x N) with integer
-    labels and a record of the preprocessing applied so far."""
+    labels."""
 
     images: np.ndarray
     labels: np.ndarray
-    scaling: str = "unit_interval"
 
     @property
     def p(self):
@@ -74,7 +72,7 @@ def load_idx(images_path, labels_path) -> ImageDataset:
     images = pixels.T.astype(np.float64)
     images /= 255.0
     labels = np.frombuffer(label_raw, dtype=np.uint8).astype(np.int64)
-    return ImageDataset(images=images, labels=labels, scaling="unit_interval")
+    return ImageDataset(images=images, labels=labels)
 
 
 def write_idx(pixels: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:
@@ -177,8 +175,4 @@ def add_white_noise(data: ImageDataset, snr_db, seed) -> ImageDataset:
     noisy = np.random.default_rng(seed).standard_normal(data.images.shape)
     noisy *= np.sqrt(noise_var)
     noisy += data.images
-    return ImageDataset(
-        images=noisy,
-        labels=data.labels,
-        scaling=f"{data.scaling}+awgn({snr_db:g}dB)",
-    )
+    return ImageDataset(images=noisy, labels=data.labels)

@@ -98,7 +98,7 @@ def test_sweep_emits_13_row_csv(tmp_path):
     doc["trials"] = 2
     config = write_config(tmp_path, doc)
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", config, "--out", str(out), "--format", "csv"]) == 0
+    assert main(["sweep", "--config", config, "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 14  # header + 13 grid rows
     assert lines[0].startswith("axis,value,n,p,trials,emp_err")
@@ -429,12 +429,13 @@ def local_kernel(**changes):
          "sizes[1] n must be"),
         ("predict", small_sweep_doc(model=small_model(p=16.5)), "model.p must be"),
         ("predict", small_sweep_doc(model=small_model(p=-16)), "model.p must be"),
-        ("predict", small_sweep_doc(model=dict(without(small_model(), "c1"), n1=1.5, n2=2.5)),
-         "model.n1 must be"),
-        ("predict", small_sweep_doc(model=dict(without(small_model(), "c1"), n1=24, n2=40.5)),
-         "model.n2 must be"),
-        ("predict", small_sweep_doc(model=dict(without(small_model(), "c1"), n1=-24, n2=40)),
-         "model.n1 must be"),
+        # a key the schema does not have is refused, never ignored
+        ("predict", small_sweep_doc(model=small_model(n1=24)), "unknown key model.n1"),
+        ("sweep", small_sweep_doc(trails=3), "unknown key trails"),
+        ("sweep", small_sweep_doc(axis="sigma2"), "unknown key axis"),
+        ("sweep", small_sweep_doc(sweep={"axis": "sigma2", "grid": [1.0], "grd": [2.0]}),
+         "unknown key sweep.grd"),
+        ("sweep", small_sweep_doc(sweep={"grid": [0.5, 1.0]}), "sweep.grid needs sweep.axis"),
         # a seed that is not a whole number is refused, never truncated
         ("sweep", small_sweep_doc(base_seed=1.5), "base_seed must be an integer"),
         ("sweep", small_sweep_doc(base_seed=True), "base_seed must be an integer"),
@@ -455,6 +456,19 @@ def local_kernel(**changes):
          "kernel.fpp must be a number"),
         ("predict", small_sweep_doc(kernel={"kind": "polynomial", "coeffs": [1.0, True]}),
          "kernel.coeffs must be a number"),
+        # nor is a string, even one that reads as a number
+        ("sweep", small_sweep_doc(gamma="2"), "gamma must be a number, got '2'"),
+        ("sweep", small_sweep_doc(sweep={"axis": "sigma2", "grid": ["0.5"]}),
+         "sweep grid value must be a number"),
+        ("predict", small_sweep_doc(kernel={"kind": "gaussian", "sigma2": "oops"}),
+         "kernel.sigma2 must be a number"),
+        ("predict", small_sweep_doc(model=small_model(c1="0.5")), "model.c1 must be a number"),
+        # a sweep whose axis replaces the kernel still parses the config's
+        ("sweep", small_sweep_doc(kernel={"kind": "gaussian", "sigma2": "oops"}),
+         "kernel.sigma2 must be a number"),
+        ("sweep", small_sweep_doc(kernel={"kind": "gaussian"},
+                                  sweep={"axis": "fprime", "grid": [0.5]}),
+         "missing key kernel.sigma2"),
     ],
     ids=["predict-shipped-convergence-config", "predict-model-missing", "predict-cov2-missing",
          "predict-sigma2-missing", "predict-fp-missing", "predict-spike-three-args",
@@ -464,11 +478,13 @@ def local_kernel(**changes):
          "sweep-n_test-fractional", "sweep-trials-fractional", "convergence-n_points-fractional",
          "convergence-n_points-zero", "convergence-sizes-p-zero",
          "convergence-sizes-n-fractional", "predict-p-fractional", "predict-p-negative",
-         "predict-counts-fractional", "predict-unequal-counts-fractional",
-         "predict-count-negative", "sweep-base_seed-fractional", "sweep-base_seed-bool",
+         "predict-model-n1", "sweep-trails", "sweep-axis-top-level", "sweep-grd",
+         "sweep-grid-without-axis", "sweep-base_seed-fractional", "sweep-base_seed-bool",
          "sweep-base_seed-string", "sweep-gamma-bool", "histogram-sigma2-bool",
          "sweep-grid-bool", "predict-c1-bool", "convergence-tau-bool", "predict-f-bool",
-         "predict-fp-bool", "histogram-fpp-bool", "predict-coeffs-bool"],
+         "predict-fp-bool", "histogram-fpp-bool", "predict-coeffs-bool", "sweep-gamma-string",
+         "sweep-grid-string", "predict-sigma2-string", "predict-c1-string",
+         "sweep-sigma2-axis-kernel-string", "sweep-fprime-axis-sigma2-missing"],
 )
 def test_invalid_config_error_names_its_key(tmp_path, capsys, recwarn, command, doc, named):
     assert main([command, "--config", write_config(tmp_path, doc)]) == 2
@@ -491,8 +507,8 @@ def test_estimate_tau_names_the_matrix_it_needs(tmp_path, capsys):
 def test_integral_float_counts_read_as_the_integers(tmp_path, capsys):
     # 64.0 is the whole number 64: the same prediction, at an unequal split
     outputs = []
-    for n, n1 in ((64, 24), (64.0, 24.0)):
-        doc = small_sweep_doc(n=n, model=dict(without(small_model(), "c1"), n1=n1, n2=40))
+    for n in (64, 64.0):
+        doc = small_sweep_doc(n=n, model=small_model(c1=0.375))
         assert main(["predict", "--config", write_config(tmp_path, doc)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
@@ -613,9 +629,11 @@ def test_fisher_bias_threshold_is_the_zero_threshold(tmp_path, capsys):
      (["--snr-db", "nan"], "snr_db"), (["--snr-db=-inf"], "snr_db"),
      (["--snr-db=-1e10"], "snr_db"), (["--digit-b", "8"], "the two digits must differ"),
      (["--n", "200"], "80 + 80 points per class is too small for 100 + 100 training and "
-                      "16 + 16 test points")],
+                      "16 + 16 test points"),
+     # n is split by class_split: 163 gives 82 + 81, the first half rounded to even
+     (["--n", "163"], "too small for 82 + 81 training")],
     ids=["gamma0", "trials0", "n_test1", "snr-nan", "snr-minus-inf", "snr-huge-negative",
-         "same-digit", "pool-too-small"],
+         "same-digit", "pool-too-small", "pool-too-small-odd-n"],
 )
 def test_mnist_stats_invalid_flag_is_a_one_line_data_error(tmp_path, capsys, flags, named):
     ip, lp = synthetic_idx_pair(tmp_path)
@@ -725,10 +743,12 @@ def test_mnist_stats_runs_ten_trials_by_default(tmp_path, capsys):
 
 
 def test_sweep_json_file_ends_with_a_newline(tmp_path):
+    # a path ending in .json takes the JSON rows, as stdout does; any other takes CSV
     config = write_config(tmp_path, small_sweep_doc())
-    out = tmp_path / "sweep.json"
-    assert main(["sweep", "--config", config, "--out", str(out), "--format", "json"]) == 0
+    out = tmp_path / "rows.json"
+    assert main(["sweep", "--config", config, "--out", str(out)]) == 0
     assert out.read_text().endswith("}\n")
+    assert [row["axis"] for row in json.loads(out.read_text())["rows"]] == ["sigma2"]
 
 
 def test_toml_config_predicts_as_its_json_twin(tmp_path, capsys):
@@ -818,7 +838,8 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
         ("estimate-tau", "--trials=1"),
         ("estimate-tau", "--threshold=zero"),
         ("mnist-stats", "--format=json"),
-        ("sweep", "--format=csv"),  # CSV goes only to a file: --out is missing
+        ("sweep", "--format=csv"),
+        ("sweep", "--format=json"),
     ],
 )
 def test_a_flag_the_subcommand_would_ignore_is_a_usage_error(tmp_path, command, flag):
@@ -830,9 +851,7 @@ def test_a_flag_the_subcommand_would_ignore_is_a_usage_error(tmp_path, command, 
                                stdout=subprocess.PIPE)
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 1, err
-    reason = {("sweep", "--format=csv"): "--format csv requires --out"}.get(
-        (command, flag), f"unrecognized arguments: {flag}")
-    assert out == "" and reason in err
+    assert out == "" and f"unrecognized arguments: {flag}" in err
 
 
 def test_closed_stdout_exits_quietly(tmp_path):
@@ -910,6 +929,6 @@ def test_no_state_passes_from_one_call_to_the_next(tmp_path, capsys):
 
     predict = identical_classes_config(tmp_path)
     assert main(["sweep", "--config", sweep, "--format", "csv"]) == 1
-    assert "--format csv requires --out" in capsys.readouterr().err
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
     assert main(["predict", "--config", predict]) == 0
     assert (capsys.readouterr().out, 0) == run_alone("predict", "--config", predict)

@@ -230,14 +230,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig({}, {}, 10, 10, 1.0, trials=1, base_seed=0, axis="sigma2", grid=())
     with pytest.raises(ValueError):
-        ExperimentConfig({}, {}, 10, 10, 1.0, trials=1, base_seed=0, threshold_rule="best")
+        ExperimentConfig({}, {}, 10, 10, 1.0, trials=1, base_seed=0, threshold="best")
 
 
 def test_config_defaults_are_the_documented_ones():
     config = config_from_dict({"model": BASE_SWEEP["model"]})
-    assert config.kernel_spec == {"kind": "gaussian", "sigma2": 1.0}
+    assert config.kernel == {"kind": "gaussian", "sigma2": 1.0}
     assert (config.n, config.n_test, config.gamma) == (256, 256, 1.0)
-    assert (config.trials, config.base_seed, config.threshold_rule) == (20, 0, "optimal")
+    assert (config.trials, config.base_seed, config.threshold) == (20, 0, "optimal")
     assert (config.convention, config.sizes, config.n_points) == ("standard", (), 100)
     assert config.axis is None and config.grid == ()
 

@@ -206,11 +206,15 @@ def test_model_from_spec_round_trip():
     assert scaled.p == 32
 
 
-def test_model_from_counts():
-    spec = {"p": 4, "mean1": "zeros", "mean2": "zeros", "cov1": "identity",
-            "cov2": "identity", "n1": 1, "n2": 3}
-    m = model_from_spec(spec)
-    assert m.c1 == 0.25 and m.c2 == 0.75
+def test_model_refuses_counts_and_every_unknown_key():
+    spec = {"p": 4, "mean1": "zeros", "mean2": "zeros", "cov1": "identity", "cov2": "identity"}
+    with pytest.raises(ValueError, match="unknown key model.n1"):
+        model_from_spec(dict(spec, n1=1, n2=3))
+    with pytest.raises(ValueError, match="unknown key model.C1"):
+        model_from_spec(dict(spec, C1=0.25))
+    with pytest.raises(ValueError, match="missing key model.c1"):
+        model_from_spec(spec)
+    assert model_from_spec(dict(spec, c1=0.25)).c1 == 0.25
 
 
 def test_c2_is_derived_from_c1_only():

@@ -35,7 +35,6 @@ def test_crafted_two_image_file(tmp_path):
     np.testing.assert_allclose(data.images[:, 0], [0.0, 1.0, 0.0, 1.0])
     np.testing.assert_allclose(data.images[:, 1], [1.0, 0.0, 128 / 255, 64 / 255])
     np.testing.assert_array_equal(data.labels, [3, 7])
-    assert data.scaling == "unit_interval"
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -197,7 +196,6 @@ def test_white_noise_zero_db_matches_signal_power():
     noisy = add_white_noise(data, 0.0, seed=5)
     resid = noisy.images - images
     assert np.var(resid) == pytest.approx(power, rel=0.05)
-    assert "awgn" in noisy.scaling
 
 
 def test_white_noise_zero_signal():

@@ -1,11 +1,14 @@
 """README.md against the package: its library quick start runs as written,
-and its API list names what ``lssvmlim`` imports, module by module."""
+its API list names what ``lssvmlim`` imports, module by module, and its
+config reference lists the config keys the program reads."""
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import lssvmlim
+from lssvmlim.experiments import ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 INIT = Path(lssvmlim.__file__)
@@ -40,3 +43,12 @@ def test_library_api_lists_what_the_package_imports():
         if isinstance(node, ast.ImportFrom)
     }
     assert listed == imported
+
+
+def test_config_reference_lists_the_config_fields():
+    # "| `key` | default | read by | meaning |", one row per key
+    reference = section("CLI").split("### Config file reference")[1]
+    table = reference[reference.index("| key |") :].split("\n\n")[0]
+    listed = re.findall(r"^\| `(\w+)` \|", table, re.M)
+    keys = [f.name for f in fields(ExperimentConfig) if f.name not in ("axis", "grid")]
+    assert sorted(listed) == sorted(keys + ["sweep"])

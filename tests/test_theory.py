@@ -373,9 +373,9 @@ def test_stationary_points_match_an_80_digit_evaluation():
     doc = json.loads((Path(__file__).resolve().parents[1] / "configs/sweep_width.json").read_text())
     doc["kernel"]["sigma2"] = 32.0
     config = config_from_dict(doc)
-    model = model_from_spec(config.model_spec)
+    model = model_from_spec(config.model)
     st = gaussian_stats(model, *class_split(config.n, model.c1), config.gamma,
-                        resolve_kernel(config.kernel_spec, model))
+                        resolve_kernel(config.kernel, model))
     e1, s1, e2, s2, c1, c2 = st.e1, st.s1, st.e2, st.s2, st.c1, st.c2
     # the quadratic's coefficients as _stationary_points forms them
     a = 0.5 / s2**2 - 0.5 / s1**2
