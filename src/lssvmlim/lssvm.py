@@ -12,12 +12,12 @@ in two tight clusters (``P`` also removes its outlier near ``n f(tau)``)
 and its condition number stays O(1) as n grows.  Conjugate gradients
 therefore converge in a handful of products with ``K`` and are tried
 first.  When they do not converge, or a step's curvature is not safely
-positive, ``S`` is decomposed once instead, as ``V diag(lam) V'`` by
-NumPy's ``eigh``, which solves for y and 1 and gives the paper's
-``b = (1' S^{-1} y) / (1' S^{-1} 1)``.  ``S`` is symmetric but not
-guaranteed positive definite (locally specified kernels may produce
-indefinite Gram matrices), and ``eigh`` takes either kind.  It is several
-times the cost of an LU, a cost paid only where conjugate gradients give up.
+positive, the same projected operator is decomposed once instead, by
+NumPy's ``eigh``, with 1 given an eigenvalue of its own, and b follows by
+the same rule.  ``S`` is symmetric but not guaranteed positive definite
+(locally specified kernels may produce indefinite Gram matrices), and
+``eigh`` takes either kind.  It is several times the cost of an LU, a cost
+paid only where conjugate gradients give up.
 """
 
 from __future__ import annotations
@@ -72,32 +72,43 @@ def _cg(K, shift, b):
 
 
 def _factor(K, shift):
-    """Decompose ``S = K + shift I`` once and return ``solve(b)`` for ``S x = b``.
+    """Decompose the projected system once and return ``solve(b)``, the
+    solution of ``P S P x = P b`` orthogonal to 1, ``S = K + shift I``.
 
-    ``S = V diag(lam) V'`` by ``np.linalg.eigh``, kept only if every
-    ``|lam|`` is at least ``_PIVOT_RTOL * ||S||_inf``.  The norm is taken
-    over all of ``S``: ``eigh`` reads one triangle, and a NaN in the other
-    must fail the test too.  ``S`` starts as a dense copy of ``K``, which may
-    be a :class:`~lssvmlim.kernels.Gram` or a square array.  It costs several
-    times an LU, and runs only where conjugate gradients give up.
+    ``M = P S P + c 11'/n`` is ``P S P`` on the complement of 1 and gives 1
+    the eigenvalue ``c = ||S||_inf``, on the scale of the others, so
+    ``solve(b) = M^{-1} (b - mean b)``.  ``M = V diag(lam) V'`` by
+    ``np.linalg.eigh``, kept only if every ``|lam|`` is above
+    ``_PIVOT_RTOL * c``.  The norm is taken over all of ``S`` before the
+    projection: ``eigh`` reads one triangle, and a NaN in the other must
+    fail the test too.  ``S`` starts as a dense copy of ``K``, which may be a
+    :class:`~lssvmlim.kernels.Gram` or a square array.  It costs several
+    times an LU, and runs only where conjugate gradients give up or miss the
+    residual guard.
     """
     S = np.array(K, dtype=float)
-    S.flat[:: len(S) + 1] += shift
+    n = len(S)
+    S.flat[:: n + 1] += shift
+    scale = np.linalg.norm(S, np.inf)
+    S -= S.mean(axis=0)  # P S
+    S -= S.mean(axis=1, keepdims=True)  # P S P
+    S += scale / n
     try:
         lam, V = np.linalg.eigh(S)
-        kept = np.abs(lam).min() >= _PIVOT_RTOL * np.linalg.norm(S, np.inf)  # False on a NaN
+        kept = np.abs(lam).min() > _PIVOT_RTOL * scale  # False on a NaN, or on S = 0
     except np.linalg.LinAlgError:  # eigh did not converge
         kept = False
     if not kept:
-        raise NumericalFailure(f"regularized kernel system is numerically singular (n={len(S)})")
-    return lambda b: V @ ((V.T @ b) / lam)
+        raise NumericalFailure(f"regularized kernel system is numerically singular (n={n})")
+    return lambda b: V @ ((V.T @ (b - b.mean())) / lam)
 
 
 def train(gram: Gram | np.ndarray, labels: np.ndarray, gamma: float):
     """Solve for the dual coefficients and bias.
 
-    One projected solve for y; the bias is ``mean(y - S alpha)``, from the
-    residual guard's product.  The paper's ``b`` serves the factored path.
+    One projected solve for y, by conjugate gradients or else through
+    :func:`_factor`; the bias is ``mean(y - S alpha)``, from the residual
+    guard's product.
 
     Parameters
     ----------
@@ -127,34 +138,27 @@ def train(gram: Gram | np.ndarray, labels: np.ndarray, gamma: float):
         raise ValueError(f"gamma must be positive, got {gamma}")
 
     shift = n / gamma
-    solve = None  # S is factored only when conjugate gradients give up
+    solve = None  # the decomposition, made only when it is needed
     alpha = _cg(K, shift, y)
     if alpha is None:
         solve = _factor(K, shift)
-        sy, s1 = solve(y), solve(np.ones(n))
-        bias = sy.sum() / s1.sum()
-        alpha = sy - bias * s1
-    s_alpha = K @ alpha + shift * alpha
-    if solve is None:
-        bias = np.mean(y - s_alpha)
+        alpha = solve(y)
 
-    # Residual guard: one iterative-refinement pass with the factorization
-    # (made now if conjugate gradients solved) before declaring the
-    # solution unusable.  Written as "not <=" so that a NaN residual fails
-    # it too.
-    target = y - bias
-    resid = s_alpha - target
-    tol = 1e-8 * (np.linalg.norm(y) + abs(bias) * np.sqrt(n))
-    if not np.linalg.norm(resid) <= tol:
-        if solve is None:
-            solve = _factor(K, shift)
-        alpha = alpha - solve(resid)
-        resid = K @ alpha + shift * alpha - target
-        if not np.linalg.norm(resid) <= tol:
-            raise NumericalFailure(
-                f"training residual {np.linalg.norm(resid):.3e} exceeds {tol:.3e}"
-            )
-    return alpha, float(bias)
+    # Residual guard: one iterative-refinement pass through the
+    # decomposition (made now if conjugate gradients solved) before
+    # declaring the solution unusable.  Written as "<=" so that a NaN
+    # residual fails it too.
+    for refined in (False, True):
+        s_alpha = K @ alpha + shift * alpha
+        bias = np.mean(y - s_alpha)
+        resid = s_alpha - (y - bias)
+        tol = 1e-8 * (np.linalg.norm(y) + abs(bias) * np.sqrt(n))
+        if np.linalg.norm(resid) <= tol:
+            return alpha, float(bias)
+        if not refined:
+            solve = solve or _factor(K, shift)
+            alpha = alpha - solve(resid)
+    raise NumericalFailure(f"training residual {np.linalg.norm(resid):.3e} exceeds {tol:.3e}")
 
 
 def normalize_labels(labels: np.ndarray) -> np.ndarray:

@@ -15,6 +15,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .errors import DataError
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _ROWS = 64  # rows of a banded root product per block
@@ -421,16 +423,20 @@ def _parse_cov_spec(spec, p, name):
             return ToeplitzCov(rho, 1.0 + boost / np.sqrt(p), p)
         raise ValueError(f"unknown covariance spec: {spec!r}")
     if isinstance(spec, dict) and "file" in spec:
-        return np.load(spec["file"])
+        loaded = np.load(spec["file"])
+        if not isinstance(loaded, np.ndarray):  # an .npz archive
+            loaded.close()
+            raise DataError(f"{name}: {spec['file']} is an archive, not one array")
+        return loaded
     return np.asarray(spec, dtype=float)
 
 
 def model_from_spec(spec: dict, p: int | None = None) -> MixtureModel:
     """Build a model from its config-file form.
 
-    Keys: ``p`` (overridable by the ``p`` argument), ``mean1``/``mean2``
-    ("zeros", "unit_spike(k, v)" with 1-based k, or a dense list),
-    ``cov1``/``cov2`` ("identity", "toeplitz(rho, scale)",
+    Keys: ``p`` (checked even where the ``p`` argument overrides it),
+    ``mean1``/``mean2`` ("zeros", "unit_spike(k, v)" with 1-based k, or a
+    dense list), ``cov1``/``cov2`` ("identity", "toeplitz(rho, scale)",
     "boosted_toeplitz(rho, boost)", each built as a :class:`ToeplitzCov` with
     no p x p array; a dense matrix, or ``{"file": path}``), and the class-1
     proportion ``c1``.  Any other key is refused.
@@ -439,7 +445,8 @@ def model_from_spec(spec: dict, p: int | None = None) -> MixtureModel:
     if unknown:
         raise ValueError(f"unknown key model.{unknown[0]}")
     try:
-        p = whole_int(spec["p"], "model.p") if p is None else int(p)
+        given = whole_int(spec["p"], "model.p") if p is None or "p" in spec else None
+        p = given if p is None else int(p)
         mu1, mu2 = (_parse_mean_spec(spec[key], p, f"model.{key}") for key in ("mean1", "mean2"))
         cov1, cov2 = (_parse_cov_spec(spec[key], p, f"model.{key}") for key in ("cov1", "cov2"))
         c1 = real(spec["c1"], "model.c1")

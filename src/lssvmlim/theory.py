@@ -187,15 +187,14 @@ def gaussian_stats(model: MixtureModel, n1: int, n2: int, gamma: float, profile:
         V2_a = 2 f'(tau)^2 (mu2 - mu1)' C_a (mu2 - mu1) / p^2
         V3_a = (2 f'(tau)^2 / (n p^2)) (tr(C1 C_a)/c1 + tr(C2 C_a)/c2)
 
-    standard +-1 labels give
-
-        E_1 = c2 - c1 - 2 c2 c1 c2 gamma D,   E_2 = c2 - c1 + 2 c1 c1 c2 gamma D,
-        Var_a = 8 gamma^2 c1^2 c2^2 (V1_a + V2_a + V3_a),
-
-    and zero-sum normalized labels give
+    zero-sum normalized labels ("fisher") give
 
         E*_1 = -c2 gamma D,   E*_2 = c1 gamma D,
-        Var*_a = 2 gamma^2 (V1_a + V2_a + V3_a).
+        Var*_a = 2 gamma^2 (V1_a + V2_a + V3_a),
+
+    and standard +-1 labels give the zero-sum score under the map
+    ``g -> (c2 - c1) + 2 c1 c2 g``: bias ``c2 - c1``, means scaled by
+    ``k = 2 c2 c1`` and variances by ``k^2``.
 
     c1 = n1/n and c2 = n2/n are the proportions of the ``n = n1 + n2``
     training points, since a trained score centres at (n2 - n1)/n; tau is the
@@ -216,30 +215,15 @@ def gaussian_stats(model: MixtureModel, n1: int, n2: int, gamma: float, profile:
             _, fp, fpp = profile.derivatives(tau)
             D = informative_term(model, profile)
 
-            tr_sq = (model.tr_c1c1, model.tr_c2c2)
-            tr_cross = (
-                (model.tr_c1c1, model.tr_c1c2),  # tr(C1 C_a), tr(C2 C_a) for a = 1
-                (model.tr_c1c2, model.tr_c2c2),  # ... for a = 2
-            )
-            quad = model.mean_gap_quad
+            # the pieces for a = 1, 2; tr_cross[a] is (tr(C1 C_a), tr(C2 C_a))
+            tr_cross = ((model.tr_c1c1, model.tr_c1c2), (model.tr_c1c2, model.tr_c2c2))
+            v1 = tuple(fpp**2 / p**4 * model.trace_gap**2 * t for t in (model.tr_c1c1, model.tr_c2c2))
+            v2 = tuple(2.0 * fp**2 / p**2 * quad for quad in model.mean_gap_quad)
+            v3 = tuple(2.0 * fp**2 / (n * p**2) * (t1 / c1 + t2 / c2) for t1, t2 in tr_cross)
 
-            v1, v2, v3 = [], [], []
-            for a in (0, 1):
-                v1.append(fpp**2 / p**4 * model.trace_gap**2 * tr_sq[a])
-                v2.append(2.0 * fp**2 / p**2 * quad[a])
-                c1a, c2a = tr_cross[a]
-                v3.append(2.0 * fp**2 / (n * p**2) * (c1a / c1 + c2a / c2))
-
-            if convention == "standard":
-                bias = c2 - c1
-                e1 = -2.0 * c2 * c1 * c2 * D
-                e2 = 2.0 * c1 * c1 * c2 * D
-                var_scale = 8.0 * c1**2 * c2**2
-            else:
-                bias = 0.0
-                e1 = -c2 * D
-                e2 = c1 * D
-                var_scale = 2.0
+            # the zero-sum statistics, mapped to the convention's scores
+            k, bias = (2.0 * c2 * c1, c2 - c1) if convention == "standard" else (1.0, 0.0)
+            e1, e2, var_scale = -k * c2 * D, k * c1 * D, 2.0 * k**2
             stats = TheoryStats(
                 tau=tau,
                 D=D,
@@ -252,9 +236,9 @@ def gaussian_stats(model: MixtureModel, n1: int, n2: int, gamma: float, profile:
                 e2=e2,
                 r1=var_scale * (v1[0] + v2[0] + v3[0]),
                 r2=var_scale * (v1[1] + v2[1] + v3[1]),
-                v1=tuple(v1),
-                v2=tuple(v2),
-                v3=tuple(v3),
+                v1=v1,
+                v2=v2,
+                v3=v3,
             )
             finite = np.isfinite((D, e1, e2, stats.r1, stats.r2, *v1, *v2, *v3)).all()
     except ArithmeticError:  # a huge derivative or mean overflowed
@@ -269,13 +253,15 @@ def _tail(d, s):
     return q_function(d / s) if s > 0.0 else (0.0 if d > 0.0 else (1.0 if d < 0.0 else 0.5))
 
 
-def _tail_pair(e1, s1, e2, s2, t):
-    """Per-class error rates at reduced threshold t, handling zero spread.
+def _rates(e1, s1, e2, s2, c1, c2, t):
+    """Per-class and weighted error rates ``(eps1, eps2, c1 eps1 + c2 eps2)``
+    at reduced threshold t, handling zero spread.
 
     Class 1 errs when its score lands at or above the threshold, class 2 when
     below; a point mass sitting exactly on the threshold counts 1/2.
     """
-    return _tail(t - e1, s1), _tail(e2 - t, s2)
+    eps1, eps2 = _tail(t - e1, s1), _tail(e2 - t, s2)
+    return eps1, eps2, c1 * eps1 + c2 * eps2
 
 
 def error_rates(stats: TheoryStats, threshold: float):
@@ -289,8 +275,7 @@ def error_rates(stats: TheoryStats, threshold: float):
     are stable under rescaling gamma.
     """
     t = (threshold - stats.bias) / stats.gamma
-    eps1, eps2 = _tail_pair(stats.e1, stats.s1, stats.e2, stats.s2, t)
-    return eps1, eps2, stats.c1 * eps1 + stats.c2 * eps2
+    return _rates(stats.e1, stats.s1, stats.e2, stats.s2, stats.c1, stats.c2, t)
 
 
 def _stationary_points(e1, s1, e2, s2, c1, c2):
@@ -342,12 +327,7 @@ def _reduced_optimal(e1, s1, e2, s2, c1, c2):
     candidates = [(1 - w) * e1 + w * e2] if roots is None else [math.ldexp(t, k) for t in roots]
     inside = [t for t in candidates if e1 <= t <= e2]
     pool = inside if inside else candidates + [e1 - 6.0 * s1, e2 + 6.0 * s2]
-
-    def weighted(t):
-        p1, p2 = _tail_pair(e1, s1, e2, s2, t)
-        return c1 * p1 + c2 * p2
-
-    return min(pool, key=weighted)
+    return min(pool, key=lambda t: _rates(e1, s1, e2, s2, c1, c2, t)[2])
 
 
 def optimal_threshold(stats: TheoryStats) -> float:

@@ -429,6 +429,9 @@ def local_kernel(**changes):
          "sizes[1] n must be"),
         ("predict", small_sweep_doc(model=small_model(p=16.5)), "model.p must be"),
         ("predict", small_sweep_doc(model=small_model(p=-16)), "model.p must be"),
+        # convergence gives each size's p, and still checks the config's
+        ("convergence", small_sweep_doc(sizes=[[16, 16]], n_points=6, model=small_model(p="oops")),
+         "model.p must be"),
         # a key the schema does not have is refused, never ignored
         ("predict", small_sweep_doc(model=small_model(n1=24)), "unknown key model.n1"),
         ("sweep", small_sweep_doc(trails=3), "unknown key trails"),
@@ -478,6 +481,7 @@ def local_kernel(**changes):
          "sweep-n_test-fractional", "sweep-trials-fractional", "convergence-n_points-fractional",
          "convergence-n_points-zero", "convergence-sizes-p-zero",
          "convergence-sizes-n-fractional", "predict-p-fractional", "predict-p-negative",
+         "convergence-p-string",
          "predict-model-n1", "sweep-trails", "sweep-axis-top-level", "sweep-grd",
          "sweep-grid-without-axis", "sweep-base_seed-fractional", "sweep-base_seed-bool",
          "sweep-base_seed-string", "sweep-gamma-bool", "histogram-sigma2-bool",
@@ -544,19 +548,30 @@ def test_estimate_tau_empty_data_is_one_line(tmp_path, capsys, recwarn, case):
     assert [str(w.message) for w in recwarn] == []
 
 
-@pytest.mark.parametrize("case", ["estimate-tau-data", "predict-cov2-file", "predict-out"])
+@pytest.mark.parametrize(
+    "case", ["estimate-tau-data", "predict-cov2-file", "predict-out", "predict-cov2-npz"]
+)
 def test_directory_path_is_a_one_line_data_error(tmp_path, capsys, case):
-    cov2 = {"file": str(tmp_path)} if case == "predict-cov2-file" else "identity"
+    # and a covariance file that is an archive of arrays, not one array
+    archive = tmp_path / "cov.npz"
+    np.savez(archive, a=np.eye(32))
+    cov2 = {
+        "predict-cov2-file": {"file": str(tmp_path)},
+        "predict-cov2-npz": {"file": str(archive)},
+    }.get(case, "identity")
     config = write_config(tmp_path, small_sweep_doc(model=small_model(cov2=cov2)))
     argv = {
         "estimate-tau-data": ["estimate-tau", str(tmp_path)],
         "predict-cov2-file": ["predict", "--config", config],
+        "predict-cov2-npz": ["predict", "--config", config],
         "predict-out": ["predict", "--config", config, "--out", str(tmp_path)],
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("lssvmlim: data error:") and captured.err.count("\n") == 1
+    if case == "predict-cov2-npz":
+        assert "model.cov2: " in captured.err
 
 
 def test_underflowed_variance_predicts_finite_json(tmp_path, capsys, recwarn):

@@ -139,10 +139,10 @@ def test_well_conditioned_system_takes_cg(factor_calls):
     assert_solves(K, labels, 1.0, alpha, bias)
 
 
-def test_cg_stops_a_column_once_it_has_converged(factor_calls):
-    # the rows of K sum to 1, so 1 is an eigenvector of S = K + I: its solve
-    # reaches an exactly zero residual in one step, while y takes four, and
-    # a next direction of 0 would have a curvature of 0/0
+def test_cg_stops_once_it_has_converged(factor_calls):
+    # y has parts in four of S's five eigenvalues, so the solve reaches an
+    # exactly zero residual in four steps, and a next direction of 0 would
+    # have a curvature of 0/0
     K = scipy.linalg.circulant([0.5, 0.25, 0, 0, 0, 0, 0, 0.25])
     labels = np.array([-1.0, -1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
     alpha, bias = train(K, labels, gamma=8.0)
@@ -179,7 +179,8 @@ def test_cg_that_misses_the_residual_guard_is_refined_by_one_eigh(monkeypatch, f
     X, labels = random_instance(rng, 40, 10)
     K = gram_matrix(X, GaussianKernel(1.0))
     real_cg = lssvm._cg
-    # scaling both solves keeps the bias and moves alpha by 1e-6 relative
+    # scaling the solve moves alpha by 1e-6 relative, which trips the
+    # residual guard
     monkeypatch.setattr(lssvm, "_cg", lambda *args: real_cg(*args) * (1 + 1e-6))
     alpha, bias = train(K, labels, 1.0)
     assert len(factor_calls) == 1
@@ -222,12 +223,18 @@ def test_negative_definite_system_takes_one_eigh(factor_calls):
     "S, cg",
     [
         (np.ones((6, 6)), True),  # rank one, and zero on the complement of 1
-        # positive definite, eigenvalue below 1e-12 ||S||; the projected
-        # system is well posed, so conjugate gradients are kept off to test
-        # the pivot rule of the factorization
-        (np.diag([1.0] * 5 + [1e-14]), False),
+        # positive definite, with an eigenvalue below 1e-12 ||S|| along
+        # e5 - e6, which is orthogonal to 1; conjugate gradients are kept
+        # off to test the pivot rule of the factorization
+        (
+            scipy.linalg.block_diag(
+                np.eye(4), [[0.5 + 5e-15, 0.5 - 5e-15], [0.5 - 5e-15, 0.5 + 5e-15]]
+            ),
+            False,
+        ),
+        (np.zeros((6, 6)), True),  # its eigenvalues are not above 1e-12 ||S|| = 0
     ],
-    ids=["rank_one", "tiny_pivot"],
+    ids=["rank_one", "tiny_pivot", "zero"],
 )
 def test_collapsed_eigenvalues_raise(request, factor_calls, S, cg):
     if not cg:
@@ -257,20 +264,64 @@ def test_point_masses_under_a_constant_kernel_train(factor_calls):
     assert len(factor_calls) == 0
 
 
-@pytest.mark.parametrize("n, n1", [(1061, 400), (300, 113)], ids=["block_rows", "one_block_row"])
-def test_projected_solve_matches_the_bordered_system(n, n1):
+def bordered_solution(S, y):
     # [[S, 1], [1', 0]] [alpha; b] = [y; 0] is the LS-SVM system itself
+    n = len(y)
+    bordered = np.block([[S, np.ones((n, 1))], [np.ones((1, n)), np.zeros((1, 1))]])
+    solution = np.linalg.solve(bordered, np.r_[y, 0.0])
+    return solution[:n], solution[n]
+
+
+@pytest.mark.parametrize(
+    "n, n1, cg",
+    [(1061, 400, True), (300, 113, True), (300, 113, False)],
+    ids=["block_rows", "one_block_row", "no_cg"],
+)
+def test_projected_solve_matches_the_bordered_system(request, factor_calls, n, n1, cg):
     rng = np.random.default_rng(n)
     X = rng.standard_normal((16, n))
     y = rng.permutation(np.where(np.arange(n) < n1, -1.0, 1.0))
     G = gram_matrix(X, GaussianKernel(1.0))
-    S = np.asarray(G) + n * np.eye(n)
-    bordered = np.block([[S, np.ones((n, 1))], [np.ones((1, n)), np.zeros((1, 1))]])
-    solution = np.linalg.solve(bordered, np.r_[y, 0.0])
-    np.testing.assert_allclose(lssvm._cg(G, float(n), y), solution[:n], rtol=0, atol=1e-9)
+    solution, b = bordered_solution(np.asarray(G) + n * np.eye(n), y)
+    if cg:
+        np.testing.assert_allclose(lssvm._cg(G, float(n), y), solution, rtol=0, atol=1e-9)
+    else:
+        request.getfixturevalue("no_cg")
     alpha, bias = train(G, y, 1.0)
-    np.testing.assert_allclose(alpha, solution[:n], rtol=0, atol=1e-9)
-    assert abs(bias - solution[n]) <= 1e-9
+    assert len(factor_calls) == (0 if cg else 1)
+    np.testing.assert_allclose(alpha, solution, rtol=0, atol=1e-9)
+    assert abs(bias - b) <= 1e-9
+
+
+def test_system_singular_only_along_the_ones_trains(factor_calls):
+    # S is 0 along 1 and has eigenvalues +-1 on its complement, so the
+    # bordered matrix is well conditioned (2.83); conjugate gradients give
+    # up on the negative curvature, and the fallback solves it
+    n, gamma = 8, 1.0
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(np.c_[np.ones(n), rng.standard_normal((n, n - 1))])
+    S = (q * np.r_[0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0]) @ q.T
+    S = (S + S.T) / 2
+    labels = rng.permutation(np.r_[-np.ones(3), np.ones(5)])
+    K = S - (n / gamma) * np.eye(n)
+    alpha, bias = train(K, labels, gamma)
+    assert len(factor_calls) == 1
+    solution, b = bordered_solution(S, labels)
+    np.testing.assert_allclose(alpha, solution, rtol=0, atol=1e-9)
+    assert abs(bias - b) <= 1e-9
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1e6, 1e10, 1e13])
+def test_fallback_keeps_alpha_orthogonal_to_the_ones(no_cg, factor_calls, gamma):
+    # as gamma grows, the shift n/gamma vanishes next to the scale of K, and
+    # the eigenvalue the decomposition gives 1 must keep to that scale
+    rng = np.random.default_rng(31)
+    X, labels = random_instance(rng, 40, 10)
+    K = gram_matrix(X, GaussianKernel(1.0))
+    alpha, bias = train(K, labels, gamma)
+    assert len(factor_calls) == 1
+    assert abs(alpha.sum()) <= 1e-12
+    assert_solves(K, labels, gamma, alpha, bias)
 
 
 def _unreachable(*args):
@@ -311,7 +362,7 @@ def test_solver_paths_agree_on_an_indefinite_kernel(n, seed):
 
 
 def test_cg_fit_over_block_rows_matches_the_dense_eigh(factor_calls):
-    # three block rows, whose products go one column at a time, at a 400 : 661 split
+    # three block rows, whose products are vector products, at a 400 : 661 split
     n = 1061
     rng = np.random.default_rng(61)
     X = rng.standard_normal((16, n))
@@ -341,16 +392,16 @@ def test_refinement_pass_reuses_the_factorization(monkeypatch, no_cg, factor_cal
         solve = counted_factor(K, shift)
 
         def sloppy(b):
-            # scaling the solves for y and 1 keeps the bias and moves alpha
-            # by 1e-6 relative, which trips the residual guard
+            # scaling the solve for y moves alpha by 1e-6 relative, which
+            # trips the residual guard; the refinement solves for the residual
             solves.append(b.shape)
-            return solve(b) * (1 + 1e-6) if len(solves) <= 2 else solve(b)
+            return solve(b) * (1 + 1e-6) if len(solves) == 1 else solve(b)
 
         return sloppy
 
     monkeypatch.setattr(lssvm, "_factor", sloppy_first_solve)
     alpha, bias = train(K, labels, 1.0)
-    assert solves == [(30,), (30,), (30,)]
+    assert solves == [(30,), (30,)]
     assert len(factor_calls) == 1
     assert_solves(K, labels, 1.0, alpha, bias)
     np.testing.assert_allclose(alpha, exact[0], rtol=0, atol=1e-12)
