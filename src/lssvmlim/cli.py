@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: predict, sweep, histogram, convergence, estimate-tau,
-mnist-stats.  Config files are JSON (TOML accepted when the interpreter
-ships tomllib); keys are documented in the README.
+mnist-stats.  Config files are JSON, with keys documented in the README;
+a run started from one trains on -1/+1 labels.
 
 Exit codes: 0 success; 1 usage error; 2 on ``DataError`` or ``OSError``
 ("data error") and on ``ValueError``, ``KeyError`` or ``MemoryError``, a size
@@ -42,14 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(path):
-    text = Path(path).read_bytes()
-    if str(path).endswith(".toml"):
-        try:
-            import tomllib
-        except ModuleNotFoundError as exc:
-            raise ValueError("TOML configs need Python >= 3.11; use JSON") from exc
-        return tomllib.loads(text.decode())
-    return json.loads(text)
+    return json.loads(Path(path).read_bytes())
 
 
 def _emit(obj, args):
@@ -75,10 +68,8 @@ def _config(args, doc):
 
 def cmd_predict(args):
     config = _config(args, _load_config(args.config))
-    model = model_from_spec(config.model)
-    profile = experiments.resolve_kernel(config.kernel, model)
-    n1, n2 = experiments.class_split(config.n, model.c1)  # the counts sweep trains on
-    stats = theory.gaussian_stats(model, n1, n2, config.gamma, profile, config.convention)
+    model, profile, _, n1, n2 = experiments.grid_point(config)  # the counts sweep trains on
+    stats = theory.gaussian_stats(model, n1, n2, config.gamma, profile)
     rule = config.threshold
     _emit(dict(stats.as_dict(), threshold_rule=rule, **experiments.at_threshold(stats, rule)), args)
     return 0
@@ -101,10 +92,9 @@ def cmd_sweep(args):
 
 def cmd_histogram(args):
     config = _config(args, _load_config(args.config))
-    model = model_from_spec(config.model)
+    model, profile, n, _, _ = experiments.grid_point(config)
     result = experiments.run_histogram(
-        model, config.n, config.gamma, experiments.resolve_kernel(config.kernel, model),
-        config.convention, config.n_test, config.trials, config.base_seed,
+        model, n, config.gamma, profile, "standard", config.n_test, config.trials, config.base_seed
     )
     out = result.summary()
     if args.full:
@@ -116,8 +106,6 @@ def cmd_histogram(args):
 
 def cmd_convergence(args):
     config = _config(args, _load_config(args.config))
-    if config.convention != "standard":
-        raise ValueError("convergence needs convention 'standard': its equivalent is for +-1 labels")
     if not config.sizes:
         raise ValueError("convergence needs sizes: [[n, p], ...]")
     rows = experiments.run_convergence(
@@ -150,7 +138,10 @@ def cmd_mnist_stats(args):
     })
     data = mnist.load_idx(args.images, args.labels)
     if args.snr_db is not None:
-        data = mnist.add_white_noise(data, args.snr_db, mix64(config.base_seed, 99))
+        # noise for the two digits only, from a stream that no trial index reaches
+        keep = np.isin(data.labels, (args.digit_a, args.digit_b))
+        data = mnist.ImageDataset(data.images[:, keep], data.labels[keep])
+        data = mnist.add_white_noise(data, args.snr_db, mix64(config.base_seed, -1))
     model = mnist.class_stats(data, args.digit_a, args.digit_b)
     profile = experiments.resolve_kernel(config.kernel, model)
     n1, n2 = experiments.class_split(config.n, 0.5)

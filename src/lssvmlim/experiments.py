@@ -21,6 +21,7 @@ from .mixture import MixtureModel, mix64, model_from_spec, real, sample, whole_i
 from .theory import error_rates, gaussian_stats, optimal_threshold, q_function, random_equivalent
 
 THRESHOLD_RULES = ("optimal", "zero", "bias")
+SWEEP_AXES = ("sigma2", "fprime", "fsecond", "c0", "c1", "mu_offset")
 
 
 def resolve_threshold(rule, stats):
@@ -91,16 +92,17 @@ def _trial(source, n1, n2, m1, m2, gamma, profile, convention, seed):
     return train_set, test_set, fitted.decide_many(test_set.X)
 
 
-def empirical_error(source, n1, n2, n_test, gamma, profile, threshold, seed, convention="standard"):
+def empirical_error(source, n1, n2, n_test, gamma, profile, threshold, seed):
     """Train on ``n1 + n2`` points of ``source`` (a mixture model or a
-    labeled pool, see :func:`_draw`) and misclassification rates on ``n_test``
-    test points split by the training proportions, :func:`class_split`.
+    labeled pool, see :func:`_draw`), labeled -1 and +1, and misclassification
+    rates on ``n_test`` test points split by the training proportions,
+    :func:`class_split`.
 
     Returns ``(eps1_hat, eps2_hat, weighted_hat)`` with the weighted rate
     ``c1 eps1 + c2 eps2`` at the training proportions c1 : c2 = n1 : n2.
     """
     m1, m2 = class_split(n_test, n1 / (n1 + n2))
-    _, test_set, scores = _trial(source, n1, n2, m1, m2, gamma, profile, convention, seed)
+    _, test_set, scores = _trial(source, n1, n2, m1, m2, gamma, profile, "standard", seed)
     assigned = classify(scores, threshold)
     class1 = test_set.labels < 0
     eps1 = float(np.mean(assigned[class1] != 1))
@@ -127,7 +129,6 @@ class ExperimentConfig:
     threshold: str = "optimal"
     axis: str = None
     grid: tuple = ()
-    convention: str = "standard"
     sizes: tuple = ()  # (n, p) pairs
     n_points: int = 100
 
@@ -151,8 +152,8 @@ class ExperimentConfig:
             raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if self.n < 2 or self.n_test < 2:
             raise ValueError("n and n_test must be at least 2 to cover both classes")
-        if self.convention not in ("standard", "fisher"):
-            raise ValueError(f"unknown label convention: {self.convention!r}")
+        if self.axis not in (None, *SWEEP_AXES):
+            raise ValueError(f"unknown sweep axis: {self.axis!r}")
         if self.axis is not None and len(self.grid) == 0:
             raise ValueError("sweep grid must be nonempty")
         if self.axis is None and self.grid:
@@ -173,9 +174,11 @@ def resolve_kernel(spec, model):
     return kernel_from_spec(spec)
 
 
-def _instantiate(config, value):
-    """Materialize (model, profile, n, n1, n2) for one grid point."""
-    axis = config.axis
+def grid_point(config, value=None):
+    """``(model, profile, n, n1, n2)`` at the config's sweep axis set to
+    ``value``, or at the base config, whatever its axis, when ``value`` is
+    None: the point every subcommand trains and predicts at."""
+    axis = None if value is None else config.axis
     model_spec = dict(config.model)
     if axis == "c1":
         model_spec["c1"] = value
@@ -188,18 +191,17 @@ def _instantiate(config, value):
     # dimension-to-sample sweep: n follows p at fixed p
     n = max(4, round(model.p / value)) if axis == "c0" else config.n
 
-    kernel_spec = config.kernel
-    resolve_kernel(kernel_spec, model)  # on every axis, so that a malformed kernel is refused
+    spec = config.kernel
+    profile = resolve_kernel(spec, model)  # on every axis, so that a malformed kernel is refused
     if axis == "sigma2":
-        kernel_spec = {"kind": "gaussian", "sigma2": value}
+        profile = resolve_kernel({"kind": "gaussian", "sigma2": value}, model)
     elif axis in ("fprime", "fsecond"):
         # realized as the exact local quadratic anchored at the model's tau
-        kernel_spec = {"kind": "local", "tau": "auto", "f": kernel_spec.get("f", 1.0),
-                       "fp": value if axis == "fprime" else kernel_spec.get("fp", 0.0),
-                       "fpp": value if axis == "fsecond" else kernel_spec.get("fpp", 0.0)}
-    elif axis not in (None, "c0", "c1", "mu_offset"):
-        raise ValueError(f"unknown sweep axis: {axis!r}")
-    return model, resolve_kernel(kernel_spec, model), n, *class_split(n, model.c1)
+        profile = resolve_kernel({"kind": "local", "tau": "auto", "f": spec.get("f", 1.0),
+                                  "fp": value if axis == "fprime" else spec.get("fp", 0.0),
+                                  "fpp": value if axis == "fsecond" else spec.get("fpp", 0.0)},
+                                 model)
+    return model, profile, n, *class_split(n, model.c1)
 
 
 @dataclass(frozen=True)
@@ -260,18 +262,16 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     grid = config.grid if config.axis is not None else (float("nan"),)
     rows, per_trial, failures = [], {}, []
     for gi, value in enumerate(grid):
-        model, profile, n, n1, n2 = _instantiate(config, value)
-        stats = gaussian_stats(model, n1, n2, config.gamma, profile, config.convention)
+        model, profile, n, n1, n2 = grid_point(config, value)
+        stats = gaussian_stats(model, n1, n2, config.gamma, profile)
         predicted = at_threshold(stats, config.threshold)
         threshold = predicted["threshold"]
         records = []
         for t in range(config.trials):
             seed = mix64(config.base_seed, gi * config.trials + t)
             try:
-                e1, e2, w = empirical_error(
-                    model, n1, n2, config.n_test, config.gamma, profile, threshold, seed,
-                    config.convention,
-                )
+                e1, e2, w = empirical_error(model, n1, n2, config.n_test, config.gamma, profile,
+                                            threshold, seed)
             except MemoryError:  # the sizes, not the draw: no trial at them can run
                 raise
             except Exception as exc:  # noqa: BLE001 - recorded, not averaged

@@ -144,7 +144,7 @@ def _mean_square(images):
 def discrepancy_by_scaling(data: ImageDataset, model: MixtureModel):
     """``discrepancy_stats`` of ``model = class_stats(data, ...)`` as it reads
     with every pixel multiplied by f, for each candidate scaling: ``unit``
-    (f = 1), ``raw`` (255), ``mean`` (1 / the dataset-wide mean pixel) and
+    (f = 1), ``raw`` (255), ``mean`` (1 / the mean pixel of ``data``) and
     ``rms`` (1 / the root mean squared pixel), for matching moment tables of
     unknown preprocessing.  Scaling by f scales the triple by (f^2, f^4, f^4).
     """
@@ -158,7 +158,7 @@ def discrepancy_by_scaling(data: ImageDataset, model: MixtureModel):
 def add_white_noise(data: ImageDataset, snr_db, seed) -> ImageDataset:
     """Add i.i.d. zero-mean Gaussian pixel noise at the given SNR.
 
-    Signal power is the dataset-wide mean squared pixel value, and the noise
+    Signal power is the mean squared pixel value of ``data``, and the noise
     variance is ``P_signal * 10**(-snr_db / 10)``; ``snr_db=None`` (or +inf)
     returns the dataset unchanged, and a huge finite SNR adds zero noise.
     An SNR whose noise variance is not finite (NaN, -inf, a huge negative

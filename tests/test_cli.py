@@ -83,15 +83,18 @@ def test_predict_missing_config_is_data_error(tmp_path, capsys):
 
 
 def test_predict_invalid_json_is_data_error(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["predict", "--config", str(bad)]) == 2
+    # a TOML file is read as JSON too, and refused as malformed JSON
+    for name, text in (("bad.json", "{not json"), ("config.toml", 'n = 64\n[model]\np = 32\n')):
+        (tmp_path / name).write_text(text)
+        assert main(["predict", "--config", str(tmp_path / name)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("lssvmlim: invalid input:") and captured.err.count("\n") == 1
 
 
 def test_sweep_emits_13_row_csv(tmp_path):
     # the shipped slope-sweep grid has 13 points; scale the model down and
     # check the CSV contract end to end
-    doc = json.loads(open(f"{CONFIG_DIR}/sweep_slope.json").read())
+    doc = json.loads(Path(CONFIG_DIR, "sweep_slope.json").read_text())
     doc["model"]["p"] = 32
     doc["n"] = 128
     doc["n_test"] = 16
@@ -106,7 +109,7 @@ def test_sweep_emits_13_row_csv(tmp_path):
 
 
 def test_sweep_json_full_includes_trials(tmp_path):
-    doc = json.loads(open(f"{CONFIG_DIR}/sweep_width.json").read())
+    doc = json.loads(Path(CONFIG_DIR, "sweep_width.json").read_text())
     doc["model"]["p"] = 32
     doc["n"] = 64
     doc["n_test"] = 16
@@ -123,7 +126,7 @@ def test_sweep_json_full_includes_trials(tmp_path):
 def test_one_trial_sweep_prints_valid_json(tmp_path, capsys):
     # one trial leaves the standard error undefined: it must print as null,
     # not as the NaN token that JSON does not have
-    doc = json.loads(open(f"{CONFIG_DIR}/sweep_width.json").read())
+    doc = json.loads(Path(CONFIG_DIR, "sweep_width.json").read_text())
     doc["model"]["p"] = 32
     doc["n"] = 64
     doc["n_test"] = 16
@@ -279,7 +282,7 @@ def test_mnist_stats_bad_file_is_data_error(tmp_path, capsys):
 
 
 def small_sweep_doc(**changes):
-    doc = json.loads(open(f"{CONFIG_DIR}/sweep_width.json").read())
+    doc = json.loads(Path(CONFIG_DIR, "sweep_width.json").read_text())
     doc["model"]["p"] = 32
     doc.update(n=64, n_test=16, trials=1, sweep={"axis": "sigma2", "grid": [1.0]})
     doc.update(changes)
@@ -298,7 +301,7 @@ def small_model(**changes):
         ("predict", {"gamma": -1}),
         ("predict", {"n": 1}),
         ("predict", {"gamma": float("nan")}),
-        ("predict", {"convention": "plusminus"}),
+        ("predict", {"convention": "standard"}),
         ("sweep", {"gamma": 0}),
         ("sweep", {"n_test": 1}),
         ("sweep", {"n": 1}),
@@ -363,7 +366,7 @@ def small_model(**changes):
         ("sweep", {"n": 1e12}),
     ],
     ids=["predict-gamma0", "predict-n0", "predict-gamma-negative", "predict-n1",
-         "predict-gamma-nan", "predict-convention", "sweep-gamma0", "sweep-n_test1",
+         "predict-gamma-nan", "predict-convention-key-refused", "sweep-gamma0", "sweep-n_test1",
          "sweep-n1", "sweep-trials0", "histogram-gamma-inf", "histogram-trials-null",
          "predict-toeplitz-scale-inf", "predict-gaussian-sigma2-inf",
          "predict-gaussian-sigma2-tiny", "predict-gaussian-sigma2-huge",
@@ -439,6 +442,13 @@ def local_kernel(**changes):
         ("sweep", small_sweep_doc(sweep={"axis": "sigma2", "grid": [1.0], "grd": [2.0]}),
          "unknown key sweep.grd"),
         ("sweep", small_sweep_doc(sweep={"grid": [0.5, 1.0]}), "sweep.grid needs sweep.axis"),
+        # every subcommand that reads a config refuses an unknown sweep axis and the
+        # label convention key: a config run trains on -1/+1 labels
+        *((command, small_sweep_doc(sizes=[[16, 16]], n_points=6, **bad), named)
+          for command in ("predict", "sweep", "histogram", "convergence")
+          for bad, named in (({"sweep": {"axis": "bogus", "grid": [1.0]}},
+                              "unknown sweep axis: 'bogus'"),
+                             ({"convention": "fisher"}, "unknown key convention"))),
         # a seed that is not a whole number is refused, never truncated
         ("sweep", small_sweep_doc(base_seed=1.5), "base_seed must be an integer"),
         ("sweep", small_sweep_doc(base_seed=True), "base_seed must be an integer"),
@@ -483,7 +493,10 @@ def local_kernel(**changes):
          "convergence-sizes-n-fractional", "predict-p-fractional", "predict-p-negative",
          "convergence-p-string",
          "predict-model-n1", "sweep-trails", "sweep-axis-top-level", "sweep-grd",
-         "sweep-grid-without-axis", "sweep-base_seed-fractional", "sweep-base_seed-bool",
+         "sweep-grid-without-axis",
+         *(f"{command}-{bad}" for command in ("predict", "sweep", "histogram", "convergence")
+           for bad in ("axis-unknown", "convention-key")),
+         "sweep-base_seed-fractional", "sweep-base_seed-bool",
          "sweep-base_seed-string", "sweep-gamma-bool", "histogram-sigma2-bool",
          "sweep-grid-bool", "predict-c1-bool", "convergence-tau-bool", "predict-f-bool",
          "predict-fp-bool", "histogram-fpp-bool", "predict-coeffs-bool", "sweep-gamma-string",
@@ -606,38 +619,6 @@ def test_classes_too_far_apart_for_the_quadratic_predict_no_error(tmp_path, caps
     assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
 
 
-def test_convergence_rejects_fisher_labels(tmp_path, capsys):
-    doc = small_sweep_doc(convention="fisher", sizes=[[16, 16]], n_points=6)
-    assert main(["convergence", "--config", write_config(tmp_path, doc)]) == 2
-    assert "convention" in capsys.readouterr().err
-
-
-def test_fisher_sweep_reports_the_threshold_of_predict(tmp_path, capsys):
-    config = write_config(tmp_path, small_sweep_doc(convention="fisher"))
-    assert main(["predict", "--config", config]) == 0
-    predicted = json.loads(capsys.readouterr().out)
-    assert predicted["label_convention"] == "fisher"
-    assert main(["sweep", "--config", config]) == 0
-    row = json.loads(capsys.readouterr().out)["rows"][0]
-    assert row["threshold"] == predicted["threshold"]
-    assert row["th_weighted"] == predicted["weighted"]
-
-
-def test_fisher_bias_threshold_is_the_zero_threshold(tmp_path, capsys):
-    # fisher scores centre on 0, so the bias rule is the zero rule even when
-    # c2 - c1 is not 0
-    doc = small_sweep_doc(convention="fisher")
-    doc["model"]["c1"] = 0.25
-    config = write_config(tmp_path, doc)
-    reports = []
-    for rule in ("bias", "zero"):
-        assert main(["predict", "--config", config, "--threshold", rule]) == 0
-        reports.append(json.loads(capsys.readouterr().out))
-    keys = ("threshold", "eps1", "eps2", "weighted")
-    assert [reports[0][k] for k in keys] == [reports[1][k] for k in keys]
-    assert reports[0]["threshold"] == 0.0
-
-
 @pytest.mark.parametrize(
     "flags, named",
     [(["--gamma", "0"], "gamma"), (["--trials", "0"], "trials"), (["--n-test", "1"], "n_test"),
@@ -757,6 +738,36 @@ def test_mnist_stats_runs_ten_trials_by_default(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["trials"] == 10
 
 
+def test_mnist_stats_noise_covers_the_two_digits_from_a_stream_no_trial_draws(
+        tmp_path, capsys, monkeypatch):
+    # 40 eights, 44 nines and 12 threes: noise is drawn for the 84 images of
+    # the two digits read, at a seed none of the 100 trials draws at
+    rng = np.random.default_rng(7)
+    pixels = np.clip(rng.normal(120, 40, size=(16, 96)), 0, 255).astype(np.uint8)
+    ip, lp = tmp_path / "imgs.idx", tmp_path / "labs.idx"
+    write_idx(pixels, np.repeat([8, 9, 3], [40, 44, 12]), ip, lp)
+    noise_draws, trial_seeds = [], []
+    add_noise, trial = mnist.add_white_noise, experiments.empirical_error
+
+    def spied_noise(data, snr_db, seed):
+        noise_draws.append((data.images.shape[1], sorted(set(data.labels.tolist())), seed))
+        return add_noise(data, snr_db, seed)
+
+    def spied_trial(*args):
+        trial_seeds.append(args[-1])
+        return trial(*args)
+
+    monkeypatch.setattr(mnist, "add_white_noise", spied_noise)
+    monkeypatch.setattr(experiments, "empirical_error", spied_trial)
+    assert main(["mnist-stats", "--images", str(ip), "--labels", str(lp), "--n", "16",
+                 "--n-test", "16", "--trials", "100", "--snr-db", "10", "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"] == [40, 44]
+    assert len(trial_seeds) == 100
+    [(columns, digits, seed)] = noise_draws
+    assert seed not in trial_seeds
+    assert (columns, digits) == (84, [8, 9])
+
+
 def test_sweep_json_file_ends_with_a_newline(tmp_path):
     # a path ending in .json takes the JSON rows, as stdout does; any other takes CSV
     config = write_config(tmp_path, small_sweep_doc())
@@ -764,26 +775,6 @@ def test_sweep_json_file_ends_with_a_newline(tmp_path):
     assert main(["sweep", "--config", config, "--out", str(out)]) == 0
     assert out.read_text().endswith("}\n")
     assert [row["axis"] for row in json.loads(out.read_text())["rows"]] == ["sigma2"]
-
-
-def test_toml_config_predicts_as_its_json_twin(tmp_path, capsys):
-    pytest.importorskip("tomllib")
-    doc = small_sweep_doc()
-
-    def toml_lines(table):
-        return [f"{k} = {json.dumps(v)}" for k, v in table.items() if not isinstance(v, dict)]
-
-    lines = toml_lines(doc)
-    for name, table in doc.items():
-        if isinstance(table, dict):
-            lines += [f"[{name}]", *toml_lines(table)]
-    toml_path = tmp_path / "config.toml"
-    toml_path.write_text("\n".join(lines) + "\n")
-    outputs = []
-    for path in (write_config(tmp_path, doc), str(toml_path)):
-        assert main(["predict", "--config", path]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
 
 
 SCIPY_BLOCKED_RUNS = """

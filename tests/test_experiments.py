@@ -238,28 +238,8 @@ def test_config_defaults_are_the_documented_ones():
     assert config.kernel == {"kind": "gaussian", "sigma2": 1.0}
     assert (config.n, config.n_test, config.gamma) == (256, 256, 1.0)
     assert (config.trials, config.base_seed, config.threshold) == (20, 0, "optimal")
-    assert (config.convention, config.sizes, config.n_points) == ("standard", (), 100)
+    assert (config.sizes, config.n_points) == ((), 100)
     assert config.axis is None and config.grid == ()
-
-
-def test_fisher_sweep_fits_normalized_labels(monkeypatch):
-    from lssvmlim import experiments
-
-    conventions = []
-    fit = experiments.TrainedModel.fit
-
-    def spy(X, labels, gamma, profile, convention="standard"):
-        conventions.append(convention)
-        return fit(X, labels, gamma, profile, convention)
-
-    monkeypatch.setattr(experiments.TrainedModel, "fit", spy)
-    doc = dict(BASE_SWEEP, convention="fisher", trials=2)
-    row = run_sweep(config_from_dict(doc)).rows[0]
-    assert conventions == ["fisher", "fisher"]
-    m = experiments.model_from_spec(doc["model"])
-    st = gaussian_stats(m, 24, 24, 1.0, RBF_UNIT, "fisher")
-    assert row.threshold == resolve_threshold("optimal", st)
-    assert row.th_weighted == at_threshold(st, "optimal")["weighted"]
 
 
 def test_histogram_identical_classes_pools_same_distribution():
