@@ -31,8 +31,10 @@ from .lssvm import TrainedModel, classify, normalize_labels, train
 from .mixture import (
     LatentDataset,
     MixtureModel,
+    MixtureStats,
     ToeplitzCov,
     mix64,
+    mixture_stats,
     model_from_spec,
     sample,
 )

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments, mnist, theory
+from . import experiments, kernels, mnist, theory
 from .errors import DataError, NumericalFailure
 from .mixture import mix64, model_from_spec
 
@@ -69,7 +69,7 @@ def _config(args, doc):
 def cmd_predict(args):
     config = _config(args, _load_config(args.config))
     model, profile, _, n1, n2 = experiments.grid_point(config)  # the counts sweep trains on
-    stats = theory.gaussian_stats(model, n1, n2, config.gamma, profile)
+    stats = theory.gaussian_stats(model.stats, n1, n2, config.gamma, profile)
     rule = config.threshold
     _emit(dict(stats.as_dict(), threshold_rule=rule, **experiments.at_threshold(stats, rule)), args)
     return 0
@@ -142,10 +142,10 @@ def cmd_mnist_stats(args):
         keep = np.isin(data.labels, (args.digit_a, args.digit_b))
         data = mnist.ImageDataset(data.images[:, keep], data.labels[keep])
         data = mnist.add_white_noise(data, args.snr_db, mix64(config.base_seed, -1))
-    model = mnist.class_stats(data, args.digit_a, args.digit_b)
-    profile = experiments.resolve_kernel(config.kernel, model)
+    mixture = mnist.class_stats(data, args.digit_a, args.digit_b)
+    profile = kernels.kernel_from_spec(config.kernel)
     n1, n2 = experiments.class_split(config.n, 0.5)
-    stats = theory.gaussian_stats(model, n1, n2, config.gamma, profile)
+    stats = theory.gaussian_stats(mixture, n1, n2, config.gamma, profile)
     predicted = experiments.at_threshold(stats, config.threshold)
     # every image is in the pool; those of other digits are labeled 0 and never picked
     pool = (data.images, np.select([data.labels == args.digit_a, data.labels == args.digit_b],
@@ -158,7 +158,7 @@ def cmd_mnist_stats(args):
     out = {
         "digits": [args.digit_a, args.digit_b],
         "counts": [int((data.labels == args.digit_a).sum()), int((data.labels == args.digit_b).sum())],
-        "discrepancy_by_scaling": mnist.discrepancy_by_scaling(data, model),
+        "discrepancy_by_scaling": mnist.discrepancy_by_scaling(data, mixture),
         "theory": dict(stats.as_dict(), **predicted),
         "empirical_weighted_error": mean,
         "empirical_se": experiments.nan_to_none(se),

@@ -170,7 +170,7 @@ def resolve_kernel(spec, model):
     """Kernel from config spec; a local kernel may anchor at the model's
     distance concentration point with ``"tau": "auto"``."""
     if spec.get("kind") == "local" and spec.get("tau") == "auto":
-        spec = dict(spec, tau=model.tau)
+        spec = dict(spec, tau=model.stats.tau)
     return kernel_from_spec(spec)
 
 
@@ -255,16 +255,23 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Empirical error (mean over trials with standard error) and the
     asymptotic prediction for every grid point, in grid order.
 
-    A failed trial is recorded under ``failures`` and excluded from the
-    averages, never silently folded in.  A ``MemoryError`` is raised, not
-    recorded: sizes too large to allocate fail every trial alike.
+    Every grid point is built and predicted before the first trial, so a bad
+    grid value costs no trial; only the first point's model is kept for its
+    trials, the others are built again.  A failed trial is recorded under
+    ``failures`` and excluded from the averages, never silently folded in.
+    A ``MemoryError`` is raised, not recorded: sizes too large to allocate
+    fail every trial alike.
     """
     grid = config.grid if config.axis is not None else (float("nan"),)
+    kept, predictions = [], []
+    for value in grid:
+        model, profile, _, n1, n2 = point = grid_point(config, value)
+        kept = kept or [point]
+        stats = gaussian_stats(model.stats, n1, n2, config.gamma, profile)
+        predictions.append(at_threshold(stats, config.threshold))
     rows, per_trial, failures = [], {}, []
-    for gi, value in enumerate(grid):
-        model, profile, n, n1, n2 = grid_point(config, value)
-        stats = gaussian_stats(model, n1, n2, config.gamma, profile)
-        predicted = at_threshold(stats, config.threshold)
+    for gi, (value, predicted) in enumerate(zip(grid, predictions)):
+        model, profile, n, n1, n2 = kept.pop() if kept else grid_point(config, value)
         threshold = predicted["threshold"]
         records = []
         for t in range(config.trials):
@@ -344,7 +351,7 @@ def run_histogram(model, n, gamma, profile, convention, n_test, trials, seed) ->
     over independently trained models, with the per-class Gaussian prediction
     and a one-sample Kolmogorov-Smirnov distance against it."""
     n1, n2 = class_split(n, model.c1)
-    stats = gaussian_stats(model, n1, n2, gamma, profile, convention)  # checks the kernel first
+    stats = gaussian_stats(model.stats, n1, n2, gamma, profile, convention)  # checks the kernel
     blocks = [
         _trial(model, n1, n2, n_test, n_test, gamma, profile, convention, mix64(seed, t))[2]
         for t in range(trials)
@@ -381,7 +388,7 @@ def run_convergence(model_factory, gamma, profile, sizes, trials, base_seed, n_p
         prof = profile(model) if callable(profile) else profile
         n1, n2 = class_split(n, model.c1)
         m1, m2 = class_split(n_points, model.c1)
-        gaussian_stats(model, n1, n2, gamma, prof, "standard")  # rejects an overflowing kernel
+        gaussian_stats(model.stats, n1, n2, gamma, prof, "standard")  # checks the kernel
         gaps = []
         for t in range(trials):
             train_set, test_set, g = _trial(

@@ -144,13 +144,13 @@ def _toeplitz_root(rho, scale, p) -> np.ndarray:
     return root
 
 
-def _sqrt(cov, eig):
+def _sqrt(cov):
     """Symmetric square root of ``cov``: the scalar ``sqrt(r0)`` when a
     :class:`ToeplitzCov` is ``r0 I`` (its eigendecomposition gives exactly
     ``sqrt(r0) I``), the cached root of any other :class:`ToeplitzCov`, else
-    from the eigendecomposition ``eig`` of the dense ``cov``."""
+    from the eigendecomposition of the dense ``cov``."""
     if not isinstance(cov, ToeplitzCov):
-        return _root(*eig)
+        return _root(*np.linalg.eigh(cov))
     if not cov.row[1:].any():
         return np.sqrt(cov.row[0])
     return _toeplitz_root(cov.rho, cov.scale, cov.p)
@@ -178,38 +178,83 @@ def _root_product(root, z, band, out):
 
 
 def _check_cov(C, p, name):
-    """``(C, eig)`` as the model stores them: a :class:`ToeplitzCov` as
-    given with no eigendecomposition, any other input as a dense finite
-    symmetric array with its eigendecomposition, whose eigenvalues must be
+    """``C`` as the model stores it: a :class:`ToeplitzCov` as given, any
+    other input as a dense finite symmetric array whose eigenvalues must be
     nonnegative up to round-off."""
     C = C if isinstance(C, ToeplitzCov) else np.asarray(C, dtype=float)
     if C.shape != (p, p):
         raise ValueError(f"{name} must be {p}x{p}, got {C.shape}")
     if isinstance(C, ToeplitzCov):
-        return C, None
+        return C
     if not np.isfinite(C).all():  # a NaN would pass the symmetry test below
         raise ValueError(f"{name} must be finite")
     scale = max(1.0, np.abs(C).max())
     if np.abs(C - C.T).max() > 1e-12 * scale:
         raise ValueError(f"{name} is not symmetric")
-    w, _ = eig = np.linalg.eigh(C)
+    w = np.linalg.eigvalsh(C)
     if w.min() < -1e-10 * np.abs(w).max():
         raise ValueError(f"{name} has eigenvalue {w.min()} below tolerance")
-    return C, eig
+    return C
+
+
+@dataclass(frozen=True)
+class MixtureStats:
+    """The statistics of a two-class mixture that the asymptotic predictors
+    read, from :func:`mixture_stats`; ``a`` and ``b`` index the classes."""
+
+    p: int
+    c1: float  # class-1 proportion
+    trace1: float  # tr C_a
+    trace2: float
+    tr_c1c1: float  # tr(C_a C_b)
+    tr_c1c2: float
+    tr_c2c2: float
+    mean_gap_sq: float  # ||mu2 - mu1||^2
+    mean_gap_quad: tuple  # (mu2 - mu1)' C_a (mu2 - mu1) for a = 1, 2
+
+    @cached_property
+    def c2(self):  # 1 - c1, so the proportions sum to one exactly
+        return 1.0 - self.c1
+
+    @cached_property
+    def trace_gap(self):  # tr(C2 - C1)
+        return self.trace2 - self.trace1
+
+    @cached_property
+    def sq_trace_gap(self):  # tr((C2 - C1)^2)
+        return self.tr_c1c1 + self.tr_c2c2 - 2.0 * self.tr_c1c2
+
+    @cached_property
+    def tau(self):  # (2/p) tr(c1 C1 + c2 C2), where the ||x_i - x_j||^2 / p concentrate
+        return 2.0 / self.p * (self.c1 * self.trace1 + self.c2 * self.trace2)
+
+
+def mixture_stats(mu1, mu2, cov1, cov2, c1) -> MixtureStats:
+    """The :class:`MixtureStats` of class means ``mu_a``, covariances ``C_a``
+    (:class:`ToeplitzCov` in closed form, or dense) and class-1 proportion
+    ``c1``.  A statistic that overflows is inf or NaN: the predictors refuse it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dmu = mu2 - mu1
+        return MixtureStats(
+            p=dmu.size, c1=c1, trace1=float(cov1.trace()), trace2=float(cov2.trace()),
+            tr_c1c1=_tr_prod(cov1, cov1), tr_c1c2=_tr_prod(cov1, cov2),
+            tr_c2c2=_tr_prod(cov2, cov2), mean_gap_sq=float(dmu @ dmu),
+            mean_gap_quad=tuple(C.quad(dmu) if isinstance(C, ToeplitzCov) else float(dmu @ C @ dmu)
+                                for C in (cov1, cov2)),
+        )
 
 
 @dataclass(frozen=True, eq=False)
 class MixtureModel:
-    """Two-class Gaussian mixture statistics.
+    """Two-class Gaussian mixture with class-1 proportion ``c1`` and statistics ``stats``.
 
-    ``c1`` is the class-1 proportion; ``c2`` is the property ``1 - c1``, so
-    the proportions sum to one exactly.  A :class:`ToeplitzCov`
-    covariance is kept as given (the covariance specs of
-    :func:`model_from_spec` build one) and is positive definite by
+    A :class:`ToeplitzCov` covariance is kept as given (the covariance specs
+    of :func:`model_from_spec` build one) and is positive definite by
     construction.  Any other covariance is stored as a dense array, even
     when it is Toeplitz, and must be symmetric nonnegative-definite up to
-    round-off (smallest eigenvalue no lower than ``-1e-10`` times the
-    spectral norm).
+    round-off (smallest eigenvalue, from ``eigvalsh``, no lower than
+    ``-1e-10`` times the spectral norm); its root is made by ``eigh`` on the
+    first :func:`sample`.
     """
 
     p: int
@@ -233,75 +278,18 @@ class MixtureModel:
             object.__setattr__(self, name, mu)
         if not 0.0 < self.c1 < 1.0:
             raise ValueError(f"c1 must lie in (0, 1), got {self.c1}")
-        (cov1, eig1), (cov2, eig2) = (_check_cov(getattr(self, n), p, n) for n in ("cov1", "cov2"))
-        for name, value in (("cov1", cov1), ("cov2", cov2), ("_eigs", (eig1, eig2))):
-            object.__setattr__(self, name, value)  # _eigs: None for a ToeplitzCov
+        for name in ("cov1", "cov2"):
+            object.__setattr__(self, name, _check_cov(getattr(self, name), p, name))
 
-    @property
-    def c2(self):
-        return 1.0 - self.c1
+    @cached_property
+    def stats(self) -> MixtureStats:
+        """The model's :class:`MixtureStats`, by :func:`mixture_stats`."""
+        return mixture_stats(self.mu1, self.mu2, self.cov1, self.cov2, self.c1)
 
     @cached_property
     def sqrt_covs(self):
-        """Symmetric square roots of ``(cov1, cov2)``, by :func:`_sqrt`."""
-        return tuple(map(_sqrt, (self.cov1, self.cov2), self._eigs))
-
-    # Trace statistics reused throughout the asymptotic formulas, in closed
-    # form when both covariances are Toeplitz.
-    @cached_property
-    def trace1(self):
-        return float(self.cov1.trace())
-
-    @cached_property
-    def trace2(self):
-        return float(self.cov2.trace())
-
-    @cached_property
-    def trace_gap(self):
-        """tr(C2 - C1)"""
-        return self.trace2 - self.trace1
-
-    @cached_property
-    def tr_c1c1(self):
-        return _tr_prod(self.cov1, self.cov1)
-
-    @cached_property
-    def tr_c2c2(self):
-        return _tr_prod(self.cov2, self.cov2)
-
-    @cached_property
-    def tr_c1c2(self):
-        return _tr_prod(self.cov1, self.cov2)
-
-    @cached_property
-    def sq_trace_gap(self):
-        """tr((C2 - C1)^2)"""
-        return self.tr_c1c1 + self.tr_c2c2 - 2.0 * self.tr_c1c2
-
-    @cached_property
-    def mean_gap(self):
-        """mu2 - mu1"""
-        return self.mu2 - self.mu1
-
-    @cached_property
-    def mean_gap_sq(self):
-        """||mu2 - mu1||^2"""
-        return float(self.mean_gap @ self.mean_gap)
-
-    @cached_property
-    def mean_gap_quad(self):
-        """((mu2 - mu1)' C_a (mu2 - mu1) for a = 1, 2)"""
-        dmu = self.mean_gap
-        return tuple(
-            C.quad(dmu) if isinstance(C, ToeplitzCov) else float(dmu @ C @ dmu)
-            for C in (self.cov1, self.cov2)
-        )
-
-    @cached_property
-    def tau(self):
-        """Concentration point (2/p) tr(c1 C1 + c2 C2) of the pairwise
-        normalized squared distances."""
-        return 2.0 / self.p * (self.c1 * self.trace1 + self.c2 * self.trace2)
+        """Symmetric square roots of ``(cov1, cov2)``, by :func:`_sqrt` at the first draw."""
+        return tuple(map(_sqrt, (self.cov1, self.cov2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,7 +327,7 @@ class LatentDataset:
     @cached_property
     def psi(self):
         """``||omega[:, i]||^2 - tr(C_class(i)) / p``"""
-        m = self.model
+        m = self.model.stats
         traces = np.where(self.labels < 0, m.trace1, m.trace2)
         return np.einsum("ij,ij->j", self.omega, self.omega) - traces / m.p
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .mixture import MixtureModel
+from .mixture import MixtureStats, mixture_stats
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -93,10 +93,11 @@ def write_idx(pixels: np.ndarray, labels: np.ndarray, images_path, labels_path) 
         fh.write(labels.tobytes())
 
 
-def class_stats(data: ImageDataset, digit_a: int, digit_b: int) -> MixtureModel:
-    """Empirical two-class mixture (sample means, sample covariances with
-    denominator N-1, proportions from class counts) usable by the asymptotic
-    predictors; class 1 is ``digit_a``."""
+def class_stats(data: ImageDataset, digit_a: int, digit_b: int) -> MixtureStats:
+    """Statistics of the empirical two-class mixture (sample means, sample
+    covariances with denominator N-1, proportions from class counts) for the
+    asymptotic predictors; class 1 is ``digit_a``.  A sample covariance is
+    positive semidefinite by construction, so none is checked or decomposed."""
     if digit_a == digit_b:
         raise ValueError(f"the two digits must differ, got {digit_a} twice")
     mask_a = data.labels == digit_a
@@ -110,7 +111,7 @@ def class_stats(data: ImageDataset, digit_a: int, digit_b: int) -> MixtureModel:
         raise ValueError("need at least two samples per class for a covariance")
     # one class's columns at a time: each copy is freed when _moments returns
     (mu_a, cov_a), (mu_b, cov_b) = (_moments(data.images[:, m]) for m in (mask_a, mask_b))
-    return MixtureModel(data.p, mu_a, mu_b, cov_a, cov_b, c1=na / (na + nb))
+    return mixture_stats(mu_a, mu_b, cov_a, cov_b, na / (na + nb))
 
 
 def _moments(x):
@@ -122,16 +123,16 @@ def _moments(x):
     return mu, 0.5 * (cov + cov.T)  # exactly symmetric against accumulation order
 
 
-def discrepancy_stats(model: MixtureModel):
+def discrepancy_stats(stats: MixtureStats):
     """The three separation summaries
 
         ||mu2 - mu1||^2,  (tr(C2 - C1))^2 / p,  tr((C2 - C1)^2) / p.
     """
-    p = model.p
+    p = stats.p
     return (
-        model.mean_gap_sq,
-        model.trace_gap**2 / p,
-        model.sq_trace_gap / p,
+        stats.mean_gap_sq,
+        stats.trace_gap**2 / p,
+        stats.sq_trace_gap / p,
     )
 
 
@@ -141,8 +142,8 @@ def _mean_square(images):
     return float(flat @ flat) / flat.size
 
 
-def discrepancy_by_scaling(data: ImageDataset, model: MixtureModel):
-    """``discrepancy_stats`` of ``model = class_stats(data, ...)`` as it reads
+def discrepancy_by_scaling(data: ImageDataset, stats: MixtureStats):
+    """``discrepancy_stats`` of ``stats = class_stats(data, ...)`` as it reads
     with every pixel multiplied by f, for each candidate scaling: ``unit``
     (f = 1), ``raw`` (255), ``mean`` (1 / the mean pixel of ``data``) and
     ``rms`` (1 / the root mean squared pixel), for matching moment tables of
@@ -150,7 +151,7 @@ def discrepancy_by_scaling(data: ImageDataset, model: MixtureModel):
     """
     factors = {"unit": 1.0, "raw": 255.0, "mean": 1.0 / float(np.mean(data.images)),
                "rms": 1.0 / np.sqrt(_mean_square(data.images))}
-    mean_gap, trace_gap, sq_trace_gap = discrepancy_stats(model)
+    mean_gap, trace_gap, sq_trace_gap = discrepancy_stats(stats)
     return {name: (f**2 * mean_gap, f**4 * trace_gap, f**4 * sq_trace_gap)
             for name, f in factors.items()}
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .kernels import KernelProfile
-from .mixture import LatentDataset, MixtureModel
+from .mixture import LatentDataset, MixtureStats
 
 _SQRT2 = np.sqrt(2.0)
 _erfc = np.vectorize(math.erfc, otypes=[float])
@@ -48,19 +48,19 @@ def estimate_tau(X: np.ndarray) -> float:
     return 2.0 * float(np.vdot(Xc, Xc)) / (n * p)
 
 
-def informative_term(model: MixtureModel, profile: KernelProfile) -> float:
+def informative_term(stats: MixtureStats, profile: KernelProfile) -> float:
     """Deterministic class-separation functional
 
         D = -(2 f'(tau)/p) ||mu2 - mu1||^2
             + (f''(tau)/p^2) (tr(C2 - C1))^2
             + (2 f''(tau)/p^2) tr((C2 - C1)^2).
     """
-    p = model.p
-    _, fp, fpp = profile.derivatives(model.tau)
+    p = stats.p
+    _, fp, fpp = profile.derivatives(stats.tau)
     return (
-        -2.0 * fp / p * model.mean_gap_sq
-        + fpp / p**2 * model.trace_gap**2
-        + 2.0 * fpp / p**2 * model.sq_trace_gap
+        -2.0 * fp / p * stats.mean_gap_sq
+        + fpp / p**2 * stats.trace_gap**2
+        + 2.0 * fpp / p**2 * stats.sq_trace_gap
     )
 
 
@@ -84,7 +84,7 @@ def noise_term(train_set: LatentDataset, test_set: LatentDataset, profile: Kerne
         raise ValueError("the test set must be drawn from the training set's model")
     n, p = train_set.n, model.p
     c1, c2 = train_set.n1 / n, train_set.n2 / n
-    _, fp, fpp = profile.derivatives(model.tau)
+    _, fp, fpp = profile.derivatives(model.stats.tau)
     y_centered = train_set.labels - (c2 - c1)
     class1 = train_set.labels < 0
     omega_y = (
@@ -94,8 +94,8 @@ def noise_term(train_set: LatentDataset, test_set: LatentDataset, profile: Kerne
     ) / np.sqrt(p)
     w = test_set.omega
     t1 = -2.0 * fp / n * (omega_y @ w)
-    t2 = -4.0 * c1 * c2 * fp / np.sqrt(p) * (model.mean_gap @ w)
-    t3 = 2.0 * c1 * c2 * fpp * test_set.psi * (model.trace_gap / p)
+    t2 = -4.0 * c1 * c2 * fp / np.sqrt(p) * ((model.mu2 - model.mu1) @ w)
+    t3 = 2.0 * c1 * c2 * fpp * test_set.psi * (model.stats.trace_gap / p)
     return t1 + t2 + t3
 
 
@@ -105,7 +105,7 @@ def random_equivalent(train_set: LatentDataset, test_set: LatentDataset, gamma: 
     point: ``E_a`` is the mean :func:`gaussian_stats` predicts for the point's
     class at the training counts, and ``P`` the :func:`noise_term`.  It is
     asymptotically indistinguishable from the trained score at scale 1/n."""
-    stats = gaussian_stats(train_set.model, train_set.n1, train_set.n2, gamma, profile)
+    stats = gaussian_stats(train_set.model.stats, train_set.n1, train_set.n2, gamma, profile)
     means = np.where(test_set.labels < 0, stats.E1, stats.E2)
     return means + gamma * noise_term(train_set, test_set, profile)
 
@@ -177,7 +177,7 @@ class TheoryStats:
         }
 
 
-def gaussian_stats(model: MixtureModel, n1: int, n2: int, gamma: float, profile: KernelProfile,
+def gaussian_stats(stats: MixtureStats, n1: int, n2: int, gamma: float, profile: KernelProfile,
                    convention: str = "standard") -> TheoryStats:
     """Asymptotic Gaussian parameters of the decision score per class.
 
@@ -197,8 +197,8 @@ def gaussian_stats(model: MixtureModel, n1: int, n2: int, gamma: float, profile:
     ``k = 2 c2 c1`` and variances by ``k^2``.
 
     c1 = n1/n and c2 = n2/n are the proportions of the ``n = n1 + n2``
-    training points, since a trained score centres at (n2 - n1)/n; tau is the
-    model's.  ``gamma`` must be finite and positive.
+    training points, since a trained score centres at (n2 - n1)/n; tau is
+    ``stats.tau``.  ``gamma`` must be finite and positive.
     """
     if convention not in ("standard", "fisher"):
         raise ValueError(f"unknown label convention: {convention!r}")
@@ -206,25 +206,26 @@ def gaussian_stats(model: MixtureModel, n1: int, n2: int, gamma: float, profile:
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if min(n1, n2) < 1:
         raise ValueError(f"need a training point of each class, got {n1} + {n2}")
-    p = model.p
+    p = stats.p
     n = n1 + n2
     c1, c2 = n1 / n, n2 / n
-    tau = model.tau
+    tau = stats.tau
     try:
         with np.errstate(over="raise", invalid="raise"):
             _, fp, fpp = profile.derivatives(tau)
-            D = informative_term(model, profile)
+            D = informative_term(stats, profile)
 
             # the pieces for a = 1, 2; tr_cross[a] is (tr(C1 C_a), tr(C2 C_a))
-            tr_cross = ((model.tr_c1c1, model.tr_c1c2), (model.tr_c1c2, model.tr_c2c2))
-            v1 = tuple(fpp**2 / p**4 * model.trace_gap**2 * t for t in (model.tr_c1c1, model.tr_c2c2))
-            v2 = tuple(2.0 * fp**2 / p**2 * quad for quad in model.mean_gap_quad)
+            tr_cross = ((stats.tr_c1c1, stats.tr_c1c2), (stats.tr_c1c2, stats.tr_c2c2))
+            v1 = tuple(fpp**2 / p**4 * stats.trace_gap**2 * t
+                       for t in (stats.tr_c1c1, stats.tr_c2c2))
+            v2 = tuple(2.0 * fp**2 / p**2 * quad for quad in stats.mean_gap_quad)
             v3 = tuple(2.0 * fp**2 / (n * p**2) * (t1 / c1 + t2 / c2) for t1, t2 in tr_cross)
 
             # the zero-sum statistics, mapped to the convention's scores
             k, bias = (2.0 * c2 * c1, c2 - c1) if convention == "standard" else (1.0, 0.0)
             e1, e2, var_scale = -k * c2 * D, k * c1 * D, 2.0 * k**2
-            stats = TheoryStats(
+            result = TheoryStats(
                 tau=tau,
                 D=D,
                 gamma=float(gamma),
@@ -240,12 +241,12 @@ def gaussian_stats(model: MixtureModel, n1: int, n2: int, gamma: float, profile:
                 v2=v2,
                 v3=v3,
             )
-            finite = np.isfinite((D, e1, e2, stats.r1, stats.r2, *v1, *v2, *v3)).all()
+            finite = np.isfinite((D, e1, e2, result.r1, result.r2, *v1, *v2, *v3)).all()
     except ArithmeticError:  # a huge derivative or mean overflowed
         finite = False
     if not finite:
         raise ValueError(f"the model and kernel at tau = {tau} give non-finite statistics")
-    return stats
+    return result
 
 
 def _tail(d, s):

@@ -42,7 +42,7 @@ def shape_only_model(p):
 
 def shape_kernel(model, fprime, fsecond=2.0, f0=4.0):
     """Local quadratic anchored at the model's distance concentration point."""
-    return TaylorKernel(anchor=model.tau, f0=f0, f1=fprime, f2=fsecond)
+    return TaylorKernel(anchor=model.stats.tau, f0=f0, f1=fprime, f2=fsecond)
 
 
 RBF_UNIT = GaussianKernel(1.0)

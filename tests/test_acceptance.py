@@ -46,7 +46,7 @@ def test_c01_shape_only_theory_curve():
     n = 2048  # p / n = 1/4
     errors = {}
     for fp in SLOPE_GRID:
-        st = gaussian_stats(m, n // 2, n // 2, 1.0, shape_kernel(m, fprime=fp))
+        st = gaussian_stats(m.stats, n // 2, n // 2, 1.0, shape_kernel(m, fprime=fp))
         errors[fp] = at_threshold(st, "optimal")["weighted"]
     elapsed = time.perf_counter() - t0
 
@@ -64,7 +64,7 @@ def test_c02_shape_only_empirical_point():
     t0 = time.perf_counter()
     m = shape_only_model(512)
     profile = shape_kernel(m, fprime=0.0)
-    st = gaussian_stats(m, 1024, 1024, 1.0, profile)
+    st = gaussian_stats(m.stats, 1024, 1024, 1.0, profile)
     threshold = at_threshold(st, "optimal")["threshold"]
     errs = [
         empirical_error(m, 1024, 1024, 512, 1.0, profile, threshold, mix64(12345, t))[2]
@@ -84,7 +84,7 @@ def test_c03_rbf_width_sweep():
         m = balanced_model(p)
         n = p // 2
         errs = {
-            s2: at_threshold(gaussian_stats(m, n // 2, n // 2, 1.0, GaussianKernel(s2)),
+            s2: at_threshold(gaussian_stats(m.stats, n // 2, n // 2, 1.0, GaussianKernel(s2)),
                              "optimal")["weighted"]
             for s2 in targets
         }
@@ -93,7 +93,7 @@ def test_c03_rbf_width_sweep():
 
     m = balanced_model(1024)
     profile = GaussianKernel(0.25)
-    st = gaussian_stats(m, 256, 256, 1.0, profile)
+    st = gaussian_stats(m.stats, 256, 256, 1.0, profile)
     threshold = at_threshold(st, "optimal")["threshold"]
     errs = [
         empirical_error(m, 256, 256, 512, 1.0, profile, threshold, mix64(777, t))[2]
@@ -114,7 +114,7 @@ def test_c04_sample_ratio_sweep():
     empirical = []
     for gi, c0 in enumerate((1, 4, 32)):
         n = round(p / c0)
-        st = gaussian_stats(m, n // 2, n - n // 2, 1.0, profile)
+        st = gaussian_stats(m.stats, n // 2, n - n // 2, 1.0, profile)
         threshold, _, _, w = at_threshold(st, "optimal").values()
         theory[c0] = w
         assert w == pytest.approx(targets[c0], abs=0.01)
@@ -223,7 +223,7 @@ def test_c08_tau_estimator():
     worst = 0.0
     for seed in range(20):
         ds = sample(model, 256, 768, seed=seed)
-        err = abs(estimate_tau(ds.X) - model.tau)
+        err = abs(estimate_tau(ds.X) - model.stats.tau)
         worst = max(worst, err)
         hits += err < 0.05
     assert hits >= 19
@@ -249,7 +249,7 @@ def test_c09_regularizer_invariance():
         n = int(rng.integers(32, 512))
         profile = GaussianKernel(float(rng.uniform(0.25, 4.0)))
         outcomes = [
-            at_threshold(gaussian_stats(m, *class_split(n, m.c1), gamma, profile),
+            at_threshold(gaussian_stats(m.stats, *class_split(n, m.c1), gamma, profile),
                          "optimal")["weighted"]
             for gamma in (0.1, 1.0, 10.0)
         ]

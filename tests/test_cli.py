@@ -12,7 +12,7 @@ import lssvmlim
 from lssvmlim import cli, experiments, mnist
 from lssvmlim.cli import main
 from lssvmlim.errors import DataError, NumericalFailure
-from lssvmlim.mixture import MixtureModel, sample
+from lssvmlim.mixture import MixtureModel, ToeplitzCov, sample
 from lssvmlim.mnist import write_idx
 
 CONFIG_DIR = "configs"
@@ -245,14 +245,15 @@ def test_mnist_stats_on_synthetic_idx(tmp_path, capsys):
 
 
 def test_mnist_stats_builds_one_model_and_no_rescaled_images(tmp_path, capsys, monkeypatch):
-    # The four scaled discrepancy triples follow from the one model by their
-    # exact factors: one class_stats, whose two 784 x 784 covariances take an
-    # eigh each, and no rescaled copy of the images.  The tracemalloc peak was
-    # 5.3x the float64 image bytes when each scaling rebuilt the model from
-    # rescaled images and 2.8x with one model; 3.5x lies between.  Centring
-    # each class in place took it to 1.9x.
+    # The four scaled discrepancy triples follow from the one set of class
+    # statistics by their exact factors: one class_stats, whose two 784 x 784
+    # sample covariances are neither checked nor decomposed, and no rescaled
+    # copy of the images.  The tracemalloc peak was 5.3x the float64 image
+    # bytes when each scaling rebuilt the model from rescaled images and 2.8x
+    # with one model; 3.5x lies between.  Centring each class in place took
+    # it to 1.9x.
     ip, lp = synthetic_idx_pair(tmp_path, p=784, per_class=3000)
-    calls = {"class_stats": 0, "eigh": 0}
+    calls = {"class_stats": 0, "eigh": 0, "eigvalsh": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -262,16 +263,34 @@ def test_mnist_stats_builds_one_model_and_no_rescaled_images(tmp_path, capsys, m
 
     monkeypatch.setattr(mnist, "class_stats", counted("class_stats", mnist.class_stats))
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     tracemalloc.start()
     try:
         assert main(["mnist-stats", "--images", ip, "--labels", lp, "--trials", "2"]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert calls == {"class_stats": 1, "eigh": 2}
+    assert calls == {"class_stats": 1, "eigh": 0, "eigvalsh": 0}
     assert peak <= 3.5 * 784 * 6000 * 8
     assert set(json.loads(capsys.readouterr().out)["discrepancy_by_scaling"]) == {
         "unit", "raw", "mean", "rms"}
+
+
+def test_predict_on_a_file_covariance_tests_its_eigenvalues_and_decomposes_nothing(
+        tmp_path, capsys, monkeypatch):
+    np.save(tmp_path / "cov.npy", np.asarray(ToeplitzCov(0.4, 1.5, 32)))  # the small model's p
+    calls = []
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    doc = small_sweep_doc(model=small_model(cov2={"file": str(tmp_path / "cov.npy")}))
+    assert main(["predict", "--config", write_config(tmp_path, doc)]) == 0
+    assert calls == ["eigvalsh"]
+    assert json.loads(capsys.readouterr().out)["weighted"] < 0.5
 
 
 def test_mnist_stats_bad_file_is_data_error(tmp_path, capsys):
@@ -364,6 +383,10 @@ def small_model(**changes):
         ("histogram", {"n_test": 1e12}),
         ("convergence", {"sizes": [[16, 1e12]], "n_points": 6}),
         ("sweep", {"n": 1e12}),
+        # a bad value anywhere in the grid is refused before the first point's trials
+        ("sweep", {"trials": 3, "sweep": {"axis": "c1", "grid": [0.5, 0.25, 1.5]}}),
+        ("sweep", {"trials": 3, "sweep": {"axis": "sigma2", "grid": [1.0, 2.0, -1.0]}}),
+        ("sweep", {"trials": 3, "sweep": {"axis": "fsecond", "grid": [0.25, 1e200]}}),
     ],
     ids=["predict-gamma0", "predict-n0", "predict-gamma-negative", "predict-n1",
          "predict-gamma-nan", "predict-convention-key-refused", "sweep-gamma0", "sweep-n_test1",
@@ -381,16 +404,24 @@ def small_model(**changes):
          "sweep-c0-p-null", "predict-spike-huge", "predict-toeplitz-trace-huge", "predict-n-inf",
          "sweep-trials-inf", "sweep-base_seed-inf", "convergence-n_points-inf",
          "convergence-sizes-inf", "predict-p-inf", "predict-n1-inf", "sweep-c0-subnormal",
-         "histogram-n_test-huge", "convergence-sizes-huge", "sweep-n-huge"],
+         "histogram-n_test-huge", "convergence-sizes-huge", "sweep-n-huge",
+         "sweep-c1-grid-late-above-one", "sweep-sigma2-grid-late-negative",
+         "sweep-fsecond-grid-late-overflow"],
 )
-def test_invalid_config_is_a_one_line_data_error(tmp_path, capsys, recwarn, command, bad):
+def test_invalid_config_is_a_one_line_data_error(tmp_path, capsys, recwarn, monkeypatch, command,
+                                                 bad):
     # a dict of changes to the small sweep document, or a whole document
     config = write_config(tmp_path, small_sweep_doc(**bad) if isinstance(bad, dict) else bad)
+    trials, real_error = [], experiments.empirical_error
+    monkeypatch.setattr(experiments, "empirical_error",
+                        lambda *args: trials.append(args) or real_error(*args))
     assert main([command, "--config", config]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("lssvmlim: invalid input:") and captured.err.count("\n") == 1
     assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
+    # no trial runs, unless the sizes themselves cannot be allocated
+    assert trials == [] or "Unable to allocate" in captured.err
 
 
 def without(doc, key):

@@ -43,7 +43,7 @@ def test_empirical_error_identical_classes_is_coin_flip():
 
 def test_empirical_error_agrees_with_prediction():
     m = balanced_model(128)
-    stats = gaussian_stats(m, 128, 128, 1.0, RBF_UNIT)
+    stats = gaussian_stats(m.stats, 128, 128, 1.0, RBF_UNIT)
     threshold, _, _, w_theory = at_threshold(stats, "optimal").values()
     runs = [
         empirical_error(m, 128, 128, 256, 1.0, RBF_UNIT, threshold, seed=s)[2]
@@ -55,9 +55,9 @@ def test_empirical_error_agrees_with_prediction():
 
 def test_threshold_rules():
     m = skew_model(64)
-    st = gaussian_stats(m, 16, 48, 1.0, RBF_UNIT)
+    st = gaussian_stats(m.stats, 16, 48, 1.0, RBF_UNIT)
     assert resolve_threshold("zero", st) == 0.0
-    assert resolve_threshold("bias", st) == m.c2 - m.c1
+    assert resolve_threshold("bias", st) == m.stats.c2 - m.c1
     opt = resolve_threshold("optimal", st)
     assert st.E1 < opt < st.E2
     with pytest.raises(ValueError):
@@ -67,7 +67,7 @@ def test_threshold_rules():
 def test_bias_rule_is_the_centre_of_the_scores():
     # c2 - c1 under standard labels, 0 under fisher labels, whose scores
     # centre on zero
-    m = skew_model(64)
+    m = skew_model(64).stats
     assert resolve_threshold("bias", gaussian_stats(m, 16, 48, 1.0, RBF_UNIT)) == m.c2 - m.c1
     assert resolve_threshold("bias", gaussian_stats(m, 16, 48, 1.0, RBF_UNIT, "fisher")) == 0.0
 
@@ -102,7 +102,7 @@ def test_single_point_sweep_reduces_to_empirical_error():
     from lssvmlim.mixture import model_from_spec
 
     m = model_from_spec(doc["model"])
-    st = gaussian_stats(m, 24, 24, 1.0, RBF_UNIT)
+    st = gaussian_stats(m.stats, 24, 24, 1.0, RBF_UNIT)
     threshold = resolve_threshold("optimal", st)
     manual = [
         empirical_error(m, 24, 24, 64, 1.0, RBF_UNIT, threshold, mix64(7, t))[2]
@@ -133,7 +133,7 @@ def test_sweep_seed_isolation():
 
     m = model_from_spec(doc["model"])
     profile = GaussianKernel(2.0)
-    st = gaussian_stats(m, 24, 24, 1.0, profile)
+    st = gaussian_stats(m.stats, 24, 24, 1.0, profile)
     threshold = resolve_threshold("optimal", st)
     again = empirical_error(m, 24, 24, 64, 1.0, profile, threshold, rec["seed"])
     assert again[2] == rec["weighted"]

@@ -9,15 +9,17 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import shape_kernel, shape_only_model
+from helpers import RBF_UNIT, shape_kernel, shape_only_model
 from lssvmlim.experiments import class_split, config_from_dict, run_sweep
 from lssvmlim.mixture import (
     MixtureModel,
     ToeplitzCov,
     _band,
+    _root,
     _root_product,
     _toeplitz_root,
     mix64,
+    mixture_stats,
     model_from_spec,
     sample,
 )
@@ -61,7 +63,7 @@ def test_toeplitz_outside_its_domain_rejected(rho, scale):
 
 def test_proportions_sum_exactly():
     m = MixtureModel(2, np.zeros(2), np.zeros(2), np.eye(2), np.eye(2), c1=1 / 3)
-    assert m.c1 + m.c2 == 1.0
+    assert m.stats.c1 + m.stats.c2 == 1.0
 
 
 def test_asymmetric_covariance_rejected():
@@ -87,7 +89,7 @@ def test_indefinite_covariance_rejected():
 
 def test_tau_identity_covariances():
     m = MixtureModel(16, np.zeros(16), np.zeros(16), np.eye(16), np.eye(16), c1=0.5)
-    assert m.tau == pytest.approx(2.0, rel=1e-14)
+    assert m.stats.tau == pytest.approx(2.0, rel=1e-14)
 
 
 def test_tau_equal_trace_covariances():
@@ -95,7 +97,7 @@ def test_tau_equal_trace_covariances():
     m = MixtureModel(
         p, np.zeros(p), np.zeros(p), np.eye(p), np.asarray(ToeplitzCov(0.4, 1.0, p)), c1=0.5
     )
-    assert m.tau == pytest.approx(2.0, rel=1e-14)
+    assert m.stats.tau == pytest.approx(2.0, rel=1e-14)
 
 
 def test_tau_boosted_covariance():
@@ -105,7 +107,7 @@ def test_tau_boosted_covariance():
         p, np.zeros(p), np.zeros(p), np.eye(p), np.asarray(ToeplitzCov(0.4, scale, p)), c1=0.5
     )
     # 2 * (1/2 + (1/2) * scale) = 2 + 4 / sqrt(512)
-    assert m.tau == pytest.approx(2.1767766952966369, rel=1e-12)
+    assert m.stats.tau == pytest.approx(2.1767766952966369, rel=1e-12)
 
 
 def test_sample_layout_and_reconstruction():
@@ -168,7 +170,7 @@ def test_distance_concentration():
     # measured probability ~0.92 at p=512, not the asymptotic ~1)
     p = 512
     m = fig_like_model(p)
-    tau = m.tau
+    tau = m.stats.tau
     maxima = []
     for seed in range(50):
         ds = sample(m, 64, 192, seed=seed)
@@ -220,11 +222,22 @@ def test_model_refuses_counts_and_every_unknown_key():
 def test_c2_is_derived_from_c1_only():
     p = 3
     m = MixtureModel(p, np.zeros(p), np.zeros(p), np.eye(p), np.eye(p), c1=0.3)
-    assert m.c2 == 1.0 - 0.3
+    assert m.stats.c2 == 1.0 - 0.3
     with pytest.raises(AttributeError):
-        m.c2 = 0.5
+        m.stats.c2 = 0.5
     with pytest.raises(TypeError):
         MixtureModel(p, np.zeros(p), np.zeros(p), np.eye(p), np.eye(p), c1=0.3, c2=0.7)
+
+
+def test_a_model_holds_its_statistics_in_one_record_only():
+    p = 5
+    cov2 = np.asarray(ToeplitzCov(0.4, 2.0, p))
+    m = MixtureModel(p, np.zeros(p), np.arange(p) * 1.0, ToeplitzCov(0.3, 1.0, p), cov2, c1=0.3)
+    assert m.stats == mixture_stats(m.mu1, m.mu2, m.cov1, m.cov2, 0.3)
+    assert m.stats is m.stats  # derived once
+    for name in ("c2", "trace1", "trace2", "trace_gap", "tr_c1c1", "tr_c1c2", "tr_c2c2",
+                 "sq_trace_gap", "mean_gap", "mean_gap_sq", "mean_gap_quad", "tau"):
+        assert not hasattr(m, name), name
 
 
 @pytest.fixture
@@ -269,6 +282,30 @@ def test_dense_toeplitz_takes_the_eigenvalue_test():
         MixtureModel(p, np.zeros(p), np.zeros(p), indefinite, np.eye(p), c1=0.5)
 
 
+def rotated(eigenvalues, seed):
+    """An exactly symmetric matrix with the given eigenvalues, to rounding,
+    in a random orthonormal basis."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(eigenvalues),) * 2))
+    c = (q * eigenvalues) @ q.T
+    return 0.5 * (c + c.T)
+
+
+@pytest.mark.parametrize("ratio, accepted", [(-0.5e-10, True), (-2e-10, False)])
+def test_eigenvalue_rule_holds_at_its_boundary(ratio, accepted):
+    # The rule refuses a smallest eigenvalue below -1e-10 times the spectral
+    # norm, here 1.  eigvalsh's error on these eigenvalues is about
+    # p eps = 1.3e-15, below 1e-4 of either case's distance from the boundary.
+    p = 6
+    C = rotated(np.array([ratio, 0.1, 0.3, 0.5, 0.8, 1.0]), seed=p)
+    assert np.linalg.eigvalsh(C)[0] == pytest.approx(ratio, abs=1e-14)
+    args = (p, np.zeros(p), np.zeros(p), np.eye(p), C)
+    if accepted:
+        MixtureModel(*args, c1=0.5)
+    else:
+        with pytest.raises(ValueError, match="cov2 has eigenvalue"):
+            MixtureModel(*args, c1=0.5)
+
+
 AR1 = st.tuples(st.floats(0.0, 0.9), st.floats(0.1, 10.0))  # (rho, scale)
 
 
@@ -295,10 +332,11 @@ def test_closed_form_traces_match_dense(p, a, b, spikes, dense_mean, seed):
     assert A.tr_prod(A) == pytest.approx(float(np.vdot(dA, dA)), rel=1e-12)
     assert A.quad(x) == pytest.approx(float(x @ dA @ x), rel=1e-12, abs=1e-300)
     m = MixtureModel(p, np.zeros(p), x, A, B, c1=0.5)
-    assert m.mean_gap_quad == pytest.approx((x @ dA @ x, x @ dB @ x), rel=1e-12, abs=1e-300)
+    assert m.stats.mean_gap_quad == pytest.approx((x @ dA @ x, x @ dB @ x), rel=1e-12, abs=1e-300)
     # tr((B - A)^2) cancels when A and B are close: held to the size of its terms
     scale = float(np.vdot(dA, dA) + np.vdot(dB, dB))
-    assert m.sq_trace_gap == pytest.approx(float(np.vdot(dB - dA, dB - dA)), abs=1e-12 * scale)
+    assert m.stats.sq_trace_gap == pytest.approx(float(np.vdot(dB - dA, dB - dA)),
+                                                 abs=1e-12 * scale)
 
 
 # Identity-class blocks of each shipped config's base-seed draw, as sampled
@@ -341,7 +379,7 @@ def test_shipped_config_draws_match_the_dense_root_sampler(name):
 
     omega = dense_root_latents(model, n1, n2, doc["base_seed"])
     means = np.where((ds.labels < 0)[None, :], model.mu1[:, None], model.mu2[:, None])
-    traces = np.where(ds.labels < 0, model.trace1, model.trace2)
+    traces = np.where(ds.labels < 0, model.stats.trace1, model.stats.trace2)
     psi = np.einsum("ij,ij->j", omega, omega) - traces / p
     assert np.array_equal(ds.X[:, :n1], means[:, :n1] + np.sqrt(p) * omega[:, :n1])
     # the correlated class (rho = 0.4 in every shipped config) is drawn by
@@ -395,7 +433,7 @@ def test_theory_of_shape_only_model_needs_no_eigendecomposition(eigh_calls):
     # the body of acceptance claim C01
     m = shape_only_model(512)
     for fp in (-1.0, 0.0, 1.0):
-        gaussian_stats(m, 1024, 1024, 1.0, shape_kernel(m, fprime=fp))
+        gaussian_stats(m.stats, 1024, 1024, 1.0, shape_kernel(m, fprime=fp))
     assert eigh_calls == []
 
 
@@ -415,6 +453,26 @@ def test_identity_sampling_needs_no_eigendecomposition(eigh_calls):
     assert eigh_calls == [(p, p)]  # once, for the correlated class
     sample(model_from_spec(spec), 3, 3, seed=7)
     assert eigh_calls == [(p, p)]  # a second model of the same spec reuses the root
+
+
+def test_dense_covariances_are_decomposed_at_the_first_draw_only(eigh_calls):
+    p, n1, n2 = 24, 7, 17
+    covs = rotated(np.linspace(0.0, 2.0, p), seed=1), rotated(np.linspace(0.5, 1.5, p), seed=2)
+    mu2 = np.full(p, 0.25)
+    m = MixtureModel(p, np.zeros(p), mu2, *covs, c1=0.3)
+    gaussian_stats(m.stats, n1, n2, 1.0, RBF_UNIT)
+    assert eigh_calls == []  # build and theory
+    X = sample(m, n1, n2, seed=9).X
+    assert eigh_calls == [(p, p), (p, p)]
+    sample(m, n1, n2, seed=10)
+    assert len(eigh_calls) == 2
+    # the draw as sample makes it, through the root of the test's own eigh
+    rng, sqrt_p = np.random.default_rng(9), np.sqrt(p)
+    expected = [
+        _root(*np.linalg.eigh(C)) @ rng.standard_normal((p, k)) / sqrt_p * sqrt_p + mu[:, None]
+        for C, k, mu in ((covs[0], n1, np.zeros(p)), (covs[1], n2, mu2))
+    ]
+    assert np.array_equal(X, np.hstack(expected))
 
 
 def test_sweep_factors_its_shared_covariance_once(eigh_calls):
@@ -449,7 +507,7 @@ def test_million_dimension_prediction_stays_linear_in_p():
     tracemalloc.start()
     try:
         m = model_from_spec(spec, p=p)
-        stats = gaussian_stats(m, 256, 256, 1.0, shape_kernel(m, fprime=1.0))
+        stats = gaussian_stats(m.stats, 256, 256, 1.0, shape_kernel(m, fprime=1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -71,7 +71,7 @@ def test_estimate_tau_consistency():
     bad = 0
     for seed in range(20):
         ds = sample(model, n // 4, n - n // 4, seed=seed)
-        if abs(estimate_tau(ds.X) - model.tau) >= 0.05:
+        if abs(estimate_tau(ds.X) - model.stats.tau) >= 0.05:
             bad += 1
     assert bad == 0
 
@@ -82,7 +82,7 @@ def test_estimate_tau_consistency():
 def test_informative_term_identical_classes():
     p = 16
     m = MixtureModel(p, np.ones(p), np.ones(p), np.eye(p), np.eye(p), c1=0.3)
-    assert informative_term(m, RBF_UNIT) == 0.0
+    assert informative_term(m.stats, RBF_UNIT) == 0.0
 
 
 def test_informative_term_dense_oracle():
@@ -92,7 +92,7 @@ def test_informative_term_dense_oracle():
     profile = shape_kernel(m, fprime=0.0, fsecond=2.0)
     dC = m.cov2 - np.eye(p)
     expected = 4.0 / p**2 * float(np.trace(dC @ dC))
-    assert informative_term(m, profile) == pytest.approx(expected, rel=1e-12)
+    assert informative_term(m.stats, profile) == pytest.approx(expected, rel=1e-12)
 
 
 def test_informative_term_general_dense_oracle():
@@ -102,7 +102,7 @@ def test_informative_term_general_dense_oracle():
     cov2 = A @ A.T / p + np.eye(p)
     m = MixtureModel(p, rng.standard_normal(p), rng.standard_normal(p), np.eye(p), cov2, c1=0.4)
     profile = GaussianKernel(0.8)
-    f, fp, fpp = profile.derivatives(m.tau)
+    f, fp, fpp = profile.derivatives(m.stats.tau)
     dmu = m.mu2 - m.mu1
     dC = cov2 - np.eye(p)
     expected = (
@@ -110,7 +110,7 @@ def test_informative_term_general_dense_oracle():
         + fpp / p**2 * float(np.trace(dC)) ** 2
         + 2 * fpp / p**2 * float(np.trace(dC @ dC))
     )
-    assert informative_term(m, profile) == pytest.approx(expected, rel=1e-10)
+    assert informative_term(m.stats, profile) == pytest.approx(expected, rel=1e-10)
 
 
 def test_informative_term_mean_only_reduction():
@@ -122,8 +122,8 @@ def test_informative_term_mean_only_reduction():
         mu2 = np.zeros(p)
         mu2[0] = spike
         m = MixtureModel(p, mu1, mu2, np.eye(p), np.eye(p), c1=0.5)
-        profile = TaylorKernel(anchor=m.tau, f0=4.0, f1=-1.5, f2=0.0)
-        vals.append(informative_term(m, profile))
+        profile = TaylorKernel(anchor=m.stats.tau, f0=4.0, f1=-1.5, f2=0.0)
+        vals.append(informative_term(m.stats, profile))
         assert vals[-1] == pytest.approx(2 * 1.5 / p * spike**2, rel=1e-12)
     assert vals[1] == pytest.approx(4 * vals[0], rel=1e-12)
 
@@ -167,7 +167,7 @@ def test_noise_term_dense_oracle():
     psi_x = (omega_x**2).sum(axis=0) - np.array([m.cov1.trace(), m.cov2.trace()]) / p
     profile = GaussianKernel(1.3)
 
-    f, fp, fpp = profile.derivatives(m.tau)
+    f, fp, fpp = profile.derivatives(m.stats.tau)
     c1, c2 = 2 / 6, 4 / 6
     P = np.eye(n) - np.ones((n, n)) / n
     y = ds.labels.astype(float)
@@ -214,7 +214,7 @@ def test_random_equivalent_class_gap():
     gamma = 1.7
     g1, g2 = random_equivalent(ds, LatentDataset(X, np.array([-1.0, 1.0]), m), gamma, RBF_UNIT)
     c1, c2 = 6 / 16, 10 / 16
-    D = informative_term(m, RBF_UNIT)
+    D = informative_term(m.stats, RBF_UNIT)
     assert g2 - g1 == pytest.approx(gamma * 2 * c1 * c2 * D, rel=1e-10)
 
 
@@ -225,7 +225,7 @@ def test_random_equivalent_without_noise_is_the_predicted_class_mean():
     ds = sample(m, 6, 18, seed=10)
     labels = [-1, -1, 1, 1, 1]
     got = random_equivalent(ds, at_class_means(m, labels), 1.3, RBF_UNIT)
-    st = gaussian_stats(m, 6, 18, 1.3, RBF_UNIT)
+    st = gaussian_stats(m.stats, 6, 18, 1.3, RBF_UNIT)
     assert st.E1 != st.E2
     assert np.array_equal(got, [st.E1, st.E1, st.E2, st.E2, st.E2])
 
@@ -236,9 +236,9 @@ def test_random_equivalent_without_noise_is_the_predicted_class_mean():
 def test_gaussian_stats_identical_classes():
     p = 16
     m = MixtureModel(p, np.ones(p), np.ones(p), np.eye(p), np.eye(p), c1=0.25)
-    st = gaussian_stats(m, n1=16, n2=48, gamma=1.0, profile=RBF_UNIT)
+    st = gaussian_stats(m.stats, n1=16, n2=48, gamma=1.0, profile=RBF_UNIT)
     assert st.D == 0.0
-    assert st.E1 == st.E2 == m.c2 - m.c1
+    assert st.E1 == st.E2 == m.stats.c2 - m.c1
     assert st.v1 == (0.0, 0.0)
     assert st.v2 == (0.0, 0.0)
     assert st.Var1 == st.Var2 > 0
@@ -247,8 +247,8 @@ def test_gaussian_stats_identical_classes():
 def test_gaussian_stats_internal_identities():
     m = skew_model(64)
     gamma = 1.3
-    st = gaussian_stats(m, n1=32, n2=96, gamma=gamma, profile=RBF_UNIT)
-    c1, c2 = m.c1, m.c2
+    st = gaussian_stats(m.stats, n1=32, n2=96, gamma=gamma, profile=RBF_UNIT)
+    c1, c2 = m.c1, m.stats.c2
     # mean gap identity and variance assembly
     assert st.E2 - st.E1 == pytest.approx(2 * c1 * c2 * gamma * st.D, rel=1e-12)
     for var, (w1, w2, w3) in ((st.Var1, (st.v1[0], st.v2[0], st.v3[0])),
@@ -262,7 +262,7 @@ def test_gaussian_stats_internal_identities():
 def test_gaussian_stats_fisher_identities():
     m = skew_model(32)
     gamma = 0.8
-    st = gaussian_stats(m, n1=8, n2=24, gamma=gamma, profile=RBF_UNIT, convention="fisher")
+    st = gaussian_stats(m.stats, n1=8, n2=24, gamma=gamma, profile=RBF_UNIT, convention="fisher")
     assert st.bias == 0.0
     assert st.E2 - st.E1 == pytest.approx(gamma * st.D, rel=1e-12)
     assert st.Var1 == pytest.approx(
@@ -273,25 +273,25 @@ def test_gaussian_stats_fisher_identities():
 @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
 def test_gaussian_stats_rejects_bad_gamma(gamma):
     with pytest.raises(ValueError, match="gamma"):
-        gaussian_stats(skew_model(16), 8, 24, gamma, RBF_UNIT)
+        gaussian_stats(skew_model(16).stats, 8, 24, gamma, RBF_UNIT)
 
 
 def test_gaussian_stats_names_an_empty_class():
     with pytest.raises(ValueError, match="need a training point of each class, got 0 \\+ 32"):
-        gaussian_stats(skew_model(16), 0, 32, 1.0, RBF_UNIT)
+        gaussian_stats(skew_model(16).stats, 0, 32, 1.0, RBF_UNIT)
 
 
 def test_reduced_fields_do_not_depend_on_gamma():
     m = skew_model(64)
-    a = gaussian_stats(m, 32, 96, 0.1, RBF_UNIT)
-    b = gaussian_stats(m, 32, 96, 10.0, RBF_UNIT)
+    a = gaussian_stats(m.stats, 32, 96, 0.1, RBF_UNIT)
+    b = gaussian_stats(m.stats, 32, 96, 10.0, RBF_UNIT)
     assert (a.e1, a.e2, a.s1, a.s2, a.bias) == (b.e1, b.e2, b.s1, b.s2, b.bias)
 
 
 def test_v3_halves_when_n_doubles():
     m = balanced_model(48)
-    a = gaussian_stats(m, n1=50, n2=50, gamma=1.0, profile=RBF_UNIT)
-    b = gaussian_stats(m, n1=100, n2=100, gamma=1.0, profile=RBF_UNIT)
+    a = gaussian_stats(m.stats, n1=50, n2=50, gamma=1.0, profile=RBF_UNIT)
+    b = gaussian_stats(m.stats, n1=100, n2=100, gamma=1.0, profile=RBF_UNIT)
     assert b.v3[0] == a.v3[0] / 2 and b.v3[1] == a.v3[1] / 2  # exact halving
     assert b.v1 == a.v1 and b.v2 == a.v2
 
@@ -327,7 +327,7 @@ def test_error_rates_shape_only_zero_error_point():
     # separation stays positive, so the weighted error is exactly zero
     m = shape_only_model(512)
     profile = shape_kernel(m, fprime=0.0)
-    st = gaussian_stats(m, n1=1024, n2=1024, gamma=1.0, profile=profile)
+    st = gaussian_stats(m.stats, n1=1024, n2=1024, gamma=1.0, profile=profile)
     assert st.Var1 == st.Var2 == 0.0 and st.D > 0
     th, eps1, eps2, w = at_threshold(st, "optimal").values()
     assert w == 0.0 and st.E1 < th < st.E2
@@ -338,7 +338,7 @@ def test_error_rates_shape_only_reference_value():
     # threshold lands near 0.3578586, the zero-threshold value exactly
     m = shape_only_model(512)
     profile = shape_kernel(m, fprime=-1.0)
-    st = gaussian_stats(m, n1=1024, n2=1024, gamma=1.0, profile=profile)
+    st = gaussian_stats(m.stats, n1=1024, n2=1024, gamma=1.0, profile=profile)
     _, _, _, w_opt = at_threshold(st, "optimal").values()
     assert w_opt == pytest.approx(0.3578586, abs=1e-2)
     _, _, w_zero = error_rates(st, 0.0)
@@ -374,7 +374,7 @@ def test_stationary_points_match_an_80_digit_evaluation():
     doc["kernel"]["sigma2"] = 32.0
     config = config_from_dict(doc)
     model = model_from_spec(config.model)
-    st = gaussian_stats(model, *class_split(config.n, model.c1), config.gamma,
+    st = gaussian_stats(model.stats, *class_split(config.n, model.c1), config.gamma,
                         resolve_kernel(config.kernel, model))
     e1, s1, e2, s2, c1, c2 = st.e1, st.s1, st.e2, st.s2, st.c1, st.c2
     # the quadratic's coefficients as _stationary_points forms them
@@ -410,7 +410,7 @@ def test_optimal_threshold_flat_case_attains_grid_min():
 @pytest.mark.parametrize("c1", [0.25, 0.5, 0.62])
 def test_optimal_threshold_beats_grid_search(c1):
     m = skew_model(128, c1=c1)
-    st = gaussian_stats(m, *class_split(256, c1), gamma=1.0, profile=RBF_UNIT)
+    st = gaussian_stats(m.stats, *class_split(256, c1), gamma=1.0, profile=RBF_UNIT)
     th, _, _, w = at_threshold(st, "optimal").values()
     lo = st.E1 - 6 * np.sqrt(st.Var1)
     hi = st.E2 + 6 * np.sqrt(st.Var2)
@@ -505,7 +505,7 @@ def test_gamma_invariance_of_optimal_error():
         profile = GaussianKernel(float(rng.uniform(0.25, 4.0)))
         outcomes = []
         for gamma in (0.1, 1.0, 10.0):
-            st = gaussian_stats(m, *class_split(n, m.c1), gamma, profile)
+            st = gaussian_stats(m.stats, *class_split(n, m.c1), gamma, profile)
             outcomes.append(at_threshold(st, "optimal")["weighted"])
         assert abs(outcomes[0] - outcomes[1]) <= 1e-12
         assert abs(outcomes[2] - outcomes[1]) <= 1e-12
@@ -517,7 +517,7 @@ def test_gamma_invariance_of_composed_pipeline():
     profile = RBF_UNIT
     vals = []
     for gamma in (0.1, 1.0, 10.0):
-        st = gaussian_stats(m, 48, 144, gamma, profile)
+        st = gaussian_stats(m.stats, 48, 144, gamma, profile)
         th = optimal_threshold(st)
         vals.append(error_rates(st, th)[2])
     assert abs(vals[0] - vals[1]) <= 1e-12
@@ -531,8 +531,8 @@ def test_label_convention_consistency():
         m = _random_reasonable_model(rng)
         n = 128
         profile = GaussianKernel(1.0)
-        std = gaussian_stats(m, *class_split(n, m.c1), 1.0, profile)
-        fis = gaussian_stats(m, *class_split(n, m.c1), 1.0, profile, convention="fisher")
+        std = gaussian_stats(m.stats, *class_split(n, m.c1), 1.0, profile)
+        fis = gaussian_stats(m.stats, *class_split(n, m.c1), 1.0, profile, convention="fisher")
         xi = optimal_threshold(fis)
         w_fisher = error_rates(fis, xi)[2]
         w_standard = error_rates(std, 2 * std.c1 * std.c2 * xi + (std.c2 - std.c1))[2]
@@ -546,8 +546,8 @@ def test_curvature_sign_flip_never_helps():
     for p, boost in ((64, 2.0), (128, 0.0), (96, 4.0)):
         m = balanced_model(p, spike=1.0, boost=boost)
         for fsecond in (0.5, 1.0, 2.0):
-            up = gaussian_stats(m, 64, 64, 1.0, shape_kernel(m, -1.0, fsecond))
-            down = gaussian_stats(m, 64, 64, 1.0, shape_kernel(m, -1.0, -fsecond))
+            up = gaussian_stats(m.stats, 64, 64, 1.0, shape_kernel(m, -1.0, fsecond))
+            down = gaussian_stats(m.stats, 64, 64, 1.0, shape_kernel(m, -1.0, -fsecond))
             assert abs(down.D) <= abs(up.D) + 1e-15
             assert down.Var1 == up.Var1 and down.Var2 == up.Var2
             w_up = at_threshold(up, "optimal")["weighted"]
