@@ -31,7 +31,7 @@ import numpy as np
 
 from . import experiments, kernels, mnist, theory
 from .errors import DataError, NumericalFailure
-from .mixture import mix64, model_from_spec
+from .mixture import load_npy, mix64, model_from_spec
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,7 +94,7 @@ def cmd_histogram(args):
     config = _config(args, _load_config(args.config))
     model, profile, n, _, _ = experiments.grid_point(config)
     result = experiments.run_histogram(
-        model, n, config.gamma, profile, "standard", config.n_test, config.trials, config.base_seed
+        model, n, config.gamma, profile, config.n_test, config.trials, config.base_seed
     )
     out = result.summary()
     if args.full:
@@ -125,7 +125,8 @@ def cmd_estimate_tau(args):
     path = Path(args.data)
     with warnings.catch_warnings():  # an empty file is reported below, in one line
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        X = np.load(path) if path.suffix == ".npy" else np.loadtxt(path, delimiter=",", ndmin=2)
+        X = (load_npy(path, "data") if path.suffix in (".npy", ".npz")
+             else np.loadtxt(path, delimiter=",", ndmin=2))
     _emit({"tau": theory.estimate_tau(X), "p": X.shape[0], "n": X.shape[1]}, args)
     return 0
 

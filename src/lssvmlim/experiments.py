@@ -85,10 +85,10 @@ def _draw(source, n1, n2, m1, m2, seed):
     return tuple(SimpleNamespace(X=X[:, i], labels=labels[i]) for i in (train, test))
 
 
-def _trial(source, n1, n2, m1, m2, gamma, profile, convention, seed):
+def _trial(source, n1, n2, m1, m2, gamma, profile, seed):
     """One trial, drawn by :func:`_draw`: ``(train_set, test_set, test scores)``."""
     train_set, test_set = _draw(source, n1, n2, m1, m2, seed)
-    fitted = TrainedModel.fit(train_set.X, train_set.labels, gamma, profile, convention)
+    fitted = TrainedModel.fit(train_set.X, train_set.labels, gamma, profile)
     return train_set, test_set, fitted.decide_many(test_set.X)
 
 
@@ -102,7 +102,7 @@ def empirical_error(source, n1, n2, n_test, gamma, profile, threshold, seed):
     ``c1 eps1 + c2 eps2`` at the training proportions c1 : c2 = n1 : n2.
     """
     m1, m2 = class_split(n_test, n1 / (n1 + n2))
-    _, test_set, scores = _trial(source, n1, n2, m1, m2, gamma, profile, "standard", seed)
+    _, test_set, scores = _trial(source, n1, n2, m1, m2, gamma, profile, seed)
     assigned = classify(scores, threshold)
     class1 = test_set.labels < 0
     eps1 = float(np.mean(assigned[class1] != 1))
@@ -346,14 +346,14 @@ def _ks_distance(scores, mean, sd) -> float:
     return float(max((i / F.size - F).max(), (F - (i - 1) / F.size).max()))
 
 
-def run_histogram(model, n, gamma, profile, convention, n_test, trials, seed) -> HistogramResult:
+def run_histogram(model, n, gamma, profile, n_test, trials, seed) -> HistogramResult:
     """Pool decision scores of fresh test points (n_test per class per trial)
     over independently trained models, with the per-class Gaussian prediction
     and a one-sample Kolmogorov-Smirnov distance against it."""
     n1, n2 = class_split(n, model.c1)
-    stats = gaussian_stats(model.stats, n1, n2, gamma, profile, convention)  # checks the kernel
+    stats = gaussian_stats(model.stats, n1, n2, gamma, profile)  # checks the kernel
     blocks = [
-        _trial(model, n1, n2, n_test, n_test, gamma, profile, convention, mix64(seed, t))[2]
+        _trial(model, n1, n2, n_test, n_test, gamma, profile, mix64(seed, t))[2]
         for t in range(trials)
     ]
     scores1 = np.concatenate([b[:n_test] for b in blocks])
@@ -388,11 +388,11 @@ def run_convergence(model_factory, gamma, profile, sizes, trials, base_seed, n_p
         prof = profile(model) if callable(profile) else profile
         n1, n2 = class_split(n, model.c1)
         m1, m2 = class_split(n_points, model.c1)
-        gaussian_stats(model.stats, n1, n2, gamma, prof, "standard")  # checks the kernel
+        gaussian_stats(model.stats, n1, n2, gamma, prof)  # checks the kernel
         gaps = []
         for t in range(trials):
             train_set, test_set, g = _trial(
-                model, n1, n2, m1, m2, gamma, prof, "standard", mix64(base_seed, si * trials + t)
+                model, n1, n2, m1, m2, gamma, prof, mix64(base_seed, si * trials + t)
             )
             gaps.append(n * np.abs(g - random_equivalent(train_set, test_set, gamma, prof)))
         gaps = np.concatenate(gaps)

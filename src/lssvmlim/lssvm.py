@@ -115,7 +115,8 @@ def train(gram: Gram | np.ndarray, labels: np.ndarray, gamma: float):
     gram : (n, n) symmetric kernel matrix, a :class:`~lssvmlim.kernels.Gram`
         or a dense square array; left unchanged.  It is read through
         ``gram @`` only, unless the system has to be decomposed.
-    labels : n-vector with both classes present (+-1 or normalized values).
+    labels : n-vector of targets with both classes present: +-1 labels, or
+        the zero-sum targets of :func:`normalize_labels`.
     gamma : positive regularization factor.
 
     Returns
@@ -190,16 +191,11 @@ class TrainedModel:
     bias: float
 
     @classmethod
-    def fit(cls, X, labels, gamma, profile, convention="standard"):
-        """Train on the columns of ``X`` with +-1 ``labels``, as targets
-        under ``convention``: "standard" (+-1) or "fisher" (-n/n1, n/n2)."""
-        if convention not in ("standard", "fisher"):
-            raise ValueError(f"unknown label convention: {convention!r}")
-        y = np.asarray(labels, dtype=float)
-        if convention == "fisher":
-            y = normalize_labels(y)
-        K = gram_matrix(X, profile)
-        alpha, bias = train(K, y, gamma)
+    def fit(cls, X, labels, gamma, profile):
+        """Train on the columns of ``X`` with the targets ``labels``, as
+        :func:`train` does: +-1 labels, or the zero-sum targets of
+        :func:`normalize_labels`."""
+        alpha, bias = train(gram_matrix(X, profile), labels, gamma)
         return cls(X=np.asarray(X, dtype=float), profile=profile, alpha=alpha, bias=bias)
 
     @property

@@ -397,6 +397,19 @@ def _parse_mean_spec(spec, p, name):
     return np.asarray(spec, dtype=float)
 
 
+def load_npy(path, name):
+    """The one real array in the ``.npy`` file at ``path``; an ``.npz``
+    archive, or an array of complex values, strings, dates or records, is
+    refused as a ``DataError`` naming ``name``."""
+    loaded = np.load(path)
+    if not isinstance(loaded, np.ndarray):  # an .npz archive
+        loaded.close()
+        raise DataError(f"{name}: {path} is an archive, not one array")
+    if loaded.dtype.kind not in "biuf":  # booleans, integers and floats
+        raise DataError(f"{name}: {path} holds {loaded.dtype} values, not real numbers")
+    return loaded
+
+
 def _parse_cov_spec(spec, p, name):
     if isinstance(spec, str):
         s = spec.strip()
@@ -411,11 +424,7 @@ def _parse_cov_spec(spec, p, name):
             return ToeplitzCov(rho, 1.0 + boost / np.sqrt(p), p)
         raise ValueError(f"unknown covariance spec: {spec!r}")
     if isinstance(spec, dict) and "file" in spec:
-        loaded = np.load(spec["file"])
-        if not isinstance(loaded, np.ndarray):  # an .npz archive
-            loaded.close()
-            raise DataError(f"{name}: {spec['file']} is an archive, not one array")
-        return loaded
+        return load_npy(spec["file"], name)
     return np.asarray(spec, dtype=float)
 
 

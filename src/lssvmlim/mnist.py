@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .mixture import MixtureStats, mixture_stats
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
+_CHUNK = 1 << 24  # bytes per read
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,10 +35,6 @@ class ImageDataset:
 
     images: np.ndarray
     labels: np.ndarray
-
-    @property
-    def p(self):
-        return self.images.shape[0]
 
 
 def _open_maybe_gzip(path):
@@ -48,7 +46,15 @@ def _open_maybe_gzip(path):
 
 
 def _read_exact(fh, size, path):
-    buf = fh.read(size)
+    """The next ``size`` bytes of ``fh``, read a chunk at a time, so that a
+    header asking for more than the file holds allocates only what it holds;
+    a short file or a truncated or corrupt gzip stream is a ``DataError``."""
+    buf = bytearray()
+    try:
+        while len(buf) < size and (chunk := fh.read(min(size - len(buf), _CHUNK))):
+            buf += chunk
+    except (EOFError, zlib.error) as exc:
+        raise DataError(f"{path}: {exc}") from exc
     if len(buf) != size:
         raise DataError(f"{path}: expected {size} more bytes, got {len(buf)}")
     return buf
@@ -60,6 +66,8 @@ def load_idx(images_path, labels_path) -> ImageDataset:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path))
         if magic != IMAGES_MAGIC:
             raise DataError(f"{images_path}: magic 0x{magic:08x}, expected 0x{IMAGES_MAGIC:08x}")
+        if count * rows * cols == 0:
+            raise DataError(f"{images_path}: {count} images of {rows} x {cols} pixels hold no pixels")
         raw = _read_exact(fh, count * rows * cols, images_path)
     with _open_maybe_gzip(labels_path) as fh:
         magic, label_count = struct.unpack(">II", _read_exact(fh, 8, labels_path))
@@ -160,12 +168,12 @@ def add_white_noise(data: ImageDataset, snr_db, seed) -> ImageDataset:
     """Add i.i.d. zero-mean Gaussian pixel noise at the given SNR.
 
     Signal power is the mean squared pixel value of ``data``, and the noise
-    variance is ``P_signal * 10**(-snr_db / 10)``; ``snr_db=None`` (or +inf)
-    returns the dataset unchanged, and a huge finite SNR adds zero noise.
+    variance is ``P_signal * 10**(-snr_db / 10)``; ``snr_db = +inf`` returns
+    the dataset unchanged, and a huge finite SNR adds zero noise.
     An SNR whose noise variance is not finite (NaN, -inf, a huge negative
     value) raises ``ValueError``.
     """
-    if snr_db is None or snr_db == np.inf:
+    if snr_db == np.inf:
         return data
     try:
         noise_var = _mean_square(data.images) * 10.0 ** (-float(snr_db) / 10.0)

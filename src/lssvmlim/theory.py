@@ -125,7 +125,6 @@ class TheoryStats:
     tau: float
     D: float
     gamma: float
-    label_convention: str
     c1: float
     c2: float
     bias: float
@@ -166,7 +165,7 @@ class TheoryStats:
             "tau": self.tau,
             "D": self.D,
             "gamma": self.gamma,
-            "label_convention": self.label_convention,
+            "label_convention": "standard",
             "E1": self.E1,
             "E2": self.E2,
             "Var1": self.Var1,
@@ -177,8 +176,8 @@ class TheoryStats:
         }
 
 
-def gaussian_stats(stats: MixtureStats, n1: int, n2: int, gamma: float, profile: KernelProfile,
-                   convention: str = "standard") -> TheoryStats:
+def gaussian_stats(stats: MixtureStats, n1: int, n2: int, gamma: float,
+                   profile: KernelProfile) -> TheoryStats:
     """Asymptotic Gaussian parameters of the decision score per class.
 
     With the variance pieces (a = 1, 2 indexing the test class)
@@ -187,21 +186,19 @@ def gaussian_stats(stats: MixtureStats, n1: int, n2: int, gamma: float, profile:
         V2_a = 2 f'(tau)^2 (mu2 - mu1)' C_a (mu2 - mu1) / p^2
         V3_a = (2 f'(tau)^2 / (n p^2)) (tr(C1 C_a)/c1 + tr(C2 C_a)/c2)
 
-    zero-sum normalized labels ("fisher") give
+    the zero-sum targets of :func:`~lssvmlim.lssvm.normalize_labels` give
 
         E*_1 = -c2 gamma D,   E*_2 = c1 gamma D,
         Var*_a = 2 gamma^2 (V1_a + V2_a + V3_a),
 
-    and standard +-1 labels give the zero-sum score under the map
-    ``g -> (c2 - c1) + 2 c1 c2 g``: bias ``c2 - c1``, means scaled by
-    ``k = 2 c2 c1`` and variances by ``k^2``.
+    and +-1 labels, which every prediction is made for, give the zero-sum
+    score under the map ``g -> (c2 - c1) + 2 c1 c2 g``: bias ``c2 - c1``,
+    means scaled by ``k = 2 c2 c1`` and variances by ``k^2``.
 
     c1 = n1/n and c2 = n2/n are the proportions of the ``n = n1 + n2``
     training points, since a trained score centres at (n2 - n1)/n; tau is
     ``stats.tau``.  ``gamma`` must be finite and positive.
     """
-    if convention not in ("standard", "fisher"):
-        raise ValueError(f"unknown label convention: {convention!r}")
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if min(n1, n2) < 1:
@@ -222,14 +219,13 @@ def gaussian_stats(stats: MixtureStats, n1: int, n2: int, gamma: float, profile:
             v2 = tuple(2.0 * fp**2 / p**2 * quad for quad in stats.mean_gap_quad)
             v3 = tuple(2.0 * fp**2 / (n * p**2) * (t1 / c1 + t2 / c2) for t1, t2 in tr_cross)
 
-            # the zero-sum statistics, mapped to the convention's scores
-            k, bias = (2.0 * c2 * c1, c2 - c1) if convention == "standard" else (1.0, 0.0)
+            # the zero-sum statistics, mapped to the scores of +-1 labels
+            k, bias = 2.0 * c2 * c1, c2 - c1
             e1, e2, var_scale = -k * c2 * D, k * c1 * D, 2.0 * k**2
             result = TheoryStats(
                 tau=tau,
                 D=D,
                 gamma=float(gamma),
-                label_convention=convention,
                 c1=c1,
                 c2=c2,
                 bias=bias,

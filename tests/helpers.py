@@ -1,4 +1,8 @@
-"""Shared builders for the synthetic mixture families used across tests."""
+"""Shared builders for the synthetic mixture families and the malformed
+IDX files used across tests."""
+
+import gzip
+import struct
 
 import numpy as np
 
@@ -46,3 +50,28 @@ def shape_kernel(model, fprime, fsecond=2.0, f0=4.0):
 
 
 RBF_UNIT = GaussianKernel(1.0)
+
+
+def _images_header(count, rows, cols):
+    return struct.pack(">IIII", 0x00000803, count, rows, cols)
+
+
+_GZIPPED = gzip.compress(_images_header(4, 2, 2) + bytes(range(16)), mtime=0)
+
+# the bytes of malformed IDX image files
+MALFORMED_IDX = {
+    "zero-pixels": _images_header(4, 0, 28),
+    "huge-header": _images_header(2**32 - 1, 2**32 - 1, 2**32 - 1),
+    "overstated-size": _images_header(4, 65535, 65535) + bytes(64),
+    "truncated-gzip": _GZIPPED[:-12],  # cut inside the compressed data
+    "corrupt-gzip": _GZIPPED[:12] + bytes([_GZIPPED[12] ^ 0xFF]) + _GZIPPED[13:],
+}
+
+
+def malformed_idx_pair(tmp_path, case):
+    """Paths of the image file ``MALFORMED_IDX[case]`` and of a valid label
+    file of four images, digits 8, 8, 9 and 9."""
+    ip, lp = tmp_path / "imgs.idx", tmp_path / "labs.idx"
+    ip.write_bytes(MALFORMED_IDX[case])
+    lp.write_bytes(struct.pack(">II", 0x00000801, 4) + bytes([8, 8, 9, 9]))
+    return ip, lp

@@ -26,7 +26,7 @@ from lssvmlim.experiments import (
     run_histogram,
 )
 from lssvmlim.kernels import GaussianKernel, PolynomialKernel, TaylorKernel
-from lssvmlim.lssvm import TrainedModel, train
+from lssvmlim.lssvm import TrainedModel, normalize_labels, train
 from lssvmlim.mixture import MixtureModel, ToeplitzCov, mix64, sample
 from lssvmlim.mnist import class_stats, discrepancy_by_scaling, load_idx
 from lssvmlim.theory import error_rates, estimate_tau, gaussian_stats
@@ -157,7 +157,7 @@ def test_c06_gaussian_fit_of_scores():
     # fails.  The majority class meets the tolerances at both sizes.
     fits = {}  # (n, class) -> (z = (mean - E) / sd, SE / sd, KS)
     for n, p in ((256, 512), (1024, 2048)):
-        s = run_histogram(skew_model(p), n, 1.0, RBF_UNIT, "standard", 100, 20, seed=0).summary()
+        s = run_histogram(skew_model(p), n, 1.0, RBF_UNIT, 100, 20, seed=0).summary()
         for c in (1, 2):
             sd = np.sqrt(s[f"Var{c}"])
             fits[n, c] = ((s[f"mean_class{c}"] - s[f"E{c}"]) / sd, s[f"se_class{c}"] / sd, s[f"ks{c}"])
@@ -207,11 +207,11 @@ def test_c07_label_rescaling_identity():
         else:
             profile = TaylorKernel(float(rng.uniform(1, 3)), float(rng.uniform(1, 5)), float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
         standard = TrainedModel.fit(X, labels, gamma, profile)
-        fisher = TrainedModel.fit(X, labels, gamma, profile, convention="fisher")
+        zero_sum = TrainedModel.fit(X, normalize_labels(labels), gamma, profile)
         c1 = np.count_nonzero(labels < 0) / n
         c2 = 1 - c1
         x = rng.standard_normal(p)
-        resid = abs(standard.decide(x) - (c2 - c1) - 2 * c1 * c2 * fisher.decide(x))
+        resid = abs(standard.decide(x) - (c2 - c1) - 2 * c1 * c2 * zero_sum.decide(x))
         worst = max(worst, resid)
     assert worst < 1e-8
     report("C07", f"max identity residual {worst:.2e} < 1e-8 over 100 instances")

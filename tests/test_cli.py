@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import lssvmlim
+from helpers import MALFORMED_IDX, malformed_idx_pair
 from lssvmlim import cli, experiments, mnist
 from lssvmlim.cli import main
 from lssvmlim.errors import DataError, NumericalFailure
@@ -68,6 +69,14 @@ def test_predict_identical_classes(tmp_path, capsys):
     assert out["D"] == 0.0
     assert out["weighted"] == 0.5
     assert out["E1"] == out["E2"] == 0.0
+
+
+def test_predict_and_histogram_json_name_the_label_convention(tmp_path, capsys):
+    # perfbench's predict_cli reference compares this key
+    config = write_config(tmp_path, small_sweep_doc())
+    for command in ("predict", "histogram"):
+        assert main([command, "--config", config]) == 0
+        assert json.loads(capsys.readouterr().out)["label_convention"] == "standard"
 
 
 def test_predict_writes_file(tmp_path):
@@ -298,6 +307,15 @@ def test_mnist_stats_bad_file_is_data_error(tmp_path, capsys):
     junk.write_bytes(b"\x00\x00\x00\x00rest")
     assert main(["mnist-stats", "--images", str(junk), "--labels", str(junk)]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_IDX))
+def test_mnist_stats_malformed_idx_is_a_one_line_data_error(tmp_path, capsys, case):
+    ip, lp = malformed_idx_pair(tmp_path, case)
+    assert main(["mnist-stats", "--images", str(ip), "--labels", str(lp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lssvmlim: data error:") and captured.err.count("\n") == 1
 
 
 def small_sweep_doc(**changes):
@@ -593,28 +611,38 @@ def test_estimate_tau_empty_data_is_one_line(tmp_path, capsys, recwarn, case):
 
 
 @pytest.mark.parametrize(
-    "case", ["estimate-tau-data", "predict-cov2-file", "predict-out", "predict-cov2-npz"]
+    "case", ["estimate-tau-data", "predict-cov2-file", "predict-out", "predict-cov2-npz",
+             "predict-cov2-complex", "estimate-tau-npz", "estimate-tau-complex",
+             "estimate-tau-dates"]
 )
 def test_directory_path_is_a_one_line_data_error(tmp_path, capsys, case):
-    # and a covariance file that is an archive of arrays, not one array
-    archive = tmp_path / "cov.npz"
+    # and an .npy input that is an archive of arrays, or an array of complex
+    # values or dates, not one real array
+    archive, complex_array, dates = (tmp_path / f for f in ("cov.npz", "complex.npy", "dates.npy"))
     np.savez(archive, a=np.eye(32))
+    np.save(complex_array, np.eye(32) + 1j * np.eye(32))
+    np.save(dates, np.array([["2020-01-01", "2020-01-02"]] * 2, dtype="datetime64[D]"))
     cov2 = {
         "predict-cov2-file": {"file": str(tmp_path)},
         "predict-cov2-npz": {"file": str(archive)},
+        "predict-cov2-complex": {"file": str(complex_array)},
     }.get(case, "identity")
     config = write_config(tmp_path, small_sweep_doc(model=small_model(cov2=cov2)))
     argv = {
         "estimate-tau-data": ["estimate-tau", str(tmp_path)],
         "predict-cov2-file": ["predict", "--config", config],
         "predict-cov2-npz": ["predict", "--config", config],
+        "predict-cov2-complex": ["predict", "--config", config],
         "predict-out": ["predict", "--config", config, "--out", str(tmp_path)],
+        "estimate-tau-npz": ["estimate-tau", str(archive)],
+        "estimate-tau-complex": ["estimate-tau", str(complex_array)],
+        "estimate-tau-dates": ["estimate-tau", str(dates)],
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("lssvmlim: data error:") and captured.err.count("\n") == 1
-    if case == "predict-cov2-npz":
+    if case in ("predict-cov2-npz", "predict-cov2-complex"):
         assert "model.cov2: " in captured.err
 
 

@@ -65,11 +65,9 @@ def test_threshold_rules():
 
 
 def test_bias_rule_is_the_centre_of_the_scores():
-    # c2 - c1 under standard labels, 0 under fisher labels, whose scores
-    # centre on zero
+    # c2 - c1, where the scores of -1/+1 labels centre
     m = skew_model(64).stats
     assert resolve_threshold("bias", gaussian_stats(m, 16, 48, 1.0, RBF_UNIT)) == m.c2 - m.c1
-    assert resolve_threshold("bias", gaussian_stats(m, 16, 48, 1.0, RBF_UNIT, "fisher")) == 0.0
 
 
 BASE_SWEEP = {
@@ -245,16 +243,15 @@ def test_config_defaults_are_the_documented_ones():
 def test_histogram_identical_classes_pools_same_distribution():
     p = 24
     m = MixtureModel(p, np.zeros(p), np.zeros(p), np.eye(p), np.eye(p), c1=0.5)
-    result = run_histogram(m, n=32, gamma=1.0, profile=RBF_UNIT, convention="standard",
-                           n_test=40, trials=6, seed=3)
+    result = run_histogram(m, n=32, gamma=1.0, profile=RBF_UNIT, n_test=40, trials=6, seed=3)
     ks = scipy.stats.ks_2samp(result.scores1, result.scores2)
     assert ks.pvalue > 0.01
 
 
-def test_histogram_fisher_centers_have_opposite_signs():
+def test_histogram_balanced_centers_have_opposite_signs():
+    # at c1 = c2 the centre c2 - c1 of the scores is 0
     m = balanced_model(96)
-    result = run_histogram(m, n=96, gamma=1.0, profile=RBF_UNIT, convention="fisher",
-                           n_test=50, trials=8, seed=4)
+    result = run_histogram(m, n=96, gamma=1.0, profile=RBF_UNIT, n_test=50, trials=8, seed=4)
     assert result.stats.D > 0
     assert result.scores1.mean() < 0 < result.scores2.mean()
     assert result.stats.E1 < 0 < result.stats.E2
@@ -262,8 +259,7 @@ def test_histogram_fisher_centers_have_opposite_signs():
 
 def test_histogram_summary_fields():
     m = balanced_model(48)
-    result = run_histogram(m, n=48, gamma=1.0, profile=RBF_UNIT, convention="standard",
-                           n_test=20, trials=3, seed=5)
+    result = run_histogram(m, n=48, gamma=1.0, profile=RBF_UNIT, n_test=20, trials=3, seed=5)
     s = result.summary()
     for key in ("ks1", "ks2", "mean_class1", "se_class1", "E1", "Var2"):
         assert key in s
@@ -272,7 +268,7 @@ def test_histogram_summary_fields():
     for name, scores in (("class1", result.scores1), ("class2", result.scores2)):
         trial_means = [scores[20 * t: 20 * (t + 1)].mean() for t in range(3)]
         assert s[f"se_{name}"] == pytest.approx(np.std(trial_means, ddof=1) / np.sqrt(3), rel=1e-12)
-    single = run_histogram(m, n=48, gamma=1.0, profile=RBF_UNIT, convention="standard",
+    single = run_histogram(m, n=48, gamma=1.0, profile=RBF_UNIT,
                            n_test=20, trials=1, seed=5).summary()
     assert single["se_class1"] is None and single["se_class2"] is None
     assert np.isfinite(single["mean_class1"])
@@ -334,12 +330,12 @@ def test_histogram_and_convergence_trials_follow_the_seed_scheme(monkeypatch):
 
     m = skew_model(24)
     n, n_test, trials, base = 32, 10, 3, 11
-    hist = run_histogram(m, n, 1.0, RBF_UNIT, "fisher", n_test, trials, base)
+    hist = run_histogram(m, n, 1.0, RBF_UNIT, n_test, trials, base)
     for t in range(trials):
         s = mix64(base, t)
         train_set = sample(m, 8, 24, mix64(s, 0))
         test_set = sample(m, n_test, n_test, mix64(s, 1))
-        fitted = TrainedModel.fit(train_set.X, train_set.labels, 1.0, RBF_UNIT, "fisher")
+        fitted = TrainedModel.fit(train_set.X, train_set.labels, 1.0, RBF_UNIT)
         scores = fitted.decide_many(test_set.X)
         block = slice(t * n_test, (t + 1) * n_test)
         assert np.array_equal(hist.scores1[block], scores[:n_test])

@@ -549,12 +549,12 @@ def test_label_normalization_identity():
         gamma = float(rng.uniform(0.2, 5.0))
         profile = GaussianKernel(float(rng.uniform(0.5, 3.0)))
         standard = TrainedModel.fit(X, labels, gamma, profile)
-        fisher = TrainedModel.fit(X, labels, gamma, profile, convention="fisher")
+        zero_sum = TrainedModel.fit(X, normalize_labels(labels), gamma, profile)
         c1 = np.count_nonzero(labels < 0) / n
         c2 = 1 - c1
         x = rng.standard_normal(p)
         lhs = standard.decide(x) - (c2 - c1)
-        rhs = 2 * c1 * c2 * fisher.decide(x)
+        rhs = 2 * c1 * c2 * zero_sum.decide(x)
         assert abs(lhs - rhs) < 1e-8
 
 

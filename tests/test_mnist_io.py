@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import malformed_idx_pair
 from lssvmlim.errors import DataError
 from lssvmlim.mixture import MixtureModel, mixture_stats, sample
 from lssvmlim.mnist import (
@@ -32,7 +33,7 @@ def tiny_pair(tmp_path, pixels=None, labels=None):
 def test_crafted_two_image_file(tmp_path):
     ip, lp = tiny_pair(tmp_path)
     data = load_idx(ip, lp)
-    assert data.p == 4 and data.images.shape == (4, 2)
+    assert data.images.shape == (4, 2)
     np.testing.assert_allclose(data.images[:, 0], [0.0, 1.0, 0.0, 1.0])
     np.testing.assert_allclose(data.images[:, 1], [1.0, 0.0, 128 / 255, 64 / 255])
     np.testing.assert_array_equal(data.labels, [3, 7])
@@ -83,6 +84,22 @@ def test_truncated_file(tmp_path):
     header_only.write_bytes(ip.read_bytes()[:10])
     with pytest.raises(DataError, match="more bytes"):
         load_idx(header_only, lp)
+
+
+@pytest.mark.parametrize(
+    "case, named",
+    [("zero-pixels", "4 images of 0 x 28 pixels hold no pixels"),
+     ("huge-header", "expected 79228162458924105385300197375 more bytes, got 0"),
+     ("overstated-size", "expected 17179344900 more bytes, got 64"),
+     ("truncated-gzip", "end-of-stream marker"),
+     ("corrupt-gzip", "while decompressing data")],
+    ids=["zero-pixels", "huge-header", "overstated-size", "truncated-gzip", "corrupt-gzip"],
+)
+def test_malformed_file_is_a_data_error(tmp_path, case, named):
+    # a header is compared with what the file holds, not trusted to size a read
+    ip, lp = malformed_idx_pair(tmp_path, case)
+    with pytest.raises(DataError, match=named):
+        load_idx(ip, lp)
 
 
 def test_count_mismatch(tmp_path):
@@ -191,7 +208,6 @@ def test_discrepancy_stats_hand_example():
 
 def test_white_noise_identity_for_infinite_snr():
     data = ImageDataset(images=np.full((4, 3), 0.5), labels=np.zeros(3, dtype=int))
-    assert add_white_noise(data, None, 0) is data
     assert add_white_noise(data, np.inf, 0) is data
 
 

@@ -259,17 +259,6 @@ def test_gaussian_stats_internal_identities():
     assert st.Var1 == gamma**2 * st.s1**2
 
 
-def test_gaussian_stats_fisher_identities():
-    m = skew_model(32)
-    gamma = 0.8
-    st = gaussian_stats(m.stats, n1=8, n2=24, gamma=gamma, profile=RBF_UNIT, convention="fisher")
-    assert st.bias == 0.0
-    assert st.E2 - st.E1 == pytest.approx(gamma * st.D, rel=1e-12)
-    assert st.Var1 == pytest.approx(
-        2 * gamma**2 * (st.v1[0] + st.v2[0] + st.v3[0]), rel=1e-12
-    )
-
-
 @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
 def test_gaussian_stats_rejects_bad_gamma(gamma):
     with pytest.raises(ValueError, match="gamma"):
@@ -309,7 +298,7 @@ def _stats(e1, e2, s1, s2, bias=0.0, gamma=1.0, D=None, c1=0.5, c2=0.5):
     if D is None:
         D = e2 - e1
     return TheoryStats(
-        tau=2.0, D=D, gamma=gamma, label_convention="standard", c1=c1, c2=c2, bias=bias,
+        tau=2.0, D=D, gamma=gamma, c1=c1, c2=c2, bias=bias,
         e1=e1, e2=e2, r1=s1**2, r2=s2**2,
         v1=(0, 0), v2=(0, 0), v3=(0, 0),
     )
@@ -522,21 +511,6 @@ def test_gamma_invariance_of_composed_pipeline():
         vals.append(error_rates(st, th)[2])
     assert abs(vals[0] - vals[1]) <= 1e-12
     assert abs(vals[2] - vals[1]) <= 1e-12
-
-
-def test_label_convention_consistency():
-    # fisher error at xi equals standard error at 2 c1 c2 xi + (c2 - c1)
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        m = _random_reasonable_model(rng)
-        n = 128
-        profile = GaussianKernel(1.0)
-        std = gaussian_stats(m.stats, *class_split(n, m.c1), 1.0, profile)
-        fis = gaussian_stats(m.stats, *class_split(n, m.c1), 1.0, profile, convention="fisher")
-        xi = optimal_threshold(fis)
-        w_fisher = error_rates(fis, xi)[2]
-        w_standard = error_rates(std, 2 * std.c1 * std.c2 * xi + (std.c2 - std.c1))[2]
-        assert abs(w_fisher - w_standard) <= 1e-12
 
 
 def test_curvature_sign_flip_never_helps():
