@@ -123,10 +123,11 @@ def cmd_convergence(args):
 
 def cmd_estimate_tau(args):
     path = Path(args.data)
+    with path.open("rb") as f:  # by content, whatever the name: NumPy's magic or a zip header
+        npy = f.read(6).startswith((b"\x93NUMPY", b"PK"))
     with warnings.catch_warnings():  # an empty file is reported below, in one line
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        X = (load_npy(path, "data") if path.suffix in (".npy", ".npz")
-             else np.loadtxt(path, delimiter=",", ndmin=2))
+        X = load_npy(path, "data") if npy else np.loadtxt(path, delimiter=",", ndmin=2)
     _emit({"tau": theory.estimate_tau(X), "p": X.shape[0], "n": X.shape[1]}, args)
     return 0
 

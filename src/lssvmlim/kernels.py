@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .mixture import real
+from .mixture import naming, real
 
 _ROWS = 512  # rows of the Gram's upper triangle per block row
 _TILE = 64  # most rows per kernel-value tile, and rows and columns per mirrored block
@@ -270,14 +270,16 @@ def kernel_from_spec(spec: dict) -> KernelProfile:
     kind = spec.get("kind")
     try:
         if kind == "gaussian":
-            return GaussianKernel(real(spec["sigma2"], "kernel.sigma2"))
+            with naming("kernel.sigma2"):
+                return GaussianKernel(real(spec["sigma2"], "kernel.sigma2"))
         if kind == "polynomial":
-            return PolynomialKernel(tuple(real(c, "kernel.coeffs") for c in spec["coeffs"]))
+            with naming("kernel.coeffs"):  # also a null, or coefficients that are not a list
+                return PolynomialKernel(tuple(real(c, "kernel.coeffs") for c in spec["coeffs"]))
         if kind == "local":
-            return TaylorKernel(*(real(spec[k], f"kernel.{k}") for k in ("tau", "f", "fp", "fpp")))
+            values = [real(spec[k], f"kernel.{k}") for k in ("tau", "f", "fp", "fpp")]
+            with naming("kernel.tau, kernel.f, kernel.fp, kernel.fpp"):  # the values' order
+                return TaylorKernel(*values)
     except KeyError as exc:
         raise ValueError(f"missing key kernel.{exc.args[0]}") from None
-    except TypeError as exc:  # e.g. a null, or coefficients that are not a list
-        raise ValueError(f"kernel value of the wrong type: {exc}") from exc
     raise ValueError(f"unknown kernel kind: {kind!r}")
 

@@ -202,15 +202,9 @@ class TrainedModel:
     def p(self):
         return self.X.shape[0]
 
-    def decide(self, x) -> float:
-        """Decision score ``alpha' k(x) + bias`` of one point, as :meth:`decide_many` scores it."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.p,):
-            raise DataError(f"expected a vector of length {self.p}, got {x.shape}")
-        return float(self.decide_many(x[:, None])[0])
-
     def decide_many(self, points) -> np.ndarray:
-        """Decision scores for the columns of a ``p x m`` matrix."""
+        """Decision scores ``alpha' k(x) + bias`` for the columns ``x`` of a
+        ``p x m`` matrix; one point ``x`` is scored as ``decide_many(x[:, None])[0]``."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] != self.p:
             raise DataError(f"expected a {self.p} x m matrix, got {pts.shape}")

@@ -10,6 +10,7 @@ built from them.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -52,6 +53,19 @@ def real(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+@contextmanager
+def naming(key: str):
+    """Re-raise a ValueError, TypeError or ArithmeticError raised inside as a
+    ValueError whose message starts with the config key ``key``, as in
+    ``model.cov1: rho must lie in [0, 1), got 1.5``; a message that already
+    starts with ``key`` is kept as it is."""
+    try:
+        yield
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        message = str(exc)
+        raise ValueError(message if message.startswith(key) else f"{key}: {message}") from exc
 
 
 class ToeplitzCov:
@@ -428,6 +442,10 @@ def _parse_cov_spec(spec, p, name):
     return np.asarray(spec, dtype=float)
 
 
+_MODEL_KEYS = {"mu1": "model.mean1", "mu2": "model.mean2", "cov1": "model.cov1",
+               "cov2": "model.cov2", "c1": "model.c1"}  # config key of each MixtureModel field
+
+
 def model_from_spec(spec: dict, p: int | None = None) -> MixtureModel:
     """Build a model from its config-file form.
 
@@ -441,14 +459,23 @@ def model_from_spec(spec: dict, p: int | None = None) -> MixtureModel:
     unknown = [key for key in spec if key not in ("p", "mean1", "mean2", "cov1", "cov2", "c1")]
     if unknown:
         raise ValueError(f"unknown key model.{unknown[0]}")
+
+    def read(key, parse, *args):
+        with naming(f"model.{key}"):
+            return parse(spec[key], *args, f"model.{key}")
+
     try:
         given = whole_int(spec["p"], "model.p") if p is None or "p" in spec else None
         p = given if p is None else int(p)
-        mu1, mu2 = (_parse_mean_spec(spec[key], p, f"model.{key}") for key in ("mean1", "mean2"))
-        cov1, cov2 = (_parse_cov_spec(spec[key], p, f"model.{key}") for key in ("cov1", "cov2"))
-        c1 = real(spec["c1"], "model.c1")
+        mu1, mu2 = (read(key, _parse_mean_spec, p) for key in ("mean1", "mean2"))
+        cov1, cov2 = (read(key, _parse_cov_spec, p) for key in ("cov1", "cov2"))
+        c1 = read("c1", real)
     except KeyError as exc:
         raise ValueError(f"missing key model.{exc.args[0]}") from None
-    except (TypeError, ArithmeticError) as exc:  # e.g. an object for a mean, or a huge int
-        raise ValueError(f"model value of the wrong type or range: {exc}") from exc
-    return MixtureModel(p, mu1, mu2, cov1, cov2, c1=c1)
+    try:
+        return MixtureModel(p, mu1, mu2, cov1, cov2, c1=c1)
+    except ValueError as exc:  # MixtureModel names the field it refuses first: mu1, c1, cov2, ...
+        key = _MODEL_KEYS.get(str(exc).split(" ", 1)[0])
+        if key is None:  # not a refusal of one field, e.g. NumPy's LinAlgError
+            raise
+        raise ValueError(f"{key}: {exc}") from exc

@@ -211,7 +211,8 @@ def test_c07_label_rescaling_identity():
         c1 = np.count_nonzero(labels < 0) / n
         c2 = 1 - c1
         x = rng.standard_normal(p)
-        resid = abs(standard.decide(x) - (c2 - c1) - 2 * c1 * c2 * zero_sum.decide(x))
+        g, g_zero_sum = (m.decide_many(x[:, None])[0] for m in (standard, zero_sum))
+        resid = abs(g - (c2 - c1) - 2 * c1 * c2 * g_zero_sum)
         worst = max(worst, resid)
     assert worst < 1e-8
     report("C07", f"max identity residual {worst:.2e} < 1e-8 over 100 instances")

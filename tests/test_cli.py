@@ -175,6 +175,24 @@ def test_histogram_command(tmp_path, capsys):
         assert key in out
 
 
+def skew_histogram_doc(**changes):
+    """histogram_skew.json, with its unequal class split, at small p, n and trials."""
+    doc = json.loads(Path(CONFIG_DIR, "histogram_skew.json").read_text())
+    doc["model"]["p"] = 32
+    doc.update(n=32, n_test=8, trials=3)
+    doc.update(changes)
+    return doc
+
+
+def test_histogram_full_lists_every_score(tmp_path, capsys):
+    config = write_config(tmp_path, skew_histogram_doc())
+    assert main(["histogram", "--config", config, "--full"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    for c in ("1", "2"):
+        assert len(out[f"scores{c}"]) == 3 * 8  # n_test per class per trial
+        assert np.mean(out[f"scores{c}"]) == out[f"mean_class{c}"]
+
+
 def test_convergence_command(tmp_path, capsys):
     doc = {
         "model": {
@@ -207,6 +225,24 @@ def test_estimate_tau_on_npy(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["tau"] == pytest.approx(2.0, abs=0.2)
     assert out["p"] == 64 and out["n"] == 256
+
+
+@pytest.mark.parametrize("saved_as, named", [("npy", "real.data"), ("csv", "data.npy")],
+                         ids=["npy-named-data", "csv-named-npy"])
+def test_estimate_tau_reads_a_file_by_its_content(tmp_path, capsys, saved_as, named):
+    # the same tau as the correctly named file, whatever the name says
+    X = np.arange(1.0, 13.0).reshape(3, 4) ** 1.5
+    outputs = []
+    for name in (f"data.{saved_as}", named):
+        path = tmp_path / name
+        if saved_as == "npy":
+            with path.open("wb") as f:  # np.save would add .npy to the name
+                np.save(f, X)
+        else:
+            np.savetxt(path, X, delimiter=",")
+        assert main(["estimate-tau", str(path)]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0] == outputs[1] and outputs[0]["p"] == 3 and outputs[0]["n"] == 4
 
 
 def test_estimate_tau_missing_file(tmp_path, capsys):
@@ -467,6 +503,7 @@ def local_kernel(**changes):
         ("predict", small_sweep_doc(model=small_model(cov2="boosted_toeplitz(0.4, x)")),
          "model.cov2"),
         ("convergence", small_sweep_doc(sizes=[[16]], n_points=6), "sizes"),
+        ("convergence", skew_histogram_doc(), "convergence needs sizes: [[n, p], ...]"),
         ("sweep", small_sweep_doc(sweep={"axis": "sigma2", "grid": [1.0, 1.0]}), "grid"),
         ("sweep", small_sweep_doc(sweep={"axis": "fprime", "grid": [0.0, -0.0]}), "grid"),
         # a count that is not a positive whole number is refused, never truncated
@@ -525,6 +562,28 @@ def local_kernel(**changes):
         ("predict", small_sweep_doc(kernel={"kind": "gaussian", "sigma2": "oops"}),
          "kernel.sigma2 must be a number"),
         ("predict", small_sweep_doc(model=small_model(c1="0.5")), "model.c1 must be a number"),
+        # a value of the right type that breaks a rule names its key too
+        ("predict", small_sweep_doc(model=small_model(mean1="bogus")),
+         "model.mean1: unknown mean spec: 'bogus'"),
+        ("predict", small_sweep_doc(model=small_model(mean1="unit_spike(33, 1.0)")),
+         "model.mean1: spike coordinate 33 outside 1..32"),
+        ("predict", small_sweep_doc(model=small_model(mean1=[1, 2])),
+         "model.mean1: mu1 must have shape (32,), got (2,)"),
+        ("predict", small_sweep_doc(model=small_model(mean1={"a": 1})), "model.mean1: "),
+        ("predict", small_sweep_doc(model=small_model(cov1="bogus")),
+         "model.cov1: unknown covariance spec: 'bogus'"),
+        ("predict", small_sweep_doc(model=small_model(cov1="toeplitz(1.5, 1.0)")),
+         "model.cov1: rho must lie in [0, 1), got 1.5"),
+        ("predict", small_sweep_doc(model=small_model(cov1=[[1, 2], [3, 4]])),
+         "model.cov1: cov1 must be 32x32, got (2, 2)"),
+        ("predict", small_sweep_doc(model=small_model(c1=1.5)),
+         "model.c1: c1 must lie in (0, 1), got 1.5"),
+        ("predict", small_sweep_doc(kernel={"kind": "gaussian", "sigma2": -1.0}),
+         "kernel.sigma2: sigma2 must be finite and positive, got -1.0"),
+        ("predict", small_sweep_doc(kernel={"kind": "polynomial", "coeffs": []}),
+         "kernel.coeffs: polynomial kernel needs at least one coefficient"),
+        ("predict", small_sweep_doc(kernel=local_kernel(fpp=float("inf"))),
+         "kernel.tau, kernel.f, kernel.fp, kernel.fpp: local kernel anchor"),
         # a sweep whose axis replaces the kernel still parses the config's
         ("sweep", small_sweep_doc(kernel={"kind": "gaussian", "sigma2": "oops"}),
          "kernel.sigma2 must be a number"),
@@ -535,7 +594,8 @@ def local_kernel(**changes):
     ids=["predict-shipped-convergence-config", "predict-model-missing", "predict-cov2-missing",
          "predict-sigma2-missing", "predict-fp-missing", "predict-spike-three-args",
          "predict-spike-fractional-index", "predict-toeplitz-one-arg",
-         "predict-boosted-toeplitz-text", "convergence-size-single", "sweep-grid-repeated",
+         "predict-boosted-toeplitz-text", "convergence-size-single", "convergence-sizes-missing",
+         "sweep-grid-repeated",
          "sweep-grid-signed-zeros", "predict-n-fractional", "sweep-n-negative",
          "sweep-n_test-fractional", "sweep-trials-fractional", "convergence-n_points-fractional",
          "convergence-n_points-zero", "convergence-sizes-p-zero",
@@ -550,6 +610,10 @@ def local_kernel(**changes):
          "sweep-grid-bool", "predict-c1-bool", "convergence-tau-bool", "predict-f-bool",
          "predict-fp-bool", "histogram-fpp-bool", "predict-coeffs-bool", "sweep-gamma-string",
          "sweep-grid-string", "predict-sigma2-string", "predict-c1-string",
+         "predict-mean1-unknown", "predict-mean1-spike-outside", "predict-mean1-short",
+         "predict-mean1-object", "predict-cov1-unknown", "predict-cov1-rho-above-one",
+         "predict-cov1-two-by-two", "predict-c1-above-one", "predict-sigma2-negative",
+         "predict-coeffs-empty", "predict-fpp-inf",
          "sweep-sigma2-axis-kernel-string", "sweep-fprime-axis-sigma2-missing"],
 )
 def test_invalid_config_error_names_its_key(tmp_path, capsys, recwarn, command, doc, named):

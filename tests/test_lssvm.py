@@ -55,7 +55,7 @@ def test_two_point_decision_at_training_point():
     f0 = 1.0
     k = float(np.exp(-1.0))
     expected = (k - f0) / (f0 + 2 / gamma - k)
-    assert model.decide(X[:, 0]) == pytest.approx(expected, rel=1e-12)
+    assert model.decide_many(X[:, :1])[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_matches_explicit_inverse_oracle():
@@ -430,6 +430,20 @@ def test_one_class_rejected():
         train(np.eye(3), np.ones(3), 1.0)
 
 
+@pytest.mark.parametrize(
+    "gram, labels, gamma, error, message",
+    [
+        (np.eye(3)[:2], [-1.0, 1.0], 1.0, DataError, r"gram matrix must be square, got \(2, 3\)"),
+        (np.eye(3), [-1.0, 1.0], 1.0, DataError, r"labels must have length 3, got \(2,\)"),
+        (np.eye(3), [-1.0, 1.0, 1.0], 0.0, ValueError, "gamma must be positive, got 0.0"),
+    ],
+    ids=["gram-not-square", "labels-too-short", "gamma-zero"],
+)
+def test_train_refuses_a_malformed_system(gram, labels, gamma, error, message):
+    with pytest.raises(error, match=message):
+        train(gram, labels, gamma)
+
+
 def test_decision_matches_scalar_double_loop():
     rng = np.random.default_rng(2)
     n, p = 16, 8
@@ -441,7 +455,7 @@ def test_decision_matches_scalar_double_loop():
     for j in range(n):
         u = np.sum((x - X[:, j]) ** 2) / p
         manual += model.alpha[j] * np.exp(-u / (2 * 1.3))
-    assert model.decide(x) == pytest.approx(manual, abs=1e-10)
+    assert model.decide_many(x[:, None])[0] == pytest.approx(manual, abs=1e-10)
 
 
 def test_batch_decision_over_training_set_is_gram_action():
@@ -455,37 +469,15 @@ def test_batch_decision_over_training_set_is_gram_action():
     )
 
 
-@pytest.mark.parametrize(
-    "profile",
-    [GaussianKernel(1.3), PolynomialKernel((1.0, -0.5, 0.25)), TaylorKernel(2.0, 4.0, -1.0, 2.0)],
-    ids=["gaussian", "polynomial", "local"],
-)
-def test_decide_is_the_first_column_of_decide_many(profile):
-    # one scoring path: a single point is scored as a one-column matrix
-    rng = np.random.default_rng(5)
-    X, labels = random_instance(rng, 16, 8)
-    model = TrainedModel.fit(X, labels, 0.7, profile)
-    for x in rng.standard_normal((3, 8)):
-        assert model.decide(x) == model.decide_many(x[:, None])[0]
-
-
-def test_decide_dimension_mismatch():
+@pytest.mark.parametrize("shape", [(4,), (5, 3)], ids=["vector", "p-plus-one-rows"])
+def test_decide_many_refuses_points_of_another_shape(shape):
+    # a point is scored as a p x 1 column: a bare vector or a matrix of
+    # another dimension is refused, never broadcast
     rng = np.random.default_rng(4)
     X, labels = random_instance(rng, 6, 4)
     model = TrainedModel.fit(X, labels, 1.0, GaussianKernel(1.0))
-    with pytest.raises(DataError, match="expected a vector of length 4"):
-        model.decide(np.zeros(5))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_decide_rejects_non_finite_point(bad):
-    rng = np.random.default_rng(4)
-    X, labels = random_instance(rng, 6, 4)
-    model = TrainedModel.fit(X, labels, 1.0, GaussianKernel(1.0))
-    x = np.zeros(4)
-    x[2] = bad
-    with pytest.raises(ValueError, match="finite"):
-        model.decide(x)
+    with pytest.raises(DataError, match=rf"expected a 4 x m matrix, got \({shape[0]},"):
+        model.decide_many(np.zeros(shape))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -553,8 +545,8 @@ def test_label_normalization_identity():
         c1 = np.count_nonzero(labels < 0) / n
         c2 = 1 - c1
         x = rng.standard_normal(p)
-        lhs = standard.decide(x) - (c2 - c1)
-        rhs = 2 * c1 * c2 * zero_sum.decide(x)
+        lhs = standard.decide_many(x[:, None])[0] - (c2 - c1)
+        rhs = 2 * c1 * c2 * zero_sum.decide_many(x[:, None])[0]
         assert abs(lhs - rhs) < 1e-8
 
 
@@ -568,7 +560,7 @@ def test_permutation_equivariance():
     assert abs(model.bias - permuted.bias) < 1e-10
     assert np.max(np.abs(model.alpha[perm] - permuted.alpha)) < 1e-10
     x = rng.standard_normal(6)
-    assert abs(model.decide(x) - permuted.decide(x)) < 1e-10
+    assert abs(model.decide_many(x[:, None])[0] - permuted.decide_many(x[:, None])[0]) < 1e-10
 
 
 def test_non_finite_labels_rejected():
