@@ -68,7 +68,8 @@ def _config(args, doc):
 
 def cmd_predict(args):
     config = _config(args, _load_config(args.config))
-    model, profile, _, n1, n2 = experiments.grid_point(config)  # the counts sweep trains on
+    # the counts sweep trains on
+    model, profile, _, n1, n2 = experiments.grid_point(config, model_from_spec(config.model))
     stats = theory.gaussian_stats(model.stats, n1, n2, config.gamma, profile)
     rule = config.threshold
     _emit(dict(stats.as_dict(), threshold_rule=rule, **experiments.at_threshold(stats, rule)), args)
@@ -92,7 +93,7 @@ def cmd_sweep(args):
 
 def cmd_histogram(args):
     config = _config(args, _load_config(args.config))
-    model, profile, n, _, _ = experiments.grid_point(config)
+    model, profile, n, _, _ = experiments.grid_point(config, model_from_spec(config.model))
     result = experiments.run_histogram(
         model, n, config.gamma, profile, config.n_test, config.trials, config.base_seed
     )
@@ -138,6 +139,7 @@ def cmd_mnist_stats(args):
         "model": {}, "kernel": {"kind": "gaussian", "sigma2": args.sigma2},
         "n": args.n, "n_test": args.n_test, "gamma": args.gamma, "trials": 10,
     })
+    profile = kernels.kernel_from_spec(config.kernel)  # before any image is read
     data = mnist.load_idx(args.images, args.labels)
     if args.snr_db is not None:
         # noise for the two digits only, from a stream that no trial index reaches
@@ -145,7 +147,6 @@ def cmd_mnist_stats(args):
         data = mnist.ImageDataset(data.images[:, keep], data.labels[keep])
         data = mnist.add_white_noise(data, args.snr_db, mix64(config.base_seed, -1))
     mixture = mnist.class_stats(data, args.digit_a, args.digit_b)
-    profile = kernels.kernel_from_spec(config.kernel)
     n1, n2 = experiments.class_split(config.n, 0.5)
     stats = theory.gaussian_stats(mixture, n1, n2, config.gamma, profile)
     predicted = experiments.at_threshold(stats, config.threshold)

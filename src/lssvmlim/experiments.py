@@ -10,14 +10,15 @@ per-trial outcomes are stored and reduced at the end.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from .kernels import kernel_from_spec
 from .lssvm import TrainedModel, classify
-from .mixture import MixtureModel, mix64, model_from_spec, real, sample, whole_int
+from .mixture import (MixtureModel, _parse_mean_spec, mix64, model_from_spec, naming, real,
+                      sample, whole_int)
 from .theory import error_rates, gaussian_stats, optimal_threshold, q_function, random_equivalent
 
 THRESHOLD_RULES = ("optimal", "zero", "bias")
@@ -133,21 +134,19 @@ class ExperimentConfig:
     n_points: int = 100
 
     def __post_init__(self):
-        try:
-            for name in ("n", "n_test", "trials", "n_points"):
-                object.__setattr__(self, name, whole_int(getattr(self, name), name))
-            object.__setattr__(self, "gamma", real(self.gamma, "gamma"))
-            object.__setattr__(self, "base_seed", whole_int(self.base_seed, "base_seed", positive=False))
-            object.__setattr__(self, "grid", tuple(real(v, "a sweep grid value") for v in self.grid))
-            sizes = tuple(tuple(pair) for pair in self.sizes)
-            if any(len(pair) != 2 for pair in sizes):
-                raise ValueError(f"sizes must be [n, p] pairs, got {[list(s) for s in sizes]}")
-            object.__setattr__(self, "sizes", tuple(
-                (whole_int(n, f"sizes[{i}] n"), whole_int(p, f"sizes[{i}] p"))
-                for i, (n, p) in enumerate(sizes)
-            ))
-        except (TypeError, OverflowError) as exc:  # e.g. a null, or an inf integer
-            raise ValueError(f"config value of the wrong type or range: {exc}") from exc
+        for name in ("n", "n_test", "trials", "n_points"):
+            object.__setattr__(self, name, whole_int(getattr(self, name), name))
+        object.__setattr__(self, "gamma", real(self.gamma, "gamma"))
+        object.__setattr__(self, "base_seed", whole_int(self.base_seed, "base_seed", positive=False))
+        object.__setattr__(self, "grid", tuple(real(v, "a sweep grid value") for v in self.grid))
+        array = (list, tuple)  # a JSON array, as parsed or as a caller builds it
+        if not isinstance(self.sizes, array) or any(
+                not isinstance(s, array) or len(s) != 2 for s in self.sizes):
+            raise ValueError(f"sizes must be [n, p] pairs, got {self.sizes!r}")
+        object.__setattr__(self, "sizes", tuple(
+            (whole_int(n, f"sizes[{i}] n"), whole_int(p, f"sizes[{i}] p"))
+            for i, (n, p) in enumerate(self.sizes)
+        ))
         if not (np.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if self.n < 2 or self.n_test < 2:
@@ -174,18 +173,21 @@ def resolve_kernel(spec, model):
     return kernel_from_spec(spec)
 
 
-def grid_point(config, value=None):
+def grid_point(config, model, value=None):
     """``(model, profile, n, n1, n2)`` at the config's sweep axis set to
     ``value``, or at the base config, whatever its axis, when ``value`` is
-    None: the point every subcommand trains and predicts at."""
+    None: the point every subcommand trains and predicts at.  ``model`` is
+    the config's own model, built by the caller; a ``c1`` or ``mu_offset``
+    point is a copy of it with that value replaced, sharing its covariances."""
     axis = None if value is None else config.axis
-    model_spec = dict(config.model)
     if axis == "c1":
-        model_spec["c1"] = value
+        with naming("model.c1"):
+            model = replace(model, c1=value)
     elif axis == "mu_offset":
-        model_spec["mean1"] = f"unit_spike(1, {value})"
-        model_spec["mean2"] = f"unit_spike(2, {value})"
-    model = model_from_spec(model_spec)
+        means = {f"mu{k}": _parse_mean_spec(f"unit_spike({k}, {value})", model.p, f"model.mean{k}")
+                 for k in (1, 2)}  # a spike outside 1..p is refused naming its key
+        with naming("model.mean1"):  # a non-finite offset: mu1 is checked first
+            model = replace(model, **means)
     if axis == "c0" and not np.isfinite(model.p / value):
         raise ValueError(f"c0 = {value} gives no finite sample size at p = {model.p}")
     # dimension-to-sample sweep: n follows p at fixed p
@@ -255,23 +257,23 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Empirical error (mean over trials with standard error) and the
     asymptotic prediction for every grid point, in grid order.
 
-    Every grid point is built and predicted before the first trial, so a bad
-    grid value costs no trial; only the first point's model is kept for its
-    trials, the others are built again.  A failed trial is recorded under
-    ``failures`` and excluded from the averages, never silently folded in.
-    A ``MemoryError`` is raised, not recorded: sizes too large to allocate
-    fail every trial alike.
+    The config's model is built once; every grid point comes from it and is
+    predicted before the first trial, so a bad grid value costs no trial,
+    and is dropped after its trials with the roots it drew through.  A
+    failed trial is recorded under ``failures`` and excluded from the
+    averages, never silently folded in.  A ``MemoryError`` is raised, not
+    recorded: sizes too large to allocate fail every trial alike.
     """
     grid = config.grid if config.axis is not None else (float("nan"),)
-    kept, predictions = [], []
+    base = model_from_spec(config.model)
+    points = []
     for value in grid:
-        model, profile, _, n1, n2 = point = grid_point(config, value)
-        kept = kept or [point]
+        model, profile, _, n1, n2 = point = grid_point(config, base, value)
         stats = gaussian_stats(model.stats, n1, n2, config.gamma, profile)
-        predictions.append(at_threshold(stats, config.threshold))
+        points.append((point, at_threshold(stats, config.threshold)))
     rows, per_trial, failures = [], {}, []
-    for gi, (value, predicted) in enumerate(zip(grid, predictions)):
-        model, profile, n, n1, n2 = kept.pop() if kept else grid_point(config, value)
+    for gi, value in enumerate(grid):
+        (model, profile, n, n1, n2), predicted = points.pop(0)  # so that it goes after its trials
         threshold = predicted["threshold"]
         records = []
         for t in range(config.trials):

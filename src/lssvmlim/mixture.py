@@ -404,7 +404,7 @@ def _parse_mean_spec(spec, p, name):
             k, val = _spec_args(spec, name, "unit_spike(k, v) with an integer k", (int, float))
             mu = np.zeros(p)
             if not 1 <= k <= p:
-                raise ValueError(f"spike coordinate {k} outside 1..{p}")
+                raise ValueError(f"{name}: spike coordinate {k} outside 1..{p}")
             mu[k - 1] = val  # 1-based coordinate
             return mu
         raise ValueError(f"unknown mean spec: {spec!r}")

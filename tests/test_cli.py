@@ -482,6 +482,22 @@ def without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
+@pytest.mark.parametrize(
+    "model, sweep, named",
+    [(without(small_model(), "c1"), {"axis": "c1", "grid": [0.3]}, "missing key model.c1"),
+     (small_model(mean1="bogus"), {"axis": "mu_offset", "grid": [1.0]},
+      "model.mean1: unknown mean spec: 'bogus'")],
+    ids=["c1-axis-c1-missing", "mu_offset-axis-mean1-unknown"],
+)
+def test_a_sweep_builds_the_whole_model_whatever_its_axis(tmp_path, capsys, model, sweep, named):
+    # the model is built once, as predict builds it, before any grid point replaces a value
+    path = write_config(tmp_path, small_sweep_doc(model=model, sweep=sweep))
+    for command in ("predict", "sweep"):
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"lssvmlim: invalid input: {named}\n"
+
+
 def local_kernel(**changes):
     return dict({"kind": "local", "tau": 2.0, "f": 1.0, "fp": -0.5, "fpp": 0.25}, **changes)
 
@@ -503,6 +519,12 @@ def local_kernel(**changes):
         ("predict", small_sweep_doc(model=small_model(cov2="boosted_toeplitz(0.4, x)")),
          "model.cov2"),
         ("convergence", small_sweep_doc(sizes=[[16]], n_points=6), "sizes"),
+        ("convergence", small_sweep_doc(sizes=[16, 16], n_points=6),
+         "sizes must be [n, p] pairs, got [16, 16]"),
+        ("convergence", small_sweep_doc(sizes=None, n_points=6),
+         "sizes must be [n, p] pairs, got None"),
+        ("convergence", small_sweep_doc(sizes="x", n_points=6),
+         "sizes must be [n, p] pairs, got 'x'"),
         ("convergence", skew_histogram_doc(), "convergence needs sizes: [[n, p], ...]"),
         ("sweep", small_sweep_doc(sweep={"axis": "sigma2", "grid": [1.0, 1.0]}), "grid"),
         ("sweep", small_sweep_doc(sweep={"axis": "fprime", "grid": [0.0, -0.0]}), "grid"),
@@ -594,7 +616,8 @@ def local_kernel(**changes):
     ids=["predict-shipped-convergence-config", "predict-model-missing", "predict-cov2-missing",
          "predict-sigma2-missing", "predict-fp-missing", "predict-spike-three-args",
          "predict-spike-fractional-index", "predict-toeplitz-one-arg",
-         "predict-boosted-toeplitz-text", "convergence-size-single", "convergence-sizes-missing",
+         "predict-boosted-toeplitz-text", "convergence-size-single", "convergence-sizes-flat",
+         "convergence-sizes-null", "convergence-sizes-string", "convergence-sizes-missing",
          "sweep-grid-repeated",
          "sweep-grid-signed-zeros", "predict-n-fractional", "sweep-n-negative",
          "sweep-n_test-fractional", "sweep-trials-fractional", "convergence-n_points-fractional",
@@ -750,9 +773,12 @@ def test_classes_too_far_apart_for_the_quadratic_predict_no_error(tmp_path, caps
      (["--n", "200"], "80 + 80 points per class is too small for 100 + 100 training and "
                       "16 + 16 test points"),
      # n is split by class_split: 163 gives 82 + 81, the first half rounded to even
-     (["--n", "163"], "too small for 82 + 81 training")],
+     (["--n", "163"], "too small for 82 + 81 training"),
+     # the kernel is refused before any image is read, so a missing file is never opened
+     (["--images", "no-such-images.idx", "--sigma2", "-1"],
+      "kernel.sigma2: sigma2 must be finite and positive, got -1.0")],
     ids=["gamma0", "trials0", "n_test1", "snr-nan", "snr-minus-inf", "snr-huge-negative",
-         "same-digit", "pool-too-small", "pool-too-small-odd-n"],
+         "same-digit", "pool-too-small", "pool-too-small-odd-n", "sigma2-before-images"],
 )
 def test_mnist_stats_invalid_flag_is_a_one_line_data_error(tmp_path, capsys, flags, named):
     ip, lp = synthetic_idx_pair(tmp_path)
@@ -991,6 +1017,18 @@ def test_closed_stdout_exits_quietly(tmp_path):
     _, err = proc.communicate(timeout=120)
     assert "Traceback" not in err and "Error" not in err, err
     assert proc.returncode == 0
+
+
+def test_a_reader_that_closes_early_ends_the_output_quietly(tmp_path):
+    # 2 trials x 2 classes x 2000 scores: far more than a pipe buffers, so the
+    # write is still pending when the reader closes after one byte
+    config = write_config(tmp_path, skew_histogram_doc(n_test=2000, trials=2))
+    proc = python_with_package("-m", "lssvmlim.cli", "histogram", "--full", "--config", config,
+                               stdout=subprocess.PIPE)
+    assert proc.stdout.read(1) == "{"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, "")
 
 
 PARSERS_BUILT_AT_IMPORT = """

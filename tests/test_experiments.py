@@ -1,10 +1,13 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from helpers import RBF_UNIT, balanced_model, skew_model, spiked_means
+from lssvmlim import experiments, mixture
 from lssvmlim.experiments import (
     ExperimentConfig,
     _ks_distance,
@@ -17,7 +20,7 @@ from lssvmlim.experiments import (
     run_sweep,
 )
 from lssvmlim.lssvm import TrainedModel
-from lssvmlim.mixture import MixtureModel, mix64, sample
+from lssvmlim.mixture import MixtureModel, ToeplitzCov, mix64, sample
 from lssvmlim.theory import gaussian_stats
 
 
@@ -176,6 +179,71 @@ def test_sweep_axis_mu_offset_irrelevant_under_flat_slope():
     result = run_sweep(config_from_dict(doc))
     vals = [r.th_weighted for r in result.rows]
     assert vals[0] == vals[1] == vals[2]
+
+
+def dense_sweep(tmp_path, axis, grid):
+    """A sweep config whose class 2 covariance is a dense p = 16 ``.npy``
+    file, at the unequal split c1 = 0.3."""
+    path = tmp_path / "cov2.npy"
+    np.save(path, np.asarray(ToeplitzCov(0.4, 1.5, 16)))
+    model = dict(BASE_SWEEP["model"], p=16, cov2={"file": str(path)}, c1=0.3)
+    return config_from_dict(dict(BASE_SWEEP, model=model, n=40, n_test=20, trials=2,
+                                 sweep={"axis": axis, "grid": grid}))
+
+
+def counting(monkeypatch, owner, name, calls, keep=lambda *args: True):
+    """Replace ``owner.name`` by a wrapper that appends each call's result
+    to ``calls`` when ``keep(*args)`` holds."""
+    f = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        out = f(*args, **kwargs)
+        if keep(*args):
+            calls.append(out)
+        return out
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_a_sigma2_sweep_reads_and_decomposes_its_dense_covariance_once(tmp_path, monkeypatch):
+    config = dense_sweep(tmp_path, "sigma2", [0.5, 1.0, 2.0, 4.0])
+    loads, checks, roots = [], [], []
+    counting(monkeypatch, mixture, "load_npy", loads)
+    counting(monkeypatch, np.linalg, "eigvalsh", checks)
+    # a p x p eigh is the root's; the solver's fallback would decompose an n x n system
+    counting(monkeypatch, np.linalg, "eigh", roots, keep=lambda a: np.shape(a) == (16, 16))
+    result = run_sweep(config)
+    assert [r.trials for r in result.rows] == [2, 2, 2, 2]
+    assert (len(loads), len(checks), len(roots)) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("axis, grid", [("c1", [0.3, 0.5, 0.7]), ("mu_offset", [0.0, 1.5, 3.0])])
+def test_derived_grid_points_share_the_base_covariances(tmp_path, monkeypatch, axis, grid):
+    config = dense_sweep(tmp_path, axis, grid)
+    loads, roots, seen = [], [], []
+    counting(monkeypatch, mixture, "load_npy", loads)
+    root, trial = mixture._root, experiments.empirical_error
+
+    def weak_root(w, v):  # a weak reference, so that only the program keeps a root alive
+        out = root(w, v)
+        roots.append(weakref.ref(out))
+        return out
+
+    def spy(model, *args):
+        gc.collect()
+        alive = sum(ref() is not None for ref in roots)
+        seen.append((model.cov1, model.cov2, alive))
+        return trial(model, *args)
+
+    monkeypatch.setattr(mixture, "_root", weak_root)
+    monkeypatch.setattr(experiments, "empirical_error", spy)
+    result = run_sweep(config)
+    assert [r.trials for r in result.rows] == [2, 2, 2]
+    assert len(loads) == 1 and len(seen) == 6
+    # every point draws from the base model's covariance objects, and a point
+    # is dropped with its root after its trials: one dense root alive at a time
+    assert all(cov1 is seen[0][0] and cov2 is loads[0] for cov1, cov2, _ in seen)
+    assert max(alive for _, _, alive in seen) <= 1
 
 
 def test_sweep_csv_schema(tmp_path):

@@ -102,6 +102,12 @@ def test_gram_two_points():
     assert K[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
+def test_a_gram_refuses_to_share_a_dense_matrix():
+    gram = gram_matrix(np.eye(3), GaussianKernel(1.0))
+    with pytest.raises(ValueError, match="a Gram holds no dense matrix to share"):
+        np.asarray(gram, copy=False)
+
+
 def test_gram_matches_entrywise_double_loop():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((4, 5))

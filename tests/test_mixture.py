@@ -139,6 +139,13 @@ def test_sample_determinism():
     assert not np.array_equal(a.X, c.X)
 
 
+def test_mixture_refuses_an_empty_dimension_and_an_empty_class():
+    with pytest.raises(ValueError, match="p must be positive, got 0"):
+        MixtureModel(0, np.zeros(0), np.zeros(0), np.eye(0), np.eye(0), c1=0.5)
+    with pytest.raises(ValueError, match="need at least one sample per class"):
+        sample(fig_like_model(8), 0, 3, seed=1)
+
+
 def test_latent_norms_concentrate():
     p = 512
     m = MixtureModel(p, np.zeros(p), np.zeros(p), np.eye(p), np.eye(p), c1=0.5)

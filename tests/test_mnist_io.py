@@ -133,6 +133,22 @@ def test_class_stats_missing_class():
         class_stats(data, 1, 1)
 
 
+def test_class_stats_refuses_a_missing_first_digit_and_single_images():
+    data = ImageDataset(images=np.zeros((4, 3)), labels=np.array([1, 1, 2]))
+    with pytest.raises(DataError, match="no samples labeled 7"):
+        class_stats(data, 7, 1)
+    one_each = ImageDataset(images=np.zeros((4, 2)), labels=np.array([1, 2]))
+    with pytest.raises(ValueError, match="need at least two samples per class"):
+        class_stats(one_each, 1, 2)
+
+
+def test_write_idx_refuses_images_that_are_not_square(tmp_path):
+    ip, lp = tmp_path / "imgs.idx", tmp_path / "labs.idx"
+    with pytest.raises(ValueError, match="cannot infer square image size from p=5"):
+        write_idx(np.zeros((5, 2)), np.array([1, 2]), ip, lp)
+    assert not ip.exists() and not lp.exists()
+
+
 def test_class_stats_recovers_synthetic_moments():
     # statistics estimated from a Gaussian dump are close to the generator's.
     # Over 300 draws at other seeds the relative standard deviation was
