@@ -39,7 +39,6 @@ from .mixture import (
     sample,
 )
 from .mnist import (
-    ImageDataset,
     add_white_noise,
     class_stats,
     discrepancy_by_scaling,

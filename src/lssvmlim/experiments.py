@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .kernels import kernel_from_spec
 from .lssvm import TrainedModel, classify
 from .mixture import (MixtureModel, _parse_mean_spec, mix64, model_from_spec, naming, real,
@@ -69,9 +70,8 @@ def _draw(source, n1, n2, m1, m2, seed):
 
     A :class:`MixtureModel` is sampled, the training set at ``mix64(seed, 0)``
     and the test set at ``mix64(seed, 1)``.  A labeled pool ``(X, labels)``
-    (columns of ``X``; a column labeled 0 is never picked) is picked from
-    without replacement at ``default_rng(seed)``, class 1 first: the two sets
-    are disjoint."""
+    (columns of ``X``, labeled -1 and +1) is picked from without replacement
+    at ``default_rng(seed)``, class 1 first: the two sets are disjoint."""
     if isinstance(source, MixtureModel):
         return sample(source, n1, n2, mix64(seed, 0)), sample(source, m1, m2, mix64(seed, 1))
     X, labels = source[0], np.asarray(source[1], dtype=float)
@@ -351,9 +351,13 @@ def _ks_distance(scores, mean, sd) -> float:
 def run_histogram(model, n, gamma, profile, n_test, trials, seed) -> HistogramResult:
     """Pool decision scores of fresh test points (n_test per class per trial)
     over independently trained models, with the per-class Gaussian prediction
-    and a one-sample Kolmogorov-Smirnov distance against it."""
+    and a one-sample Kolmogorov-Smirnov distance against it.  A class whose
+    predicted variance is zero has no such distance: ``NumericalFailure``."""
     n1, n2 = class_split(n, model.c1)
     stats = gaussian_stats(model.stats, n1, n2, gamma, profile)  # checks the kernel
+    for a, var in ((1, stats.Var1), (2, stats.Var2)):
+        if var == 0.0:
+            raise NumericalFailure(f"class {a}'s predicted score variance is zero: no KS distance")
     blocks = [
         _trial(model, n1, n2, n_test, n_test, gamma, profile, mix64(seed, t))[2]
         for t in range(trials)

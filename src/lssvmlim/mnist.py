@@ -16,7 +16,6 @@ from __future__ import annotations
 import gzip
 import struct
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,15 +25,6 @@ from .mixture import MixtureStats, mixture_stats
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 _CHUNK = 1 << 24  # bytes per read
-
-
-@dataclass(frozen=True, eq=False)
-class ImageDataset:
-    """Vectorized images (columns of ``images``, shape p x N) with integer
-    labels."""
-
-    images: np.ndarray
-    labels: np.ndarray
 
 
 def _open_maybe_gzip(path):
@@ -60,8 +50,13 @@ def _read_exact(fh, size, path):
     return buf
 
 
-def load_idx(images_path, labels_path) -> ImageDataset:
-    """Parse an IDX image/label file pair into a [0, 1]-scaled dataset."""
+def load_idx(images_path, labels_path, digit_a, digit_b):
+    """The labeled pool ``(X, y)`` of two digits in an IDX image/label file
+    pair: ``X`` holds the [0, 1]-scaled pixels of the two digits' images only
+    (p x N columns, in file order), and ``y`` is -1 for ``digit_a`` (class 1)
+    and +1 for ``digit_b``.  No other digit's image is converted."""
+    if digit_a == digit_b:
+        raise ValueError(f"the two digits must differ, got {digit_a} twice")
     with _open_maybe_gzip(images_path) as fh:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path))
         if magic != IMAGES_MAGIC:
@@ -76,17 +71,19 @@ def load_idx(images_path, labels_path) -> ImageDataset:
         label_raw = _read_exact(fh, label_count, labels_path)
     if label_count != count:
         raise DataError(f"{count} images but {label_count} labels")
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-    images = pixels.T.astype(np.float64)
-    images /= 255.0
     labels = np.frombuffer(label_raw, dtype=np.uint8).astype(np.int64)
-    return ImageDataset(images=images, labels=labels)
+    for digit in (digit_a, digit_b):
+        if not np.any(labels == digit):
+            raise DataError(f"no samples labeled {digit}")
+    keep = np.flatnonzero((labels == digit_a) | (labels == digit_b))
+    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)[keep]
+    return pixels.T / 255.0, np.where(labels[keep] == digit_a, -1.0, 1.0)
 
 
 def write_idx(pixels: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:
     """Write raw uint8 images (p x N columns, p = rows*cols with square
-    images assumed) and labels as an IDX pair; inverse of :func:`load_idx`
-    at the byte level."""
+    images assumed) and labels as the IDX pair :func:`load_idx` reads; a
+    test helper, the source of synthetic digit files."""
     pixels = np.asarray(pixels, dtype=np.uint8)
     labels = np.asarray(labels, dtype=np.uint8)
     p, count = pixels.shape
@@ -101,24 +98,19 @@ def write_idx(pixels: np.ndarray, labels: np.ndarray, images_path, labels_path) 
         fh.write(labels.tobytes())
 
 
-def class_stats(data: ImageDataset, digit_a: int, digit_b: int) -> MixtureStats:
-    """Statistics of the empirical two-class mixture (sample means, sample
-    covariances with denominator N-1, proportions from class counts) for the
-    asymptotic predictors; class 1 is ``digit_a``.  A sample covariance is
-    positive semidefinite by construction, so none is checked or decomposed."""
-    if digit_a == digit_b:
-        raise ValueError(f"the two digits must differ, got {digit_a} twice")
-    mask_a = data.labels == digit_a
-    mask_b = data.labels == digit_b
-    na, nb = int(mask_a.sum()), int(mask_b.sum())
-    if na == 0:
-        raise DataError(f"no samples labeled {digit_a}")
-    if nb == 0:
-        raise DataError(f"no samples labeled {digit_b}")
+def class_stats(X, y) -> MixtureStats:
+    """Statistics of the empirical two-class mixture of the labeled pool
+    ``(X, y)`` (sample means, sample covariances with denominator N-1,
+    proportions from class counts) for the asymptotic predictors; class 1 is
+    labeled -1.  A sample covariance is positive semidefinite by
+    construction, so none is checked or decomposed."""
+    mask_a = y < 0
+    na = int(mask_a.sum())
+    nb = mask_a.size - na
     if na < 2 or nb < 2:
         raise ValueError("need at least two samples per class for a covariance")
     # one class's columns at a time: each copy is freed when _moments returns
-    (mu_a, cov_a), (mu_b, cov_b) = (_moments(data.images[:, m]) for m in (mask_a, mask_b))
+    (mu_a, cov_a), (mu_b, cov_b) = (_moments(X[:, m]) for m in (mask_a, ~mask_a))
     return mixture_stats(mu_a, mu_b, cov_a, cov_b, na / (na + nb))
 
 
@@ -150,38 +142,38 @@ def _mean_square(images):
     return float(flat @ flat) / flat.size
 
 
-def discrepancy_by_scaling(data: ImageDataset, stats: MixtureStats):
-    """``discrepancy_stats`` of ``stats = class_stats(data, ...)`` as it reads
+def discrepancy_by_scaling(X, stats: MixtureStats):
+    """``discrepancy_stats`` of ``stats = class_stats(X, y)`` as it reads
     with every pixel multiplied by f, for each candidate scaling: ``unit``
-    (f = 1), ``raw`` (255), ``mean`` (1 / the mean pixel of ``data``) and
+    (f = 1), ``raw`` (255), ``mean`` (1 / the mean pixel of ``X``) and
     ``rms`` (1 / the root mean squared pixel), for matching moment tables of
     unknown preprocessing.  Scaling by f scales the triple by (f^2, f^4, f^4).
     """
-    factors = {"unit": 1.0, "raw": 255.0, "mean": 1.0 / float(np.mean(data.images)),
-               "rms": 1.0 / np.sqrt(_mean_square(data.images))}
+    factors = {"unit": 1.0, "raw": 255.0, "mean": 1.0 / float(np.mean(X)),
+               "rms": 1.0 / np.sqrt(_mean_square(X))}
     mean_gap, trace_gap, sq_trace_gap = discrepancy_stats(stats)
     return {name: (f**2 * mean_gap, f**4 * trace_gap, f**4 * sq_trace_gap)
             for name, f in factors.items()}
 
 
-def add_white_noise(data: ImageDataset, snr_db, seed) -> ImageDataset:
-    """Add i.i.d. zero-mean Gaussian pixel noise at the given SNR.
+def add_white_noise(X, snr_db, seed):
+    """``X`` plus i.i.d. zero-mean Gaussian pixel noise at the given SNR.
 
-    Signal power is the mean squared pixel value of ``data``, and the noise
+    Signal power is the mean squared pixel value of ``X``, and the noise
     variance is ``P_signal * 10**(-snr_db / 10)``; ``snr_db = +inf`` returns
-    the dataset unchanged, and a huge finite SNR adds zero noise.
+    ``X`` itself, and a huge finite SNR adds zero noise.
     An SNR whose noise variance is not finite (NaN, -inf, a huge negative
     value) raises ``ValueError``.
     """
     if snr_db == np.inf:
-        return data
+        return X
     try:
-        noise_var = _mean_square(data.images) * 10.0 ** (-float(snr_db) / 10.0)
+        noise_var = _mean_square(X) * 10.0 ** (-float(snr_db) / 10.0)
     except OverflowError:  # a Python float's ** does not return inf
         noise_var = np.inf
     if not np.isfinite(noise_var):
         raise ValueError(f"snr_db = {snr_db} gives a noise variance that is not finite")
-    noisy = np.random.default_rng(seed).standard_normal(data.images.shape)
+    noisy = np.random.default_rng(seed).standard_normal(X.shape)
     noisy *= np.sqrt(noise_var)
-    noisy += data.images
-    return ImageDataset(images=noisy, labels=data.labels)
+    noisy += X
+    return noisy

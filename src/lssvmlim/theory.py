@@ -197,7 +197,8 @@ def gaussian_stats(stats: MixtureStats, n1: int, n2: int, gamma: float,
 
     c1 = n1/n and c2 = n2/n are the proportions of the ``n = n1 + n2``
     training points, since a trained score centres at (n2 - n1)/n; tau is
-    ``stats.tau``.  ``gamma`` must be finite and positive.
+    ``stats.tau``.  ``gamma`` must be finite and positive, and small enough
+    that the score means ``E_a`` and variances ``Var_a`` are finite.
     """
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
@@ -242,6 +243,12 @@ def gaussian_stats(stats: MixtureStats, n1: int, n2: int, gamma: float,
         finite = False
     if not finite:
         raise ValueError(f"the model and kernel at tau = {tau} give non-finite statistics")
+    try:
+        finite = np.isfinite((result.E1, result.E2, result.Var1, result.Var2)).all()
+    except OverflowError:  # a Python float's ** does not return inf
+        finite = False
+    if not finite:
+        raise ValueError(f"gamma = {gamma} gives score means or variances that are not finite")
     return result
 
 

@@ -300,21 +300,17 @@ def test_c11_mnist_pipeline():
             "train-images-idx3-ubyte / train-labels-idx1-ubyte); offline "
             "environment cannot fetch them"
         )
-    data = load_idx(*pair)
-    n8 = int(np.count_nonzero(data.labels == 8))
-    n9 = int(np.count_nonzero(data.labels == 9))
+    X, y = load_idx(*pair, 8, 9)
+    n8 = int(np.count_nonzero(y < 0))
+    n9 = int(np.count_nonzero(y > 0))
     assert (n8, n9) == (5851, 5949)  # the standard 60k training set
-    model = class_stats(data, 8, 9)
+    model = class_stats(X, y)
     profile = GaussianKernel(1.0)
     st = gaussian_stats(model, 128, 128, 1.0, profile)
     threshold = at_threshold(st, "optimal")["threshold"]
 
-    mask = (data.labels == 8) | (data.labels == 9)
-    pool_x = data.images[:, mask]
-    pool_y = np.where(data.labels[mask] == 8, -1.0, 1.0)
     errs = [
-        empirical_error((pool_x, pool_y), 128, 128, 256, 1.0, profile, threshold,
-                        mix64(6174, t))[2]
+        empirical_error((X, y), 128, 128, 256, 1.0, profile, threshold, mix64(6174, t))[2]
         for t in range(10)
     ]
     emp = float(np.mean(errs))
@@ -322,7 +318,7 @@ def test_c11_mnist_pipeline():
 
     reference = np.array([251.0, 19.0, 30.0])
     best_name, best_ratio = None, np.inf
-    for name, triple in discrepancy_by_scaling(data, model).items():
+    for name, triple in discrepancy_by_scaling(X, model).items():
         triple = np.array(triple)
         with np.errstate(divide="ignore"):
             ratios = np.where(triple > 0, np.maximum(triple / reference, reference / triple), np.inf)

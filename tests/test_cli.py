@@ -441,6 +441,8 @@ def small_model(**changes):
         ("sweep", {"trials": 3, "sweep": {"axis": "c1", "grid": [0.5, 0.25, 1.5]}}),
         ("sweep", {"trials": 3, "sweep": {"axis": "sigma2", "grid": [1.0, 2.0, -1.0]}}),
         ("sweep", {"trials": 3, "sweep": {"axis": "fsecond", "grid": [0.25, 1e200]}}),
+        # a gamma whose score variances overflow
+        ("sweep", {"trials": 3, "gamma": 1e200}),
     ],
     ids=["predict-gamma0", "predict-n0", "predict-gamma-negative", "predict-n1",
          "predict-gamma-nan", "predict-convention-key-refused", "sweep-gamma0", "sweep-n_test1",
@@ -460,7 +462,7 @@ def small_model(**changes):
          "convergence-sizes-inf", "predict-p-inf", "predict-n1-inf", "sweep-c0-subnormal",
          "histogram-n_test-huge", "convergence-sizes-huge", "sweep-n-huge",
          "sweep-c1-grid-late-above-one", "sweep-sigma2-grid-late-negative",
-         "sweep-fsecond-grid-late-overflow"],
+         "sweep-fsecond-grid-late-overflow", "sweep-gamma-overflow"],
 )
 def test_invalid_config_is_a_one_line_data_error(tmp_path, capsys, recwarn, monkeypatch, command,
                                                  bad):
@@ -612,6 +614,11 @@ def local_kernel(**changes):
         ("sweep", small_sweep_doc(kernel={"kind": "gaussian"},
                                   sweep={"axis": "fprime", "grid": [0.5]}),
          "missing key kernel.sigma2"),
+        # a gamma whose score variances overflow is named, not a traceback
+        ("predict", small_sweep_doc(gamma=1e200), "gamma = 1e+200 gives"),
+        ("histogram", small_sweep_doc(gamma=1e200), "gamma = 1e+200 gives"),
+        ("convergence", small_sweep_doc(sizes=[[16, 16]], n_points=6, gamma=1e200),
+         "gamma = 1e+200 gives"),
     ],
     ids=["predict-shipped-convergence-config", "predict-model-missing", "predict-cov2-missing",
          "predict-sigma2-missing", "predict-fp-missing", "predict-spike-three-args",
@@ -637,7 +644,8 @@ def local_kernel(**changes):
          "predict-mean1-object", "predict-cov1-unknown", "predict-cov1-rho-above-one",
          "predict-cov1-two-by-two", "predict-c1-above-one", "predict-sigma2-negative",
          "predict-coeffs-empty", "predict-fpp-inf",
-         "sweep-sigma2-axis-kernel-string", "sweep-fprime-axis-sigma2-missing"],
+         "sweep-sigma2-axis-kernel-string", "sweep-fprime-axis-sigma2-missing",
+         "predict-gamma-overflow", "histogram-gamma-overflow", "convergence-gamma-overflow"],
 )
 def test_invalid_config_error_names_its_key(tmp_path, capsys, recwarn, command, doc, named):
     assert main([command, "--config", write_config(tmp_path, doc)]) == 2
@@ -776,9 +784,12 @@ def test_classes_too_far_apart_for_the_quadratic_predict_no_error(tmp_path, caps
      (["--n", "163"], "too small for 82 + 81 training"),
      # the kernel is refused before any image is read, so a missing file is never opened
      (["--images", "no-such-images.idx", "--sigma2", "-1"],
-      "kernel.sigma2: sigma2 must be finite and positive, got -1.0")],
+      "kernel.sigma2: sigma2 must be finite and positive, got -1.0"),
+     # equal digits are refused before any file is opened
+     (["--images", "no-such-images.idx", "--digit-b", "8"], "the two digits must differ")],
     ids=["gamma0", "trials0", "n_test1", "snr-nan", "snr-minus-inf", "snr-huge-negative",
-         "same-digit", "pool-too-small", "pool-too-small-odd-n", "sigma2-before-images"],
+         "same-digit", "pool-too-small", "pool-too-small-odd-n", "sigma2-before-images",
+         "same-digit-before-images"],
 )
 def test_mnist_stats_invalid_flag_is_a_one_line_data_error(tmp_path, capsys, flags, named):
     ip, lp = synthetic_idx_pair(tmp_path)
@@ -871,13 +882,23 @@ def test_a_grid_point_without_a_completed_trial_is_a_numerical_failure(
     assert len(csv_path.read_text().splitlines()) == 1 + len(rows)
 
 
-def test_flat_local_kernel_is_a_numerical_failure(tmp_path, capsys, recwarn):
-    # f' = f'' = 0: both classes score as one point, so no threshold separates them
-    doc = small_sweep_doc(kernel={"kind": "local", "tau": 2.0, "f": 4.0, "fp": 0.0, "fpp": 0.0})
-    assert main(["predict", "--config", write_config(tmp_path, doc)]) == 3
+@pytest.mark.parametrize(
+    "kernel", [{"kind": "local", "tau": 2.0, "f": 4.0, "fp": 0.0, "fpp": 0.0},
+               {"kind": "polynomial", "coeffs": [1.0]}], ids=["flat-local", "constant"])
+@pytest.mark.parametrize(
+    "command, named",
+    [("predict", "both variances vanish with equal means"),
+     ("histogram", "class 1's predicted score variance is zero: no KS distance")],
+    ids=["predict", "histogram"])
+def test_flat_local_kernel_is_a_numerical_failure(tmp_path, capsys, recwarn, kernel, command,
+                                                  named):
+    # f' = f'' = 0: both classes score as one point, so no threshold separates
+    # them and no Kolmogorov-Smirnov distance to a point mass is defined
+    doc = small_sweep_doc(kernel=kernel)
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "lssvmlim: numerical failure: both variances vanish with equal means\n"
+    assert captured.err == f"lssvmlim: numerical failure: {named}\n"
     assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
 
 
@@ -898,9 +919,9 @@ def test_mnist_stats_noise_covers_the_two_digits_from_a_stream_no_trial_draws(
     noise_draws, trial_seeds = [], []
     add_noise, trial = mnist.add_white_noise, experiments.empirical_error
 
-    def spied_noise(data, snr_db, seed):
-        noise_draws.append((data.images.shape[1], sorted(set(data.labels.tolist())), seed))
-        return add_noise(data, snr_db, seed)
+    def spied_noise(X, snr_db, seed):
+        noise_draws.append((X.shape[1], seed))
+        return add_noise(X, snr_db, seed)
 
     def spied_trial(*args):
         trial_seeds.append(args[-1])
@@ -912,9 +933,54 @@ def test_mnist_stats_noise_covers_the_two_digits_from_a_stream_no_trial_draws(
                  "--n-test", "16", "--trials", "100", "--snr-db", "10", "--seed", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["counts"] == [40, 44]
     assert len(trial_seeds) == 100
-    [(columns, digits, seed)] = noise_draws
+    [(columns, seed)] = noise_draws
     assert seed not in trial_seeds
-    assert (columns, digits) == (84, [8, 9])
+    assert columns == 84
+
+
+def three_digit_idx_pair(tmp_path, p, counts):
+    """``counts`` images of digits 8, 9 and 3 in the IDX byte format, the
+    three digits' pixels of different brightness."""
+    rng = np.random.default_rng(11)
+    pixels = np.concatenate([np.clip(rng.normal(level, 40, size=(p, count)), 0, 255)
+                             for level, count in zip((90, 130, 200), counts)], axis=1)
+    ip, lp = tmp_path / "imgs.idx", tmp_path / "labs.idx"
+    write_idx(pixels.astype(np.uint8), np.repeat([8, 9, 3], counts), ip, lp)
+    return str(ip), str(lp)
+
+
+def test_mnist_stats_scalings_read_the_two_digits_with_or_without_noise(tmp_path, capsys):
+    # an SNR of 1e308 dB adds zero noise, so both runs read the same pixels;
+    # the 50 threes must move neither run's mean and rms scalings
+    ip, lp = three_digit_idx_pair(tmp_path, 16, (40, 44, 50))
+    args = ["mnist-stats", "--images", ip, "--labels", lp, "--n", "16", "--n-test", "16",
+            "--trials", "2"]
+    triples = []
+    for extra in ([], ["--snr-db", "1e308"]):
+        assert main([*args, *extra]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["counts"] == [40, 44]
+        triples.append(out["discrepancy_by_scaling"])
+    plain, noised = triples
+    for name in ("unit", "raw", "mean", "rms"):
+        np.testing.assert_allclose(plain[name], noised[name], rtol=1e-12, err_msg=name)
+
+
+def test_mnist_stats_converts_only_the_two_digits(tmp_path, capsys):
+    # 3000 eights and 2000 nines among 45000 threes: the tracemalloc peak
+    # stays a small multiple of the two digits' float64 pixels (2.6x), where
+    # converting every image before selecting two digits reached 11.4x
+    p, counts = 64, (3000, 2000, 45000)
+    ip, lp = three_digit_idx_pair(tmp_path, p, counts)
+    tracemalloc.start()
+    try:
+        assert main(["mnist-stats", "--images", ip, "--labels", lp, "--n", "64",
+                     "--n-test", "64", "--trials", "2"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["counts"] == [3000, 2000]
+    assert peak <= 4 * p * (3000 + 2000) * 8
 
 
 def test_sweep_json_file_ends_with_a_newline(tmp_path):

@@ -9,7 +9,6 @@ from helpers import malformed_idx_pair
 from lssvmlim.errors import DataError
 from lssvmlim.mixture import MixtureModel, mixture_stats, sample
 from lssvmlim.mnist import (
-    ImageDataset,
     _moments,
     add_white_noise,
     class_stats,
@@ -32,21 +31,21 @@ def tiny_pair(tmp_path, pixels=None, labels=None):
 
 def test_crafted_two_image_file(tmp_path):
     ip, lp = tiny_pair(tmp_path)
-    data = load_idx(ip, lp)
-    assert data.images.shape == (4, 2)
-    np.testing.assert_allclose(data.images[:, 0], [0.0, 1.0, 0.0, 1.0])
-    np.testing.assert_allclose(data.images[:, 1], [1.0, 0.0, 128 / 255, 64 / 255])
-    np.testing.assert_array_equal(data.labels, [3, 7])
+    X, y = load_idx(ip, lp, 3, 7)
+    assert X.shape == (4, 2)
+    np.testing.assert_allclose(X[:, 0], [0.0, 1.0, 0.0, 1.0])
+    np.testing.assert_allclose(X[:, 1], [1.0, 0.0, 128 / 255, 64 / 255])
+    np.testing.assert_array_equal(y, [-1.0, 1.0])
 
 
 def test_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     pixels = rng.integers(0, 256, size=(16, 10), dtype=np.uint8)
-    labels = rng.integers(0, 10, size=10, dtype=np.uint8)
+    labels = rng.choice(np.array([3, 7], dtype=np.uint8), size=10)
     ip, lp = tiny_pair(tmp_path, pixels, labels)
-    data = load_idx(ip, lp)
+    X, y = load_idx(ip, lp, 3, 7)
     ip2, lp2 = tmp_path / "imgs2.idx", tmp_path / "labs2.idx"
-    write_idx(np.rint(data.images * 255).astype(np.uint8), data.labels, ip2, lp2)
+    write_idx(np.rint(X * 255).astype(np.uint8), np.where(y < 0, 3, 7), ip2, lp2)
     assert ip.read_bytes() == ip2.read_bytes()
     assert lp.read_bytes() == lp2.read_bytes()
 
@@ -56,10 +55,10 @@ def test_gzip_transparent(tmp_path):
     gz_ip, gz_lp = tmp_path / "imgs.idx.gz", tmp_path / "labs.idx.gz"
     gz_ip.write_bytes(gzip.compress(ip.read_bytes()))
     gz_lp.write_bytes(gzip.compress(lp.read_bytes()))
-    a = load_idx(ip, lp)
-    b = load_idx(gz_ip, gz_lp)
-    assert np.array_equal(a.images, b.images)
-    assert np.array_equal(a.labels, b.labels)
+    a = load_idx(ip, lp, 3, 7)
+    b = load_idx(gz_ip, gz_lp, 3, 7)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_wrong_magic(tmp_path):
@@ -69,9 +68,9 @@ def test_wrong_magic(tmp_path):
     bad = tmp_path / "bad.idx"
     bad.write_bytes(bytes(blob))
     with pytest.raises(DataError, match="magic 0x"):
-        load_idx(bad, lp)
+        load_idx(bad, lp, 3, 7)
     with pytest.raises(DataError, match="magic 0x"):
-        load_idx(ip, ip)  # image magic where labels expected
+        load_idx(ip, ip, 3, 7)  # image magic where labels expected
 
 
 def test_truncated_file(tmp_path):
@@ -79,11 +78,11 @@ def test_truncated_file(tmp_path):
     trunc = tmp_path / "trunc.idx"
     trunc.write_bytes(ip.read_bytes()[:-3])
     with pytest.raises(DataError, match="more bytes"):
-        load_idx(trunc, lp)
+        load_idx(trunc, lp, 3, 7)
     header_only = tmp_path / "hdr.idx"
     header_only.write_bytes(ip.read_bytes()[:10])
     with pytest.raises(DataError, match="more bytes"):
-        load_idx(header_only, lp)
+        load_idx(header_only, lp, 3, 7)
 
 
 @pytest.mark.parametrize(
@@ -99,7 +98,7 @@ def test_malformed_file_is_a_data_error(tmp_path, case, named):
     # a header is compared with what the file holds, not trusted to size a read
     ip, lp = malformed_idx_pair(tmp_path, case)
     with pytest.raises(DataError, match=named):
-        load_idx(ip, lp)
+        load_idx(ip, lp, 8, 9)
 
 
 def test_count_mismatch(tmp_path):
@@ -109,15 +108,14 @@ def test_count_mismatch(tmp_path):
         fh.write(struct.pack(">II", 0x00000801, 3))
         fh.write(bytes([1, 2, 3]))
     with pytest.raises(DataError, match="images but 3 labels"):
-        load_idx(ip, lp3)
+        load_idx(ip, lp3, 3, 7)
 
 
 def test_class_stats_two_identical_images_per_class():
     img_a = np.full(9, 0.25)
     img_b = np.full(9, 0.75)
     images = np.column_stack([img_a, img_a, img_b, img_b])
-    data = ImageDataset(images=images, labels=np.array([8, 8, 9, 9]))
-    stats = class_stats(data, 8, 9)
+    stats = class_stats(images, np.array([-1.0, -1.0, 1.0, 1.0]))
     assert (stats.p, stats.c1) == (9, 0.5)
     assert stats.mean_gap_sq == pytest.approx(9 * 0.5**2, rel=1e-15)
     assert stats.trace1 == stats.trace2 == 0.0
@@ -125,21 +123,20 @@ def test_class_stats_two_identical_images_per_class():
     assert stats.mean_gap_quad == (0.0, 0.0)
 
 
-def test_class_stats_missing_class():
-    data = ImageDataset(images=np.zeros((4, 3)), labels=np.array([1, 1, 2]))
+def test_load_idx_missing_class(tmp_path):
+    ip, lp = tiny_pair(tmp_path, np.zeros((4, 3)), np.array([1, 1, 2]))
     with pytest.raises(DataError, match="no samples labeled 7"):
-        class_stats(data, 1, 7)
+        load_idx(ip, lp, 1, 7)
     with pytest.raises(ValueError, match="the two digits must differ"):
-        class_stats(data, 1, 1)
+        load_idx(ip, lp, 1, 1)
 
 
-def test_class_stats_refuses_a_missing_first_digit_and_single_images():
-    data = ImageDataset(images=np.zeros((4, 3)), labels=np.array([1, 1, 2]))
+def test_load_idx_refuses_a_missing_first_digit_and_class_stats_single_images(tmp_path):
+    ip, lp = tiny_pair(tmp_path, np.zeros((4, 3)), np.array([1, 1, 2]))
     with pytest.raises(DataError, match="no samples labeled 7"):
-        class_stats(data, 7, 1)
-    one_each = ImageDataset(images=np.zeros((4, 2)), labels=np.array([1, 2]))
+        load_idx(ip, lp, 7, 1)
     with pytest.raises(ValueError, match="need at least two samples per class"):
-        class_stats(one_each, 1, 2)
+        class_stats(np.zeros((4, 2)), np.array([-1.0, 1.0]))
 
 
 def test_write_idx_refuses_images_that_are_not_square(tmp_path):
@@ -163,8 +160,7 @@ def test_class_stats_recovers_synthetic_moments():
     cov2 = A @ A.T
     model = MixtureModel(p, mu1, mu2, 0.04 * np.eye(p), cov2, c1=0.5)
     ds = sample(model, 4000, 4000, seed=2)
-    data = ImageDataset(images=ds.X, labels=np.where(ds.labels < 0, 8, 9))
-    est, true = class_stats(data, 8, 9), model.stats
+    est, true = class_stats(ds.X, ds.labels), model.stats
     assert (est.p, est.c1) == (p, 0.5)
     for name in ("trace1", "trace2", "tr_c1c1", "tr_c1c2", "tr_c2c2", "mean_gap_sq"):
         assert getattr(est, name) == pytest.approx(getattr(true, name), rel=0.08), name
@@ -174,14 +170,13 @@ def test_class_stats_recovers_synthetic_moments():
 def test_class_stats_covariances_are_valid_mixture_inputs():
     rng = np.random.default_rng(3)
     images = rng.uniform(0, 1, size=(25, 60))
-    labels = np.repeat([8, 9], 30)
-    data = ImageDataset(images=images, labels=labels)
+    labels = np.repeat([-1.0, 1.0], 30)
     # a model of the same moments passes the symmetry and eigenvalue tests,
     # which class_stats skips, and has the same statistics bit for bit
-    (mu_a, cov_a), (mu_b, cov_b) = (_moments(images[:, labels == d]) for d in (8, 9))
+    (mu_a, cov_a), (mu_b, cov_b) = (_moments(images[:, labels == d]) for d in (-1, 1))
     assert np.array_equal(cov_a, cov_a.T)
     model = MixtureModel(25, mu_a, mu_b, cov_a, cov_b, c1=0.5)
-    assert class_stats(data, 8, 9) == model.stats
+    assert class_stats(images, labels) == model.stats
 
 
 def test_class_stats_holds_one_class_copy_at_a_time():
@@ -190,11 +185,11 @@ def test_class_stats_holds_one_class_copy_at_a_time():
     # np.cov's two more of one class
     rng = np.random.default_rng(4)
     images = rng.uniform(0, 1, size=(64, 4000))
-    data = ImageDataset(images=images, labels=np.repeat([8, 9], 2000))
+    labels = np.repeat([-1.0, 1.0], 2000)
     before = images.copy()
     tracemalloc.start()
     try:
-        stats = class_stats(data, 8, 9)
+        stats = class_stats(images, labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -223,64 +218,56 @@ def test_discrepancy_stats_hand_example():
 
 
 def test_white_noise_identity_for_infinite_snr():
-    data = ImageDataset(images=np.full((4, 3), 0.5), labels=np.zeros(3, dtype=int))
-    assert add_white_noise(data, np.inf, 0) is data
+    images = np.full((4, 3), 0.5)
+    assert add_white_noise(images, np.inf, 0) is images
 
 
 @pytest.mark.parametrize("snr_db", [1e10, 1e300])
 def test_white_noise_at_huge_snr_leaves_the_pixels_unchanged(snr_db):
     # the noise variance underflows to zero, as at +inf
     images = np.random.default_rng(3).uniform(0, 1, size=(16, 20))
-    data = ImageDataset(images=images, labels=np.zeros(20, dtype=int))
-    assert np.array_equal(add_white_noise(data, snr_db, seed=4).images, images)
+    assert np.array_equal(add_white_noise(images, snr_db, seed=4), images)
 
 
 def test_white_noise_zero_db_matches_signal_power():
     rng = np.random.default_rng(4)
     images = rng.uniform(0, 1, size=(64, 400))
-    data = ImageDataset(images=images, labels=np.zeros(400, dtype=int))
     power = float(np.mean(images**2))
-    noisy = add_white_noise(data, 0.0, seed=5)
-    resid = noisy.images - images
+    noisy = add_white_noise(images, 0.0, seed=5)
+    resid = noisy - images
     assert np.var(resid) == pytest.approx(power, rel=0.05)
 
 
 def test_white_noise_zero_signal():
-    data = ImageDataset(images=np.zeros((4, 5)), labels=np.zeros(5, dtype=int))
-    noisy = add_white_noise(data, 0.0, seed=6)
-    assert np.all(noisy.images == 0.0)
+    noisy = add_white_noise(np.zeros((4, 5)), 0.0, seed=6)
+    assert np.all(noisy == 0.0)
 
 
 def test_white_noise_two_seeds_differ_by_twice_the_power():
     rng = np.random.default_rng(7)
     images = rng.uniform(0, 1, size=(64, 400))
-    data = ImageDataset(images=images, labels=np.zeros(400, dtype=int))
     power = float(np.mean(images**2))
-    a = add_white_noise(data, 0.0, seed=8)
-    b = add_white_noise(data, 0.0, seed=9)
-    diff_var = np.var(a.images - b.images)
-    se_band = 3 * 2 * power / np.sqrt(a.images.size)
+    a = add_white_noise(images, 0.0, seed=8)
+    b = add_white_noise(images, 0.0, seed=9)
+    diff_var = np.var(a - b)
+    se_band = 3 * 2 * power / np.sqrt(a.size)
     assert abs(diff_var - 2 * power) < se_band + 0.01 * power
 
 
-def _rescaled_discrepancies(data):
+def _rescaled_discrepancies(X, y):
     # the triple recomputed from class moments of the rescaled images
-    factors = {"unit": 1.0, "raw": 255.0, "mean": 1.0 / float(np.mean(data.images)),
-               "rms": 1.0 / float(np.sqrt(np.mean(data.images**2)))}
-    return {
-        name: discrepancy_stats(class_stats(
-            ImageDataset(images=data.images * f, labels=data.labels), 0, 1))
-        for name, f in factors.items()
-    }
+    factors = {"unit": 1.0, "raw": 255.0, "mean": 1.0 / float(np.mean(X)),
+               "rms": 1.0 / float(np.sqrt(np.mean(X**2)))}
+    return {name: discrepancy_stats(class_stats(X * f, y)) for name, f in factors.items()}
 
 
 def test_discrepancy_by_scaling_matches_the_rescaled_images():
     rng = np.random.default_rng(10)
     images = rng.uniform(0, 1, size=(9, 40))
-    data = ImageDataset(images=images, labels=np.repeat([0, 1], 20))
-    triples = discrepancy_by_scaling(data, class_stats(data, 0, 1))
-    expected = _rescaled_discrepancies(data)
+    labels = np.repeat([-1.0, 1.0], 20)
+    triples = discrepancy_by_scaling(images, class_stats(images, labels))
+    expected = _rescaled_discrepancies(images, labels)
     assert list(triples) == ["unit", "raw", "mean", "rms"]
     for name, triple in triples.items():
         np.testing.assert_allclose(triple, expected[name], rtol=1e-12, err_msg=name)
-    assert triples["unit"] == discrepancy_stats(class_stats(data, 0, 1))
+    assert triples["unit"] == discrepancy_stats(class_stats(images, labels))
