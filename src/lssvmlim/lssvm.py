@@ -103,12 +103,14 @@ def _factor(K, shift):
     return lambda b: V @ ((V.T @ (b - b.mean())) / lam)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(gram: Gram | np.ndarray, labels: np.ndarray, gamma: float):
     """Solve for the dual coefficients and bias.
 
     One projected solve for y, by conjugate gradients or else through
     :func:`_factor`; the bias is ``mean(y - S alpha)``, from the residual
-    guard's product.
+    guard's product.  An overflow, of kernel values or of the shift n/gamma,
+    warns nothing: the NaN or inf it leaves fails a guard, which raises.
 
     Parameters
     ----------

@@ -75,9 +75,9 @@ class ToeplitzCov:
     Positive definite for ``0 <= rho < 1`` and a finite ``scale > 0`` by
     construction; ``rho = 0`` is ``scale`` times the identity.  The trace
     statistics have closed forms, so no p x p array is formed until
-    :func:`sample` needs a square root of a covariance that is not a
-    multiple of the identity; ``np.asarray`` materializes the dense matrix.
-    It is not an array: read entries through ``row`` or ``np.asarray``.
+    :meth:`draw` needs a square root of a covariance that is not a multiple
+    of the identity; ``np.asarray`` materializes the dense matrix.  It is
+    not an array: read entries through ``row`` or ``np.asarray``.
     """
 
     __slots__ = ("rho", "scale", "row")
@@ -91,13 +91,8 @@ class ToeplitzCov:
         row.flags.writeable = False
         self.rho, self.scale, self.row = rho, scale, row
 
-    @property
-    def p(self):
-        return self.row.size
-
-    @property
-    def shape(self):
-        return (self.p, self.p)
+    p = property(lambda self: self.row.size)
+    shape = property(lambda self: (self.p, self.p))
 
     def __array__(self, dtype=None, copy=None):
         k = np.arange(self.p)
@@ -109,10 +104,13 @@ class ToeplitzCov:
         """``tr C = p r0``"""
         return self.p * float(self.row[0])  # a Python float: inf on overflow, no warning
 
-    def tr_prod(self, other: "ToeplitzCov") -> float:
-        """``tr(A B) = p a0 b0 + 2 sum_k (p - k) a_k b_k`` for A = self, B = other."""
-        a, b = self.row, other.row
-        p = a.size
+    def tr_prod(self, other) -> float:
+        """``tr(A B)`` for A = self and a symmetric covariance B = other:
+        ``p a0 b0 + 2 sum_k (p - k) a_k b_k`` when B is a ToeplitzCov, else
+        the dense B's ``tr_prod``."""
+        if not isinstance(other, ToeplitzCov):
+            return other.tr_prod(self)
+        a, b, p = self.row, other.row, self.p
         return float(p * a[0] * b[0] + 2.0 * ((p - np.arange(1, p)) * a[1:]) @ b[1:])
 
     def quad(self, x) -> float:
@@ -132,12 +130,78 @@ class ToeplitzCov:
         cx = np.fft.irfft(np.fft.rfft(c) * np.fft.rfft(x, n), n)[:p]
         return float(x @ cx)
 
+    @property
+    def band(self) -> int:
+        """Half-bandwidth of the root that :meth:`draw` multiplies within: p for
+        ``r0 I``, else the least b with rho**b <= eps/p, as the root decays like rho**|i - j|."""
+        b = np.log(np.finfo(float).eps / self.p) / np.log(self.rho) if self.rho else self.p
+        return min(self.p, int(np.ceil(b)))
 
-def _tr_prod(A, B) -> float:
-    """tr(A B) for symmetric A, B: ``sum_ij A_ij B_ij``."""
-    if isinstance(A, ToeplitzCov) and isinstance(B, ToeplitzCov):
-        return A.tr_prod(B)
-    return float(np.vdot(np.asarray(A), np.asarray(B)))
+    def draw(self, z, out):
+        """``out = C^{1/2} z``: ``sqrt(r0) z`` for ``r0 I``, bit for bit the product with its
+        eigendecomposition root; else, by ``_ROWS``-row blocks, the product with the read-only
+        root that equal covariances share through ``_toeplitz_root``, within :attr:`band` of its
+        diagonal: each column is within ``p eps max(|R| |z|)`` of ``R z``, that product's bound."""
+        if not self.row[1:].any():
+            return np.multiply(z, np.sqrt(self.row[0]), out=out)
+        root, p, band = _toeplitz_root(self.rho, self.scale, self.p), self.p, self.band
+        rows = _ROWS if band < p else p
+        for i in range(0, p, rows):
+            lo, hi = max(0, i - band), i + rows + band
+            np.matmul(root[i : i + rows, lo:hi], z[lo:hi], out=out[i : i + rows])
+        return out
+
+
+class DenseCov:
+    """A covariance held as the dense read-only p x p array ``a``: a config's dense list or
+    ``{"file": path}``, or an array given to :class:`MixtureModel` or :func:`mixture_stats`.
+    Its root is made by ``eigh`` at the first :meth:`draw` and kept, so every model that
+    holds this object shares it; a rank-deficient covariance is legal."""
+
+    def __init__(self, a):
+        self.a = np.asarray(a, dtype=float).view()  # read-only here, not in the caller's array
+        self.a.flags.writeable = False
+
+    shape = property(lambda self: self.a.shape)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.a, dtype=dtype, copy=copy)
+
+    def check(self, name):
+        """Refuse, naming the model field ``name``, an array that is not
+        finite or not symmetric, or whose smallest eigenvalue (from
+        ``eigvalsh``) is below ``-1e-10`` times the spectral norm."""
+        C = self.a
+        if not np.isfinite(C).all():  # a NaN would pass the symmetry test below
+            raise ValueError(f"{name} must be finite")
+        if np.abs(C - C.T).max() > 1e-12 * max(1.0, np.abs(C).max()):
+            raise ValueError(f"{name} is not symmetric")
+        w = np.linalg.eigvalsh(C)
+        if w.min() < -1e-10 * np.abs(w).max():
+            raise ValueError(f"{name} has eigenvalue {w.min()} below tolerance")
+
+    def trace(self) -> float:
+        return float(self.a.trace())
+
+    def tr_prod(self, other) -> float:
+        """``tr(A B) = sum_ij A_ij B_ij`` for A = self and a symmetric B = other."""
+        return float(np.vdot(self.a, np.asarray(other)))
+
+    def quad(self, x) -> float:
+        return float(x @ self.a @ x)
+
+    @cached_property
+    def root(self):
+        """Symmetric square root; round-off negative eigenvalues are clamped to zero."""
+        return _root(*np.linalg.eigh(self.a))
+
+    def draw(self, z, out):
+        """``out = root @ z``"""
+        return np.matmul(self.root, z, out=out)
+
+
+def _as_cov(C):  # a covariance object as it is, an array as an unchecked DenseCov
+    return C if isinstance(C, (ToeplitzCov, DenseCov)) else DenseCov(C)
 
 
 def _root(w, v):
@@ -156,59 +220,6 @@ def _toeplitz_root(rho, scale, p) -> np.ndarray:
     root = _root(*np.linalg.eigh(np.asarray(ToeplitzCov(rho, scale, p))))
     root.flags.writeable = False
     return root
-
-
-def _sqrt(cov):
-    """Symmetric square root of ``cov``: the scalar ``sqrt(r0)`` when a
-    :class:`ToeplitzCov` is ``r0 I`` (its eigendecomposition gives exactly
-    ``sqrt(r0) I``), the cached root of any other :class:`ToeplitzCov`, else
-    from the eigendecomposition of the dense ``cov``."""
-    if not isinstance(cov, ToeplitzCov):
-        return _root(*np.linalg.eigh(cov))
-    if not cov.row[1:].any():
-        return np.sqrt(cov.row[0])
-    return _toeplitz_root(cov.rho, cov.scale, cov.p)
-
-
-def _band(cov, p) -> int:
-    """Half-bandwidth of the root of ``cov`` that :func:`sample` uses: p, or for a
-    ``ToeplitzCov`` root, which decays like rho**|i - j|, the least b with rho**b <= eps/p."""
-    if not isinstance(cov, ToeplitzCov) or cov.rho == 0:
-        return p
-    return min(p, int(np.ceil(np.log(np.finfo(float).eps / p) / np.log(cov.rho))))
-
-
-def _root_product(root, z, band, out):
-    """``out = root @ z`` within ``band`` of the diagonal of ``root``, by ``_ROWS``-row
-    blocks; one product when the band reaches p, one multiply for a scalar root."""
-    if np.ndim(root) == 0:
-        return np.multiply(z, root, out=out)
-    p = z.shape[0]
-    rows = _ROWS if band < p else p
-    for i in range(0, p, rows):
-        lo, hi = max(0, i - band), i + rows + band
-        np.matmul(root[i : i + rows, lo:hi], z[lo:hi], out=out[i : i + rows])
-    return out
-
-
-def _check_cov(C, p, name):
-    """``C`` as the model stores it: a :class:`ToeplitzCov` as given, any
-    other input as a dense finite symmetric array whose eigenvalues must be
-    nonnegative up to round-off."""
-    C = C if isinstance(C, ToeplitzCov) else np.asarray(C, dtype=float)
-    if C.shape != (p, p):
-        raise ValueError(f"{name} must be {p}x{p}, got {C.shape}")
-    if isinstance(C, ToeplitzCov):
-        return C
-    if not np.isfinite(C).all():  # a NaN would pass the symmetry test below
-        raise ValueError(f"{name} must be finite")
-    scale = max(1.0, np.abs(C).max())
-    if np.abs(C - C.T).max() > 1e-12 * scale:
-        raise ValueError(f"{name} is not symmetric")
-    w = np.linalg.eigvalsh(C)
-    if w.min() < -1e-10 * np.abs(w).max():
-        raise ValueError(f"{name} has eigenvalue {w.min()} below tolerance")
-    return C
 
 
 @dataclass(frozen=True)
@@ -245,37 +256,33 @@ class MixtureStats:
 
 def mixture_stats(mu1, mu2, cov1, cov2, c1) -> MixtureStats:
     """The :class:`MixtureStats` of class means ``mu_a``, covariances ``C_a``
-    (:class:`ToeplitzCov` in closed form, or dense) and class-1 proportion
-    ``c1``.  A statistic that overflows is inf or NaN: the predictors refuse it."""
+    (either covariance class, or an array, read unchecked) and class-1
+    proportion ``c1``.  A statistic that overflows is inf or NaN: the
+    predictors refuse it."""
+    cov1, cov2 = _as_cov(cov1), _as_cov(cov2)
     with np.errstate(over="ignore", invalid="ignore"):
         dmu = mu2 - mu1
         return MixtureStats(
-            p=dmu.size, c1=c1, trace1=float(cov1.trace()), trace2=float(cov2.trace()),
-            tr_c1c1=_tr_prod(cov1, cov1), tr_c1c2=_tr_prod(cov1, cov2),
-            tr_c2c2=_tr_prod(cov2, cov2), mean_gap_sq=float(dmu @ dmu),
-            mean_gap_quad=tuple(C.quad(dmu) if isinstance(C, ToeplitzCov) else float(dmu @ C @ dmu)
-                                for C in (cov1, cov2)),
-        )
+            p=dmu.size, c1=c1, trace1=cov1.trace(), trace2=cov2.trace(),
+            tr_c1c1=cov1.tr_prod(cov1), tr_c1c2=cov1.tr_prod(cov2), tr_c2c2=cov2.tr_prod(cov2),
+            mean_gap_sq=float(dmu @ dmu), mean_gap_quad=(cov1.quad(dmu), cov2.quad(dmu)))
 
 
 @dataclass(frozen=True, eq=False)
 class MixtureModel:
     """Two-class Gaussian mixture with class-1 proportion ``c1`` and statistics ``stats``.
 
-    A :class:`ToeplitzCov` covariance is kept as given (the covariance specs
-    of :func:`model_from_spec` build one) and is positive definite by
-    construction.  Any other covariance is stored as a dense array, even
-    when it is Toeplitz, and must be symmetric nonnegative-definite up to
-    round-off (smallest eigenvalue, from ``eigvalsh``, no lower than
-    ``-1e-10`` times the spectral norm); its root is made by ``eigh`` on the
-    first :func:`sample`.
+    A :class:`ToeplitzCov` or :class:`DenseCov` covariance is kept as given,
+    with only its shape checked, so copies made by ``dataclasses.replace``
+    share its check and its root.  Any other covariance, even a Toeplitz
+    one, is wrapped in a DenseCov once and checked by :meth:`DenseCov.check`.
     """
 
     p: int
     mu1: np.ndarray
     mu2: np.ndarray
-    cov1: np.ndarray | ToeplitzCov
-    cov2: np.ndarray | ToeplitzCov
+    cov1: ToeplitzCov | DenseCov
+    cov2: ToeplitzCov | DenseCov
     c1: float
 
     def __post_init__(self):
@@ -293,17 +300,17 @@ class MixtureModel:
         if not 0.0 < self.c1 < 1.0:
             raise ValueError(f"c1 must lie in (0, 1), got {self.c1}")
         for name in ("cov1", "cov2"):
-            object.__setattr__(self, name, _check_cov(getattr(self, name), p, name))
+            C = _as_cov(getattr(self, name))
+            if C.shape != (p, p):
+                raise ValueError(f"{name} must be {p}x{p}, got {C.shape}")
+            if C is not getattr(self, name):  # wrapped here, so checked here: once
+                C.check(name)
+            object.__setattr__(self, name, C)
 
     @cached_property
     def stats(self) -> MixtureStats:
         """The model's :class:`MixtureStats`, by :func:`mixture_stats`."""
         return mixture_stats(self.mu1, self.mu2, self.cov1, self.cov2, self.c1)
-
-    @cached_property
-    def sqrt_covs(self):
-        """Symmetric square roots of ``(cov1, cov2)``, by :func:`_sqrt` at the first draw."""
-        return tuple(map(_sqrt, (self.cov1, self.cov2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,15 +358,8 @@ def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> LatentDataset:
 
     Column ``i`` of class ``a`` is ``mu_a + sqrt(p) * omega_i`` with latent
     ``omega_i = C_a^{1/2} z_i / sqrt(p)`` and standard normal ``z_i``, each
-    class block computed in place in the one ``p x (n1 + n2)`` array ``X``.
-    The square root comes from the symmetric eigendecomposition with
-    negative round-off eigenvalues clamped to zero, so rank-deficient
-    covariances are legal.  A :class:`ToeplitzCov` ``r0 I`` skips it:
-    ``sqrt(r0) z`` equals the product with that root bit for bit.  Any other
-    :class:`ToeplitzCov` takes its root from a cache keyed on
-    ``(rho, scale, p)`` and multiplies by it within :func:`_band` of its diagonal:
-    each column is within ``p eps max(|R| |z|)`` of ``R z``, that product's
-    own rounding bound.  Deterministic given ``seed``.
+    class block computed in place in the one ``p x (n1 + n2)`` array ``X``
+    by the covariance's ``draw``.  Deterministic given ``seed``.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("need at least one sample per class")
@@ -367,13 +367,11 @@ def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> LatentDataset:
     p = model.p
     sqrt_p = np.sqrt(p)
     X = np.empty((p, n1 + n2))
-    for block, mu, cov, sqrt_cov in zip(
-        (slice(0, n1), slice(n1, n1 + n2)), (model.mu1, model.mu2), (model.cov1, model.cov2),
-        model.sqrt_covs,
-    ):
-        z = rng.standard_normal((p, block.stop - block.start))
-        xb = X[:, block]
-        _root_product(sqrt_cov, z, _band(cov, p), xb)
+    covs = (model.cov1, model.cov2)
+    for cov in covs:  # an empty draw makes any root first, so no eigh runs beside a block's z
+        cov.draw(X[:, :0], X[:, :0])
+    for block, mu, cov in zip((slice(0, n1), slice(n1, n1 + n2)), (model.mu1, model.mu2), covs):
+        xb = cov.draw(rng.standard_normal((p, block.stop - block.start)), X[:, block])
         xb /= sqrt_p  # the latents omega: X is sqrt(p) * omega as rounded
         xb *= sqrt_p
         X[mu != 0, block] += mu[mu != 0, None]  # adding a zero mean changes no value

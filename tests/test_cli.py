@@ -902,6 +902,26 @@ def test_flat_local_kernel_is_a_numerical_failure(tmp_path, capsys, recwarn, ker
     assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
 
 
+SINGULAR = ("lssvmlim: numerical failure: no trial completed at fprime = -3.0 (first failure: "
+            "NumericalFailure('regularized kernel system is numerically singular (n=16)'))\n")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [lambda doc: doc["kernel"].update(f=1e308),  # every kernel value overflows the Gram
+     lambda doc: doc.update(gamma=5e-324)],  # the shift n/gamma is inf
+    ids=["local-f-1e308", "gamma-5e-324"])
+def test_an_overflowing_training_system_is_a_one_line_numerical_failure(
+        tmp_path, capsys, recwarn, change):
+    doc = json.loads(Path(CONFIG_DIR, "sweep_slope.json").read_text())
+    doc["model"]["p"] = 16
+    doc.update(n=16, n_test=16, trials=1)
+    change(doc)
+    assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 3
+    assert capsys.readouterr().err == SINGULAR
+    assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
+
+
 def test_mnist_stats_runs_ten_trials_by_default(tmp_path, capsys):
     ip, lp = synthetic_idx_pair(tmp_path)
     assert main(["mnist-stats", "--images", ip, "--labels", lp, "--n", "32", "--n-test", "16"]) == 0

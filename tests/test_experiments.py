@@ -205,15 +205,22 @@ def counting(monkeypatch, owner, name, calls, keep=lambda *args: True):
     monkeypatch.setattr(owner, name, wrapper)
 
 
-def test_a_sigma2_sweep_reads_and_decomposes_its_dense_covariance_once(tmp_path, monkeypatch):
-    config = dense_sweep(tmp_path, "sigma2", [0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize(
+    "axis, grid",
+    [("sigma2", [0.5, 1.0, 2.0, 4.0]), ("c1", [0.3, 0.5, 0.7]), ("mu_offset", [0.0, 1.5, 3.0])],
+    ids=["sigma2", "c1", "mu_offset"])
+def test_a_dense_sweep_reads_and_decomposes_its_covariance_once(tmp_path, monkeypatch, axis,
+                                                                 grid):
+    # a c1 or mu_offset point is a copy of the base model that shares its
+    # covariance objects, so it shares their check and their root too
+    config = dense_sweep(tmp_path, axis, grid)
     loads, checks, roots = [], [], []
     counting(monkeypatch, mixture, "load_npy", loads)
     counting(monkeypatch, np.linalg, "eigvalsh", checks)
     # a p x p eigh is the root's; the solver's fallback would decompose an n x n system
     counting(monkeypatch, np.linalg, "eigh", roots, keep=lambda a: np.shape(a) == (16, 16))
     result = run_sweep(config)
-    assert [r.trials for r in result.rows] == [2, 2, 2, 2]
+    assert [r.trials for r in result.rows] == [2] * len(grid)
     assert (len(loads), len(checks), len(roots)) == (1, 1, 1)
 
 
@@ -240,9 +247,10 @@ def test_derived_grid_points_share_the_base_covariances(tmp_path, monkeypatch, a
     result = run_sweep(config)
     assert [r.trials for r in result.rows] == [2, 2, 2]
     assert len(loads) == 1 and len(seen) == 6
-    # every point draws from the base model's covariance objects, and a point
-    # is dropped with its root after its trials: one dense root alive at a time
-    assert all(cov1 is seen[0][0] and cov2 is loads[0] for cov1, cov2, _ in seen)
+    # every point draws from the base model's covariance objects, the dense one
+    # wrapping the loaded array, and through their one root: one alive at a time
+    assert all(cov1 is seen[0][0] and cov2 is seen[0][1] for cov1, cov2, _ in seen)
+    assert np.shares_memory(seen[0][1].a, loads[0])
     assert max(alive for _, _, alive in seen) <= 1
 
 

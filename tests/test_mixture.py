@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -12,11 +13,10 @@ from hypothesis import strategies as st
 from helpers import RBF_UNIT, shape_kernel, shape_only_model
 from lssvmlim.experiments import class_split, config_from_dict, run_sweep
 from lssvmlim.mixture import (
+    DenseCov,
     MixtureModel,
     ToeplitzCov,
-    _band,
     _root,
-    _root_product,
     _toeplitz_root,
     mix64,
     mixture_stats,
@@ -276,9 +276,11 @@ def test_dense_toeplitz_stays_dense():
     p = 32
     C = np.asarray(ToeplitzCov(0.4, 1.5, p))
     m = MixtureModel(p, np.zeros(p), np.zeros(p), np.eye(p), C, c1=0.5)
-    assert isinstance(m.cov1, np.ndarray) and isinstance(m.cov2, np.ndarray)
-    np.testing.assert_array_equal(m.cov2, C)
-    assert m.cov1[0, 1] == 0.0 and np.array_equal(m.cov2.T, C)
+    assert isinstance(m.cov1, DenseCov) and isinstance(m.cov2, DenseCov)
+    np.testing.assert_array_equal(m.cov2.a, C)
+    assert m.cov1.a[0, 1] == 0.0 and np.array_equal(m.cov2.a.T, C)
+    # held read-only without a copy, and without touching the caller's array
+    assert not m.cov2.a.flags.writeable and C.flags.writeable and np.shares_memory(m.cov2.a, C)
 
 
 def test_dense_toeplitz_takes_the_eigenvalue_test():
@@ -393,7 +395,8 @@ def test_shipped_config_draws_match_the_dense_root_sampler(name):
     # the banded product, which moves it from the dense draw at rounding level
     rng = np.random.default_rng(doc["base_seed"])
     rng.standard_normal((p, n1))
-    bound = dense_rounding_bound(model.sqrt_covs[1], rng.standard_normal((p, n2))) / np.sqrt(p)
+    root = _toeplitz_root(model.cov2.rho, model.cov2.scale, p)
+    bound = dense_rounding_bound(root, rng.standard_normal((p, n2))) / np.sqrt(p)
 
     # the derived latents: X - mean and the division by sqrt(p) add at most
     # 2 eps (|X| + |mean|) / sqrt(p) per entry to the rounding of the draw,
@@ -415,25 +418,23 @@ def test_shipped_config_draws_match_the_dense_root_sampler(name):
 @pytest.mark.parametrize("rho", [0.05, 0.1, 0.4, 0.7, 0.9, 0.97])
 def test_banded_root_product_is_within_the_dense_products_rounding(rho, p):
     cov = ToeplitzCov(rho, 1.5, p)
-    band = _band(cov, p)
     R = _toeplitz_root(rho, 1.5, p)
     z = np.random.default_rng(p).standard_normal((p, 24))
-    out = np.empty_like(z)
-    _root_product(R, z, band, out)
+    out = cov.draw(z, np.empty_like(z))
     assert (np.abs(out - R @ z).max(axis=0) <= dense_rounding_bound(R, z)).all()
 
 
 def test_band_is_p_unless_the_root_decays():
     p = 256
-    assert _band(np.asarray(ToeplitzCov(0.4, 1.0, p)), p) == p  # dense: the whole root
-    assert _band(ToeplitzCov(0.0, 2.0, p), p) == p
-    assert _band(ToeplitzCov(0.97, 1.0, p), p) == p
-    assert [_band(ToeplitzCov(0.4, 1.0, q), q) for q in (256, 1024, 2048)] == [46, 47, 48]
-    R = _toeplitz_root(0.4, 1.0, p)
     z = np.random.default_rng(0).standard_normal((p, 9))
-    out = np.empty_like(z)
-    _root_product(R, z, p, out)
-    assert np.array_equal(out, R @ z)
+    dense = DenseCov(np.asarray(ToeplitzCov(0.4, 1.0, p)))
+    assert np.array_equal(dense.draw(z, np.empty_like(z)), dense.root @ z)  # the whole root
+    assert ToeplitzCov(0.0, 2.0, p).band == p
+    assert ToeplitzCov(0.97, 1.0, p).band == p
+    assert [ToeplitzCov(0.4, 1.0, q).band for q in (256, 1024, 2048)] == [46, 47, 48]
+    # a band that reaches p is the one product with the whole root
+    assert np.array_equal(ToeplitzCov(0.97, 1.0, p).draw(z, np.empty_like(z)),
+                          _toeplitz_root(0.97, 1.0, p) @ z)
 
 
 def test_theory_of_shape_only_model_needs_no_eigendecomposition(eigh_calls):
@@ -473,6 +474,9 @@ def test_dense_covariances_are_decomposed_at_the_first_draw_only(eigh_calls):
     assert eigh_calls == [(p, p), (p, p)]
     sample(m, n1, n2, seed=10)
     assert len(eigh_calls) == 2
+    # a copy, as a c1 or mu_offset grid point makes it, shares the roots
+    sample(dataclasses.replace(m, c1=0.5, mu2=np.zeros(p)), n1, n2, seed=11)
+    assert len(eigh_calls) == 2
     # the draw as sample makes it, through the root of the test's own eigh
     rng, sqrt_p = np.random.default_rng(9), np.sqrt(p)
     expected = [
@@ -494,13 +498,18 @@ def test_sweep_factors_its_shared_covariance_once(eigh_calls):
     assert eigh_calls == [(64, 64)]
 
 
-def test_equal_toeplitz_covariances_share_one_read_only_root():
+def test_equal_toeplitz_covariances_share_one_read_only_root(eigh_calls):
     p = 32
     a, b = ToeplitzCov(0.4, 1.5, p), ToeplitzCov(0.4, 1.5, p)
     assert a is not b
-    zeros = np.zeros(p)
-    root = MixtureModel(p, zeros, zeros, np.eye(p), a, c1=0.5).sqrt_covs[1]
-    assert MixtureModel(p, zeros, zeros, b, np.eye(p), c1=0.5).sqrt_covs[0] is root
+    zeros, z = np.zeros(p), np.random.default_rng(3).standard_normal((p, 5))
+    drawn = [sample(MixtureModel(p, zeros, zeros, a, b, c1=0.5), 5, 5, seed=4).X,
+             sample(MixtureModel(p, zeros, zeros, b, a, c1=0.5), 5, 5, seed=4).X]
+    assert eigh_calls == [(p, p)]  # one root for both covariances of both models
+    assert np.array_equal(drawn[0], drawn[1])
+    root = _toeplitz_root(0.4, 1.5, p)
+    assert eigh_calls == [(p, p)]
+    assert np.array_equal(a.draw(z, np.empty_like(z)), b.draw(z, np.empty_like(z)))
     assert not root.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         root[0, 0] = 0.0
