@@ -13,7 +13,7 @@ from helpers import MALFORMED_IDX, malformed_idx_pair
 from lssvmlim import cli, experiments, mnist
 from lssvmlim.cli import main
 from lssvmlim.errors import DataError, NumericalFailure
-from lssvmlim.mixture import MixtureModel, ToeplitzCov, sample
+from lssvmlim.mixture import MixtureModel, ToeplitzCov, mix64, sample
 from lssvmlim.mnist import write_idx
 
 CONFIG_DIR = "configs"
@@ -880,6 +880,47 @@ def test_a_grid_point_without_a_completed_trial_is_a_numerical_failure(
     csv_path = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", config, "--out", str(csv_path)]) == 3
     assert len(csv_path.read_text().splitlines()) == 1 + len(rows)
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [(NumericalFailure, 3, "numerical failure"), (MemoryError, 2, "invalid input")],
+    ids=["NumericalFailure", "MemoryError"])
+@pytest.mark.parametrize("command", ["sweep", "histogram", "convergence", "mnist-stats"])
+def test_a_failed_trial_is_recorded_by_sweep_and_ends_every_other_run(
+        tmp_path, capsys, monkeypatch, command, error, code, prefix):
+    # three trials at one grid point or size, of which the second fails: a
+    # sweep records it and goes on, unless it is a MemoryError; the other
+    # subcommands stop at it, with no output and no later trial
+    seeds, real = [], experiments._trial
+
+    def second_fails(*args):
+        seeds.append(args[-1])
+        if len(seeds) == 2:
+            raise error("trial 1 went wrong")
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "_trial", second_fails)
+    if command == "mnist-stats":
+        ip, lp = synthetic_idx_pair(tmp_path)
+        argv = ["--images", ip, "--labels", lp, "--n", "32", "--n-test", "16", "--trials", "3"]
+    else:
+        doc = small_sweep_doc(trials=3, sizes=[[16, 16]], n_points=8)
+        argv = ["--config", write_config(tmp_path, doc)] + (["--full"] if command == "sweep" else [])
+    result = main([command, *argv])
+    captured = capsys.readouterr()
+    if command == "sweep" and error is NumericalFailure:
+        assert result == 0 and captured.err == ""
+        out = json.loads(captured.out)
+        assert [row["trials"] for row in out["rows"]] == [2]
+        assert [r["trial"] for r in out["trials"]["1.0"]] == [0, 2]
+        assert out["failures"] == [{"value": 1.0, "trial": 1, "seed": seeds[1],
+                                    "error": "NumericalFailure('trial 1 went wrong')"}]
+        assert seeds[1] == mix64(doc["base_seed"], 1)
+        return
+    assert result == code and captured.out == ""
+    assert captured.err == f"lssvmlim: {prefix}: trial 1 went wrong\n"
+    assert len(seeds) == 2
 
 
 @pytest.mark.parametrize(

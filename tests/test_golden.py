@@ -1,7 +1,8 @@
 """Every subcommand's output on fixed inputs, pinned against ``tests/golden``.
 
-Each case runs ``cli.main`` on a shipped config, or on a small copy of one
-written for the case, and compares its exit code, stderr and JSON output with
+Each case runs ``cli.main`` on a shipped config, on a small copy of one
+written for the case, or on seeded data files written for the case (an IDX
+pair for ``mnist-stats``, a matrix for ``estimate-tau``), and compares its exit code, stderr and JSON output with
 the recorded file.  Integers and strings must match exactly.  Floats match at
 the tolerances below, written before any file was recorded; keys the golden
 file lacks pass, so an output may grow.  ``tests/golden/record.py`` rewrites
@@ -20,6 +21,7 @@ import pytest
 
 from lssvmlim.cli import main
 from lssvmlim.mixture import ToeplitzCov
+from lssvmlim.mnist import write_idx
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -28,9 +30,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # (relative, absolute) tolerances
 THEORY = (1e-9, 1e-15)  # predictions: threshold, error rates, score statistics
 SCORES = (1e-6, 1e-12)  # trained scores and their statistics, which move with BLAS rounding
-# a sweep's empirical error rates, and its trials' rates, may move by one
-# test point: 1 / n_test
-EMPIRICAL_RATES = ("emp_err", "emp_se")
+# a sweep's and mnist-stats' empirical error rates, and a sweep's trials'
+# rates, may move by one test point: 1 / n_test
+EMPIRICAL_RATES = ("emp_err", "emp_se", "empirical_weighted_error", "empirical_se")
 TRIAL_RATES = ("eps1", "eps2", "weighted")
 EMPIRICAL = ("ks1", "ks2", "mean_class1", "mean_class2", "se_class1", "se_class2",
              "scores1", "scores2", "median_scaled_gap")
@@ -60,7 +62,36 @@ def dense(workdir, axis):
     doc["model"].update(p=16, cov2={"file": str(path)}, c1=0.3)
     return doc
 
-# case name -> (argv before the config, the config: a shipped path or a builder)
+
+def idx_pair(workdir):
+    """The flags naming a seeded synthetic IDX pair written into ``workdir``:
+    8 x 8 images of 60 eights, 75 nines and 25 threes, the three digits of
+    different brightness, in shuffled order."""
+    rng = np.random.default_rng(37)
+    counts = (60, 75, 25)
+    pixels = np.concatenate([rng.normal(level, 40, size=(64, count))
+                             for level, count in zip((118, 126, 200), counts)], axis=1)
+    labels = np.repeat([8, 9, 3], counts)
+    order = rng.permutation(labels.size)
+    images, labels_path = workdir / "images.idx", workdir / "labels.idx"
+    write_idx(np.clip(pixels, 0, 255).astype(np.uint8)[:, order], labels[order], images,
+              labels_path)
+    return ["--images", str(images), "--labels", str(labels_path)]
+
+
+def data_file(workdir, suffix):
+    """The path of a seeded 12 x 30 matrix written into ``workdir`` as
+    ``.npy`` or as comma-separated text, as a one-item argument list."""
+    X = np.random.default_rng(38).uniform(0.0, 1.0, size=(12, 30))
+    path = workdir / f"data.{suffix}"
+    np.save(path, X) if suffix == "npy" else np.savetxt(path, X, delimiter=",")
+    return [str(path)]
+
+
+MNIST = ["mnist-stats", "--n", "40", "--n-test", "24", "--trials", "3", "--seed", "5"]
+
+# case name -> (argv before the inputs, the inputs: a shipped config's path, or a
+# builder of a config document or of the arguments naming the files it writes)
 CASES = {
     **{f"predict-{name}": (["predict"], CONFIGS / f"{name}.json")
        for name in ("convergence", "histogram_skew", "sweep_ratio", "sweep_slope", "sweep_width")},
@@ -73,19 +104,28 @@ CASES = {
     **{f"dense-sweep-{axis}": (["sweep", "--full"], lambda d, a=axis: dense(d, a))
        for axis in DENSE_GRIDS},
     **{f"dense-predict-{axis}": (["predict"], lambda d, a=axis: dense(d, a)) for axis in DENSE_GRIDS},
+    "mnist-stats": (MNIST, idx_pair),
+    "mnist-stats-snr": ([*MNIST, "--snr-db", "10"], idx_pair),
+    **{f"estimate-tau-{suffix}": (["estimate-tau"], lambda d, s=suffix: data_file(d, s))
+       for suffix in ("npy", "csv")},
 }
 
 
 def run(name, workdir):
     """The exit code, stderr and parsed JSON output of case ``name``, whose
     files are written into ``workdir``."""
-    argv, config = CASES[name]
-    if callable(config):
-        doc, config = config(workdir), workdir / "config.json"
-        config.write_text(json.dumps(doc))
+    argv, inputs = CASES[name]
+    if callable(inputs):
+        inputs = inputs(workdir)
+    if isinstance(inputs, dict):
+        config = workdir / "config.json"
+        config.write_text(json.dumps(inputs))
+        inputs = config
+    if isinstance(inputs, Path):
+        inputs = ["--config", str(inputs)]
     out, err = workdir / "out.json", io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main([*argv, "--config", str(config), "--out", str(out)])
+        code = main([*argv, *inputs, "--out", str(out)])
     output = json.loads(out.read_text()) if out.exists() else None
     return {"exit": code, "stderr": err.getvalue(), "output": output}
 
@@ -118,6 +158,7 @@ def mismatches(got, want, path, one_point, key=""):
 def test_output_matches_its_golden_file(name, tmp_path):
     want = json.loads((GOLDEN / f"{name}.json").read_text())
     got = run(name, tmp_path)
-    config = tmp_path / "config.json"
-    doc = json.loads(config.read_text()) if config.exists() else {}
-    assert mismatches(got, want, name, 1.0 / doc.get("n_test", math.inf)) == []
+    config, argv = tmp_path / "config.json", CASES[name][0]
+    n_test = (json.loads(config.read_text()).get("n_test", math.inf) if config.exists()
+              else float(argv[argv.index("--n-test") + 1]) if "--n-test" in argv else math.inf)
+    assert mismatches(got, want, name, 1.0 / n_test) == []
