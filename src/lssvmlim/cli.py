@@ -147,11 +147,10 @@ def cmd_mnist_stats(args):
     n1, n2 = experiments.class_split(config.n, 0.5)
     stats = theory.gaussian_stats(mixture, n1, n2, config.gamma, profile)
     predicted = experiments.at_threshold(stats, config.threshold)
-    mean, se = experiments.mean_se([
-        experiments.empirical_error((X, y), n1, n2, config.n_test, config.gamma, profile,
-                                    predicted["threshold"], mix64(config.base_seed, t))[2]
-        for t in range(config.trials)
-    ])
+    mean, se = experiments.mean_se(experiments._run_trials(
+        lambda seed: experiments.empirical_error((X, y), n1, n2, config.n_test, config.gamma,
+                                                 profile, predicted["threshold"], seed)[2],
+        [mix64(config.base_seed, t) for t in range(config.trials)]).values())
     out = {
         "digits": [args.digit_a, args.digit_b],
         "counts": [int((y < 0).sum()), int((y > 0).sum())],

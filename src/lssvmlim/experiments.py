@@ -2,9 +2,15 @@
 predictors together: parameter sweeps, score histograms, score-equivalent
 convergence studies, and empirical-vs-theoretical error comparison.
 
-Trial k of any experiment draws its randomness from ``mix64(base_seed, k)``
-only, so results are reproducible and independent of scheduling order;
-per-trial outcomes are stored and reduced at the end.
+Every experiment runs its trials through one loop, :func:`_run_trials`, on
+an explicit list of seeds: trial k draws its randomness from
+``mix64(base_seed, k)`` only, with k = gi * trials + t for trial t of grid
+point gi in a sweep, k = si * trials + t for trial t of size si in a
+convergence study, and k = t in a histogram and in ``mnist-stats`` (whose
+pixel noise draws at k = -1).  Results are thus reproducible and independent
+of scheduling order; per-trial outcomes are stored and reduced at the end.
+A sweep records a failed trial and goes on; every other experiment stops at
+its first failure.
 """
 
 from __future__ import annotations
@@ -56,9 +62,10 @@ def class_split(n, c1):
 
 
 def mean_se(values):
-    """Mean of ``values`` and its standard error ``std(ddof=1) / sqrt(count)``;
-    the mean is NaN without values and the standard error with fewer than two."""
-    v = np.asarray(values, dtype=float)
+    """Mean of the iterable ``values`` and its standard error
+    ``std(ddof=1) / sqrt(count)``; the mean is NaN without values and the
+    standard error with fewer than two."""
+    v = np.fromiter(values, dtype=float)
     mean = float(v.mean()) if v.size else float("nan")
     se = float(v.std(ddof=1) / np.sqrt(v.size)) if v.size > 1 else float("nan")
     return mean, se
@@ -109,6 +116,27 @@ def empirical_error(source, n1, n2, n_test, gamma, profile, threshold, seed):
     eps1 = float(np.mean(assigned[class1] != 1))
     eps2 = float(np.mean(assigned[~class1] != 2))
     return eps1, eps2, n1 / (n1 + n2) * eps1 + n2 / (n1 + n2) * eps2
+
+
+def _run_trials(trial, seeds, failures=None, **tag):
+    """``{t: trial(seed)}`` for each seed of ``seeds`` in order, t its index.
+
+    A failed trial raises, ending the run, or with a ``failures`` list is
+    appended to it as ``{**tag, "trial": t, "seed": seed, "error": repr(exc)}``
+    and left out.  A ``MemoryError`` always raises: sizes too large to
+    allocate fail every trial alike.
+    """
+    done = {}
+    for t, seed in enumerate(seeds):
+        try:
+            done[t] = trial(seed)
+        except MemoryError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - recorded or raised, never averaged
+            if failures is None:
+                raise
+            failures.append({**tag, "trial": t, "seed": seed, "error": repr(exc)})
+    return done
 
 
 @dataclass(frozen=True)
@@ -261,8 +289,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     predicted before the first trial, so a bad grid value costs no trial,
     and is dropped after its trials with the roots it drew through.  A
     failed trial is recorded under ``failures`` and excluded from the
-    averages, never silently folded in.  A ``MemoryError`` is raised, not
-    recorded: sizes too large to allocate fail every trial alike.
+    averages, never silently folded in; a ``MemoryError`` is raised.
     """
     grid = config.grid if config.axis is not None else (float("nan"),)
     base = model_from_spec(config.model)
@@ -275,20 +302,12 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     for gi, value in enumerate(grid):
         (model, profile, n, n1, n2), predicted = points.pop(0)  # so that it goes after its trials
         threshold = predicted["threshold"]
-        records = []
-        for t in range(config.trials):
-            seed = mix64(config.base_seed, gi * config.trials + t)
-            try:
-                e1, e2, w = empirical_error(model, n1, n2, config.n_test, config.gamma, profile,
-                                            threshold, seed)
-            except MemoryError:  # the sizes, not the draw: no trial at them can run
-                raise
-            except Exception as exc:  # noqa: BLE001 - recorded, not averaged
-                failures.append(
-                    {"value": value, "trial": t, "seed": seed, "error": repr(exc)}
-                )
-                continue
-            records.append({"trial": t, "seed": seed, "eps1": e1, "eps2": e2, "weighted": w})
+        seeds = [mix64(config.base_seed, gi * config.trials + t) for t in range(config.trials)]
+        rates = _run_trials(lambda seed: empirical_error(
+            model, n1, n2, config.n_test, config.gamma, profile, threshold, seed), seeds, failures,
+            value=value)
+        records = [{"trial": t, "seed": seeds[t], "eps1": e1, "eps2": e2, "weighted": w}
+                   for t, (e1, e2, w) in rates.items()]
         emp, se = mean_se([r["weighted"] for r in records])
         rows.append(
             SweepRow(
@@ -358,10 +377,8 @@ def run_histogram(model, n, gamma, profile, n_test, trials, seed) -> HistogramRe
     for a, var in ((1, stats.Var1), (2, stats.Var2)):
         if var == 0.0:
             raise NumericalFailure(f"class {a}'s predicted score variance is zero: no KS distance")
-    blocks = [
-        _trial(model, n1, n2, n_test, n_test, gamma, profile, mix64(seed, t))[2]
-        for t in range(trials)
-    ]
+    blocks = _run_trials(lambda s: _trial(model, n1, n2, n_test, n_test, gamma, profile, s)[2],
+                         [mix64(seed, t) for t in range(trials)]).values()
     scores1 = np.concatenate([b[:n_test] for b in blocks])
     scores2 = np.concatenate([b[n_test:] for b in blocks])
     return HistogramResult(
@@ -395,13 +412,13 @@ def run_convergence(model_factory, gamma, profile, sizes, trials, base_seed, n_p
         n1, n2 = class_split(n, model.c1)
         m1, m2 = class_split(n_points, model.c1)
         gaussian_stats(model.stats, n1, n2, gamma, prof)  # checks the kernel
-        gaps = []
-        for t in range(trials):
-            train_set, test_set, g = _trial(
-                model, n1, n2, m1, m2, gamma, prof, mix64(base_seed, si * trials + t)
-            )
-            gaps.append(n * np.abs(g - random_equivalent(train_set, test_set, gamma, prof)))
-        gaps = np.concatenate(gaps)
+
+        def gap(seed):
+            train_set, test_set, g = _trial(model, n1, n2, m1, m2, gamma, prof, seed)
+            return n * np.abs(g - random_equivalent(train_set, test_set, gamma, prof))
+
+        gaps = np.concatenate(list(_run_trials(
+            gap, [mix64(base_seed, si * trials + t) for t in range(trials)]).values()))
         rows.append(
             ConvergenceRow(n=n, p=p, median_scaled_gap=float(np.median(gaps)), samples=len(gaps))
         )
