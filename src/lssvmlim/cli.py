@@ -142,7 +142,7 @@ def cmd_mnist_stats(args):
     profile = kernels.kernel_from_spec(config.kernel)  # before any image is read
     X, y = mnist.load_idx(args.images, args.labels, args.digit_a, args.digit_b)
     if args.snr_db is not None:  # from a stream that no trial index reaches
-        X = mnist.add_white_noise(X, args.snr_db, mix64(config.base_seed, -1))
+        mnist.add_white_noise(X, args.snr_db, mix64(config.base_seed, -1))
     mixture = mnist.class_stats(X, y)
     n1, n2 = experiments.class_split(config.n, 0.5)
     stats = theory.gaussian_stats(mixture, n1, n2, config.gamma, profile)

@@ -25,6 +25,7 @@ from .mixture import MixtureStats, mixture_stats
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 _CHUNK = 1 << 24  # bytes per read
+_NOISE_ROWS = 64  # pixel rows per noise block
 
 
 def _open_maybe_gzip(path):
@@ -157,11 +158,14 @@ def discrepancy_by_scaling(X, stats: MixtureStats):
 
 
 def add_white_noise(X, snr_db, seed):
-    """``X`` plus i.i.d. zero-mean Gaussian pixel noise at the given SNR.
+    """``X`` with i.i.d. zero-mean Gaussian pixel noise at the given SNR
+    added in place, and returned.
 
     Signal power is the mean squared pixel value of ``X``, and the noise
-    variance is ``P_signal * 10**(-snr_db / 10)``; ``snr_db = +inf`` returns
-    ``X`` itself, and a huge finite SNR adds zero noise.
+    variance is ``P_signal * 10**(-snr_db / 10)``; ``snr_db = +inf`` leaves
+    ``X`` as it is, and a huge finite SNR adds zero noise.  The noise is the
+    one ``default_rng(seed).standard_normal(X.shape)`` array, drawn into one
+    block of rows at a time, so no array of ``X``'s size is made beside it.
     An SNR whose noise variance is not finite (NaN, -inf, a huge negative
     value) raises ``ValueError``.
     """
@@ -173,7 +177,11 @@ def add_white_noise(X, snr_db, seed):
         noise_var = np.inf
     if not np.isfinite(noise_var):
         raise ValueError(f"snr_db = {snr_db} gives a noise variance that is not finite")
-    noisy = np.random.default_rng(seed).standard_normal(X.shape)
-    noisy *= np.sqrt(noise_var)
-    noisy += X
-    return noisy
+    rng, scale = np.random.default_rng(seed), np.sqrt(noise_var)
+    block = np.empty((min(_NOISE_ROWS, X.shape[0]), X.shape[1]))
+    for start in range(0, X.shape[0], _NOISE_ROWS):
+        rows = X[start:start + _NOISE_ROWS]
+        noise = rng.standard_normal(out=block[:len(rows)])
+        noise *= scale
+        rows += noise
+    return X

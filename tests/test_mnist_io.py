@@ -226,14 +226,14 @@ def test_white_noise_identity_for_infinite_snr():
 def test_white_noise_at_huge_snr_leaves_the_pixels_unchanged(snr_db):
     # the noise variance underflows to zero, as at +inf
     images = np.random.default_rng(3).uniform(0, 1, size=(16, 20))
-    assert np.array_equal(add_white_noise(images, snr_db, seed=4), images)
+    assert np.array_equal(add_white_noise(images.copy(), snr_db, seed=4), images)
 
 
 def test_white_noise_zero_db_matches_signal_power():
     rng = np.random.default_rng(4)
     images = rng.uniform(0, 1, size=(64, 400))
     power = float(np.mean(images**2))
-    noisy = add_white_noise(images, 0.0, seed=5)
+    noisy = add_white_noise(images.copy(), 0.0, seed=5)
     resid = noisy - images
     assert np.var(resid) == pytest.approx(power, rel=0.05)
 
@@ -243,12 +243,33 @@ def test_white_noise_zero_signal():
     assert np.all(noisy == 0.0)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_white_noise_is_the_full_noise_array_added_in_place(order):
+    # the noise is drawn 64 rows at a time from one generator and added to
+    # X in place: bit for bit the one full-size draw it replaced, with a
+    # traced peak of one block, where the full-size draw held a copy of X
+    images = np.asarray(np.random.default_rng(12).uniform(0, 1, size=(200, 500)), order=order)
+    flat = images.ravel(order="K")
+    noise = np.random.default_rng(13).standard_normal(images.shape)
+    noise *= np.sqrt(float(flat @ flat) / flat.size * 10.0 ** (-10.0 / 10.0))
+    expected = noise + images
+    tracemalloc.start()
+    try:
+        noisy = add_white_noise(images, 10.0, seed=13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert noisy is images
+    assert np.array_equal(noisy, expected)
+    assert peak < images.nbytes / 2  # one 64-row block is 0.32 of it
+
+
 def test_white_noise_two_seeds_differ_by_twice_the_power():
     rng = np.random.default_rng(7)
     images = rng.uniform(0, 1, size=(64, 400))
     power = float(np.mean(images**2))
-    a = add_white_noise(images, 0.0, seed=8)
-    b = add_white_noise(images, 0.0, seed=9)
+    a = add_white_noise(images.copy(), 0.0, seed=8)
+    b = add_white_noise(images.copy(), 0.0, seed=9)
     diff_var = np.var(a - b)
     se_band = 3 * 2 * power / np.sqrt(a.size)
     assert abs(diff_var - 2 * power) < se_band + 0.01 * power
