@@ -906,7 +906,9 @@ def test_a_failed_trial_is_recorded_by_sweep_and_ends_every_other_run(
         argv = ["--images", ip, "--labels", lp, "--n", "32", "--n-test", "16", "--trials", "3"]
     else:
         doc = small_sweep_doc(trials=3, sizes=[[16, 16]], n_points=8)
-        argv = ["--config", write_config(tmp_path, doc)] + (["--full"] if command == "sweep" else [])
+        argv = ["--config", write_config(tmp_path, doc)]
+    if command == "sweep":
+        argv.append("--full")
     result = main([command, *argv])
     captured = capsys.readouterr()
     if command == "sweep" and error is NumericalFailure:
@@ -916,6 +918,7 @@ def test_a_failed_trial_is_recorded_by_sweep_and_ends_every_other_run(
         assert [r["trial"] for r in out["trials"]["1.0"]] == [0, 2]
         assert out["failures"] == [{"value": 1.0, "trial": 1, "seed": seeds[1],
                                     "error": "NumericalFailure('trial 1 went wrong')"}]
+        assert list(out["failures"][0]) == ["value", "trial", "seed", "error"]
         assert seeds[1] == mix64(doc["base_seed"], 1)
         return
     assert result == code and captured.out == ""

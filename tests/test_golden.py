@@ -2,12 +2,12 @@
 
 Each case runs ``cli.main`` on a shipped config, on a small copy of one
 written for the case, or on seeded data files written for the case (an IDX
-pair for ``mnist-stats``, a matrix for ``estimate-tau``), and compares its exit code, stderr and JSON output with
-the recorded file.  Integers and strings must match exactly.  Floats match at
-the tolerances below, written before any file was recorded; keys the golden
-file lacks pass, so an output may grow.  ``tests/golden/record.py`` rewrites
-the files; a rewrite is an edit to name in CHANGES.md, with the keys that
-moved and by how much.
+pair for ``mnist-stats``, a matrix for ``estimate-tau``), and compares its
+exit code, stderr and JSON output with the recorded file.  Integers and
+strings must match exactly.  Floats match at the tolerances below, written
+before any file was recorded; keys the golden file lacks pass, so an output
+may grow.  ``tests/golden/record.py`` rewrites the files; a rewrite is an
+edit to name in CHANGES.md, with the keys that moved and by how much.
 """
 
 import contextlib
@@ -84,7 +84,10 @@ def data_file(workdir, suffix):
     ``.npy`` or as comma-separated text, as a one-item argument list."""
     X = np.random.default_rng(38).uniform(0.0, 1.0, size=(12, 30))
     path = workdir / f"data.{suffix}"
-    np.save(path, X) if suffix == "npy" else np.savetxt(path, X, delimiter=",")
+    if suffix == "npy":
+        np.save(path, X)
+    else:
+        np.savetxt(path, X, delimiter=",")
     return [str(path)]
 
 
