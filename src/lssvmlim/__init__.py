@@ -29,7 +29,6 @@ from .kernels import (
 )
 from .lssvm import TrainedModel, classify, normalize_labels, train
 from .mixture import (
-    LatentDataset,
     MixtureModel,
     MixtureStats,
     ToeplitzCov,

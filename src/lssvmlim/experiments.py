@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, fields, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -73,12 +72,14 @@ def mean_se(values):
 
 def _draw(source, n1, n2, m1, m2, seed):
     """Training and test sets of one trial, ``n1 + n2`` and ``m1 + m2``
-    points with class 1 first, each with ``X`` and -1/+1 ``labels``.
+    points with class 1 first, each a labeled set ``(X, labels)`` with
+    -1/+1 ``labels``.
 
     A :class:`MixtureModel` is sampled, the training set at ``mix64(seed, 0)``
     and the test set at ``mix64(seed, 1)``.  A labeled pool ``(X, labels)``
-    (columns of ``X``, labeled -1 and +1) is picked from without replacement
-    at ``default_rng(seed)``, class 1 first: the two sets are disjoint."""
+    (columns of ``X``, labeled -1 and +1), a model draw included, is picked
+    from without replacement at ``default_rng(seed)``, class 1 first: the two
+    sets are disjoint."""
     if isinstance(source, MixtureModel):
         return sample(source, n1, n2, mix64(seed, 0)), sample(source, m1, m2, mix64(seed, 1))
     X, labels = source[0], np.asarray(source[1], dtype=float)
@@ -90,14 +91,14 @@ def _draw(source, n1, n2, m1, m2, seed):
     pick1 = rng.choice(idx1, size=n1 + m1, replace=False)
     pick2 = rng.choice(idx2, size=n2 + m2, replace=False)
     train, test = np.r_[pick1[:n1], pick2[:n2]], np.r_[pick1[n1:], pick2[n2:]]
-    return tuple(SimpleNamespace(X=X[:, i], labels=labels[i]) for i in (train, test))
+    return (X[:, train], labels[train]), (X[:, test], labels[test])
 
 
 def _trial(source, n1, n2, m1, m2, gamma, profile, seed):
     """One trial, drawn by :func:`_draw`: ``(train_set, test_set, test scores)``."""
     train_set, test_set = _draw(source, n1, n2, m1, m2, seed)
-    fitted = TrainedModel.fit(train_set.X, train_set.labels, gamma, profile)
-    return train_set, test_set, fitted.decide_many(test_set.X)
+    fitted = TrainedModel.fit(*train_set, gamma, profile)
+    return train_set, test_set, fitted.decide_many(test_set[0])
 
 
 def empirical_error(source, n1, n2, n_test, gamma, profile, threshold, seed):
@@ -112,7 +113,7 @@ def empirical_error(source, n1, n2, n_test, gamma, profile, threshold, seed):
     m1, m2 = class_split(n_test, n1 / (n1 + n2))
     _, test_set, scores = _trial(source, n1, n2, m1, m2, gamma, profile, seed)
     assigned = classify(scores, threshold)
-    class1 = test_set.labels < 0
+    class1 = test_set[1] < 0
     eps1 = float(np.mean(assigned[class1] != 1))
     eps2 = float(np.mean(assigned[~class1] != 2))
     return eps1, eps2, n1 / (n1 + n2) * eps1 + n2 / (n1 + n2) * eps2
@@ -415,7 +416,7 @@ def run_convergence(model_factory, gamma, profile, sizes, trials, base_seed, n_p
 
         def gap(seed):
             train_set, test_set, g = _trial(model, n1, n2, m1, m2, gamma, prof, seed)
-            return n * np.abs(g - random_equivalent(train_set, test_set, gamma, prof))
+            return n * np.abs(g - random_equivalent(model, train_set, test_set, gamma, prof))
 
         gaps = np.concatenate(list(_run_trials(
             gap, [mix64(base_seed, si * trials + t) for t in range(trials)]).values()))

@@ -2,10 +2,10 @@
 and sampling.
 
 A sample from class ``a`` is ``x = mu_a + sqrt(p) * w`` with
-``w ~ N(0, C_a / p)``.  A draw stores ``X`` only; the latent vectors ``w``
-and the centered squared norms ``psi = ||w||^2 - tr(C_a)/p`` are derived
-from it on first read, for the studies that validate score predictions
-built from them.
+``w ~ N(0, C_a / p)``.  A draw is the labeled set ``(X, labels)``, the
+shape of an image pool too.  The latents ``w`` are not kept: the one reader
+of them, the score equivalent in :mod:`lssvmlim.theory`, derives them from
+``X`` and the model.
 """
 
 from __future__ import annotations
@@ -313,48 +313,9 @@ class MixtureModel:
         return mixture_stats(self.mu1, self.mu2, self.cov1, self.cov2, self.c1)
 
 
-@dataclass(frozen=True, eq=False)
-class LatentDataset:
-    """Sampled data matrix with the model that generated it.
-
-    Labels are -1 for class 1 and +1 for class 2.  The latents ``omega`` and
-    ``psi`` are not stored: each is derived from ``X`` on its first read, so
-    a draw that never reads them spends no memory on them.
-    """
-
-    X: np.ndarray
-    labels: np.ndarray
-    model: MixtureModel
-
-    @property
-    def n(self):
-        return self.X.shape[1]
-
-    @property
-    def n1(self):
-        return int(np.count_nonzero(self.labels < 0))
-
-    @property
-    def n2(self):
-        return int(np.count_nonzero(self.labels > 0))
-
-    @cached_property
-    def omega(self):
-        """``(X - mu_class) / sqrt(p)``: the drawn latents, to rounding."""
-        m = self.model
-        means = np.where(self.labels < 0, m.mu1[:, None], m.mu2[:, None])
-        return (self.X - means) / np.sqrt(m.p)
-
-    @cached_property
-    def psi(self):
-        """``||omega[:, i]||^2 - tr(C_class(i)) / p``"""
-        m = self.model.stats
-        traces = np.where(self.labels < 0, m.trace1, m.trace2)
-        return np.einsum("ij,ij->j", self.omega, self.omega) - traces / m.p
-
-
-def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> LatentDataset:
-    """Draw ``n1`` class-1 then ``n2`` class-2 points (contiguous blocks).
+def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``n1`` class-1 then ``n2`` class-2 points (contiguous blocks) as
+    the labeled set ``(X, labels)``, labels -1 for class 1 and +1 for class 2.
 
     Column ``i`` of class ``a`` is ``mu_a + sqrt(p) * omega_i`` with latent
     ``omega_i = C_a^{1/2} z_i / sqrt(p)`` and standard normal ``z_i``, each
@@ -376,7 +337,7 @@ def sample(model: MixtureModel, n1: int, n2: int, seed: int) -> LatentDataset:
         xb *= sqrt_p
         X[mu != 0, block] += mu[mu != 0, None]  # adding a zero mean changes no value
     labels = np.concatenate([np.full(n1, -1.0), np.full(n2, 1.0)])
-    return LatentDataset(X=X, labels=labels, model=model)
+    return X, labels
 
 
 def _spec_args(spec, name, form, kinds):
@@ -406,6 +367,16 @@ def _parse_mean_spec(spec, p, name):
             mu[k - 1] = val  # 1-based coordinate
             return mu
         raise ValueError(f"unknown mean spec: {spec!r}")
+    return _reals(spec, name)
+
+
+def _reals(spec, name):
+    """``spec`` as a float array.  Each element of a list, nested to any depth,
+    is read by :func:`real` naming ``name``, so a boolean or a numeric string
+    there is refused; NumPy refuses a ragged list.  A list of plain ints and
+    floats, such as each row of a JSON matrix, is converted whole."""
+    if isinstance(spec, list) and not {int, float}.issuperset(map(type, spec)):  # bool is no int
+        spec = [_reals(v, name) if isinstance(v, list) else real(v, name) for v in spec]
     return np.asarray(spec, dtype=float)
 
 
@@ -437,7 +408,7 @@ def _parse_cov_spec(spec, p, name):
         raise ValueError(f"unknown covariance spec: {spec!r}")
     if isinstance(spec, dict) and "file" in spec:
         return load_npy(spec["file"], name)
-    return np.asarray(spec, dtype=float)
+    return _reals(spec, name)
 
 
 _MODEL_KEYS = {"mu1": "model.mean1", "mu2": "model.mean2", "cov1": "model.cov1",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .kernels import KernelProfile
-from .mixture import LatentDataset, MixtureStats
+from .mixture import MixtureModel, MixtureStats
 
 _SQRT2 = np.sqrt(2.0)
 _erfc = np.vectorize(math.erfc, otypes=[float])
@@ -35,17 +35,20 @@ def q_function(x):
 def estimate_tau(X: np.ndarray) -> float:
     """Consistent estimate ``(2/n) sum_i ||x_i - xbar||^2 / p`` of the
     concentration point of pairwise normalized squared distances, computable
-    from the data alone (no class information, no kernel)."""
+    from the data alone (no class information, no kernel).  Data that are
+    not finite, or whose squared distances overflow, are refused."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 2:
         raise ValueError(
             f"the data must be a p x n matrix with p >= 1 and n >= 2, got shape {X.shape}"
         )
-    if not np.isfinite(X).all():
-        raise ValueError("the data must be finite")
     p, n = X.shape
-    Xc = X - X.mean(axis=1, keepdims=True)
-    return 2.0 * float(np.vdot(Xc, Xc)) / (n * p)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN, inf or overflow: refused below
+        Xc = X - X.mean(axis=1, keepdims=True)
+        tau = 2.0 * float(np.vdot(Xc, Xc)) / (n * p)
+    if not math.isfinite(tau):
+        raise ValueError(f"the data must be finite and give a finite tau, got {tau}")
+    return tau
 
 
 def informative_term(stats: MixtureStats, profile: KernelProfile) -> float:
@@ -64,7 +67,17 @@ def informative_term(stats: MixtureStats, profile: KernelProfile) -> float:
     )
 
 
-def noise_term(train_set: LatentDataset, test_set: LatentDataset, profile: KernelProfile):
+def _latents(model, X, labels):
+    """``(omega, psi)`` of the points ``X`` of ``model`` labeled -1/+1:
+    ``omega = (X - mu_class) / sqrt(p)``, the drawn latents to rounding, and
+    ``psi = ||omega[:, i]||^2 - tr(C_class(i)) / p``."""
+    means = np.where(labels < 0, model.mu1[:, None], model.mu2[:, None])
+    omega = (X - means) / np.sqrt(model.p)
+    traces = np.where(labels < 0, model.stats.trace1, model.stats.trace2)
+    return omega, np.einsum("ij,ij->j", omega, omega) - traces / model.p
+
+
+def noise_term(model: MixtureModel, train_set, test_set, profile: KernelProfile):
     """Zero-mean fluctuation of the score equivalent at each test point,
     from the training data and the point's latents ``w`` and ``psi``:
 
@@ -75,39 +88,41 @@ def noise_term(train_set: LatentDataset, test_set: LatentDataset, profile: Kerne
     with the centering projector applied implicitly as
     ``y' P = (y - (c2 - c1) 1)'`` and ``Omega y_c`` read off the data as
     ``(X y_c - sum_a mu_a (sum of y_c over class a)) / sqrt p``.  Both sets
-    must be drawn from the same model object.  This is an oracle for
-    validating the asymptotics, not an estimator: it reads latents that are
-    unobservable in practice.
+    are labeled sets ``(X, labels)`` drawn from ``model``, whose means and
+    traces give the test points' latents.  This is an oracle for validating
+    the asymptotics, not an estimator: it reads latents that are unobservable
+    in practice.
     """
-    model = train_set.model
-    if test_set.model is not model:
-        raise ValueError("the test set must be drawn from the training set's model")
-    n, p = train_set.n, model.p
-    c1, c2 = train_set.n1 / n, train_set.n2 / n
+    X, labels = train_set
+    n, p = X.shape[1], model.p
+    class1 = labels < 0
+    # class counts over n, as gaussian_stats takes them, not c2 = 1 - c1
+    c1, c2 = np.count_nonzero(class1) / n, np.count_nonzero(~class1) / n
     _, fp, fpp = profile.derivatives(model.stats.tau)
-    y_centered = train_set.labels - (c2 - c1)
-    class1 = train_set.labels < 0
+    y_centered = labels - (c2 - c1)
     omega_y = (
-        train_set.X @ y_centered
+        X @ y_centered
         - model.mu1 * y_centered[class1].sum()
         - model.mu2 * y_centered[~class1].sum()
     ) / np.sqrt(p)
-    w = test_set.omega
+    w, psi = _latents(model, *test_set)
     t1 = -2.0 * fp / n * (omega_y @ w)
     t2 = -4.0 * c1 * c2 * fp / np.sqrt(p) * ((model.mu2 - model.mu1) @ w)
-    t3 = 2.0 * c1 * c2 * fpp * test_set.psi * (model.stats.trace_gap / p)
+    t3 = 2.0 * c1 * c2 * fpp * psi * (model.stats.trace_gap / p)
     return t1 + t2 + t3
 
 
-def random_equivalent(train_set: LatentDataset, test_set: LatentDataset, gamma: float,
+def random_equivalent(model: MixtureModel, train_set, test_set, gamma: float,
                       profile: KernelProfile):
     """Equivalent ``g_hat = E_a + gamma P`` of the decision score at each test
-    point: ``E_a`` is the mean :func:`gaussian_stats` predicts for the point's
-    class at the training counts, and ``P`` the :func:`noise_term`.  It is
-    asymptotically indistinguishable from the trained score at scale 1/n."""
-    stats = gaussian_stats(train_set.model.stats, train_set.n1, train_set.n2, gamma, profile)
-    means = np.where(test_set.labels < 0, stats.E1, stats.E2)
-    return means + gamma * noise_term(train_set, test_set, profile)
+    point of the labeled sets ``(X, labels)`` drawn from ``model``: ``E_a`` is
+    the mean :func:`gaussian_stats` predicts for the point's class at the
+    training counts, and ``P`` the :func:`noise_term`.  It is asymptotically
+    indistinguishable from the trained score at scale 1/n."""
+    n1 = np.count_nonzero(train_set[1] < 0)
+    stats = gaussian_stats(model.stats, n1, train_set[1].size - n1, gamma, profile)
+    means = np.where(test_set[1] < 0, stats.E1, stats.E2)
+    return means + gamma * noise_term(model, train_set, test_set, profile)
 
 
 @dataclass(frozen=True)

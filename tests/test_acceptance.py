@@ -223,8 +223,8 @@ def test_c08_tau_estimator():
     hits = 0
     worst = 0.0
     for seed in range(20):
-        ds = sample(model, 256, 768, seed=seed)
-        err = abs(estimate_tau(ds.X) - model.stats.tau)
+        X, _ = sample(model, 256, 768, seed=seed)
+        err = abs(estimate_tau(X) - model.stats.tau)
         worst = max(worst, err)
         hits += err < 0.05
     assert hits >= 19

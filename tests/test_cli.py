@@ -218,9 +218,9 @@ def test_convergence_command(tmp_path, capsys):
 def test_estimate_tau_on_npy(tmp_path, capsys):
     p = 64
     m = MixtureModel(p, np.zeros(p), np.zeros(p), np.eye(p), np.eye(p), c1=0.5)
-    ds = sample(m, 128, 128, seed=0)
+    X, _ = sample(m, 128, 128, seed=0)
     path = tmp_path / "data.npy"
-    np.save(path, ds.X)
+    np.save(path, X)
     assert main(["estimate-tau", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["tau"] == pytest.approx(2.0, abs=0.2)
@@ -586,6 +586,13 @@ def local_kernel(**changes):
         ("predict", small_sweep_doc(kernel={"kind": "gaussian", "sigma2": "oops"}),
          "kernel.sigma2 must be a number"),
         ("predict", small_sweep_doc(model=small_model(c1="0.5")), "model.c1 must be a number"),
+        # so is each element of an inline mean or covariance array
+        ("predict", small_sweep_doc(model=small_model(p=2, mean1=["1", True])),
+         "model.mean1 must be a number, got '1'"),
+        ("predict", small_sweep_doc(model=small_model(p=2, mean1=[1.0, True])),
+         "model.mean1 must be a number, got True"),
+        ("predict", small_sweep_doc(model=small_model(p=2, cov2=[[1, 0], [0, True]])),
+         "model.cov2 must be a number, got True"),
         # a value of the right type that breaks a rule names its key too
         ("predict", small_sweep_doc(model=small_model(mean1="bogus")),
          "model.mean1: unknown mean spec: 'bogus'"),
@@ -640,6 +647,8 @@ def local_kernel(**changes):
          "sweep-grid-bool", "predict-c1-bool", "convergence-tau-bool", "predict-f-bool",
          "predict-fp-bool", "histogram-fpp-bool", "predict-coeffs-bool", "sweep-gamma-string",
          "sweep-grid-string", "predict-sigma2-string", "predict-c1-string",
+         "predict-mean1-string-element", "predict-mean1-bool-element",
+         "predict-cov2-bool-entry",
          "predict-mean1-unknown", "predict-mean1-spike-outside", "predict-mean1-short",
          "predict-mean1-object", "predict-cov1-unknown", "predict-cov1-rho-above-one",
          "predict-cov1-two-by-two", "predict-c1-above-one", "predict-sigma2-negative",
@@ -689,19 +698,31 @@ def test_estimate_tau_reads_a_one_row_csv_as_one_dimension(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"tau": 4 / 3, "p": 1, "n": 3}
 
 
-@pytest.mark.parametrize("case", ["empty-csv", "blank-csv", "one-column-csv", "zero-rows-npy"])
-def test_estimate_tau_empty_data_is_one_line(tmp_path, capsys, recwarn, case):
-    # no traceback from estimate_tau dividing by p = 0, and no loadtxt warning
+@pytest.mark.parametrize(
+    "case, named",
+    [("empty-csv", "p x n matrix"), ("blank-csv", "p x n matrix"),
+     ("one-column-csv", "p x n matrix"), ("zero-rows-npy", "p x n matrix"),
+     ("overflowing-csv", "give a finite tau, got inf"),
+     ("overflowing-npy", "give a finite tau, got inf")],
+    ids=["empty-csv", "blank-csv", "one-column-csv", "zero-rows-npy", "overflowing-csv",
+         "overflowing-npy"],
+)
+def test_estimate_tau_empty_data_is_one_line(tmp_path, capsys, recwarn, case, named):
+    # no traceback from estimate_tau dividing by p = 0, no loadtxt warning,
+    # and no overflow warning or infinite tau from squared distances past 1e308
     path = tmp_path / ("data.npy" if case.endswith("npy") else "data.csv")
     if case == "zero-rows-npy":
         np.save(path, np.zeros((0, 5)))
+    elif case == "overflowing-npy":
+        np.save(path, np.array([[1e200, -1e200, 0.0]]))
     else:
-        path.write_text({"empty-csv": "", "blank-csv": "\n\n", "one-column-csv": "1\n2\n3\n"}[case])
+        path.write_text({"empty-csv": "", "blank-csv": "\n\n", "one-column-csv": "1\n2\n3\n",
+                         "overflowing-csv": "1e308,1e308,-1e308\n"}[case])
     assert main(["estimate-tau", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("lssvmlim: invalid input:") and captured.err.count("\n") == 1
-    assert "p x n matrix" in captured.err
+    assert named in captured.err
     assert [str(w.message) for w in recwarn] == []
 
 

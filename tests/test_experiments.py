@@ -154,6 +154,23 @@ def test_sweep_axis_fprime_anchors_at_tau():
     assert result.rows[1].th_weighted == 0.0
 
 
+@pytest.mark.parametrize("axis", ["fprime", "fsecond"])
+def test_derivative_axes_anchor_at_the_model_tau_with_the_base_kernels_values(axis):
+    # the point's local quadratic is anchored at the model's tau whatever the
+    # base kernel's tau, and takes f, fp and fpp from a base kernel that is
+    # not a local one as 1.0, 0.0 and 0.0
+    def predicted(kernel):
+        doc = dict(BASE_SWEEP, kernel=kernel, trials=1,
+                   sweep={"axis": axis, "grid": [-1.0, 0.5]})
+        return [(r.th_eps1, r.th_eps2, r.th_weighted, r.threshold)
+                for r in run_sweep(config_from_dict(doc)).rows]
+
+    local = {"kind": "local", "tau": "auto", "f": 4.0, "fp": 0.5, "fpp": 2.0}
+    assert predicted(dict(local, tau=0.5)) == predicted(local)
+    defaults = {"kind": "local", "tau": "auto", "f": 1.0, "fp": 0.0, "fpp": 0.0}
+    assert predicted({"kind": "gaussian", "sigma2": 1.0}) == predicted(defaults)
+
+
 def test_sweep_axis_c0_adjusts_n():
     doc = dict(BASE_SWEEP, sweep={"axis": "c0", "grid": [0.5, 1.0, 2.0]})
     result = run_sweep(config_from_dict(doc))
@@ -397,6 +414,32 @@ def test_empirical_error_on_a_pool_picks_a_disjoint_split():
         empirical_error((X, labels), 90, 90, 60, 1.0, RBF_UNIT, 0.0, seed=9)
 
 
+def test_a_model_draw_is_a_pool(monkeypatch):
+    # a draw is the labeled set (X, labels) that a pool is: picked from at an
+    # unequal split, its training and test columns are disjoint
+    m = skew_model(16)
+    X, labels = pool = sample(m, 60, 140, seed=4)
+    draw, drawn = experiments._draw, []
+
+    def spy(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(experiments, "_draw", spy)
+    rates = empirical_error(pool, 10, 30, 24, 1.0, RBF_UNIT, 0.0, seed=5)
+    assert all(0.0 <= r <= 1.0 for r in rates)
+    (train_X, train_labels), (test_X, test_labels) = drawn[0]
+    assert train_labels.tolist() == [-1.0] * 10 + [1.0] * 30
+    assert test_labels.tolist() == [-1.0] * 6 + [1.0] * 18
+    columns = [{c.tobytes() for c in Y.T} for Y in (X, train_X, test_X)]
+    assert len(columns[1]) == 40 and len(columns[2]) == 24
+    assert columns[1] | columns[2] <= columns[0] and not columns[1] & columns[2]
+    # and each picked column keeps its own label
+    label_of = {c.tobytes(): y for c, y in zip(X.T, labels)}
+    assert [label_of[c.tobytes()] for c in train_X.T] == train_labels.tolist()
+    assert [label_of[c.tobytes()] for c in test_X.T] == test_labels.tolist()
+
+
 def test_histogram_and_convergence_trials_follow_the_seed_scheme(monkeypatch):
     # trial k draws its training set at mix64(mix64(base, k), 0) and its test
     # set at mix64(mix64(base, k), 1); rebuilding a trial by hand from those
@@ -411,8 +454,8 @@ def test_histogram_and_convergence_trials_follow_the_seed_scheme(monkeypatch):
         s = mix64(base, t)
         train_set = sample(m, 8, 24, mix64(s, 0))
         test_set = sample(m, n_test, n_test, mix64(s, 1))
-        fitted = TrainedModel.fit(train_set.X, train_set.labels, 1.0, RBF_UNIT)
-        scores = fitted.decide_many(test_set.X)
+        fitted = TrainedModel.fit(*train_set, 1.0, RBF_UNIT)
+        scores = fitted.decide_many(test_set[0])
         block = slice(t * n_test, (t + 1) * n_test)
         assert np.array_equal(hist.scores1[block], scores[:n_test])
         assert np.array_equal(hist.scores2[block], scores[n_test:])
@@ -438,9 +481,9 @@ def test_histogram_and_convergence_trials_follow_the_seed_scheme(monkeypatch):
             s = mix64(base, si * trials + t)
             train_set = sample(model, n1, n - n1, mix64(s, 0))
             test_set = sample(model, m1, 12 - m1, mix64(s, 1))
-            fitted = TrainedModel.fit(train_set.X, train_set.labels, 1.0, RBF_UNIT)
-            g = fitted.decide_many(test_set.X)
+            fitted = TrainedModel.fit(*train_set, 1.0, RBF_UNIT)
+            g = fitted.decide_many(test_set[0])
             assert np.array_equal(seen[si * trials + t], g)
-            g_hat = random_equivalent(train_set, test_set, 1.0, RBF_UNIT)
+            g_hat = random_equivalent(model, train_set, test_set, 1.0, RBF_UNIT)
             gaps.append(n * np.abs(g - g_hat))
         assert rows[si].median_scaled_gap == float(np.median(np.concatenate(gaps)))

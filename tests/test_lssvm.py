@@ -255,10 +255,10 @@ def test_point_masses_under_a_constant_kernel_train(factor_calls):
     # system constrains alpha to zero: alpha = (gamma/n) P y, b = mean(y)
     p, n1, n2, gamma = 48, 20, 28, 1.0
     zeros = np.zeros((p, p))
-    ds = sample(MixtureModel(p, np.zeros(p), np.zeros(p), zeros, zeros, c1=0.5), n1, n2, seed=7)
+    X, y = sample(MixtureModel(p, np.zeros(p), np.zeros(p), zeros, zeros, c1=0.5), n1, n2, seed=7)
     profile = kernel_from_spec({"kind": "local", "tau": 0.0, "f": -1.0, "fp": 0.0, "fpp": 0.0})
-    fitted = TrainedModel.fit(ds.X, ds.labels, gamma, profile)
-    y, n = ds.labels, n1 + n2
+    fitted = TrainedModel.fit(X, y, gamma, profile)
+    n = n1 + n2
     np.testing.assert_allclose(fitted.alpha, gamma / n * (y - y.mean()), rtol=0, atol=1e-14)
     assert fitted.bias == pytest.approx(y.mean(), rel=0, abs=1e-14)
     assert len(factor_calls) == 0

@@ -23,7 +23,7 @@ from lssvmlim.mixture import (
     model_from_spec,
     sample,
 )
-from lssvmlim.theory import gaussian_stats
+from lssvmlim.theory import _latents, gaussian_stats
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -112,31 +112,31 @@ def test_tau_boosted_covariance():
 
 def test_sample_layout_and_reconstruction():
     m = fig_like_model(32)
-    ds = sample(m, 5, 11, seed=123)
-    assert ds.n1 == 5 and ds.n2 == 11
-    assert np.all(ds.labels[:5] == -1) and np.all(ds.labels[5:] == 1)
+    X, labels = sample(m, 5, 11, seed=123)
+    assert np.count_nonzero(labels < 0) == 5 and np.count_nonzero(labels > 0) == 11
+    assert np.all(labels[:5] == -1) and np.all(labels[5:] == 1)
     # omega is derived from X; at this draw it gives X back bit for bit
-    means = np.where((ds.labels < 0)[None, :], m.mu1[:, None], m.mu2[:, None])
-    np.testing.assert_array_equal(ds.X, means + np.sqrt(m.p) * ds.omega)
+    means = np.where((labels < 0)[None, :], m.mu1[:, None], m.mu2[:, None])
+    np.testing.assert_array_equal(X, means + np.sqrt(m.p) * _latents(m, X, labels)[0])
 
 
 def test_sample_zero_covariance_is_point_mass():
     p = 8
     m = MixtureModel(p, np.arange(p) * 1.0, np.ones(p), np.zeros((p, p)), np.zeros((p, p)), c1=0.5)
-    ds = sample(m, 3, 3, seed=0)
-    np.testing.assert_array_equal(ds.X[:, :3], np.tile(np.arange(p) * 1.0, (3, 1)).T)
-    np.testing.assert_array_equal(ds.X[:, 3:], np.ones((p, 3)))
+    X, _ = sample(m, 3, 3, seed=0)
+    np.testing.assert_array_equal(X[:, :3], np.tile(np.arange(p) * 1.0, (3, 1)).T)
+    np.testing.assert_array_equal(X[:, 3:], np.ones((p, 3)))
 
 
 def test_sample_determinism():
     m = fig_like_model(24)
     a = sample(m, 4, 6, seed=999)
     b = sample(m, 4, 6, seed=999)
-    assert np.array_equal(a.X, b.X)
-    assert np.array_equal(a.omega, b.omega)
-    assert np.array_equal(a.psi, b.psi)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(_latents(m, *a)[0], _latents(m, *b)[0])
+    assert np.array_equal(_latents(m, *a)[1], _latents(m, *b)[1])
     c = sample(m, 4, 6, seed=1000)
-    assert not np.array_equal(a.X, c.X)
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_mixture_refuses_an_empty_dimension_and_an_empty_class():
@@ -149,24 +149,23 @@ def test_mixture_refuses_an_empty_dimension_and_an_empty_class():
 def test_latent_norms_concentrate():
     p = 512
     m = MixtureModel(p, np.zeros(p), np.zeros(p), np.eye(p), np.eye(p), c1=0.5)
-    ds = sample(m, 2000, 1, seed=7)
-    norms = np.einsum("ij,ij->j", ds.omega[:, :2000], ds.omega[:, :2000])
+    omega = _latents(m, *sample(m, 2000, 1, seed=7))[0]
+    norms = np.einsum("ij,ij->j", omega[:, :2000], omega[:, :2000])
     # E ||w||^2 = tr(C)/p = 1 with O(1/sqrt(n1)) fluctuation of the mean
     assert abs(norms.mean() - 1.0) < 5 / np.sqrt(2000)
 
 
 def test_psi_centering():
     m = fig_like_model(64)
-    ds = sample(m, 400, 600, seed=11)
-    assert abs(ds.psi[:400].mean()) < 0.05
-    assert abs(ds.psi[400:].mean()) < 0.05
+    psi = _latents(m, *sample(m, 400, 600, seed=11))[1]
+    assert abs(psi[:400].mean()) < 0.05
+    assert abs(psi[400:].mean()) < 0.05
 
 
 def test_sampling_covariance_close_in_spectral_norm():
     p = 32
     m = MixtureModel(p, np.zeros(p), np.zeros(p), np.eye(p), np.eye(p), c1=0.5)
-    ds = sample(m, 5000, 1, seed=21)
-    W = np.sqrt(p) * ds.omega[:, :5000]
+    W = np.sqrt(p) * _latents(m, *sample(m, 5000, 1, seed=21))[0][:, :5000]
     emp = W @ W.T / 5000
     assert np.linalg.norm(emp - np.eye(p), 2) < 0.15
 
@@ -180,9 +179,9 @@ def test_distance_concentration():
     tau = m.stats.tau
     maxima = []
     for seed in range(50):
-        ds = sample(m, 64, 192, seed=seed)
-        sq = np.einsum("ij,ij->j", ds.X, ds.X)
-        D = (sq[:, None] + sq[None, :] - 2 * ds.X.T @ ds.X) / p
+        X, _ = sample(m, 64, 192, seed=seed)
+        sq = np.einsum("ij,ij->j", X, X)
+        D = (sq[:, None] + sq[None, :] - 2 * X.T @ X) / p
         np.fill_diagonal(D, tau)
         maxima.append(np.max(np.abs(D - tau)))
     maxima = np.asarray(maxima)
@@ -384,13 +383,13 @@ def test_shipped_config_draws_match_the_dense_root_sampler(name):
     n, p = (doc.get("sizes") or [[doc["n"], doc["model"]["p"]]])[0]
     model = model_from_spec(doc["model"], p=p)
     n1, n2 = class_split(n, model.c1)
-    ds = sample(model, n1, n2, doc["base_seed"])
+    X, labels = sample(model, n1, n2, doc["base_seed"])
 
     omega = dense_root_latents(model, n1, n2, doc["base_seed"])
-    means = np.where((ds.labels < 0)[None, :], model.mu1[:, None], model.mu2[:, None])
-    traces = np.where(ds.labels < 0, model.stats.trace1, model.stats.trace2)
+    means = np.where((labels < 0)[None, :], model.mu1[:, None], model.mu2[:, None])
+    traces = np.where(labels < 0, model.stats.trace1, model.stats.trace2)
     psi = np.einsum("ij,ij->j", omega, omega) - traces / p
-    assert np.array_equal(ds.X[:, :n1], means[:, :n1] + np.sqrt(p) * omega[:, :n1])
+    assert np.array_equal(X[:, :n1], means[:, :n1] + np.sqrt(p) * omega[:, :n1])
     # the correlated class (rho = 0.4 in every shipped config) is drawn by
     # the banded product, which moves it from the dense draw at rounding level
     rng = np.random.default_rng(doc["base_seed"])
@@ -402,14 +401,15 @@ def test_shipped_config_draws_match_the_dense_root_sampler(name):
     # 2 eps (|X| + |mean|) / sqrt(p) per entry to the rounding of the draw,
     # and psi's sum of squares at most (p + 2) eps ||omega||^2 on top
     eps = np.finfo(float).eps
-    err = 2 * eps * (np.abs(ds.X) + np.abs(means)) / np.sqrt(p)
+    err = 2 * eps * (np.abs(X) + np.abs(means)) / np.sqrt(p)
     err[:, n1:] += bound
-    assert (np.abs(ds.omega - omega) <= err).all()
+    derived_omega, derived_psi = _latents(model, X, labels)
+    assert (np.abs(derived_omega - omega) <= err).all()
     psi_err = 2 * np.einsum("ij,ij->j", np.abs(omega), err) + (p + 2) * eps * (omega**2).sum(0)
-    assert (np.abs(ds.psi - psi) <= psi_err).all()
+    assert (np.abs(derived_psi - psi) <= psi_err).all()
 
     h = hashlib.sha256()
-    for a in (ds.X[:, :n1], omega[:, :n1], psi[:n1]):
+    for a in (X[:, :n1], omega[:, :n1], psi[:n1]):
         h.update(a.tobytes())
     assert h.hexdigest()[:16] == IDENTITY_BLOCK_SHA256[name]
 
@@ -449,7 +449,7 @@ def test_identity_sampling_needs_no_eigendecomposition(eigh_calls):
     p = 64
     m = model_from_spec({"p": p, "mean1": "zeros", "mean2": "zeros", "cov1": "identity",
                          "cov2": "toeplitz(0.0, 2.0)", "c1": 0.5})
-    omega = sample(m, 3, 3, seed=5).omega
+    omega = _latents(m, *sample(m, 3, 3, seed=5))[0]
     assert eigh_calls == []
     assert np.array_equal(omega, dense_root_latents(m, 3, 3, seed=5))
     eigh_calls.clear()
@@ -470,7 +470,7 @@ def test_dense_covariances_are_decomposed_at_the_first_draw_only(eigh_calls):
     m = MixtureModel(p, np.zeros(p), mu2, *covs, c1=0.3)
     gaussian_stats(m.stats, n1, n2, 1.0, RBF_UNIT)
     assert eigh_calls == []  # build and theory
-    X = sample(m, n1, n2, seed=9).X
+    X, _ = sample(m, n1, n2, seed=9)
     assert eigh_calls == [(p, p), (p, p)]
     sample(m, n1, n2, seed=10)
     assert len(eigh_calls) == 2
@@ -503,8 +503,8 @@ def test_equal_toeplitz_covariances_share_one_read_only_root(eigh_calls):
     a, b = ToeplitzCov(0.4, 1.5, p), ToeplitzCov(0.4, 1.5, p)
     assert a is not b
     zeros, z = np.zeros(p), np.random.default_rng(3).standard_normal((p, 5))
-    drawn = [sample(MixtureModel(p, zeros, zeros, a, b, c1=0.5), 5, 5, seed=4).X,
-             sample(MixtureModel(p, zeros, zeros, b, a, c1=0.5), 5, 5, seed=4).X]
+    drawn = [sample(MixtureModel(p, zeros, zeros, a, b, c1=0.5), 5, 5, seed=4)[0],
+             sample(MixtureModel(p, zeros, zeros, b, a, c1=0.5), 5, 5, seed=4)[0]]
     assert eigh_calls == [(p, p)]  # one root for both covariances of both models
     assert np.array_equal(drawn[0], drawn[1])
     root = _toeplitz_root(0.4, 1.5, p)

@@ -159,8 +159,8 @@ def test_class_stats_recovers_synthetic_moments():
     A = rng.standard_normal((p, p)) / 4
     cov2 = A @ A.T
     model = MixtureModel(p, mu1, mu2, 0.04 * np.eye(p), cov2, c1=0.5)
-    ds = sample(model, 4000, 4000, seed=2)
-    est, true = class_stats(ds.X, ds.labels), model.stats
+    X, labels = sample(model, 4000, 4000, seed=2)
+    est, true = class_stats(X, labels), model.stats
     assert (est.p, est.c1) == (p, 0.5)
     for name in ("trace1", "trace2", "tr_c1c1", "tr_c1c2", "tr_c2c2", "mean_gap_sq"):
         assert getattr(est, name) == pytest.approx(getattr(true, name), rel=0.08), name

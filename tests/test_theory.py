@@ -12,9 +12,10 @@ from helpers import RBF_UNIT, balanced_model, shape_kernel, shape_only_model, sk
 from lssvmlim.errors import NumericalFailure
 from lssvmlim.experiments import at_threshold, class_split, config_from_dict, resolve_kernel
 from lssvmlim.kernels import GaussianKernel, TaylorKernel
-from lssvmlim.mixture import LatentDataset, MixtureModel, ToeplitzCov, model_from_spec, sample
+from lssvmlim.mixture import MixtureModel, ToeplitzCov, model_from_spec, sample
 from lssvmlim.theory import (
     TheoryStats,
+    _latents,
     _stationary_points,
     error_rates,
     estimate_tau,
@@ -70,8 +71,8 @@ def test_estimate_tau_consistency():
     model = skew_model(p)
     bad = 0
     for seed in range(20):
-        ds = sample(model, n // 4, n - n // 4, seed=seed)
-        if abs(estimate_tau(ds.X) - model.stats.tau) >= 0.05:
+        X, _ = sample(model, n // 4, n - n // 4, seed=seed)
+        if abs(estimate_tau(X) - model.stats.tau) >= 0.05:
             bad += 1
     assert bad == 0
 
@@ -135,14 +136,14 @@ def at_class_means(model, labels):
     """A test set whose every point sits at its class mean: zero latents."""
     labels = np.asarray(labels, dtype=float)
     X = np.where(labels < 0, model.mu1[:, None], model.mu2[:, None])
-    return LatentDataset(X, labels, model)
+    return X, labels
 
 
 def test_noise_term_zero_latents():
     # equal traces, so the psi term vanishes with the other two
     m = balanced_model(16, boost=0.0)
     ds = sample(m, 4, 4, seed=0)
-    assert np.all(noise_term(ds, at_class_means(m, [-1, 1]), RBF_UNIT) == 0.0)
+    assert np.all(noise_term(m, ds, at_class_means(m, [-1, 1]), RBF_UNIT) == 0.0)
 
 
 def test_noise_term_coefficient_cancellation():
@@ -151,7 +152,7 @@ def test_noise_term_coefficient_cancellation():
     m = shape_only_model(p)
     profile = shape_kernel(m, fprime=0.0)
     ds = sample(m, 5, 5, seed=1)
-    assert np.all(noise_term(ds, sample(m, 3, 3, seed=2), profile) == 0.0)
+    assert np.all(noise_term(m, ds, sample(m, 3, 3, seed=2), profile) == 0.0)
 
 
 def test_noise_term_dense_oracle():
@@ -163,31 +164,20 @@ def test_noise_term_dense_oracle():
     omega_x = rng.standard_normal((p, 2))
     labels = np.array([-1.0, 1.0])
     means = np.column_stack([m.mu1, m.mu2])
-    test = LatentDataset(means + np.sqrt(p) * omega_x, labels, m)
+    test = means + np.sqrt(p) * omega_x, labels
     psi_x = (omega_x**2).sum(axis=0) - np.array([m.cov1.trace(), m.cov2.trace()]) / p
     profile = GaussianKernel(1.3)
 
     f, fp, fpp = profile.derivatives(m.stats.tau)
     c1, c2 = 2 / 6, 4 / 6
     P = np.eye(n) - np.ones((n, n)) / n
-    y = ds.labels.astype(float)
+    y = ds[1].astype(float)
     expected = (
-        -2 * fp / n * (y @ P @ ds.omega.T @ omega_x)
+        -2 * fp / n * (y @ P @ _latents(m, *ds)[0].T @ omega_x)
         - 4 * c1 * c2 * fp / np.sqrt(p) * ((m.mu2 - m.mu1) @ omega_x)
         + 2 * c1 * c2 * fpp * psi_x * (m.cov2.trace() - m.cov1.trace()) / p
     )
-    assert noise_term(ds, test, profile) == pytest.approx(expected, rel=1e-12)
-
-
-def test_noise_term_refuses_a_test_set_of_another_model():
-    # an equal model that is another object did not draw the training set
-    m, other = balanced_model(8), balanced_model(8)
-    ds = sample(m, 3, 5, seed=5)
-    test = sample(other, 2, 2, seed=6)
-    with pytest.raises(ValueError, match="model"):
-        noise_term(ds, test, RBF_UNIT)
-    with pytest.raises(ValueError, match="model"):
-        random_equivalent(ds, test, 1.0, RBF_UNIT)
+    assert noise_term(m, ds, test, profile) == pytest.approx(expected, rel=1e-12)
 
 
 # -------------------------------------------------------- random equivalent
@@ -198,7 +188,7 @@ def test_random_equivalent_reduces_to_bias():
     p = 8
     m = MixtureModel(p, np.ones(p), np.ones(p), np.eye(p), np.eye(p), c1=0.25)
     ds = sample(m, 2, 6, seed=7)
-    got = random_equivalent(ds, at_class_means(m, [-1, 1]), gamma=2.0, profile=RBF_UNIT)
+    got = random_equivalent(m, ds, at_class_means(m, [-1, 1]), gamma=2.0, profile=RBF_UNIT)
     assert got == pytest.approx([6 / 8 - 2 / 8] * 2, rel=1e-14)
 
 
@@ -212,7 +202,7 @@ def test_random_equivalent_class_gap():
     omega_x = rng.standard_normal(p) * 0.1
     X = np.column_stack([m.mu1, m.mu2]) + np.sqrt(p) * omega_x[:, None]
     gamma = 1.7
-    g1, g2 = random_equivalent(ds, LatentDataset(X, np.array([-1.0, 1.0]), m), gamma, RBF_UNIT)
+    g1, g2 = random_equivalent(m, ds, (X, np.array([-1.0, 1.0])), gamma, RBF_UNIT)
     c1, c2 = 6 / 16, 10 / 16
     D = informative_term(m.stats, RBF_UNIT)
     assert g2 - g1 == pytest.approx(gamma * 2 * c1 * c2 * D, rel=1e-10)
@@ -224,7 +214,7 @@ def test_random_equivalent_without_noise_is_the_predicted_class_mean():
     m = balanced_model(16, boost=0.0)
     ds = sample(m, 6, 18, seed=10)
     labels = [-1, -1, 1, 1, 1]
-    got = random_equivalent(ds, at_class_means(m, labels), 1.3, RBF_UNIT)
+    got = random_equivalent(m, ds, at_class_means(m, labels), 1.3, RBF_UNIT)
     st = gaussian_stats(m.stats, 6, 18, 1.3, RBF_UNIT)
     assert st.E1 != st.E2
     assert np.array_equal(got, [st.E1, st.E1, st.E2, st.E2, st.E2])
