@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import warnings
@@ -45,8 +46,23 @@ def _load_config(path):
     return json.loads(Path(path).read_bytes())
 
 
+def _finite(obj):
+    """``obj`` with every float that is not finite, inside dicts, lists and
+    tuples, replaced by ``None``."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def _emit(obj, args):
-    out = json.dumps(obj, indent=2)
+    """Write ``obj`` as JSON to ``--out`` or stdout: the one JSON writer.
+    JSON has no NaN or infinity, so a statistic that cannot be computed,
+    which the library returns as NaN, is written as ``null``."""
+    out = json.dumps(_finite(obj), indent=2)
     if getattr(args, "out", None):
         Path(args.out).write_text(out + "\n")
         return
@@ -94,13 +110,13 @@ def cmd_sweep(args):
 def cmd_histogram(args):
     config = _config(args, _load_config(args.config))
     model, profile, n, _, _ = experiments.grid_point(config, model_from_spec(config.model))
-    result = experiments.run_histogram(
+    out = experiments.run_histogram(
         model, n, config.gamma, profile, config.n_test, config.trials, config.base_seed
     )
-    out = result.summary()
-    if args.full:
-        out["scores1"] = result.scores1.tolist()
-        out["scores2"] = result.scores2.tolist()
+    for key in ("scores1", "scores2"):  # the raw scores go last, as lists, or not at all
+        scores = out.pop(key)
+        if args.full:
+            out[key] = scores.tolist()
     _emit(out, args)
     return 0
 
@@ -157,7 +173,7 @@ def cmd_mnist_stats(args):
         "discrepancy_by_scaling": mnist.discrepancy_by_scaling(X, mixture),
         "theory": dict(stats.as_dict(), **predicted),
         "empirical_weighted_error": mean,
-        "empirical_se": experiments.nan_to_none(se),
+        "empirical_se": se,
         "trials": config.trials,
     }
     _emit(out, args)

@@ -253,10 +253,6 @@ class SweepRow:
 CSV_COLUMNS = [f.name for f in fields(SweepRow)]
 
 
-def nan_to_none(x):
-    return None if isinstance(x, float) and np.isnan(x) else x
-
-
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple
@@ -272,13 +268,13 @@ class SweepResult:
 
     def to_json(self, full=False):
         """The rows (and with ``full`` the trials and failures) as a JSON
-        object.  JSON has no NaN, so a statistic that could not be computed
-        (``emp_se`` from one trial, ``emp_err`` from none) and the ``value``
-        of a sweep without an axis are written as ``null``."""
-        obj = {"rows": [{c: nan_to_none(getattr(r, c)) for c in CSV_COLUMNS} for r in self.rows]}
+        object.  A statistic that could not be computed (``emp_se`` from one
+        trial, ``emp_err`` from none) and the ``value`` of a sweep without an
+        axis are NaN, which the command line writes as ``null``."""
+        obj = {"rows": [{c: getattr(r, c) for c in CSV_COLUMNS} for r in self.rows]}
         if full:
             obj["trials"] = {str(k): v for k, v in self.per_trial.items()}
-            obj["failures"] = [dict(f, value=nan_to_none(f["value"])) for f in self.failures]
+            obj["failures"] = list(self.failures)
         return obj
 
 
@@ -329,38 +325,6 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     return SweepResult(rows=tuple(rows), per_trial=per_trial, failures=tuple(failures))
 
 
-@dataclass(frozen=True, eq=False)
-class HistogramResult:
-    """Pooled test scores per class with their predicted Gaussian overlay.
-
-    ``scores1``/``scores2`` hold ``trials`` consecutive equal-size blocks, one
-    per trained model.
-    """
-
-    scores1: np.ndarray
-    scores2: np.ndarray
-    stats: object  # TheoryStats
-    ks1: float
-    ks2: float
-    trials: int
-
-    def summary(self):
-        """KS distances, pooled means with their standard errors, and the
-        predicted statistics.
-
-        The scores of one block share a trained model, so the standard error
-        of a pooled mean is that of the per-trial means,
-        ``std(ddof=1) / sqrt(trials)``; with a single trial it cannot be
-        estimated and is ``None``.
-        """
-        out = {"ks1": self.ks1, "ks2": self.ks2}
-        for name, s in (("class1", self.scores1), ("class2", self.scores2)):
-            out[f"mean_{name}"] = float(s.mean())
-            out[f"se_{name}"] = nan_to_none(mean_se(s.reshape(self.trials, -1).mean(axis=1))[1])
-        out.update(self.stats.as_dict())
-        return out
-
-
 def _ks_distance(scores, mean, sd) -> float:
     """One-sample Kolmogorov-Smirnov distance of ``scores`` from N(mean, sd^2)."""
     F = q_function((mean - np.sort(scores)) / sd)
@@ -368,11 +332,21 @@ def _ks_distance(scores, mean, sd) -> float:
     return float(max((i / F.size - F).max(), (F - (i - 1) / F.size).max()))
 
 
-def run_histogram(model, n, gamma, profile, n_test, trials, seed) -> HistogramResult:
+def run_histogram(model, n, gamma, profile, n_test, trials, seed) -> dict:
     """Pool decision scores of fresh test points (n_test per class per trial)
     over independently trained models, with the per-class Gaussian prediction
     and a one-sample Kolmogorov-Smirnov distance against it.  A class whose
-    predicted variance is zero has no such distance: ``NumericalFailure``."""
+    predicted variance is zero has no such distance: ``NumericalFailure``.
+
+    Returns the record ``histogram`` prints: ``ks1``, ``ks2``, then per
+    class the pooled mean and its standard error (``mean_class1``,
+    ``se_class1``, ``mean_class2``, ``se_class2``), then the predicted
+    statistics (``TheoryStats.as_dict()``), then the pooled score arrays
+    ``scores1`` and ``scores2``, each ``trials`` consecutive blocks of
+    ``n_test`` scores, one per trained model.  The scores of one block share
+    a model, so a pooled mean's standard error is that of the per-trial
+    means, ``std(ddof=1) / sqrt(trials)``: NaN from one trial.
+    """
     n1, n2 = class_split(n, model.c1)
     stats = gaussian_stats(model.stats, n1, n2, gamma, profile)  # checks the kernel
     for a, var in ((1, stats.Var1), (2, stats.Var2)):
@@ -382,11 +356,12 @@ def run_histogram(model, n, gamma, profile, n_test, trials, seed) -> HistogramRe
                          [mix64(seed, t) for t in range(trials)]).values()
     scores1 = np.concatenate([b[:n_test] for b in blocks])
     scores2 = np.concatenate([b[n_test:] for b in blocks])
-    return HistogramResult(
-        scores1=scores1, scores2=scores2, stats=stats, trials=trials,
-        ks1=_ks_distance(scores1, stats.E1, np.sqrt(stats.Var1)),
-        ks2=_ks_distance(scores2, stats.E2, np.sqrt(stats.Var2)),
-    )
+    out = {"ks1": _ks_distance(scores1, stats.E1, np.sqrt(stats.Var1)),
+           "ks2": _ks_distance(scores2, stats.E2, np.sqrt(stats.Var2))}
+    for name, s in (("class1", scores1), ("class2", scores2)):
+        out[f"mean_{name}"] = float(s.mean())
+        out[f"se_{name}"] = mean_se(s.reshape(trials, -1).mean(axis=1))[1]
+    return dict(out, **stats.as_dict(), scores1=scores1, scores2=scores2)
 
 
 @dataclass(frozen=True)

@@ -148,7 +148,7 @@ def test_c06_gaussian_fit_of_scores():
     # Distribution fit with unbalanced classes at (n, p) = (256, 512) and, in
     # the same family, at (1024, 2048); 20 trained models x 100 test points per
     # class each.  The 100 scores of a trial share a model, so a pooled mean's
-    # standard error is that of the 20 per-trial means (summary()'s se_class*).
+    # standard error is that of the 20 per-trial means (run_histogram's se_class*).
     # At n = 256 the minority class (64 training points) still carries a
     # next-order mean offset of -0.083/n (z = -0.249 standard deviations) and
     # 11% excess spread, which the limit tolerances do not absorb.  Its fit is
@@ -157,7 +157,7 @@ def test_c06_gaussian_fit_of_scores():
     # fails.  The majority class meets the tolerances at both sizes.
     fits = {}  # (n, class) -> (z = (mean - E) / sd, SE / sd, KS)
     for n, p in ((256, 512), (1024, 2048)):
-        s = run_histogram(skew_model(p), n, 1.0, RBF_UNIT, 100, 20, seed=0).summary()
+        s = run_histogram(skew_model(p), n, 1.0, RBF_UNIT, 100, 20, seed=0)
         for c in (1, 2):
             sd = np.sqrt(s[f"Var{c}"])
             fits[n, c] = ((s[f"mean_class{c}"] - s[f"E{c}"]) / sd, s[f"se_class{c}"] / sd, s[f"ks{c}"])

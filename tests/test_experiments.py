@@ -337,7 +337,7 @@ def test_histogram_identical_classes_pools_same_distribution():
     p = 24
     m = MixtureModel(p, np.zeros(p), np.zeros(p), np.eye(p), np.eye(p), c1=0.5)
     result = run_histogram(m, n=32, gamma=1.0, profile=RBF_UNIT, n_test=40, trials=6, seed=3)
-    ks = scipy.stats.ks_2samp(result.scores1, result.scores2)
+    ks = scipy.stats.ks_2samp(result["scores1"], result["scores2"])
     assert ks.pvalue > 0.01
 
 
@@ -345,25 +345,24 @@ def test_histogram_balanced_centers_have_opposite_signs():
     # at c1 = c2 the centre c2 - c1 of the scores is 0
     m = balanced_model(96)
     result = run_histogram(m, n=96, gamma=1.0, profile=RBF_UNIT, n_test=50, trials=8, seed=4)
-    assert result.stats.D > 0
-    assert result.scores1.mean() < 0 < result.scores2.mean()
-    assert result.stats.E1 < 0 < result.stats.E2
+    assert result["D"] > 0
+    assert result["scores1"].mean() < 0 < result["scores2"].mean()
+    assert result["E1"] < 0 < result["E2"]
 
 
 def test_histogram_summary_fields():
     m = balanced_model(48)
-    result = run_histogram(m, n=48, gamma=1.0, profile=RBF_UNIT, n_test=20, trials=3, seed=5)
-    s = result.summary()
+    s = run_histogram(m, n=48, gamma=1.0, profile=RBF_UNIT, n_test=20, trials=3, seed=5)
     for key in ("ks1", "ks2", "mean_class1", "se_class1", "E1", "Var2"):
         assert key in s
     # the 20 scores of a trial share one trained model: the standard error is
     # that of the 3 per-trial means, not of 60 independent scores
-    for name, scores in (("class1", result.scores1), ("class2", result.scores2)):
+    for name, scores in (("class1", s["scores1"]), ("class2", s["scores2"])):
         trial_means = [scores[20 * t: 20 * (t + 1)].mean() for t in range(3)]
         assert s[f"se_{name}"] == pytest.approx(np.std(trial_means, ddof=1) / np.sqrt(3), rel=1e-12)
     single = run_histogram(m, n=48, gamma=1.0, profile=RBF_UNIT,
-                           n_test=20, trials=1, seed=5).summary()
-    assert single["se_class1"] is None and single["se_class2"] is None
+                           n_test=20, trials=1, seed=5)
+    assert np.isnan(single["se_class1"]) and np.isnan(single["se_class2"])
     assert np.isfinite(single["mean_class1"])
 
 
@@ -457,8 +456,8 @@ def test_histogram_and_convergence_trials_follow_the_seed_scheme(monkeypatch):
         fitted = TrainedModel.fit(*train_set, 1.0, RBF_UNIT)
         scores = fitted.decide_many(test_set[0])
         block = slice(t * n_test, (t + 1) * n_test)
-        assert np.array_equal(hist.scores1[block], scores[:n_test])
-        assert np.array_equal(hist.scores2[block], scores[n_test:])
+        assert np.array_equal(hist["scores1"][block], scores[:n_test])
+        assert np.array_equal(hist["scores2"][block], scores[n_test:])
 
     seen = []
     decide_many = lssvm.TrainedModel.decide_many
