@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import asdict
@@ -36,6 +37,12 @@ from .mixture import load_npy, mix64, model_from_spec
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # a number float() reads, -inf and -1e308 included, is the value of the option
+        # before it, not an option: argparse's own pattern takes plain negative decimals only
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf(inity)?$|nan$)", re.I)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -157,6 +164,8 @@ def cmd_mnist_stats(args):
     })
     profile = kernels.kernel_from_spec(config.kernel)  # before any image is read
     X, y = mnist.load_idx(args.images, args.labels, args.digit_a, args.digit_b)
+    if not X.any():  # the mean and rms scalings divide by the mean pixel
+        raise DataError(f"every image of digits {args.digit_a} and {args.digit_b} is black")
     if args.snr_db is not None:  # from a stream that no trial index reaches
         mnist.add_white_noise(X, args.snr_db, mix64(config.base_seed, -1))
     mixture = mnist.class_stats(X, y)

@@ -10,7 +10,8 @@ convergence study, and k = t in a histogram and in ``mnist-stats`` (whose
 pixel noise draws at k = -1).  Results are thus reproducible and independent
 of scheduling order; per-trial outcomes are stored and reduced at the end.
 A sweep records a failed trial and goes on; every other experiment stops at
-its first failure.
+its first failure.  A statistic that cannot be computed, such as a standard
+error from one trial, is NaN here; the command line writes it as ``null``.
 """
 
 from __future__ import annotations

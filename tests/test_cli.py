@@ -132,24 +132,40 @@ def test_sweep_json_full_includes_trials(tmp_path):
     assert obj["failures"] == []
 
 
-def test_one_trial_sweep_prints_valid_json(tmp_path, capsys):
-    # one trial leaves the standard error undefined: it must print as null,
-    # not as the NaN token that JSON does not have
-    doc = json.loads(Path(CONFIG_DIR, "sweep_width.json").read_text())
+def one_trial_args(tmp_path, command):
+    """Arguments for a one-trial run of ``command`` on unequal classes where
+    the data allow: histogram_skew's c1 = 0.25, a pool of 90 eights and 120
+    nines."""
+    if command == "mnist-stats":
+        ip, lp = synthetic_idx_pair(tmp_path, per_class=(90, 120))
+        return ["--images", ip, "--labels", lp, "--n", "40", "--n-test", "24"]
+    name = "histogram_skew" if command == "histogram" else "sweep_width"
+    doc = json.loads(Path(CONFIG_DIR, f"{name}.json").read_text())
     doc["model"]["p"] = 32
     doc["n"] = 64
     doc["n_test"] = 16
-    doc["sweep"]["grid"] = [0.5, 1.0]
-    config = write_config(tmp_path, doc)
-    assert main(["sweep", "--config", config, "--trials", "1", "--full"]) == 0
+    if command == "sweep":
+        doc["sweep"]["grid"] = [0.5, 1.0]
+    return ["--config", write_config(tmp_path, doc), *(["--full"] if command == "sweep" else [])]
+
+
+@pytest.mark.parametrize("command, se_keys", [
+    ("sweep", ["emp_se"]), ("histogram", ["se_class1", "se_class2"]),
+    ("mnist-stats", ["empirical_se"])], ids=["sweep", "histogram", "mnist-stats"])
+def test_one_trial_sweep_prints_valid_json(tmp_path, capsys, command, se_keys):
+    # one trial leaves a standard error undefined: it must print as null,
+    # not as the NaN token that JSON does not have
+    assert main([command, *one_trial_args(tmp_path, command), "--trials", "1"]) == 0
 
     def reject(token):
         raise ValueError(f"invalid JSON constant {token}")
 
     obj = json.loads(capsys.readouterr().out, parse_constant=reject)
-    assert [row["trials"] for row in obj["rows"]] == [1, 1]
-    assert all(row["emp_se"] is None for row in obj["rows"])
-    assert all(0.0 <= row["emp_err"] <= 1.0 for row in obj["rows"])
+    records = obj["rows"] if command == "sweep" else [obj]
+    assert all(record[key] is None for record in records for key in se_keys)
+    if command == "sweep":
+        assert [row["trials"] for row in obj["rows"]] == [1, 1]
+        assert all(0.0 <= row["emp_err"] <= 1.0 for row in obj["rows"])
 
 
 def test_histogram_command(tmp_path, capsys):
@@ -262,13 +278,14 @@ def test_estimate_tau_rejects_non_finite_data(tmp_path, capsys):
 
 
 def synthetic_idx_pair(tmp_path, p=16, per_class=80):
-    """Two visibly different digit classes dumped in the IDX byte format."""
+    """Two visibly different digit classes dumped in the IDX byte format;
+    ``per_class`` is one count for both digits or an (eights, nines) pair."""
     rng = np.random.default_rng(42)
-    side = int(np.sqrt(p))
-    a = np.clip(rng.normal(90, 25, size=(p, per_class)), 0, 255)
-    b = np.clip(rng.normal(160, 25, size=(p, per_class)), 0, 255)
+    count_a, count_b = per_class if isinstance(per_class, tuple) else (per_class, per_class)
+    a = np.clip(rng.normal(90, 25, size=(p, count_a)), 0, 255)
+    b = np.clip(rng.normal(160, 25, size=(p, count_b)), 0, 255)
     pixels = np.concatenate([a, b], axis=1).astype(np.uint8)
-    labels = np.repeat([8, 9], per_class).astype(np.uint8)
+    labels = np.repeat([8, 9], (count_a, count_b)).astype(np.uint8)
     ip, lp = tmp_path / "imgs.idx", tmp_path / "labs.idx"
     write_idx(pixels, labels, ip, lp)
     return str(ip), str(lp)
@@ -336,6 +353,22 @@ def test_predict_on_a_file_covariance_tests_its_eigenvalues_and_decomposes_nothi
     assert main(["predict", "--config", write_config(tmp_path, doc)]) == 0
     assert calls == ["eigvalsh"]
     assert json.loads(capsys.readouterr().out)["weighted"] < 0.5
+
+
+def test_a_linalg_error_while_checking_a_file_covariance_names_no_key(tmp_path, capsys,
+                                                                      monkeypatch):
+    # only a refusal of one model field is prefixed with its key
+    np.save(tmp_path / "cov.npy", np.asarray(ToeplitzCov(0.4, 1.5, 32)))
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    doc = small_sweep_doc(model=small_model(cov2={"file": str(tmp_path / "cov.npy")}))
+    assert main(["predict", "--config", write_config(tmp_path, doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lssvmlim: numerical failure: Eigenvalues did not converge\n"
 
 
 def test_mnist_stats_bad_file_is_data_error(tmp_path, capsys):
@@ -798,7 +831,12 @@ def test_classes_too_far_apart_for_the_quadratic_predict_no_error(tmp_path, caps
     "flags, named",
     [(["--gamma", "0"], "gamma"), (["--trials", "0"], "trials"), (["--n-test", "1"], "n_test"),
      (["--snr-db", "nan"], "snr_db"), (["--snr-db=-inf"], "snr_db"),
-     (["--snr-db=-1e10"], "snr_db"), (["--digit-b", "8"], "the two digits must differ"),
+     (["--snr-db=-1e10"], "snr_db"),
+     # a value float() reads is the option's value, even where it is no plain decimal
+     (["--snr-db", "-inf"], "snr_db"), (["--snr-db", "-1e308"], "snr_db"),
+     (["--gamma", "-inf"], "gamma must be finite and positive, got -inf"),
+     (["--sigma2", "-1e308"], "kernel.sigma2: sigma2 must be finite and positive"),
+     (["--digit-b", "8"], "the two digits must differ"),
      (["--n", "200"], "80 + 80 points per class is too small for 100 + 100 training and "
                       "16 + 16 test points"),
      # n is split by class_split: 163 gives 82 + 81, the first half rounded to even
@@ -809,8 +847,9 @@ def test_classes_too_far_apart_for_the_quadratic_predict_no_error(tmp_path, caps
      # equal digits are refused before any file is opened
      (["--images", "no-such-images.idx", "--digit-b", "8"], "the two digits must differ")],
     ids=["gamma0", "trials0", "n_test1", "snr-nan", "snr-minus-inf", "snr-huge-negative",
-         "same-digit", "pool-too-small", "pool-too-small-odd-n", "sigma2-before-images",
-         "same-digit-before-images"],
+         "snr-minus-inf-spaced", "snr-huge-negative-spaced", "gamma-minus-inf-spaced",
+         "sigma2-huge-negative-spaced", "same-digit", "pool-too-small", "pool-too-small-odd-n",
+         "sigma2-before-images", "same-digit-before-images"],
 )
 def test_mnist_stats_invalid_flag_is_a_one_line_data_error(tmp_path, capsys, flags, named):
     ip, lp = synthetic_idx_pair(tmp_path)
@@ -821,6 +860,28 @@ def test_mnist_stats_invalid_flag_is_a_one_line_data_error(tmp_path, capsys, fla
     assert captured.out == ""
     assert captured.err.startswith("lssvmlim: invalid input:") and captured.err.count("\n") == 1
     assert named in captured.err
+
+
+def test_a_number_after_an_option_is_its_value():
+    args = cli.build_parser().parse_args(["mnist-stats", "--images", "i", "--labels", "l",
+                                          "--seed", "-1", "--snr-db", "-inf", "--gamma", "-1e308"])
+    assert (args.seed, args.snr_db, args.gamma) == (-1, -np.inf, -1e308)
+
+
+@pytest.mark.parametrize("threshold", ["optimal", "zero", "bias"])
+def test_mnist_stats_refuses_an_all_black_pool_in_one_line(tmp_path, capsys, recwarn, threshold):
+    # the mean and rms scalings divide by the pool's mean pixel: zero here,
+    # while the threes outside the pool are not black
+    rng = np.random.default_rng(7)
+    pixels = np.concatenate([np.zeros((64, 110)), rng.integers(1, 256, size=(64, 20))], axis=1)
+    ip, lp = tmp_path / "imgs.idx", tmp_path / "labs.idx"
+    write_idx(pixels, np.repeat([8, 9, 3], [50, 60, 20]), ip, lp)
+    assert main(["mnist-stats", "--images", str(ip), "--labels", str(lp), "--n", "40",
+                 "--n-test", "24", "--threshold", threshold]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lssvmlim: data error: every image of digits 8 and 9 is black\n"
+    assert len(recwarn) == 0
 
 
 def test_mnist_stats_predicts_at_the_counts_it_trains_on(tmp_path, capsys):

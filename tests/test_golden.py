@@ -6,8 +6,9 @@ pair for ``mnist-stats``, a matrix for ``estimate-tau``), and compares its
 exit code, stderr and JSON output with the recorded file.  Integers and
 strings must match exactly.  Floats match at the tolerances below, written
 before any file was recorded; keys the golden file lacks pass, so an output
-may grow.  ``tests/golden/record.py`` rewrites the files; a rewrite is an
-edit to name in CHANGES.md, with the keys that moved and by how much.
+may grow.  ``tests/golden/record.py`` rewrites the files and prints what
+moved (:func:`moves`); a rewrite is an edit to name in CHANGES.md, with the
+keys that moved and by how much.
 """
 
 import contextlib
@@ -155,6 +156,37 @@ def mismatches(got, want, path, one_point, key=""):
             ok = math.isfinite(got) and abs(got - want) <= atol + rtol * abs(want)
         return [] if ok else [f"{path}: {got!r} != {want!r}"]
     return [] if type(got) is type(want) and got == want else [f"{path}: {got!r} != {want!r}"]
+
+
+ABSENT = type("Absent", (), {"__repr__": lambda self: "absent"})()  # a key on one side only
+
+
+def moves(old, new, path):
+    """``(path, old value, new value, relative move)`` for every leaf at
+    which ``new`` differs from ``old``, in the order of ``old``'s keys, then
+    ``new``'s; the move is ``(new - old) / |old|`` for two numbers with
+    ``old`` nonzero, and None otherwise.  A list of another length is one
+    leaf, and a key on one side only reads as ``ABSENT`` on the other."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [m for k in {**old, **new}
+                for m in moves(old.get(k, ABSENT), new.get(k, ABSENT), f"{path}.{k}")]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [m for i, (o, n) in enumerate(zip(old, new)) for m in moves(o, n, f"{path}[{i}]")]
+    if type(old) is type(new) and old == new:
+        return []
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new))
+    return [(path, old, new, (new - old) / abs(old) if numbers and old != 0 else None)]
+
+
+def test_moves_names_each_changed_leaf_with_its_relative_move():
+    old = {"exit": 0, "output": {"rows": [{"emp_se": 0.5, "axis": "sigma2"}], "tau": 2.0}}
+    new = {"exit": 0, "output": {"rows": [{"emp_se": 0.55, "axis": "c1", "n": 64}], "tau": 2.0}}
+    assert moves(old, new, "case") == [
+        ("case.output.rows[0].emp_se", 0.5, 0.55, pytest.approx(0.1, rel=1e-12)),
+        ("case.output.rows[0].axis", "sigma2", "c1", None),
+        ("case.output.rows[0].n", ABSENT, 64, None),
+    ]
+    assert moves(old, old, "case") == []
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -370,6 +370,13 @@ def test_stationary_points_match_an_80_digit_evaluation():
     assert e1 <= got[1] <= e2  # the root the optimal threshold takes
 
 
+def test_an_overflowing_discriminant_falls_back_to_the_spread_weighted_midpoint():
+    # equal spreads with the means 2e154 spreads apart: b * b overflows while
+    # a, b and c stay finite, and the densities cross midway
+    assert _stationary_points(-1e154, 1.0, 1e154, 1.0, 0.5, 0.5) is None
+    assert optimal_threshold(_stats(e1=-1e154, e2=1e154, s1=1.0, s2=1.0)) == 0.0
+
+
 def test_optimal_threshold_degenerate_raises():
     st = _stats(e1=0.5, e2=0.5, s1=0.0, s2=0.0)
     with pytest.raises(NumericalFailure, match="both variances vanish with equal means"):
